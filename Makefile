@@ -2,7 +2,8 @@
 # the tier-1 gate (vet + lint + build + tests); `make race` adds the race
 # detector over the concurrency-sensitive packages and the full tree;
 # `make bench-stages` records diffable per-stage pipeline timings;
-# `make coverage` enforces the COVERAGE_FLOOR CI also gates on.
+# `make coverage` enforces the COVERAGE_FLOOR CI also gates on;
+# `make results-check` proves results/ matches a fresh regeneration.
 
 GO ?= go
 
@@ -17,7 +18,7 @@ COVERAGE_FLOOR = 70
 STATICCHECK_VERSION = 2025.1.1
 GOVULNCHECK_VERSION = v1.1.4
 
-.PHONY: all check vet lint lint-tools flarelint flarelint-baseline fix build test race coverage bench bench-stages profile-cpu fmt clean loadgen-smoke impact flaky-hunt
+.PHONY: all check vet lint lint-tools flarelint flarelint-baseline fix build test race coverage results-check bench bench-stages profile-cpu fmt clean loadgen-smoke impact flaky-hunt
 
 all: check
 
@@ -99,6 +100,27 @@ coverage:
 # keeps everything else honest too.
 race:
 	$(GO) test -race ./...
+
+# Reproducibility gate: regenerate every paper table/figure into a
+# temp dir and require each file the generator writes to equal its
+# committed copy under results/. Files it does not write
+# (BENCH_stages.json, bench-stages*.txt, the lint/flaky baselines) are
+# not compared. Regeneration is deterministic, so any difference means
+# results/ is stale: rerun flare-experiments into results/ and commit.
+results-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/flare-experiments -out "$$tmp" -days 28 >/dev/null || exit 1; \
+	n=0; bad=0; \
+	for f in "$$tmp"/*; do \
+		n=$$((n+1)); b=$$(basename "$$f"); \
+		diff -u "results/$$b" "$$f" >"$$tmp.diff" 2>&1 || { \
+			bad=$$((bad+1)); echo "results-check: results/$$b differs:"; head -20 "$$tmp.diff"; }; \
+	done; rm -f "$$tmp.diff"; \
+	if [ $$n -eq 0 ]; then echo "results-check: generator wrote nothing"; exit 1; fi; \
+	if [ $$bad -ne 0 ]; then \
+		echo "results-check: $$bad of $$n files stale; regenerate with" \
+			"go run ./cmd/flare-experiments -out results -days 28"; exit 1; fi; \
+	echo "results-check: all $$n generated files match results/"
 
 # Full experiment benchmark suite (regenerates every paper table).
 bench:
