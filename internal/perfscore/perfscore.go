@@ -199,27 +199,56 @@ func EvaluateScenario(base machine.Config, feat machine.Feature, sc scenario.Sce
 
 // EvaluateAssignments is EvaluateScenario for an explicit assignment list
 // (e.g. a hybrid of real jobs and synthetic interference generators).
+//
+// Noise is applied after relaxation, so each configuration is relaxed
+// once and the Samples noisy measurements are materialised from that one
+// steady state, drawing from opts.Rand in the order baseline, feature,
+// baseline, ... — the same draws as evaluating the colocation afresh per
+// sample.
 func EvaluateAssignments(base machine.Config, feat machine.Feature,
 	assignments []perfmodel.Assignment, inh *Inherent, opts Options) (Impact, error) {
-	featCfg := feat.Apply(base)
+	evBase, err := relaxed(base, assignments)
+	if err != nil {
+		return Impact{}, fmt.Errorf("perfscore: baseline: %w", err)
+	}
+	evFeat, err := relaxed(feat.Apply(base), assignments)
+	if err != nil {
+		return Impact{}, fmt.Errorf("perfscore: feature: %w", err)
+	}
 
 	samples := opts.Samples
 	if opts.NoiseStd <= 0 || samples < 1 {
 		samples = 1
 	}
 
-	imp := Impact{JobReductionPct: make(map[string]float64)}
-	jobBase := make(map[string]float64)
-	jobFeat := make(map[string]float64)
+	// Per-job scores accumulate at each HP job's first listing, once per
+	// listing, as a lookup by name would.
+	var scored []int
+	inherent := make([]float64, len(assignments))
+	for _, a := range assignments {
+		if a.Profile.Class != workload.ClassHP {
+			continue
+		}
+		k := 0
+		for assignments[k].Profile.Name != a.Profile.Name {
+			k++
+		}
+		if inherent[k], err = inh.MIPS(a.Profile.Name); err != nil {
+			return Impact{}, err
+		}
+		scored = append(scored, k)
+	}
+	jobBase := make([]float64, len(assignments))
+	jobFeat := make([]float64, len(assignments))
 
+	var imp Impact
+	var resBase, resFeat perfmodel.Result
+	mo := perfmodel.Options{NoiseStd: opts.NoiseStd, Rand: opts.Rand}
 	for s := 0; s < samples; s++ {
-		mo := perfmodel.Options{NoiseStd: opts.NoiseStd, Rand: opts.Rand}
-		resBase, err := perfmodel.Evaluate(base, assignments, mo)
-		if err != nil {
+		if err := evBase.ResultInto(&resBase, mo); err != nil {
 			return Impact{}, fmt.Errorf("perfscore: baseline: %w", err)
 		}
-		resFeat, err := perfmodel.Evaluate(featCfg, assignments, mo)
-		if err != nil {
+		if err := evFeat.ResultInto(&resFeat, mo); err != nil {
 			return Impact{}, fmt.Errorf("perfscore: feature: %w", err)
 		}
 		b, err := inh.HPScoreWith(resBase, opts.Metric)
@@ -233,20 +262,9 @@ func EvaluateAssignments(base machine.Config, feat machine.Feature,
 		imp.Baseline += b
 		imp.Feature += f
 
-		for _, j := range resBase.Jobs {
-			if j.Class != workload.ClassHP {
-				continue
-			}
-			sb, err := inh.JobScore(resBase, j.Job)
-			if err != nil {
-				return Impact{}, err
-			}
-			sf, err := inh.JobScore(resFeat, j.Job)
-			if err != nil {
-				return Impact{}, err
-			}
-			jobBase[j.Job] += sb
-			jobFeat[j.Job] += sf
+		for _, k := range scored {
+			jobBase[k] += resBase.Jobs[k].MIPS / inherent[k]
+			jobFeat[k] += resFeat.Jobs[k].MIPS / inherent[k]
 		}
 	}
 
@@ -255,12 +273,29 @@ func EvaluateAssignments(base machine.Config, feat machine.Feature,
 	if imp.Baseline > 0 {
 		imp.ReductionPct = 100 * (imp.Baseline - imp.Feature) / imp.Baseline
 	}
-	for job, b := range jobBase {
+	imp.JobReductionPct = make(map[string]float64)
+	for k, b := range jobBase {
 		if b > 0 {
-			imp.JobReductionPct[job] = 100 * (b - jobFeat[job]) / b
+			imp.JobReductionPct[assignments[k].Profile.Name] = 100 * (b - jobFeat[k]) / b
 		}
 	}
 	return imp, nil
+}
+
+// relaxed returns an evaluator on cfg holding the colocation's converged
+// state at nominal load.
+func relaxed(cfg machine.Config, assignments []perfmodel.Assignment) (*perfmodel.Evaluator, error) {
+	ev, err := perfmodel.NewEvaluator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := ev.Begin(assignments); err != nil {
+		return nil, err
+	}
+	if err := ev.Relax(nil); err != nil {
+		return nil, err
+	}
+	return ev, nil
 }
 
 func assignments(sc scenario.Scenario, cat *workload.Catalog) ([]perfmodel.Assignment, error) {
