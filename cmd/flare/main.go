@@ -333,7 +333,7 @@ func estimateFromPlan(path string, seed int64, perJob bool, logger *obs.Logger) 
 	ropts := replayer.DefaultOptions()
 	ropts.Seed = seed
 	for _, feat := range machine.PaperFeatures() {
-		est, err := replayer.EstimateFromPlan(plan, cfg.Jobs, inh, cfg.Machine, feat, ropts)
+		est, err := replayer.EstimateFromPlan(context.Background(), plan, cfg.Jobs, inh, cfg.Machine, feat, ropts)
 		if err != nil {
 			return err
 		}
@@ -343,7 +343,7 @@ func estimateFromPlan(path string, seed int64, perJob bool, logger *obs.Logger) 
 			continue
 		}
 		for _, prof := range cfg.Jobs.HPJobs() {
-			jest, err := replayer.EstimatePerJobFromPlan(plan, cfg.Jobs, inh, cfg.Machine, feat, prof.Name, ropts)
+			jest, err := replayer.EstimatePerJobFromPlan(context.Background(), plan, cfg.Jobs, inh, cfg.Machine, feat, prof.Name, ropts)
 			if err != nil {
 				fmt.Printf("      %-4s (no coverage: %v)\n", prof.Name, err)
 				continue

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -59,8 +60,9 @@ func run() error {
 
 	// --- Weeks 1..n: estimate every new feature from the plan. ----------
 	fmt.Println("\nweekly feature reviews, straight from the plan:")
+	ctx := context.Background()
 	for _, feat := range machine.PaperFeatures() {
-		est, err := replayer.EstimateFromPlan(plan, pipeline.Jobs(), pipeline.Inherent(),
+		est, err := replayer.EstimateFromPlan(ctx, plan, pipeline.Jobs(), pipeline.Inherent(),
 			pipeline.Machine(), feat, replayer.DefaultOptions())
 		if err != nil {
 			return err
@@ -70,7 +72,7 @@ func run() error {
 	}
 
 	// One feature deserves error bars before a fleet-wide rollout.
-	ci, err := replayer.EstimateAllJobWithCI(pipeline.Analysis(), pipeline.Jobs(),
+	ci, err := replayer.EstimateAllJobWithCI(ctx, pipeline.Analysis(), pipeline.Jobs(),
 		pipeline.Inherent(), pipeline.Machine(), machine.CacheSizing(12), 3, 0.95,
 		replayer.DefaultOptions())
 	if err != nil {

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -99,7 +100,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	est, err := replayer.EstimateAllJob(an, jobs, inh, cfg, feature, replayer.DefaultOptions())
+	est, err := replayer.EstimateAllJob(context.Background(), an, jobs, inh, cfg, feature, replayer.DefaultOptions())
 	if err != nil {
 		return err
 	}

@@ -252,7 +252,7 @@ func (p *Pipeline) EvaluateFeatureContext(ctx context.Context, feat machine.Feat
 	ctx, span := obs.StartSpan(ctx, "pipeline.evaluate")
 	defer span.End()
 	span.SetAttr("feature", feat.Name)
-	est, err := replayer.EstimateAllJobContext(ctx, p.analysis, p.cfg.Jobs, p.inherent, p.cfg.Machine, feat, p.cfg.Replay)
+	est, err := replayer.EstimateAllJob(ctx, p.analysis, p.cfg.Jobs, p.inherent, p.cfg.Machine, feat, p.cfg.Replay)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -275,7 +275,7 @@ func (p *Pipeline) EvaluateFeatureForJobContext(ctx context.Context, feat machin
 	defer span.End()
 	span.SetAttr("feature", feat.Name)
 	span.SetAttr("job", job)
-	est, err := replayer.EstimatePerJobContext(ctx, p.analysis, p.cfg.Jobs, p.inherent, p.cfg.Machine, feat, job, p.cfg.Replay)
+	est, err := replayer.EstimatePerJob(ctx, p.analysis, p.cfg.Jobs, p.inherent, p.cfg.Machine, feat, job, p.cfg.Replay)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

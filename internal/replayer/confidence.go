@@ -1,10 +1,9 @@
 package replayer
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 
 	"flare/internal/analyzer"
 	"flare/internal/machine"
@@ -36,72 +35,34 @@ type EstimateWithCI struct {
 // representative plus up to extraPerCluster further ranked members of each
 // cluster, and derives a confidence interval at the given level from the
 // stratified variance.
-func EstimateAllJobWithCI(an *analyzer.Analysis, cat *workload.Catalog, inh *perfscore.Inherent,
-	base machine.Config, feat machine.Feature, extraPerCluster int, level float64,
-	opts Options) (*EstimateWithCI, error) {
-	if an == nil || len(an.Representatives) == 0 {
-		return nil, errors.New("replayer: analysis has no representatives")
-	}
+func EstimateAllJobWithCI(ctx context.Context, an *analyzer.Analysis, cat *workload.Catalog,
+	inh *perfscore.Inherent, base machine.Config, feat machine.Feature, extraPerCluster int,
+	level float64, opts Options) (*EstimateWithCI, error) {
 	if extraPerCluster < 0 {
 		return nil, errors.New("replayer: negative extraPerCluster")
 	}
 	if level <= 0 || level >= 1 {
 		return nil, fmt.Errorf("replayer: confidence level %v outside (0, 1)", level)
 	}
-
-	out := &EstimateWithCI{
-		Estimate:        Estimate{Feature: feat.Name},
-		ExtraPerCluster: extraPerCluster,
+	strata, err := liveStrata(an, func(rep analyzer.Representative) []int {
+		return rep.Ranked[:min(1+extraPerCluster, len(rep.Ranked))]
+	})
+	if err != nil {
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-
-	var weightSum, variance float64
-	for _, rep := range an.Representatives {
-		depth := 1 + extraPerCluster
-		if depth > len(rep.Ranked) {
-			depth = len(rep.Ranked)
-		}
-		impacts := make([]float64, 0, depth)
-		for i := 0; i < depth; i++ {
-			sc, err := an.Dataset.Scenarios.Get(rep.Ranked[i])
-			if err != nil {
-				return nil, fmt.Errorf("replayer: %w", err)
-			}
-			imp, err := perfscore.EvaluateScenario(base, feat, sc, cat, inh, perfscore.Options{
-				NoiseStd: opts.ReconstructionNoiseStd,
-				Samples:  opts.Samples,
-				Rand:     rng,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("replayer: %w", err)
-			}
-			impacts = append(impacts, imp.ReductionPct)
-			out.ScenariosReplayed++
-		}
-		clusterMean := stats.Mean(impacts)
-		out.PerCluster = append(out.PerCluster, ClusterImpact{
-			Cluster:      rep.Cluster,
-			ScenarioID:   rep.ScenarioID,
-			Weight:       rep.Weight,
-			ReductionPct: clusterMean,
-		})
-		out.ReductionPct += rep.Weight * clusterMean
-		weightSum += rep.Weight
-
-		if len(impacts) > 1 {
-			s2 := stats.SampleVariance(impacts)
-			variance += rep.Weight * rep.Weight * s2 / float64(len(impacts))
-		}
+	est, se, err := testbed{cat, inh, base, feat, opts}.estimate(ctx, strata, "")
+	if err != nil {
+		return nil, err
 	}
-	out.ReductionPct /= weightSum
-
-	se := math.Sqrt(variance) / weightSum
 	z := stats.NormalQuantile(0.5 + level/2)
-	out.CI = stats.ConfidenceInterval{
-		Center: out.ReductionPct,
-		Lower:  out.ReductionPct - z*se,
-		Upper:  out.ReductionPct + z*se,
-		Level:  level,
-	}
-	return out, nil
+	return &EstimateWithCI{
+		Estimate:        *est,
+		ExtraPerCluster: extraPerCluster,
+		CI: stats.ConfidenceInterval{
+			Center: est.ReductionPct,
+			Lower:  est.ReductionPct - z*se,
+			Upper:  est.ReductionPct + z*se,
+			Level:  level,
+		},
+	}, nil
 }

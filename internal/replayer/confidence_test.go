@@ -1,6 +1,8 @@
 package replayer
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"flare/internal/machine"
@@ -9,13 +11,13 @@ import (
 func TestEstimateWithCIValidation(t *testing.T) {
 	f := testFixture(t)
 	feat := machine.CacheSizing(12)
-	if _, err := EstimateAllJobWithCI(nil, f.cat, f.inh, f.cfg, feat, 2, 0.95, DefaultOptions()); err == nil {
+	if _, err := EstimateAllJobWithCI(context.Background(), nil, f.cat, f.inh, f.cfg, feat, 2, 0.95, DefaultOptions()); err == nil {
 		t.Error("nil analysis did not error")
 	}
-	if _, err := EstimateAllJobWithCI(f.an, f.cat, f.inh, f.cfg, feat, -1, 0.95, DefaultOptions()); err == nil {
+	if _, err := EstimateAllJobWithCI(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, -1, 0.95, DefaultOptions()); err == nil {
 		t.Error("negative depth did not error")
 	}
-	if _, err := EstimateAllJobWithCI(f.an, f.cat, f.inh, f.cfg, feat, 1, 0, DefaultOptions()); err == nil {
+	if _, err := EstimateAllJobWithCI(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, 1, 0, DefaultOptions()); err == nil {
 		t.Error("level 0 did not error")
 	}
 }
@@ -23,16 +25,19 @@ func TestEstimateWithCIValidation(t *testing.T) {
 func TestEstimateWithCIZeroExtraMatchesPointEstimate(t *testing.T) {
 	f := testFixture(t)
 	feat := machine.CacheSizing(12)
-	point, err := EstimateAllJob(f.an, f.cat, f.inh, f.cfg, feat, DefaultOptions())
+	point, err := EstimateAllJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCI, err := EstimateAllJobWithCI(f.an, f.cat, f.inh, f.cfg, feat, 0, 0.95, DefaultOptions())
+	withCI, err := EstimateAllJobWithCI(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, 0, 0.95, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := point.ReductionPct - withCI.ReductionPct; diff > 0.01 || diff < -0.01 {
-		t.Errorf("depth-0 CI estimate %v deviates from point estimate %v", withCI.ReductionPct, point.ReductionPct)
+	if withCI.ReductionPct != point.ReductionPct {
+		t.Errorf("depth-0 CI estimate %v != point estimate %v", withCI.ReductionPct, point.ReductionPct)
+	}
+	if !reflect.DeepEqual(withCI.PerCluster, point.PerCluster) {
+		t.Errorf("depth-0 per-cluster impacts %+v != point %+v", withCI.PerCluster, point.PerCluster)
 	}
 	if withCI.CI.HalfWidth() != 0 {
 		t.Errorf("depth-0 interval has half-width %v, want 0 (no variance info)", withCI.CI.HalfWidth())
@@ -47,7 +52,7 @@ func TestEstimateWithCICoversTruth(t *testing.T) {
 	feat := machine.CacheSizing(12)
 	truth := groundTruth(t, f, feat)
 
-	est, err := EstimateAllJobWithCI(f.an, f.cat, f.inh, f.cfg, feat, 3, 0.95, DefaultOptions())
+	est, err := EstimateAllJobWithCI(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, 3, 0.95, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +77,11 @@ func TestEstimateWithCICoversTruth(t *testing.T) {
 func TestEstimateWithCINarrowsWithDepth(t *testing.T) {
 	f := testFixture(t)
 	feat := machine.DVFSCap(1.8)
-	shallow, err := EstimateAllJobWithCI(f.an, f.cat, f.inh, f.cfg, feat, 1, 0.95, DefaultOptions())
+	shallow, err := EstimateAllJobWithCI(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, 1, 0.95, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	deep, err := EstimateAllJobWithCI(f.an, f.cat, f.inh, f.cfg, feat, 6, 0.95, DefaultOptions())
+	deep, err := EstimateAllJobWithCI(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, 6, 0.95, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

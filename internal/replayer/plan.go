@@ -1,11 +1,11 @@
 package replayer
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 
 	"flare/internal/analyzer"
 	"flare/internal/machine"
@@ -46,31 +46,24 @@ const maxPlanFallbacks = 8
 
 // NewPlan extracts the replay plan from a completed analysis.
 func NewPlan(an *analyzer.Analysis, shape machine.Shape) (*Plan, error) {
-	if an == nil || len(an.Representatives) == 0 {
-		return nil, errors.New("replayer: analysis has no representatives")
+	strata, err := liveStrata(an, func(rep analyzer.Representative) []int { return rep.Ranked })
+	if err != nil {
+		return nil, err
 	}
 	plan := &Plan{MachineShape: shape.Name}
-	for _, rep := range an.Representatives {
-		sc, err := an.Dataset.Scenarios.Get(rep.ScenarioID)
-		if err != nil {
-			return nil, fmt.Errorf("replayer: %w", err)
-		}
+	for _, st := range strata {
 		pc := PlanCluster{
-			Cluster:        rep.Cluster,
-			Weight:         rep.Weight,
-			Representative: sc,
+			Cluster:        st.cluster,
+			Weight:         st.weight,
+			Representative: st.candidates[0],
 			JobInstances:   make(map[string]int),
 		}
-		for i, id := range rep.Ranked {
-			member, err := an.Dataset.Scenarios.Get(id)
-			if err != nil {
-				return nil, fmt.Errorf("replayer: %w", err)
-			}
+		if n := min(len(st.candidates), 1+maxPlanFallbacks); n > 1 {
+			pc.Fallbacks = st.candidates[1:n]
+		}
+		for _, member := range st.candidates {
 			for _, p := range member.Placements {
 				pc.JobInstances[p.Job] += p.Instances
-			}
-			if i > 0 && len(pc.Fallbacks) < maxPlanFallbacks {
-				pc.Fallbacks = append(pc.Fallbacks, member)
 			}
 		}
 		plan.Clusters = append(plan.Clusters, pc)
@@ -123,7 +116,7 @@ func ReadPlanJSON(r io.Reader) (*Plan, error) {
 
 // EstimateFromPlan estimates a feature's all-job impact by replaying the
 // plan's representatives — the standalone equivalent of EstimateAllJob.
-func EstimateFromPlan(plan *Plan, cat *workload.Catalog, inh *perfscore.Inherent,
+func EstimateFromPlan(ctx context.Context, plan *Plan, cat *workload.Catalog, inh *perfscore.Inherent,
 	base machine.Config, feat machine.Feature, opts Options) (*Estimate, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -132,83 +125,33 @@ func EstimateFromPlan(plan *Plan, cat *workload.Catalog, inh *perfscore.Inherent
 		return nil, fmt.Errorf("replayer: plan was derived on shape %q, machine is %q (derive per shape, Sec 5.5)",
 			plan.MachineShape, base.Shape.Name)
 	}
-	est := &Estimate{Feature: feat.Name}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	var weightSum float64
-	for _, pc := range plan.Clusters {
-		imp, err := perfscore.EvaluateScenario(base, feat, pc.Representative, cat, inh, perfscore.Options{
-			NoiseStd: opts.ReconstructionNoiseStd,
-			Samples:  opts.Samples,
-			Rand:     rng,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("replayer: %w", err)
-		}
-		est.PerCluster = append(est.PerCluster, ClusterImpact{
-			Cluster:      pc.Cluster,
-			ScenarioID:   pc.Representative.ID,
-			Weight:       pc.Weight,
-			ReductionPct: imp.ReductionPct,
-		})
-		est.ReductionPct += pc.Weight * imp.ReductionPct
-		weightSum += pc.Weight
-		est.ScenariosReplayed++
+	strata := make([]stratum, len(plan.Clusters))
+	for i, pc := range plan.Clusters {
+		strata[i] = stratum{cluster: pc.Cluster, weight: pc.Weight,
+			candidates: []scenario.Scenario{pc.Representative}}
 	}
-	est.ReductionPct /= weightSum
-	return est, nil
+	est, _, err := testbed{cat, inh, base, feat, opts}.estimate(ctx, strata, "")
+	return est, err
 }
 
 // EstimatePerJobFromPlan estimates a feature's per-job impact from a
 // plan, using the embedded fallbacks when a representative lacks the job.
-func EstimatePerJobFromPlan(plan *Plan, cat *workload.Catalog, inh *perfscore.Inherent,
+func EstimatePerJobFromPlan(ctx context.Context, plan *Plan, cat *workload.Catalog, inh *perfscore.Inherent,
 	base machine.Config, feat machine.Feature, job string, opts Options) (*JobEstimate, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	if _, err := cat.Lookup(job); err != nil {
-		return nil, fmt.Errorf("replayer: %w", err)
+	if err := checkPerJob(cat, job); err != nil {
+		return nil, err
 	}
-	est := &JobEstimate{Feature: feat.Name, Job: job}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	var weightSum float64
-	for _, pc := range plan.Clusters {
-		chosen := scenario.Scenario{}
-		found := false
-		for _, cand := range append([]scenario.Scenario{pc.Representative}, pc.Fallbacks...) {
-			if cand.HasJob(job) {
-				chosen, found = cand, true
-				break
-			}
-		}
-		if !found || pc.JobInstances[job] == 0 {
-			continue
-		}
-		imp, err := perfscore.EvaluateScenario(base, feat, chosen, cat, inh, perfscore.Options{
-			NoiseStd: opts.ReconstructionNoiseStd,
-			Samples:  opts.Samples,
-			Rand:     rng,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("replayer: %w", err)
-		}
-		red, ok := imp.JobReductionPct[job]
-		if !ok {
-			continue
-		}
-		w := float64(pc.JobInstances[job])
-		est.PerCluster = append(est.PerCluster, ClusterImpact{
-			Cluster:      pc.Cluster,
-			ScenarioID:   chosen.ID,
-			Weight:       w,
-			ReductionPct: red,
-		})
-		est.ReductionPct += w * red
-		weightSum += w
-		est.ScenariosReplayed++
+	strata := make([]stratum, len(plan.Clusters))
+	for i, pc := range plan.Clusters {
+		strata[i] = stratum{cluster: pc.Cluster, weight: float64(pc.JobInstances[job]),
+			candidates: append([]scenario.Scenario{pc.Representative}, pc.Fallbacks...)}
 	}
-	if weightSum == 0 {
-		return nil, fmt.Errorf("replayer: plan covers no instances of job %s", job)
+	est, _, err := testbed{cat, inh, base, feat, opts}.estimate(ctx, strata, job)
+	if err != nil {
+		return nil, err
 	}
-	est.ReductionPct /= weightSum
-	return est, nil
+	return &JobEstimate{Estimate: *est, Job: job}, nil
 }

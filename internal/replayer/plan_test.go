@@ -2,11 +2,14 @@ package replayer
 
 import (
 	"bytes"
+	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"flare/internal/machine"
+	"flare/internal/workload"
 )
 
 func testPlan(t *testing.T) (*Plan, fixture) {
@@ -84,16 +87,21 @@ func TestReadPlanJSONRejectsInvalid(t *testing.T) {
 func TestEstimateFromPlanMatchesLiveEstimate(t *testing.T) {
 	plan, f := testPlan(t)
 	feat := machine.CacheSizing(12)
-	live, err := EstimateAllJob(f.an, f.cat, f.inh, f.cfg, feat, DefaultOptions())
+	live, err := EstimateAllJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromPlan, err := EstimateFromPlan(plan, f.cat, f.inh, f.cfg, feat, DefaultOptions())
+	fromPlan, err := EstimateFromPlan(context.Background(), plan, f.cat, f.inh, f.cfg, feat, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(live.ReductionPct-fromPlan.ReductionPct) > 0.2 {
-		t.Errorf("plan estimate %v deviates from live estimate %v", fromPlan.ReductionPct, live.ReductionPct)
+	// Both replay the same representatives through the same loop, so the
+	// estimates are identical, not just close.
+	if fromPlan.ReductionPct != live.ReductionPct {
+		t.Errorf("plan estimate %v != live estimate %v", fromPlan.ReductionPct, live.ReductionPct)
+	}
+	if !reflect.DeepEqual(fromPlan.PerCluster, live.PerCluster) {
+		t.Errorf("plan per-cluster impacts %+v != live %+v", fromPlan.PerCluster, live.PerCluster)
 	}
 	if fromPlan.ScenariosReplayed != live.ScenariosReplayed {
 		t.Errorf("plan cost %d != live cost %d", fromPlan.ScenariosReplayed, live.ScenariosReplayed)
@@ -103,7 +111,7 @@ func TestEstimateFromPlanMatchesLiveEstimate(t *testing.T) {
 func TestEstimateFromPlanShapeMismatch(t *testing.T) {
 	plan, f := testPlan(t)
 	small := machine.BaselineConfig(machine.SmallShape())
-	if _, err := EstimateFromPlan(plan, f.cat, f.inh, small, machine.Baseline(), DefaultOptions()); err == nil {
+	if _, err := EstimateFromPlan(context.Background(), plan, f.cat, f.inh, small, machine.Baseline(), DefaultOptions()); err == nil {
 		t.Error("shape mismatch did not error (Sec 5.5 requires per-shape plans)")
 	}
 }
@@ -112,11 +120,11 @@ func TestEstimatePerJobFromPlan(t *testing.T) {
 	plan, f := testPlan(t)
 	feat := machine.DVFSCap(1.8)
 	for _, p := range f.cat.HPJobs() {
-		live, err := EstimatePerJob(f.an, f.cat, f.inh, f.cfg, feat, p.Name, DefaultOptions())
+		live, err := EstimatePerJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, p.Name, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s live: %v", p.Name, err)
 		}
-		fromPlan, err := EstimatePerJobFromPlan(plan, f.cat, f.inh, f.cfg, feat, p.Name, DefaultOptions())
+		fromPlan, err := EstimatePerJobFromPlan(context.Background(), plan, f.cat, f.inh, f.cfg, feat, p.Name, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s plan: %v", p.Name, err)
 		}
@@ -126,8 +134,27 @@ func TestEstimatePerJobFromPlan(t *testing.T) {
 				p.Name, fromPlan.ReductionPct, live.ReductionPct)
 		}
 	}
-	if _, err := EstimatePerJobFromPlan(plan, f.cat, f.inh, f.cfg, feat, "mystery", DefaultOptions()); err == nil {
+	if _, err := EstimatePerJobFromPlan(context.Background(), plan, f.cat, f.inh, f.cfg, feat, "mystery", DefaultOptions()); err == nil {
 		t.Error("unknown job did not error")
+	}
+}
+
+// TestPerJobRejectsLPJobSameFromBothSources checks that a per-job
+// estimate for an LP job, which has no per-job impact, fails up front
+// with the same error from a live analysis and from a plan.
+func TestPerJobRejectsLPJobSameFromBothSources(t *testing.T) {
+	plan, f := testPlan(t)
+	feat := machine.DVFSCap(1.8)
+	_, liveErr := EstimatePerJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, workload.Mcf, DefaultOptions())
+	_, planErr := EstimatePerJobFromPlan(context.Background(), plan, f.cat, f.inh, f.cfg, feat, workload.Mcf, DefaultOptions())
+	if liveErr == nil || planErr == nil {
+		t.Fatalf("LP job accepted: live %v, plan %v", liveErr, planErr)
+	}
+	if liveErr.Error() != planErr.Error() {
+		t.Errorf("live error %q != plan error %q", liveErr, planErr)
+	}
+	if !strings.Contains(liveErr.Error(), "not an HP job") {
+		t.Errorf("error %q does not say the job is not HP", liveErr)
 	}
 }
 

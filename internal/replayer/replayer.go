@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"flare/internal/analyzer"
@@ -22,6 +23,7 @@ import (
 	"flare/internal/perfscore"
 	"flare/internal/retry"
 	"flare/internal/scenario"
+	"flare/internal/stats"
 	"flare/internal/workload"
 )
 
@@ -57,31 +59,6 @@ func (o Options) retryPolicy() retry.Policy {
 	return p
 }
 
-// replayScenario measures one scenario through the fault site and retry
-// policy. Faults are evaluated before EvaluateScenario so failed
-// attempts never consume replay randomness.
-func replayScenario(ctx context.Context, base machine.Config, feat machine.Feature,
-	sc scenario.Scenario, cat *workload.Catalog, inh *perfscore.Inherent,
-	rng *rand.Rand, opts Options) (perfscore.Impact, error) {
-	var imp perfscore.Impact
-	err := opts.retryPolicy().Do(ctx, func() error {
-		if err := opts.Injector.Err("replay.scenario"); err != nil {
-			return err
-		}
-		res, err := perfscore.EvaluateScenario(base, feat, sc, cat, inh, perfscore.Options{
-			NoiseStd: opts.ReconstructionNoiseStd,
-			Samples:  opts.Samples,
-			Rand:     rng,
-		})
-		if err != nil {
-			return retry.Permanent(err)
-		}
-		imp = res
-		return nil
-	})
-	return imp, err
-}
-
 // DefaultOptions returns replay settings with a realistic reconstruction
 // error.
 func DefaultOptions() Options {
@@ -113,73 +90,29 @@ type Estimate struct {
 }
 
 // EstimateAllJob estimates a feature's comprehensive impact on all HP
-// jobs from the analysis' representative scenarios.
-func EstimateAllJob(an *analyzer.Analysis, cat *workload.Catalog, inh *perfscore.Inherent,
-	base machine.Config, feat machine.Feature, opts Options) (*Estimate, error) {
-	return EstimateAllJobContext(context.Background(), an, cat, inh, base, feat, opts)
-}
-
-// EstimateAllJobContext is EstimateAllJob with span tracing: a
-// "replay.estimate" span with one "replay.scenario" sub-span per
-// representative replay, and replay counters in the default registry.
-func EstimateAllJobContext(ctx context.Context, an *analyzer.Analysis, cat *workload.Catalog,
+// jobs from the analysis' representative scenarios. The estimate runs
+// under a "replay.estimate" span with one "replay.scenario" sub-span per
+// representative replay.
+func EstimateAllJob(ctx context.Context, an *analyzer.Analysis, cat *workload.Catalog,
 	inh *perfscore.Inherent, base machine.Config, feat machine.Feature, opts Options) (*Estimate, error) {
-	if an == nil || len(an.Representatives) == 0 {
-		return nil, errors.New("replayer: analysis has no representatives")
+	strata, err := liveStrata(an, func(rep analyzer.Representative) []int {
+		return []int{rep.ScenarioID}
+	})
+	if err != nil {
+		return nil, err
 	}
-	ctx, span := obs.StartSpan(ctx, "replay.estimate")
-	defer span.End()
-	span.SetAttr("feature", feat.Name)
-	span.SetAttr("representatives", len(an.Representatives))
-	est := &Estimate{Feature: feat.Name}
-	rng := rand.New(rand.NewSource(opts.Seed))
-
-	var weightSum float64
-	for _, rep := range an.Representatives {
-		sc, err := an.Dataset.Scenarios.Get(rep.ScenarioID)
-		if err != nil {
-			return nil, fmt.Errorf("replayer: %w", err)
-		}
-		rctx, rspan := obs.StartSpan(ctx, "replay.scenario")
-		rspan.SetAttr("cluster", rep.Cluster)
-		rspan.SetAttr("scenario_id", rep.ScenarioID)
-		imp, err := replayScenario(rctx, base, feat, sc, cat, inh, rng, opts)
-		rspan.End()
-		if err != nil {
-			return nil, fmt.Errorf("replayer: %w", err)
-		}
-		est.PerCluster = append(est.PerCluster, ClusterImpact{
-			Cluster:      rep.Cluster,
-			ScenarioID:   rep.ScenarioID,
-			Weight:       rep.Weight,
-			ReductionPct: imp.ReductionPct,
-		})
-		est.ReductionPct += rep.Weight * imp.ReductionPct
-		weightSum += rep.Weight
-		est.ScenariosReplayed++
-	}
-	if weightSum > 0 {
-		est.ReductionPct /= weightSum
-	}
-	obs.Default().Counter("flare_replays_total",
-		"representative scenario replays", "mode", "all-job").
-		Add(uint64(est.ScenariosReplayed))
-	return est, nil
+	est, _, err := testbed{cat, inh, base, feat, opts}.estimate(ctx, strata, "")
+	return est, err
 }
 
 // JobEstimate is FLARE's per-job feature-impact estimate (Sec 5.3,
-// "Per-job impact").
+// "Per-job impact"). ReductionPct is the instance-weighted mean per-job
+// MIPS reduction; PerCluster holds only the clusters containing the job,
+// each with the scenario replayed for it (the representative or a
+// fallback).
 type JobEstimate struct {
-	Feature string
-	Job     string
-	// ReductionPct is the instance-weighted mean per-job MIPS reduction.
-	ReductionPct float64
-	// PerCluster holds the contributing measurements; clusters without
-	// the job are absent.
-	PerCluster []ClusterImpact
-	// ScenariosReplayed counts replays, including fallback scenarios that
-	// were consulted because a representative lacked the job.
-	ScenariosReplayed int
+	Estimate
+	Job string
 }
 
 // EstimatePerJob estimates a feature's impact on one HP job. When a
@@ -188,89 +121,187 @@ type JobEstimate struct {
 // fallback rule); clusters with no instance of the job at all contribute
 // nothing. Cluster contributions are weighted by the number of job
 // instances in the cluster — the likelihood of observing the job there.
-func EstimatePerJob(an *analyzer.Analysis, cat *workload.Catalog, inh *perfscore.Inherent,
-	base machine.Config, feat machine.Feature, job string, opts Options) (*JobEstimate, error) {
-	return EstimatePerJobContext(context.Background(), an, cat, inh, base, feat, job, opts)
-}
-
-// EstimatePerJobContext is EstimatePerJob with span tracing.
-func EstimatePerJobContext(ctx context.Context, an *analyzer.Analysis, cat *workload.Catalog,
+// The estimate runs under a "replay.estimate_per_job" span.
+func EstimatePerJob(ctx context.Context, an *analyzer.Analysis, cat *workload.Catalog,
 	inh *perfscore.Inherent, base machine.Config, feat machine.Feature, job string,
 	opts Options) (*JobEstimate, error) {
+	if err := checkPerJob(cat, job); err != nil {
+		return nil, err
+	}
+	strata, err := liveStrata(an, func(rep analyzer.Representative) []int { return rep.Ranked })
+	if err != nil {
+		return nil, err
+	}
+	for i := range strata {
+		var instances int
+		for _, sc := range strata[i].candidates {
+			instances += sc.Instances(job)
+		}
+		strata[i].weight = float64(instances)
+	}
+	est, _, err := testbed{cat, inh, base, feat, opts}.estimate(ctx, strata, job)
+	if err != nil {
+		return nil, err
+	}
+	return &JobEstimate{Estimate: *est, Job: job}, nil
+}
+
+// checkPerJob rejects a per-job request for a job without a per-job
+// impact: unknown to the catalog, or an LP job (LP jobs run on free
+// quota and are not scored, Sec 5.1).
+func checkPerJob(cat *workload.Catalog, job string) error {
+	prof, err := cat.Lookup(job)
+	if err != nil {
+		return fmt.Errorf("replayer: %w", err)
+	}
+	if prof.Class != workload.ClassHP {
+		return fmt.Errorf("replayer: job %s is not an HP job; per-job impacts cover HP jobs only", job)
+	}
+	return nil
+}
+
+// stratum is one cluster of an estimate: its aggregation weight and the
+// scenarios that may stand for it, nearest to the centroid first.
+type stratum struct {
+	cluster    int
+	weight     float64
+	candidates []scenario.Scenario
+}
+
+// liveStrata builds one stratum per representative of a live analysis,
+// weighted by cluster size, with the candidate scenario IDs pick chooses.
+func liveStrata(an *analyzer.Analysis, pick func(analyzer.Representative) []int) ([]stratum, error) {
 	if an == nil || len(an.Representatives) == 0 {
 		return nil, errors.New("replayer: analysis has no representatives")
 	}
-	if _, err := cat.Lookup(job); err != nil {
-		return nil, fmt.Errorf("replayer: %w", err)
+	strata := make([]stratum, len(an.Representatives))
+	for i, rep := range an.Representatives {
+		ids := pick(rep)
+		st := stratum{cluster: rep.Cluster, weight: rep.Weight, candidates: make([]scenario.Scenario, len(ids))}
+		for k, id := range ids {
+			var err error
+			if st.candidates[k], err = an.Dataset.Scenarios.Get(id); err != nil {
+				return nil, fmt.Errorf("replayer: %w", err)
+			}
+		}
+		strata[i] = st
 	}
-	ctx, span := obs.StartSpan(ctx, "replay.estimate_per_job")
+	return strata, nil
+}
+
+// testbed is what every replay runs against: the catalog and inherent
+// MIPS it scores with, the baseline machine, the feature and the replay
+// options.
+type testbed struct {
+	cat  *workload.Catalog
+	inh  *perfscore.Inherent
+	base machine.Config
+	feat machine.Feature
+	opts Options
+}
+
+// estimate is the one replay loop behind every estimator (paper Sec 4.5).
+// For job == "" it replays every candidate of each stratum and takes the
+// mean of their all-job impacts as the cluster's impact; otherwise it
+// replays the first candidate containing job for its per-job impact and
+// skips strata without one or without weight. The cluster impacts are
+// then averaged with the strata's weights. It also returns the standard
+// error of that mean from the within-cluster variances (zero unless a
+// stratum replays more than one scenario).
+//
+// One random source seeded from opts.Seed serves every replay in order,
+// each replay passes the "replay.scenario" fault site under the retry
+// policy, and the replay count is added to flare_replays_total in the
+// registry of the context's tracer, if it carries one.
+func (tb testbed) estimate(ctx context.Context, strata []stratum, job string) (*Estimate, float64, error) {
+	name, mode := "replay.estimate", "all-job"
+	if job != "" {
+		name, mode = "replay.estimate_per_job", "per-job"
+	}
+	ctx, span := obs.StartSpan(ctx, name)
 	defer span.End()
-	span.SetAttr("feature", feat.Name)
-	span.SetAttr("job", job)
-	est := &JobEstimate{Feature: feat.Name, Job: job}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	span.SetAttr("feature", tb.feat.Name)
+	span.SetAttr("representatives", len(strata))
+	if job != "" {
+		span.SetAttr("job", job)
+	}
 
-	var weightSum float64
-	for _, rep := range an.Representatives {
-		// Find the nearest ranked scenario containing the job.
-		chosen := -1
-		for _, id := range rep.Ranked {
-			sc, err := an.Dataset.Scenarios.Get(id)
+	est := &Estimate{Feature: tb.feat.Name}
+	rng := rand.New(rand.NewSource(tb.opts.Seed))
+	sopts := perfscore.Options{NoiseStd: tb.opts.ReconstructionNoiseStd, Samples: tb.opts.Samples, Rand: rng}
+	var weightSum, variance float64
+	for _, st := range strata {
+		replays := st.candidates
+		if job != "" {
+			replays = nil
+			for i, sc := range st.candidates {
+				if sc.HasJob(job) && st.weight > 0 {
+					replays = st.candidates[i : i+1]
+					break
+				}
+			}
+		}
+		if len(replays) == 0 {
+			continue // e.g. the cluster has no instance of the job
+		}
+		impacts := make([]float64, len(replays))
+		for i, sc := range replays {
+			imp, err := tb.replay(ctx, st.cluster, sc, sopts)
 			if err != nil {
-				return nil, fmt.Errorf("replayer: %w", err)
+				return nil, 0, fmt.Errorf("replayer: %w", err)
 			}
-			if sc.HasJob(job) {
-				chosen = id
-				break
+			impacts[i] = imp.ReductionPct
+			if job != "" {
+				impacts[i] = imp.JobReductionPct[job]
 			}
+			est.ScenariosReplayed++
 		}
-		if chosen < 0 {
-			continue // cluster has no instance of the job
-		}
-
-		// Cluster weight: total instances of the job across the cluster.
-		var clusterInstances int
-		for _, id := range rep.Ranked {
-			sc, err := an.Dataset.Scenarios.Get(id)
-			if err != nil {
-				return nil, fmt.Errorf("replayer: %w", err)
-			}
-			clusterInstances += sc.Instances(job)
-		}
-
-		sc, err := an.Dataset.Scenarios.Get(chosen)
-		if err != nil {
-			return nil, fmt.Errorf("replayer: %w", err)
-		}
-		rctx, rspan := obs.StartSpan(ctx, "replay.scenario")
-		rspan.SetAttr("cluster", rep.Cluster)
-		rspan.SetAttr("scenario_id", chosen)
-		imp, err := replayScenario(rctx, base, feat, sc, cat, inh, rng, opts)
-		rspan.End()
-		if err != nil {
-			return nil, fmt.Errorf("replayer: %w", err)
-		}
-		est.ScenariosReplayed++
-		jobRed, ok := imp.JobReductionPct[job]
-		if !ok {
-			return nil, fmt.Errorf("replayer: scenario %d unexpectedly lacks job %s impact", chosen, job)
-		}
-		w := float64(clusterInstances)
+		mean := stats.Mean(impacts)
 		est.PerCluster = append(est.PerCluster, ClusterImpact{
-			Cluster:      rep.Cluster,
-			ScenarioID:   chosen,
-			Weight:       w,
-			ReductionPct: jobRed,
+			Cluster:      st.cluster,
+			ScenarioID:   replays[0].ID,
+			Weight:       st.weight,
+			ReductionPct: mean,
 		})
-		est.ReductionPct += w * jobRed
-		weightSum += w
+		est.ReductionPct += st.weight * mean
+		weightSum += st.weight
+		if len(impacts) > 1 {
+			variance += st.weight * st.weight * stats.SampleVariance(impacts) / float64(len(impacts))
+		}
 	}
-	if weightSum == 0 {
-		return nil, fmt.Errorf("replayer: no cluster contains job %s", job)
+	if weightSum == 0 && job != "" {
+		return nil, 0, fmt.Errorf("replayer: no cluster contains job %s", job)
 	}
-	est.ReductionPct /= weightSum
-	obs.Default().Counter("flare_replays_total",
-		"representative scenario replays", "mode", "per-job").
-		Add(uint64(est.ScenariosReplayed))
-	return est, nil
+	var se float64
+	if weightSum > 0 {
+		est.ReductionPct /= weightSum
+		se = math.Sqrt(variance) / weightSum
+	}
+	if t := obs.TracerFrom(ctx); t != nil && t.Registry() != nil {
+		t.Registry().Counter("flare_replays_total",
+			"representative scenario replays", "mode", mode).
+			Add(uint64(est.ScenariosReplayed))
+	}
+	return est, se, nil
+}
+
+// replay measures one scenario through the fault site and retry policy
+// under a "replay.scenario" span. Faults are evaluated before
+// EvaluateScenario so failed attempts never consume replay randomness.
+func (tb testbed) replay(ctx context.Context, cluster int, sc scenario.Scenario,
+	sopts perfscore.Options) (perfscore.Impact, error) {
+	ctx, span := obs.StartSpan(ctx, "replay.scenario")
+	defer span.End()
+	span.SetAttr("cluster", cluster)
+	span.SetAttr("scenario_id", sc.ID)
+	var imp perfscore.Impact
+	err := tb.opts.retryPolicy().Do(ctx, func() error {
+		if err := tb.opts.Injector.Err("replay.scenario"); err != nil {
+			return err
+		}
+		var err error
+		imp, err = perfscore.EvaluateScenario(tb.base, tb.feat, sc, tb.cat, tb.inh, sopts)
+		return retry.Permanent(err)
+	})
+	return imp, err
 }

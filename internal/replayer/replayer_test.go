@@ -1,6 +1,7 @@
 package replayer
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -85,7 +86,7 @@ func groundTruth(t *testing.T, f fixture, feat machine.Feature) float64 {
 
 func TestEstimateAllJobValidation(t *testing.T) {
 	f := testFixture(t)
-	if _, err := EstimateAllJob(nil, f.cat, f.inh, f.cfg, machine.Baseline(), DefaultOptions()); err == nil {
+	if _, err := EstimateAllJob(context.Background(), nil, f.cat, f.inh, f.cfg, machine.Baseline(), DefaultOptions()); err == nil {
 		t.Error("nil analysis did not error")
 	}
 }
@@ -96,7 +97,7 @@ func TestEstimateAllJobTracksGroundTruth(t *testing.T) {
 	f := testFixture(t)
 	for _, feat := range machine.PaperFeatures() {
 		truth := groundTruth(t, f, feat)
-		est, err := EstimateAllJob(f.an, f.cat, f.inh, f.cfg, feat, DefaultOptions())
+		est, err := EstimateAllJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", feat.Name, err)
 		}
@@ -128,7 +129,7 @@ func (e errTooFar) Error() string {
 func TestEstimateAllJobPerClusterDiversity(t *testing.T) {
 	// Fig 11: clusters must respond differently to the same feature.
 	f := testFixture(t)
-	est, err := EstimateAllJob(f.an, f.cat, f.inh, f.cfg, machine.CacheSizing(12), DefaultOptions())
+	est, err := EstimateAllJob(context.Background(), f.an, f.cat, f.inh, f.cfg, machine.CacheSizing(12), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestEstimatePerJob(t *testing.T) {
 	f := testFixture(t)
 	feat := machine.DVFSCap(1.8)
 	for _, p := range f.cat.HPJobs() {
-		est, err := EstimatePerJob(f.an, f.cat, f.inh, f.cfg, feat, p.Name, DefaultOptions())
+		est, err := EstimatePerJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, p.Name, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
@@ -189,7 +190,7 @@ func TestEstimatePerJobTracksGroundTruth(t *testing.T) {
 	}
 	truth := sum / w
 
-	est, err := EstimatePerJob(f.an, f.cat, f.inh, f.cfg, feat, job, DefaultOptions())
+	est, err := EstimatePerJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, job, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestEstimatePerJobFallbackUsed(t *testing.T) {
 	feat := machine.DVFSCap(1.8)
 	fallbackSeen := false
 	for _, p := range f.cat.HPJobs() {
-		est, err := EstimatePerJob(f.an, f.cat, f.inh, f.cfg, feat, p.Name, DefaultOptions())
+		est, err := EstimatePerJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, p.Name, DefaultOptions())
 		if err != nil {
 			continue
 		}
@@ -229,7 +230,7 @@ func TestEstimatePerJobFallbackUsed(t *testing.T) {
 
 func TestEstimatePerJobUnknownJob(t *testing.T) {
 	f := testFixture(t)
-	if _, err := EstimatePerJob(f.an, f.cat, f.inh, f.cfg, machine.Baseline(), "mystery", DefaultOptions()); err == nil {
+	if _, err := EstimatePerJob(context.Background(), f.an, f.cat, f.inh, f.cfg, machine.Baseline(), "mystery", DefaultOptions()); err == nil {
 		t.Error("unknown job did not error")
 	}
 }
@@ -237,11 +238,11 @@ func TestEstimatePerJobUnknownJob(t *testing.T) {
 func TestEstimateDeterministicGivenSeed(t *testing.T) {
 	f := testFixture(t)
 	feat := machine.SMTOff()
-	a, err := EstimateAllJob(f.an, f.cat, f.inh, f.cfg, feat, DefaultOptions())
+	a, err := EstimateAllJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EstimateAllJob(f.an, f.cat, f.inh, f.cfg, feat, DefaultOptions())
+	b, err := EstimateAllJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -298,6 +299,23 @@ func TestMetricsExposition(t *testing.T) {
 		if len(strings.Fields(line)) != 2 {
 			t.Errorf("malformed exposition line %q", line)
 		}
+	}
+}
+
+// TestReplayCounterInInjectedRegistry checks that the replay counter
+// lands in the server's own registry, not the process-global one: after
+// one estimate a fresh-registry server's /metrics reports one all-job
+// replay per representative.
+func TestReplayCounterInInjectedRegistry(t *testing.T) {
+	s := newTelemetryServer(t)
+	h := s.Handler()
+	get(t, h, "/api/estimate?feature=feature1", http.StatusOK, nil)
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	want := fmt.Sprintf(`flare_replays_total{mode="all-job"} %d`, len(srvVal.pipeline.Representatives()))
+	if body := rec.Body.String(); !strings.Contains(body, want+"\n") {
+		t.Errorf("/metrics missing %q", want)
 	}
 }
 
