@@ -125,7 +125,7 @@ func BenchmarkPipelineStages(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, feat := range machine.PaperFeatures() {
-			if _, err := p.EvaluateFeatureContext(ctx, feat); err != nil {
+			if _, err := p.Snapshot().EvaluateFeature(ctx, feat); err != nil {
 				b.Fatal(err)
 			}
 		}

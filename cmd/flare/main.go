@@ -234,7 +234,7 @@ func run() error {
 
 		fmt.Println("\nestimating feature impacts with the representatives (step 4):")
 		for _, feat := range machine.PaperFeatures() {
-			est, err := p.EvaluateFeatureContext(ctx, feat)
+			est, err := p.Snapshot().EvaluateFeature(ctx, feat)
 			if err != nil {
 				return err
 			}
@@ -245,7 +245,7 @@ func run() error {
 				continue
 			}
 			for _, prof := range cfg.Jobs.HPJobs() {
-				jest, err := p.EvaluateFeatureForJobContext(ctx, feat, prof.Name)
+				jest, err := p.Snapshot().EvaluateFeatureForJob(ctx, feat, prof.Name)
 				if err != nil {
 					return err
 				}

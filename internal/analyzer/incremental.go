@@ -32,6 +32,7 @@ import (
 // which watches the frozen analysis from the outside to keep the
 // analyzer <- drift dependency acyclic).
 //
+// A tick builds a new Analysis rather than edit the current one.
 // Incremental is not safe for concurrent use; callers serialise ticks.
 type Incremental struct {
 	an   *Analysis
@@ -64,8 +65,8 @@ func NewIncremental(an *Analysis, opts Options) (*Incremental, error) {
 	return inc, nil
 }
 
-// Analysis returns the current analysis. The pointer changes on rebuild;
-// callers should re-read it after every tick.
+// Analysis returns the current analysis. The pointer changes on every
+// tick; callers should re-read it after each.
 func (inc *Incremental) Analysis() *Analysis { return inc.an }
 
 // Ticks returns the number of incremental (non-rebuild) ticks applied.
@@ -174,12 +175,14 @@ func (inc *Incremental) TickContext(ctx context.Context, touched []int) (rebuilt
 		return false, fmt.Errorf("analyzer: incremental clustering: %w", err)
 	}
 
-	inc.an.PCA = model
-	inc.an.Labels = labels
-	inc.an.Scores = scores
-	inc.an.WhitenScales = scales
-	inc.an.Clustering = clustering
-	inc.an.Representatives = extractRepresentatives(scores, clustering)
+	next := *inc.an
+	next.PCA = model
+	next.Labels = labels
+	next.Scores = scores
+	next.WhitenScales = scales
+	next.Clustering = clustering
+	next.Representatives = extractRepresentatives(scores, clustering)
+	inc.an = &next
 	inc.ticks++
 	span.SetAttr("clusters", clustering.K)
 	return false, nil

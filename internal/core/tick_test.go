@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -166,5 +167,69 @@ func TestTickBeforeAnalyzeExtendsDataset(t *testing.T) {
 	}
 	if p.Analysis() != nil {
 		t.Error("tick before Analyze produced an analysis")
+	}
+}
+
+// TestTickPublishesSnapshots checks the epoch contract: New publishes
+// epoch 0 and each successful Profile, Analyze and Tick the next one. A
+// tick that fails, here on a scenario naming an unknown job, publishes
+// nothing and leaves the pipeline able to tick again, and a tick never
+// changes a snapshot published before it.
+func TestTickPublishesSnapshots(t *testing.T) {
+	all := testScenarios(t).All()
+	set := scenario.NewSet()
+	for _, sc := range all[:len(all)-1] {
+		set.Add(sc)
+	}
+	cfg := DefaultConfig()
+	cfg.Analyze.Clusters = 8
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := p.Snapshot().Epoch; e != 0 {
+		t.Fatalf("epoch after New = %d, want 0", e)
+	}
+	if err := p.Profile(set); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	before := p.Snapshot()
+	if before.Epoch != 2 {
+		t.Fatalf("epoch after Profile and Analyze = %d, want 2", before.Epoch)
+	}
+
+	ctx := context.Background()
+	var bad []scenario.Scenario
+	for n := 1; n <= 2; n++ {
+		sc, err := scenario.New([]scenario.Placement{{Job: "no-such-job", Instances: n}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad = append(bad, sc)
+	}
+	if _, _, err := p.TickContext(ctx, bad, nil); err == nil {
+		t.Fatal("tick with an unknown job succeeded")
+	}
+	if p.Snapshot() != before {
+		t.Fatal("failed tick published a snapshot")
+	}
+
+	snap, added, err := p.TickContext(ctx, all[len(all)-1:], []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added != 1 || snap.Epoch != 3 || p.Snapshot() != snap {
+		t.Errorf("tick: added %d, epoch %d (current %d), want 1 and 3", added, snap.Epoch, p.Snapshot().Epoch)
+	}
+	if n := len(all); snap.Dataset.Scenarios.Len() != n || snap.Dataset.Matrix.Rows() != n ||
+		snap.Analysis.Dataset != snap.Dataset || snap.Analysis.Scores.Rows() != n {
+		t.Errorf("tick covers %d scenarios, %d rows, %d scores; want %d each",
+			snap.Dataset.Scenarios.Len(), snap.Dataset.Matrix.Rows(), snap.Analysis.Scores.Rows(), n)
+	}
+	if before.Dataset.Scenarios.Len() != len(all)-1 || before.Analysis.Scores.Rows() != len(all)-1 {
+		t.Error("tick changed an earlier snapshot")
 	}
 }

@@ -7,4 +7,5 @@ func flagme() {}
 func flagtoo() {} // want "flagged flagtoo"
 
 func flagthree() {}
-// want-1 "flagged flagthree"
+
+// want-2 "flagged flagthree"

@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
 	"strconv"
 	"strings"
 	"sync"
@@ -278,23 +277,6 @@ func appendJSONValue(buf []byte, v interface{}) []byte {
 		b, _ = json.Marshal(fmt.Sprint(v))
 	}
 	return append(buf, b...)
-}
-
-// Std returns a *log.Logger shim that forwards every line it prints as
-// a structured event at lv — the bridge for call sites (and library
-// hooks) that still want the stdlib interface.
-func (l *Logger) Std(lv Level) *log.Logger {
-	return log.New(&levelWriter{l: l, lv: lv}, "", 0)
-}
-
-type levelWriter struct {
-	l  *Logger
-	lv Level
-}
-
-func (w *levelWriter) Write(p []byte) (int, error) {
-	w.l.emit(w.lv, strings.TrimRight(string(p), "\n"), nil)
-	return len(p), nil
 }
 
 type loggerKey struct{}

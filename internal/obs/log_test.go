@@ -139,17 +139,6 @@ func TestLoggerHook(t *testing.T) {
 	}
 }
 
-func TestStdShim(t *testing.T) {
-	var b strings.Builder
-	l := NewLogger(&b, LoggerOptions{Now: fixedClock()})
-	std := l.Std(LevelWarn)
-	std.Printf("legacy %s line", "printf")
-	want := "ts=2026-08-07T12:00:00.000Z level=warn msg=\"legacy printf line\"\n"
-	if got := b.String(); got != want {
-		t.Errorf("std shim output:\ngot:  %swant: %s", got, want)
-	}
-}
-
 func TestParseLevel(t *testing.T) {
 	cases := []struct {
 		in   string

@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"context"
 	"testing"
 
 	"flare/internal/metricdb"
@@ -32,7 +33,7 @@ func TestStoreDurableRoundTrip(t *testing.T) {
 	if Stored(db) {
 		t.Fatal("fresh database reports Stored")
 	}
-	if err := ds.Store(db); err != nil {
+	if err := ds.Store(context.Background(), db); err != nil {
 		t.Fatal(err)
 	}
 	if !Stored(db) {
@@ -94,7 +95,7 @@ func TestStoreDeterministicRowOrder(t *testing.T) {
 
 	rowSeq := func() []string {
 		db := metricdb.NewDB()
-		if err := ds.Store(db); err != nil {
+		if err := ds.Store(context.Background(), db); err != nil {
 			t.Fatal(err)
 		}
 		tb, err := db.Table("job_perf")

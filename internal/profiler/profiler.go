@@ -80,7 +80,10 @@ func DefaultOptions() Options {
 
 // Dataset is the Profiler's output: one averaged metric vector per
 // scenario, plus per-job throughput observations for the performance
-// ground truth.
+// ground truth. Scenarios, Catalog and Config are never written once
+// handed out (a tick that adds scenarios copies the set); Matrix and
+// JobMIPS are the collector's working state, updated in place by every
+// tick, so read them only where ticks are serialized.
 type Dataset struct {
 	Scenarios *scenario.Set
 	Catalog   *metrics.Catalog
@@ -96,22 +99,14 @@ type Dataset struct {
 }
 
 // Collect profiles every scenario in the set on the given machine
-// configuration.
+// configuration, untraced (Collector.Collect takes a context).
 func Collect(cfg machine.Config, set *scenario.Set, jobs *workload.Catalog,
 	cat *metrics.Catalog, opts Options) (*Dataset, error) {
-	return CollectContext(context.Background(), cfg, set, jobs, cat, opts)
-}
-
-// CollectContext is Collect with span tracing: a "profiler.collect" span
-// wraps the evaluate/reduce sub-stages, and the per-scenario measurement
-// count lands in the default registry.
-func CollectContext(ctx context.Context, cfg machine.Config, set *scenario.Set,
-	jobs *workload.Catalog, cat *metrics.Catalog, opts Options) (*Dataset, error) {
 	c, err := NewCollector(cfg, set, jobs, cat, opts)
 	if err != nil {
 		return nil, err
 	}
-	return c.Collect(ctx)
+	return c.Collect(context.Background())
 }
 
 // Collector owns the reusable state of a streaming profiling run: the
@@ -178,8 +173,7 @@ func NewCollector(cfg machine.Config, set *scenario.Set, jobs *workload.Catalog,
 	return c, nil
 }
 
-// Dataset returns the dataset the collector is growing. It is valid after
-// the first successful Collect or Tick.
+// Dataset returns the dataset of the last successful Collect or Tick.
 func (c *Collector) Dataset() *Dataset { return c.ds }
 
 // Collect profiles every scenario currently in the set — the full batch
@@ -211,20 +205,39 @@ func (c *Collector) Collect(ctx context.Context) (*Dataset, error) {
 // substreams). It returns the sorted IDs that were (re)profiled. Cost is
 // O(len(touched)), not O(set.Len()).
 func (c *Collector) Tick(ctx context.Context, changed []int) (touched []int, err error) {
-	set := c.ds.Scenarios
+	touched, _, err = c.TickScenarios(ctx, nil, changed)
+	return touched, err
+}
+
+// TickScenarios is Tick that first adds the incoming scenarios (deduped
+// by scenario.Set.Add) to a copy of the set held by a new Dataset, and
+// also reports how many were new. A failed tick changes neither the
+// collector's dataset nor its matrix.
+func (c *Collector) TickScenarios(ctx context.Context, incoming []scenario.Scenario, changed []int) (touched []int, added int, err error) {
 	ctx, span := obs.StartSpan(ctx, "profiler.tick")
 	defer span.End()
 
 	seen := make(map[int]bool, len(changed))
 	for _, id := range changed {
 		if id < 0 || id >= c.measured {
-			return nil, fmt.Errorf("profiler: changed scenario %d out of measured range [0,%d)", id, c.measured)
+			return nil, 0, fmt.Errorf("profiler: changed scenario %d out of measured range [0,%d)", id, c.measured)
 		}
 		if !seen[id] {
 			seen[id] = true
 			touched = append(touched, id)
 		}
 	}
+	prev := c.ds
+	if len(incoming) > 0 {
+		next := *prev
+		next.Scenarios = prev.Scenarios.Clone()
+		for _, sc := range incoming {
+			next.Scenarios.Add(sc)
+		}
+		added = next.Scenarios.Len() - prev.Scenarios.Len()
+		c.ds = &next
+	}
+	set := c.ds.Scenarios
 	for id := c.measured; id < set.Len(); id++ {
 		touched = append(touched, id)
 	}
@@ -233,12 +246,13 @@ func (c *Collector) Tick(ctx context.Context, changed []int) (touched []int, err
 	span.SetAttr("changed", len(seen))
 	span.SetAttr("touched", len(touched))
 	if len(touched) == 0 {
-		return nil, nil
+		return nil, added, nil
 	}
 	if err := c.measure(ctx, touched); err != nil {
-		return nil, err
+		c.ds = prev
+		return nil, 0, err
 	}
-	return touched, nil
+	return touched, added, nil
 }
 
 // workers resolves the effective worker-pool size.
@@ -251,32 +265,35 @@ func (c *Collector) workers() int {
 
 // measure runs the two-phase collection for the given scenario IDs:
 // evaluate (model + extract into the sample columns, worker pool) then
-// reduce (columns -> matrix rows, sequential and deterministic).
+// reduce (columns -> matrix rows, sequential and deterministic). The
+// matrix grows only after evaluation succeeded.
 func (c *Collector) measure(ctx context.Context, ids []int) error {
 	c.grow()
 	if err := c.evaluatePhase(ctx, ids); err != nil {
 		return err
 	}
-	c.reducePhase(ctx, ids)
-	c.measured = c.ds.Scenarios.Len()
-	obs.Default().Counter("flare_profiler_scenarios_total",
-		"scenarios measured by the profiler").Add(uint64(len(ids)))
-	obs.Default().Counter("flare_profiler_samples_total",
-		"noisy per-scenario measurements taken by the profiler").
-		Add(uint64(len(ids)) * uint64(c.opts.SamplesPerScenario))
-	return nil
-}
-
-// grow extends the dataset matrix, the JobMIPS ledger, and the sample
-// columns to cover every scenario currently in the set.
-func (c *Collector) grow() {
 	n := c.ds.Scenarios.Len()
-	cat := c.ds.Catalog
 	if c.ds.Matrix == nil {
-		c.ds.Matrix = linalg.NewMatrix(n, cat.Len())
+		c.ds.Matrix = linalg.NewMatrix(n, c.ds.Catalog.Len())
 	} else if add := n - c.ds.Matrix.Rows(); add > 0 {
 		c.ds.Matrix.GrowRows(add)
 	}
+	c.reducePhase(ctx, ids)
+	c.measured = n
+	if t := obs.TracerFrom(ctx); t != nil && t.Registry() != nil {
+		t.Registry().Counter("flare_profiler_scenarios_total",
+			"scenarios measured by the profiler").Add(uint64(len(ids)))
+		t.Registry().Counter("flare_profiler_samples_total",
+			"noisy per-scenario measurements taken by the profiler").
+			Add(uint64(len(ids)) * uint64(c.opts.SamplesPerScenario))
+	}
+	return nil
+}
+
+// grow extends the JobMIPS ledger and the sample columns to cover every
+// scenario currently in the set.
+func (c *Collector) grow() {
+	n := c.ds.Scenarios.Len()
 	for len(c.ds.JobMIPS) < n {
 		c.ds.JobMIPS = append(c.ds.JobMIPS, nil)
 	}

@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -170,7 +171,7 @@ func TestStoreAndLoadMatrix(t *testing.T) {
 	ds := collect(t, set, DefaultOptions())
 
 	db := metricdb.NewDB()
-	if err := ds.Store(db); err != nil {
+	if err := ds.Store(context.Background(), db); err != nil {
 		t.Fatal(err)
 	}
 
@@ -212,10 +213,10 @@ func TestStoreTwiceFails(t *testing.T) {
 	set.Add(sc)
 	ds := collect(t, set, DefaultOptions())
 	db := metricdb.NewDB()
-	if err := ds.Store(db); err != nil {
+	if err := ds.Store(context.Background(), db); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.Store(db); err == nil {
+	if err := ds.Store(context.Background(), db); err == nil {
 		t.Error("second Store into same DB did not error")
 	}
 }

@@ -20,14 +20,9 @@ const (
 // collected statistics). When the database is store-backed (see
 // metricdb.OpenDB) every insert is journaled through the write-ahead log
 // as it happens, so a crash mid-store keeps all rows written so far —
-// the history no longer depends on an end-of-run dump.
-func (ds *Dataset) Store(db *metricdb.DB) error {
-	return ds.StoreContext(context.Background(), db)
-}
-
-// StoreContext is Store with span tracing: a "profiler.store" span
-// records how many rows were recorded.
-func (ds *Dataset) StoreContext(ctx context.Context, db *metricdb.DB) error {
+// the history no longer depends on an end-of-run dump. A "profiler.store"
+// span records how many rows were recorded.
+func (ds *Dataset) Store(ctx context.Context, db *metricdb.DB) error {
 	_, span := obs.StartSpan(ctx, "profiler.store")
 	defer span.End()
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 )
 
@@ -33,6 +34,12 @@ func (set *Set) Add(s Scenario) int {
 	set.byKey[key] = id
 	set.scenarios = append(set.scenarios, s)
 	return id
+}
+
+// Clone returns an independent copy of the set: adding to either leaves
+// the other unchanged.
+func (set *Set) Clone() *Set {
+	return &Set{scenarios: set.All(), byKey: maps.Clone(set.byKey)}
 }
 
 // Len returns the number of distinct scenarios.

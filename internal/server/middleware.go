@@ -80,9 +80,6 @@ func (s *Server) instrument(route string, next http.Handler) http.Handler {
 				span.SetAttr("status", sw.status)
 				span.End()
 			}
-			if s.Logger != nil {
-				s.Logger.Printf("%s %s -> %d (%s)", r.Method, r.URL.RequestURI(), sw.status, elapsed)
-			}
 			if traced {
 				s.logger.Info("request",
 					obs.KV("request_id", reqID),

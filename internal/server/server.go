@@ -18,9 +18,10 @@
 //
 // All responses are JSON except /metrics and pprof. Every handler is
 // wrapped in a telemetry middleware recording a latency histogram and a
-// status-code counter. Estimates are memoised per (feature, job); a
-// per-key singleflight means concurrent requests for the same estimate
-// share one computation while different estimates proceed in parallel.
+// status-code counter. Estimates are memoised per (feature, job) and
+// pipeline epoch; a per-key singleflight means concurrent requests for
+// the same estimate share one computation while different estimates
+// proceed in parallel.
 package server
 
 import (
@@ -28,7 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -53,11 +53,6 @@ type Server struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
 
-	// Logger, when set before Handler is called, receives one line per
-	// request from the telemetry middleware. Deprecated shim: new code
-	// should use SetLogger with a structured *obs.Logger instead.
-	Logger *log.Logger
-
 	logger   *obs.Logger    // structured wide events; nil is safe
 	slo      *sloTracker    // windowed SLO state behind /api/health
 	exporter *traceExporter // durable trace/event export; nil = disabled
@@ -68,11 +63,6 @@ type Server struct {
 	sem  chan struct{} // concurrency limiter; nil = unlimited
 
 	cluster *coordinator // nil = single-node; see EnableCluster
-
-	// pmu guards the pipeline: read handlers and estimate computations
-	// hold it shared, while /api/tick holds it exclusively to fold a
-	// datacenter tick into the dataset and analysis in place.
-	pmu sync.RWMutex
 
 	mu       sync.Mutex
 	cache    map[string]*estimateEntry
@@ -311,9 +301,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return
 	}
-	s.pmu.RLock()
 	plan, err := replayer.NewPlan(s.pipeline.Analysis(), s.pipeline.Machine().Shape)
-	s.pmu.RUnlock()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "building plan: %v", err)
 		return
@@ -376,7 +364,6 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	s.pmu.RLock()
 	an := s.pipeline.Analysis()
 	resp := summaryResponse{
 		Scenarios:       an.Dataset.Scenarios.Len(),
@@ -388,7 +375,6 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 		Features:        names,
 		Representatives: len(an.Representatives),
 	}
-	s.pmu.RUnlock()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -405,13 +391,11 @@ func (s *Server) handleRepresentatives(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return
 	}
-	s.pmu.RLock()
 	an := s.pipeline.Analysis()
 	out := make([]representativeResponse, 0, len(an.Representatives))
 	for _, rep := range an.Representatives {
 		sc, err := an.Dataset.Scenarios.Get(rep.ScenarioID)
 		if err != nil {
-			s.pmu.RUnlock()
 			writeError(w, http.StatusInternalServerError, "resolving scenario %d: %v", rep.ScenarioID, err)
 			return
 		}
@@ -423,7 +407,6 @@ func (s *Server) handleRepresentatives(w http.ResponseWriter, r *http.Request) {
 			Members:    len(rep.Ranked),
 		})
 	}
-	s.pmu.RUnlock()
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -438,7 +421,6 @@ func (s *Server) handlePCs(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return
 	}
-	s.pmu.RLock()
 	an := s.pipeline.Analysis()
 	out := make([]pcResponse, 0, len(an.Labels))
 	for _, lbl := range an.Labels {
@@ -448,7 +430,6 @@ func (s *Server) handlePCs(w http.ResponseWriter, r *http.Request) {
 			Interpretation: lbl.Interpretation,
 		})
 	}
-	s.pmu.RUnlock()
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -466,7 +447,6 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job := r.URL.Query().Get("job")
-	s.pmu.RLock()
 	an := s.pipeline.Analysis()
 	var out []scenarioResponse
 	for _, sc := range an.Dataset.Scenarios.All() {
@@ -481,7 +461,6 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 			Cluster:   an.Clustering.Labels[sc.ID],
 		})
 	}
-	s.pmu.RUnlock()
 	if job != "" && len(out) == 0 {
 		writeError(w, http.StatusNotFound, "no scenario contains job %q", job)
 		return
@@ -508,6 +487,7 @@ type estimateResponse struct {
 // a bounded 503 instead of an unbounded hang. Requests for *different*
 // keys never contend.
 type estimateEntry struct {
+	epoch      uint64        // pipeline snapshot the estimate is computed from
 	done       chan struct{} // closed when compute finishes
 	computedAt time.Time     // staleness reference for EstimateRefresh
 	resp       estimateResponse
@@ -517,10 +497,11 @@ type estimateEntry struct {
 	retryAfter bool   // stamp Retry-After on the error response
 }
 
-// compute runs the estimate, journals it, and resolves the entry. It
-// runs once per entry in its own goroutine; the entry is evicted here
-// (not by waiters) so cleanup happens even when every waiter times out.
-func (e *estimateEntry) compute(s *Server, feat machine.Feature, job, key string) {
+// compute runs the estimate on snap, journals it, and resolves the
+// entry. It runs once per entry in its own goroutine; the entry is
+// evicted here (not by waiters) so cleanup happens even when every
+// waiter times out.
+func (e *estimateEntry) compute(s *Server, snap *core.Snapshot, feat machine.Feature, job, key string) {
 	defer close(e.done)
 	defer func() {
 		if e.evict {
@@ -538,6 +519,7 @@ func (e *estimateEntry) compute(s *Server, feat machine.Feature, job, key string
 	if job != "" {
 		span.SetAttr("job", job)
 	}
+	span.SetAttr("epoch", snap.Epoch)
 
 	e.status = http.StatusOK
 	e.resp = estimateResponse{Feature: feat.Name, Description: feat.Description, Job: job}
@@ -557,9 +539,7 @@ func (e *estimateEntry) compute(s *Server, feat machine.Feature, job, key string
 		return
 	}
 	if job == "" {
-		s.pmu.RLock()
-		est, err := s.pipeline.EvaluateFeatureContext(ctx, feat)
-		s.pmu.RUnlock()
+		est, err := snap.EvaluateFeature(ctx, feat)
 		if err != nil {
 			e.evict = true
 			e.status = http.StatusInternalServerError
@@ -569,9 +549,7 @@ func (e *estimateEntry) compute(s *Server, feat machine.Feature, job, key string
 		e.resp.ReductionPct = est.ReductionPct
 		e.resp.ScenariosReplayed = est.ScenariosReplayed
 	} else {
-		s.pmu.RLock()
-		est, err := s.pipeline.EvaluateFeatureForJobContext(ctx, feat, job)
-		s.pmu.RUnlock()
+		est, err := snap.EvaluateFeatureForJob(ctx, feat, job)
 		if err != nil {
 			e.evict = true
 			e.status = http.StatusBadRequest
@@ -598,13 +576,16 @@ func (e *estimateEntry) compute(s *Server, feat machine.Feature, job, key string
 }
 
 // lookupEstimate resolves the singleflight cache slot for (feat, job),
-// creating the entry and spawning its computation on a miss or when
-// the cached result has aged past EstimateRefresh. Callers wait on the
-// returned entry's done channel.
+// creating the entry and spawning its computation on the current
+// pipeline snapshot on a miss, when the cached entry comes from an older
+// snapshot, or when the cached result has aged past EstimateRefresh.
+// Callers wait on the returned entry's done channel.
 func (s *Server) lookupEstimate(feat machine.Feature, job string) *estimateEntry {
 	key := feat.Name + "|" + job
 	s.mu.Lock()
+	snap := s.pipeline.Snapshot()
 	entry, hit := s.cache[key]
+	hit = hit && entry.epoch == snap.Epoch // an older snapshot's entry is a miss
 	result := "miss"
 	switch {
 	case hit && s.opts.EstimateRefresh > 0 && entry.finished() &&
@@ -617,9 +598,9 @@ func (s *Server) lookupEstimate(feat machine.Feature, job string) *estimateEntry
 		result = "hit"
 	}
 	if !hit {
-		entry = &estimateEntry{done: make(chan struct{})}
+		entry = &estimateEntry{epoch: snap.Epoch, done: make(chan struct{})}
 		s.cache[key] = entry
-		go entry.compute(s, feat, job, key)
+		go entry.compute(s, snap, feat, job, key)
 	}
 	s.mu.Unlock()
 	s.reg.Counter("flare_estimate_cache_total",

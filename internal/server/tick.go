@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 
-	"flare/internal/obs"
 	"flare/internal/scenario"
 )
 
@@ -39,9 +38,10 @@ type tickResponse struct {
 // handleTick folds a datacenter tick into the serving pipeline: new
 // scenarios are profiled, changed ones re-measured, and the analysis is
 // refreshed incrementally (O(delta), falling back to a full rebuild on
-// drift — see core.Pipeline.TickContext). On success the estimate cache
-// is cleared so subsequent estimates see the new representatives; the
-// last-known-good estimates are kept as the degraded-service fallback.
+// drift — see core.Pipeline.TickContext). The tick publishes a new
+// pipeline snapshot, so cached estimates of older epochs are recomputed
+// on their next lookup; the last-known-good estimates are kept as the
+// degraded-service fallback.
 func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
@@ -59,10 +59,9 @@ func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Canonicalise and validate the incoming scenarios before taking the
-	// write lock. Job names must resolve in the pipeline's catalog NOW:
-	// the scenario set is append-only, so a scenario that cannot be
-	// profiled would poison every subsequent tick if it were added first.
+	// Canonicalise and validate the incoming scenarios. Job names must
+	// resolve in the pipeline's catalog: the scenario set is append-only,
+	// so a scenario that cannot be profiled must never reach it.
 	jobs := s.pipeline.Jobs()
 	incoming := make([]scenario.Scenario, 0, len(req.Scenarios))
 	for i, ts := range req.Scenarios {
@@ -84,46 +83,19 @@ func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 		incoming = append(incoming, sc)
 	}
 
-	ctx := obs.WithTracer(r.Context(), s.tracer)
-	s.pmu.Lock()
-	ds := s.pipeline.Dataset()
-	// Same poisoning hazard for bad changed IDs: reject before the set
-	// grows, not after.
-	for _, id := range req.Changed {
-		if id < 0 || id >= ds.Matrix.Rows() {
-			s.pmu.Unlock()
-			writeError(w, http.StatusBadRequest, "changed scenario %d out of range [0, %d)", id, ds.Matrix.Rows())
-			return
-		}
-	}
-	set := ds.Scenarios
-	before := set.Len()
-	for _, sc := range incoming {
-		set.Add(sc) // known colocations dedup onto their existing IDs
-	}
-	added := set.Len() - before
-	err := s.pipeline.TickContext(ctx, req.Changed)
-	an := s.pipeline.Analysis()
-	s.pmu.Unlock()
+	snap, added, err := s.pipeline.TickContext(r.Context(), incoming, req.Changed)
 	if err != nil {
-		// The profiler rejects the whole tick on a bad changed ID before
-		// measuring anything, so the dataset is still consistent.
+		// A failed tick (e.g. a changed ID out of range) publishes nothing.
 		writeError(w, http.StatusBadRequest, "tick failed: %v", err)
 		return
 	}
-
-	// Estimates were computed against the previous analysis: drop them.
-	// lastGood survives as the store-outage fallback.
-	s.mu.Lock()
-	s.cache = make(map[string]*estimateEntry)
-	s.mu.Unlock()
 	s.reg.Counter("flare_ticks_total", "datacenter ticks folded into the pipeline").Inc()
 
 	writeJSON(w, http.StatusOK, tickResponse{
 		Added:           added,
 		Remeasured:      len(req.Changed),
-		Scenarios:       set.Len(),
-		Clusters:        an.Clustering.K,
-		Representatives: len(an.Representatives),
+		Scenarios:       snap.Dataset.Scenarios.Len(),
+		Clusters:        snap.Analysis.Clustering.K,
+		Representatives: len(snap.Analysis.Representatives),
 	})
 }
