@@ -14,19 +14,11 @@
 //
 // With -in/-out omitted it reads stdin and writes stdout.
 //
-// A second mode compares two emitted reports for CI regression gating:
-//
-//	benchjson -compare -base base.json -current head.json [-tolerance 25] [-out diff.json]
-//
-// It prints a per-benchmark/per-stage delta table and exits 1 when any
-// timing slowed down by more than the tolerance percentage.
-//
-// Parsing and comparison live in internal/impact (the two-tree impact
-// runner uses the same logic); this command is the thin CLI over them.
+// Parsing lives in internal/impact, whose two-tree runner (flare-impact)
+// also compares reports; this command is the thin CLI over the parser.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -37,19 +29,8 @@ import (
 
 func main() {
 	in := flag.String("in", "", "benchmark output to parse (default stdin)")
-	out := flag.String("out", "", "JSON file to write (default stdout; in -compare mode: the diff document)")
-	doCompare := flag.Bool("compare", false, "compare two emitted reports instead of parsing bench output")
-	basePath := flag.String("base", "", "baseline report JSON for -compare")
-	currentPath := flag.String("current", "", "candidate report JSON for -compare")
-	tolerance := flag.Float64("tolerance", 25, "percent slowdown allowed before -compare fails")
+	out := flag.String("out", "", "JSON file to write (default stdout)")
 	flag.Parse()
-
-	if *doCompare {
-		if *basePath == "" || *currentPath == "" {
-			fatal(fmt.Errorf("-compare needs -base and -current"))
-		}
-		os.Exit(runCompare(*basePath, *currentPath, *out, *tolerance))
-	}
 
 	var r io.Reader = os.Stdin
 	if *in != "" {
@@ -81,40 +62,4 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "benchjson:", err)
 	os.Exit(1)
-}
-
-// runCompare implements the -compare mode; it returns the process exit
-// code (1 when regressions were found).
-func runCompare(basePath, headPath, outPath string, tolerancePct float64) int {
-	base, err := impact.ReadBenchReport(basePath)
-	if err != nil {
-		fatal(err)
-	}
-	head, err := impact.ReadBenchReport(headPath)
-	if err != nil {
-		fatal(err)
-	}
-	cmp := impact.CompareBench(base, head, tolerancePct)
-	cmp.WriteTable(os.Stdout)
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(cmp); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	if cmp.Regressions > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed beyond +%.0f%%\n",
-			cmp.Regressions, cmp.TolerancePct)
-		return 1
-	}
-	return 0
 }

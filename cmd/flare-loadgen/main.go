@@ -264,15 +264,19 @@ type inprocConfig struct {
 // exists and store failures during the run serve degraded 200s instead
 // of 503s. The returned cleanup closes the store and removes the
 // directory.
+//
+// The injector and the store record into node 0's registry, the one
+// whose /metrics the run scrapes.
 func buildInprocess(c inprocConfig) (http.Handler, func(), error) {
 	noop := func() {}
+	reg0 := obs.NewRegistry()
 	var inj *fault.Injector
 	if c.faultSpec != "" {
 		rules, err := fault.ParseSpec(c.faultSpec)
 		if err != nil {
 			return nil, noop, err
 		}
-		if inj, err = fault.New(rules, c.faultSeed, nil); err != nil {
+		if inj, err = fault.New(rules, c.faultSeed, reg0); err != nil {
 			return nil, noop, err
 		}
 	}
@@ -307,7 +311,9 @@ func buildInprocess(c inprocConfig) (http.Handler, func(), error) {
 		if err != nil {
 			return nil, noop, err
 		}
-		if st, err = store.Open(dir, store.DefaultOptions()); err != nil {
+		stOpts := store.DefaultOptions()
+		stOpts.Registry = reg0
+		if st, err = store.Open(dir, stOpts); err != nil {
 			os.RemoveAll(dir)
 			return nil, noop, err
 		}
@@ -335,7 +341,11 @@ func buildInprocess(c inprocConfig) (http.Handler, func(), error) {
 	}
 	handlers := make([]http.Handler, c.nodes)
 	for i := 0; i < c.nodes; i++ {
-		s, err := server.NewWithTelemetry(p, machine.PaperFeatures(), obs.NewRegistry(), nil)
+		reg := reg0
+		if i > 0 {
+			reg = obs.NewRegistry()
+		}
+		s, err := server.NewWithTelemetry(p, machine.PaperFeatures(), reg, nil)
 		if err != nil {
 			cleanup()
 			return nil, noop, err
@@ -387,7 +397,7 @@ func primeAndArmStore(h http.Handler, st *store.Store, spec string, seed int64) 
 	if err != nil {
 		return err
 	}
-	inj, err := fault.New(rules, seed, nil)
+	inj, err := fault.New(rules, seed, st.Registry())
 	if err != nil {
 		return err
 	}

@@ -139,7 +139,7 @@ func run() error {
 
 	// The pipeline build runs under the same tracer the server exposes,
 	// so /api/trace shows the build span tree and /metrics its timings.
-	reg := obs.Default()
+	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(reg)
 	ctx := obs.WithTracer(context.Background(), tracer)
 	logw := os.Stdout
@@ -151,7 +151,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		inj, err = fault.New(rules, *faultSeed, nil)
+		inj, err = fault.New(rules, *faultSeed, reg)
 		if err != nil {
 			return err
 		}
@@ -179,6 +179,7 @@ func run() error {
 		}
 		fopts := cluster.FollowerOptions{Metrics: cluster.NewMetrics(reg), Injector: inj}
 		fopts.Store = store.DefaultOptions()
+		fopts.Store.Registry = reg
 		var err error
 		follower, err = cluster.OpenFollower(*dbDir, name, fopts)
 		if err != nil {
@@ -200,6 +201,7 @@ func run() error {
 			obs.KV("leader", *replFollow), obs.KV("dir", *dbDir))
 	case *dbDir != "":
 		stOpts := store.DefaultOptions()
+		stOpts.Registry = reg
 		stOpts.Injector = inj
 		if *replListen != "" {
 			shipper = cluster.NewShipper(cluster.ShipperOptions{
@@ -250,6 +252,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		trace.Stats.Record(reg, simCfg.Scheduler, trace.Scenarios.Len())
 		buildSpan.SetAttr("scenarios", trace.Scenarios.Len())
 		cfg := core.DefaultConfig()
 		cfg.Profile.Seed = *seed

@@ -104,20 +104,21 @@ func run() error {
 		return estimateFromPlan(*planIn, *seed, *perJob, logger)
 	}
 
+	reg := obs.NewRegistry()
 	var inj *fault.Injector
 	if *faultSpec != "" {
 		rules, err := fault.ParseSpec(*faultSpec)
 		if err != nil {
 			return err
 		}
-		inj, err = fault.New(rules, *faultSeed, nil)
+		inj, err = fault.New(rules, *faultSeed, reg)
 		if err != nil {
 			return err
 		}
 	}
 
 	// The whole run is one root span; each stage below nests under it.
-	tracer := obs.NewTracer(obs.NewRegistry())
+	tracer := obs.NewTracer(reg)
 	ctx := obs.WithTracer(context.Background(), tracer)
 	ctx, root := obs.StartSpan(ctx, "flare.run")
 
@@ -169,6 +170,7 @@ func run() error {
 
 		if *dbDir != "" {
 			stOpts := store.DefaultOptions()
+			stOpts.Registry = reg
 			stOpts.Injector = inj
 			st, err := store.Open(*dbDir, stOpts)
 			if err != nil {

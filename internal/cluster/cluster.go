@@ -44,11 +44,8 @@ type Metrics struct {
 }
 
 // NewMetrics registers the cluster replication instruments on reg (nil
-// means the process default registry).
+// records nothing).
 func NewMetrics(reg *obs.Registry) *Metrics {
-	if reg == nil {
-		reg = obs.Default()
-	}
 	return &Metrics{
 		reg: reg,
 		shipEvents: reg.Counter("flare_cluster_ship_events_total",

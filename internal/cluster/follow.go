@@ -30,7 +30,7 @@ type FollowerOptions struct {
 	// Store configures the replica store (registry, sync policy).
 	Store store.Options
 	// Metrics receives the flare_cluster_* counters; nil registers a set
-	// on the default registry.
+	// on the replica store's registry.
 	Metrics *Metrics
 	// Injector arms the deterministic "cluster.follow.apply" fault site:
 	// an injected error aborts the session before an apply, exercising

@@ -24,8 +24,7 @@ type ShipperOptions struct {
 	// before the window catches up from a store snapshot instead.
 	// Default 1024.
 	MaxLog int
-	// Metrics receives the flare_cluster_* counters; nil registers a set
-	// on the default registry.
+	// Metrics receives the flare_cluster_* counters; nil records nothing.
 	Metrics *Metrics
 	// Injector arms the deterministic "cluster.ship.send" fault site:
 	// an injected error drops the session exactly as a broken peer

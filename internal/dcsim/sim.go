@@ -169,14 +169,14 @@ type Stats struct {
 	SimulatedSpan   time.Duration // trace length
 }
 
-// Run simulates the datacenter and returns its scenario population.
+// Run simulates the datacenter and returns its scenario population. It
+// has no side effects: publish the run's telemetry with Stats.Record.
 func Run(cfg Config) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := newSim(cfg)
 	s.run()
-	s.stats.record(cfg, s.scenarios.Len())
 	return &Trace{
 		Scenarios:  s.scenarios,
 		Stats:      s.stats,
@@ -185,15 +185,14 @@ func Run(cfg Config) (*Trace, error) {
 	}, nil
 }
 
-// record publishes the run's scheduler activity to the default telemetry
-// registry, labelled by placement policy, so simulation work shows up at
-// /metrics alongside the pipeline stages it feeds.
-func (st Stats) record(cfg Config, scenarios int) {
-	policy := cfg.Scheduler
+// Record publishes a run's scheduler activity and its scenario count to
+// reg, labelled by placement policy (the zero value means
+// PolicyLeastUtilised, as in Config.Scheduler), so simulation work shows
+// up at /metrics alongside the pipeline stages it feeds.
+func (st Stats) Record(reg *obs.Registry, policy Policy, scenarios int) {
 	if policy == 0 {
 		policy = PolicyLeastUtilised
 	}
-	reg := obs.Default()
 	add := func(c *obs.Counter, v int) { c.Add(uint64(v)) }
 	lbl := policy.String()
 	add(reg.Counter("flare_dcsim_resizes_total", "deployment resize events processed", "policy", lbl), st.Resizes)
@@ -206,7 +205,7 @@ func (st Stats) record(cfg Config, scenarios int) {
 	add(reg.Counter("flare_dcsim_reschedules_total", "displaced instances placed on surviving machines", "policy", lbl), st.Rescheduled)
 	reg.Gauge("flare_dcsim_scenarios",
 		"distinct colocation scenarios produced by the last simulation run",
-		"policy", policy.String()).Set(float64(scenarios))
+		"policy", lbl).Set(float64(scenarios))
 }
 
 // event is one deployment resize occurrence.

@@ -315,13 +315,16 @@ func TestEventsOffByDefault(t *testing.T) {
 }
 
 func TestStatsRecordExposesMetricFamilies(t *testing.T) {
-	// Regression for the metricname rewrite of Stats.record: every family
+	// Regression for the metricname rewrite of Stats.Record: every family
 	// must be registered under its literal flare_dcsim_* name so the
 	// exposition surface stays machine-checkable.
 	cfg := shortConfig()
-	if _, err := Run(cfg); err != nil {
+	trace, err := Run(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	trace.Stats.Record(reg, cfg.Scheduler, trace.Scenarios.Len())
 	want := map[string]bool{
 		"flare_dcsim_resizes_total":          false,
 		"flare_dcsim_placements_total":       false,
@@ -333,14 +336,14 @@ func TestStatsRecordExposesMetricFamilies(t *testing.T) {
 		"flare_dcsim_reschedules_total":      false,
 		"flare_dcsim_scenarios":              false,
 	}
-	for _, fam := range obs.Default().Snapshot() {
+	for _, fam := range reg.Snapshot() {
 		if _, ok := want[fam.Name]; ok {
 			want[fam.Name] = true
 		}
 	}
 	for name, seen := range want {
 		if !seen {
-			t.Errorf("metric family %s not registered after Run", name)
+			t.Errorf("metric family %s not registered by Record", name)
 		}
 	}
 }

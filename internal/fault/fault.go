@@ -148,11 +148,8 @@ type Injector struct {
 }
 
 // New builds an injector from validated rules. reg receives the
-// flare_fault_* counters; nil means the process-default registry.
+// flare_fault_* counters; nil records nothing.
 func New(rules []Rule, seed int64, reg *obs.Registry) (*Injector, error) {
-	if reg == nil {
-		reg = obs.Default()
-	}
 	in := &Injector{seed: seed, reg: reg, sites: make(map[string]*siteState)}
 	for _, r := range rules {
 		if err := r.Validate(); err != nil {

@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,20 +71,6 @@ func (rep *BenchReport) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// ReadBenchReport loads a JSON report written by WriteJSON.
-func ReadBenchReport(path string) (*BenchReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var rep BenchReport
-	if err := json.NewDecoder(f).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &rep, nil
 }
 
 // MinMerge folds repeated runs of the same suite into one report taking

@@ -99,32 +99,6 @@ const ExemptDirective = "exempt"
 // immediately above it — carries a generic exempt directive naming this
 // pass's analyzer, with a reason.
 func (p *Pass) Exempted(pos token.Pos) bool {
-	return p.commentNear(pos, func(text string) bool {
-		name, reason, ok := ParseExempt(text)
-		return ok && name == p.Analyzer.Name && reason != ""
-	})
-}
-
-// ExemptedBy reports whether the line containing pos — or the line
-// immediately above it — carries a `//lint:<directive> reason` comment.
-// A directive with no reason does NOT exempt: the reason is the audit
-// trail, and requiring it keeps drive-by suppressions out of review.
-// The generic `//lint:exempt <analyzer> <reason>` form naming this
-// pass's analyzer also exempts, so analyzers with a legacy directive
-// accept both spellings.
-func (p *Pass) ExemptedBy(pos token.Pos, directive string) bool {
-	if p.Exempted(pos) {
-		return true
-	}
-	return p.commentNear(pos, func(text string) bool {
-		reason, ok := directiveReason(text, directive)
-		return ok && reason != ""
-	})
-}
-
-// commentNear applies match to every comment on pos's line or the line
-// immediately above it.
-func (p *Pass) commentNear(pos token.Pos, match func(text string) bool) bool {
 	posn := p.Fset.Position(pos)
 	for _, f := range p.Files {
 		if p.Fset.Position(f.Pos()).Filename != posn.Filename {
@@ -136,7 +110,7 @@ func (p *Pass) commentNear(pos token.Pos, match func(text string) bool) bool {
 				if cl != posn.Line && cl != posn.Line-1 {
 					continue
 				}
-				if match(c.Text) {
+				if name, reason, ok := ParseExempt(c.Text); ok && name == p.Analyzer.Name && reason != "" {
 					return true
 				}
 			}
@@ -150,10 +124,12 @@ func (p *Pass) commentNear(pos token.Pos, match func(text string) bool) bool {
 // true when the comment is an exempt directive at all — callers must
 // still require a non-empty reason before honouring it.
 func ParseExempt(text string) (analyzer, reason string, ok bool) {
-	rest, ok := directiveReason(text, ExemptDirective)
-	if !ok {
-		return "", "", false
+	text = strings.TrimSpace(strings.TrimPrefix(text, "//"))
+	rest, found := strings.CutPrefix(text, "lint:"+ExemptDirective)
+	if !found || rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+		return "", "", false // e.g. lint:exempted — a different word
 	}
+	rest = strings.TrimSpace(rest)
 	if i := strings.IndexFunc(rest, unicode.IsSpace); i >= 0 {
 		analyzer, reason = rest[:i], strings.TrimSpace(rest[i:])
 	} else {
@@ -163,19 +139,4 @@ func ParseExempt(text string) (analyzer, reason string, ok bool) {
 		return "", "", false // `//lint:exempt` names nothing
 	}
 	return analyzer, reason, true
-}
-
-// directiveReason parses `//lint:<name> <reason>` comment text.
-func directiveReason(text, name string) (string, bool) {
-	text = strings.TrimPrefix(text, "//")
-	text = strings.TrimSpace(text)
-	prefix := "lint:" + name
-	if !strings.HasPrefix(text, prefix) {
-		return "", false
-	}
-	rest := text[len(prefix):]
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return "", false // e.g. lint:deterministic-exempted — different word
-	}
-	return strings.TrimSpace(rest), true
 }

@@ -7,29 +7,6 @@ import (
 	"testing"
 )
 
-func TestDirectiveReason(t *testing.T) {
-	tests := []struct {
-		text   string
-		name   string
-		reason string
-		ok     bool
-	}{
-		{"//lint:deterministic-exempt startup banner", "deterministic-exempt", "startup banner", true},
-		{"// lint:deterministic-exempt spaced", "deterministic-exempt", "spaced", true},
-		{"//lint:deterministic-exempt", "deterministic-exempt", "", true},
-		{"//lint:deterministic-exempted trailing word differs", "deterministic-exempt", "", false},
-		{"// plain comment", "deterministic-exempt", "", false},
-		{"//lint:other reason", "deterministic-exempt", "", false},
-	}
-	for _, tt := range tests {
-		reason, ok := directiveReason(tt.text, tt.name)
-		if ok != tt.ok || reason != tt.reason {
-			t.Errorf("directiveReason(%q, %q) = (%q, %v), want (%q, %v)",
-				tt.text, tt.name, reason, ok, tt.reason, tt.ok)
-		}
-	}
-}
-
 func TestParseExempt(t *testing.T) {
 	tests := []struct {
 		text     string
@@ -60,12 +37,19 @@ func f() {
 	//lint:exempt locksafe the snapshot mark is lock-ordered by the store
 	exempted()
 	otherAnalyzer() //lint:exempt goroleak belongs to a different analyzer
+
+	sameLine() //lint:exempt locksafe reason on the same line
+
+	plain()
+
 	//lint:exempt locksafe
 	reasonless()
 }
 
 func exempted()      {}
+func sameLine()      {}
 func otherAnalyzer() {}
+func plain()         {}
 func reasonless()    {}
 `
 
@@ -92,7 +76,9 @@ func TestExempted(t *testing.T) {
 		want bool
 	}{
 		{"exempted", true},       // names this analyzer, has a reason
+		{"sameLine", true},       // directive trailing the same line
 		{"otherAnalyzer", false}, // names a different analyzer
+		{"plain", false},         // no directive
 		{"reasonless", false},    // reason is mandatory
 	}
 	for _, tt := range tests {
@@ -102,63 +88,6 @@ func TestExempted(t *testing.T) {
 		}
 		if got := pass.Exempted(pos); got != tt.want {
 			t.Errorf("Exempted(%s) = %v, want %v", tt.fn, got, tt.want)
-		}
-	}
-}
-
-const exemptSrc = `package p
-
-func f() {
-	//lint:deterministic-exempt reason on the previous line
-	exempted()
-	sameLine() //lint:deterministic-exempt reason on the same line
-
-	plain()
-
-	//lint:deterministic-exempt
-	reasonless()
-}
-
-func exempted()   {}
-func sameLine()   {}
-func plain()      {}
-func reasonless() {}
-`
-
-func TestExemptedBy(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "p.go", exemptSrc, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pass := &Pass{Fset: fset, Files: []*ast.File{f}}
-
-	callPos := map[string]token.Pos{}
-	ast.Inspect(f, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok {
-				callPos[id.Name] = call.Pos()
-			}
-		}
-		return true
-	})
-
-	tests := []struct {
-		fn   string
-		want bool
-	}{
-		{"exempted", true},    // directive on the line above
-		{"sameLine", true},    // directive trailing the same line
-		{"plain", false},      // no directive
-		{"reasonless", false}, // directive without a reason does not exempt
-	}
-	for _, tt := range tests {
-		pos, ok := callPos[tt.fn]
-		if !ok {
-			t.Fatalf("fixture call %s not found", tt.fn)
-		}
-		if got := pass.ExemptedBy(pos, "deterministic-exempt"); got != tt.want {
-			t.Errorf("ExemptedBy(%s) = %v, want %v", tt.fn, got, tt.want)
 		}
 	}
 }

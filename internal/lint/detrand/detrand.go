@@ -10,8 +10,9 @@
 // seeded generators must not derive their seed from the clock.
 //
 // Genuine exceptions (none exist today) are allowlisted per line with
+// the generic
 //
-//	//lint:deterministic-exempt <reason>
+//	//lint:exempt detrand <reason>
 //
 // where the reason is mandatory — it is the audit trail for why the
 // nondeterminism cannot leak into golden output.
@@ -25,9 +26,6 @@ import (
 	"flare/internal/lint/analysis"
 	"flare/internal/lint/summary"
 )
-
-// Directive is the allowlist comment name.
-const Directive = "deterministic-exempt"
 
 // CriticalPackages are the package base names (last import-path
 // element) the analyzer applies to. They are exactly the packages whose
@@ -81,10 +79,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			switch fn.Pkg().Path() {
 			case "time":
 				if fn.Name() == "Now" || fn.Name() == "Since" {
-					if !pass.ExemptedBy(call.Pos(), Directive) {
+					if !pass.Exempted(call.Pos()) {
 						pass.Reportf(call.Pos(),
-							"time.%s in determinism-critical package %s: derive timing from the simulation clock or seed, or annotate //lint:%s <reason>",
-							fn.Name(), pass.Pkg.Path(), Directive)
+							"time.%s in determinism-critical package %s: derive timing from the simulation clock or seed, or annotate //lint:exempt detrand <reason>",
+							fn.Name(), pass.Pkg.Path())
 					}
 				}
 			case "math/rand", "math/rand/v2":
@@ -92,18 +90,18 @@ func run(pass *analysis.Pass) (interface{}, error) {
 					return true // draws from an explicitly seeded *rand.Rand
 				}
 				if !randConstructors[fn.Name()] {
-					if !pass.ExemptedBy(call.Pos(), Directive) {
+					if !pass.Exempted(call.Pos()) {
 						pass.Reportf(call.Pos(),
-							"global %s.%s in determinism-critical package %s: use a *rand.Rand derived from a parameter or struct seed, or annotate //lint:%s <reason>",
-							fn.Pkg().Path(), fn.Name(), pass.Pkg.Path(), Directive)
+							"global %s.%s in determinism-critical package %s: use a *rand.Rand derived from a parameter or struct seed, or annotate //lint:exempt detrand <reason>",
+							fn.Pkg().Path(), fn.Name(), pass.Pkg.Path())
 					}
 					return true
 				}
 				if tainted, site := clockTainted(pass, call); tainted {
-					if !pass.ExemptedBy(call.Pos(), Directive) {
+					if !pass.Exempted(call.Pos()) {
 						pass.Reportf(site.Pos(),
-							"%s.%s seeded from the clock: seeds must derive from a parameter or struct seed, or annotate //lint:%s <reason>",
-							fn.Pkg().Path(), fn.Name(), Directive)
+							"%s.%s seeded from the clock: seeds must derive from a parameter or struct seed, or annotate //lint:exempt detrand <reason>",
+							fn.Pkg().Path(), fn.Name())
 					}
 				}
 			}

@@ -34,12 +34,18 @@ func BadClockSeed() *rand.Rand {
 }
 
 func GoodExempted() time.Time {
-	//lint:deterministic-exempt wall-clock feeds a log banner only, never golden output
+	//lint:exempt detrand wall-clock feeds a log banner only, never golden output
 	return time.Now()
 }
 
 func BadReasonlessDirective() time.Time {
-	//lint:deterministic-exempt
+	//lint:exempt detrand
+	return time.Now() // want `time.Now in determinism-critical package kmeans`
+}
+
+// Only the generic form exempts; an analyzer-specific spelling does not.
+func BadLegacyDirective() time.Time {
+	//lint:deterministic-exempt wall-clock feeds a log banner only
 	return time.Now() // want `time.Now in determinism-critical package kmeans`
 }
 
@@ -47,7 +53,7 @@ func BadReasonlessDirective() time.Time {
 // but a seed derived from it is still clock-derived: the summary layer
 // must carry the taint through the call.
 func seedHelper() int64 {
-	//lint:deterministic-exempt wall-clock feeds a log banner only, never golden output
+	//lint:exempt detrand wall-clock feeds a log banner only, never golden output
 	return time.Now().UnixNano()
 }
 

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"flare/internal/obs"
 	"flare/internal/retry"
 	"flare/internal/store"
 )
@@ -94,20 +95,22 @@ type StoreBackend struct {
 
 // defaultJournalRetry tunes the retry layer for the local journal path:
 // a handful of quick attempts — either the disk blip clears in tens of
-// milliseconds or the store is down and the caller should know.
-func defaultJournalRetry() retry.Policy {
+// milliseconds or the store is down and the caller should know. Its
+// counters land in reg, the store's registry.
+func defaultJournalRetry(reg *obs.Registry) retry.Policy {
 	return retry.Policy{
 		MaxAttempts: 4,
 		BaseDelay:   5 * time.Millisecond,
 		MaxDelay:    100 * time.Millisecond,
 		Name:        "metricdb.journal",
+		Registry:    reg,
 	}
 }
 
 // NewStoreBackend wraps an open store. Use OpenDB instead when the store
 // may already hold journaled tables.
 func NewStoreBackend(st *store.Store) *StoreBackend {
-	return &StoreBackend{st: st, Retry: defaultJournalRetry(), nextSeq: make(map[string]uint64)}
+	return &StoreBackend{st: st, Retry: defaultJournalRetry(st.Registry()), nextSeq: make(map[string]uint64)}
 }
 
 // append journals one durable record through the retry policy.
@@ -245,7 +248,7 @@ func OpenDB(st *store.Store) (*DB, error) {
 	}
 
 	// Now attach the backend, seeded past the recovered sequence numbers.
-	backend := &StoreBackend{st: st, Retry: defaultJournalRetry(), nextSeq: nextSeq}
+	backend := &StoreBackend{st: st, Retry: defaultJournalRetry(st.Registry()), nextSeq: nextSeq}
 	db.backend = backend
 	db.mu.Lock()
 	for _, t := range db.tables {

@@ -10,11 +10,10 @@ import (
 	"flare/internal/retry"
 )
 
-// fastRetry is defaultJournalRetry without real sleeps.
+// fastRetry is the default journal policy without real sleeps.
 func fastRetry() retry.Policy {
-	p := defaultJournalRetry()
+	p := defaultJournalRetry(obs.NewRegistry())
 	p.Sleep = func(time.Duration) {}
-	p.Registry = obs.NewRegistry()
 	return p
 }
 

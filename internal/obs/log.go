@@ -92,8 +92,8 @@ type LoggerOptions struct {
 	// Now is the clock stamped on events; nil means time.Now. Inject a
 	// fixed clock to make rendered output byte-identical in tests.
 	Now func() time.Time
-	// Registry, when non-nil, counts emitted events into
-	// flare_log_events_total{level}.
+	// Registry counts emitted events into flare_log_events_total{level};
+	// nil records nothing.
 	Registry *Registry
 	// Hook, when non-nil, receives every emitted Event after the line is
 	// written (the durable event-export tap). It runs on the caller's
@@ -128,12 +128,10 @@ func NewLogger(w io.Writer, opts LoggerOptions) *Logger {
 		now:   opts.Now,
 		hook:  opts.Hook,
 	}
-	if opts.Registry != nil {
-		l.counts = make(map[Level]*Counter, 4)
-		for _, lv := range []Level{LevelDebug, LevelInfo, LevelWarn, LevelError} {
-			l.counts[lv] = opts.Registry.Counter("flare_log_events_total",
-				"log events emitted by level", "level", lv.String())
-		}
+	l.counts = make(map[Level]*Counter, 4)
+	for _, lv := range []Level{LevelDebug, LevelInfo, LevelWarn, LevelError} {
+		l.counts[lv] = opts.Registry.Counter("flare_log_events_total",
+			"log events emitted by level", "level", lv.String())
 	}
 	return l
 }
@@ -190,9 +188,7 @@ func (l *Logger) emit(lv Level, msg string, attrs []Attr) {
 		_, _ = l.out.Write(buf)
 	}
 	l.mu.Unlock()
-	if l.counts != nil {
-		l.counts[lv].Inc()
-	}
+	l.counts[lv].Inc()
 	if l.hook != nil {
 		l.hook(ev)
 	}

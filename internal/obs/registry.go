@@ -12,6 +12,11 @@
 // name plus an optional set of label pairs; repeated registrations of the
 // same identity return the same instrument, so hot paths can call
 // Registry.Counter(...)/Histogram(...) inline without caching handles.
+//
+// There is no process-wide registry: every process root creates one with
+// NewRegistry and passes it on. A nil *Registry records nothing — its
+// instruments work but are detached from any exposition — so a library
+// handed no registry stays silent instead of writing somewhere global.
 package obs
 
 import (
@@ -156,7 +161,7 @@ type family struct {
 }
 
 // Registry holds metric families. The zero value is not usable; create
-// with NewRegistry or use the package Default.
+// with NewRegistry. A nil *Registry records nothing.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -167,13 +172,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
-
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry. Library code that has no
-// registry plumbed in (dcsim's scheduler counters) records here; the
-// flare-server surfaces it at /metrics.
-func Default() *Registry { return defaultRegistry }
 
 // family returns (creating if needed) the named family, panicking on a
 // type mismatch — mixing types under one name is a programming error the
@@ -247,32 +245,48 @@ func (f *family) get(kv []string, mk func() interface{}) interface{} {
 }
 
 // Counter returns the counter for name and label pairs, registering it on
-// first use. labels are alternating key, value strings.
+// first use. labels are alternating key, value strings. On a nil registry
+// it returns a detached counter.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
+	if r == nil {
+		return &Counter{}
+	}
 	f := r.family(name, help, typeCounter)
 	return f.get(labels, func() interface{} { return &Counter{} }).(*Counter)
 }
 
-// Gauge returns the gauge for name and label pairs.
+// Gauge returns the gauge for name and label pairs; on a nil registry, a
+// detached gauge.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
+	if r == nil {
+		return &Gauge{}
+	}
 	f := r.family(name, help, typeGauge)
 	return f.get(labels, func() interface{} { return &Gauge{} }).(*Gauge)
 }
 
 // Histogram returns the histogram for name and label pairs. buckets are
 // ascending upper bounds; nil means DefaultLatencyBuckets. Buckets are
-// fixed by the first registration of the family's first series.
+// fixed by the first registration of the family's first series. On a nil
+// registry it returns a detached histogram.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
+	if r == nil {
+		return newHistogram(buckets)
+	}
 	f := r.family(name, help, typeHistogram)
-	return f.get(labels, func() interface{} {
-		if buckets == nil {
-			buckets = DefaultLatencyBuckets()
-		}
-		b := make([]float64, len(buckets))
-		copy(b, buckets)
-		sort.Float64s(b)
-		return &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
-	}).(*Histogram)
+	return f.get(labels, func() interface{} { return newHistogram(buckets) }).(*Histogram)
+}
+
+// newHistogram builds an empty histogram over a sorted copy of buckets
+// (nil means DefaultLatencyBuckets).
+func newHistogram(buckets []float64) *Histogram {
+	if buckets == nil {
+		buckets = DefaultLatencyBuckets()
+	}
+	b := make([]float64, len(buckets))
+	copy(b, buckets)
+	sort.Float64s(b)
+	return &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
 }
 
 // sortedFamilies returns families sorted by name for deterministic

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -242,5 +243,47 @@ func TestConcurrentRegistryAccess(t *testing.T) {
 	}
 	if got := r.Gauge("flare_conc_gauge", "g").Value(); got != workers*iters {
 		t.Errorf("gauge = %v, want %d", got, workers*iters)
+	}
+}
+
+func TestNilRegistryRecordsNothing(t *testing.T) {
+	var r *Registry
+	c := r.Counter("flare_test_total", "a counter", "k", "v")
+	c.Add(3)
+	if c.Value() != 3 {
+		t.Errorf("detached counter = %d, want 3", c.Value())
+	}
+	if got := r.Counter("flare_test_total", "a counter", "k", "v").Value(); got != 0 {
+		t.Errorf("second lookup = %d, want 0: a nil registry must not accumulate", got)
+	}
+	g := r.Gauge("flare_test_gauge", "a gauge")
+	g.Set(2)
+	if g.Value() != 2 || r.Gauge("flare_test_gauge", "a gauge").Value() != 0 {
+		t.Error("nil-registry gauge works only on its own handle")
+	}
+	h := r.Histogram("flare_test_seconds", "a histogram", []float64{1, 0.1})
+	h.Observe(0.5)
+	if h.Count() != 1 || h.Sum() != 0.5 {
+		t.Errorf("detached histogram count/sum = %d/%v, want 1/0.5", h.Count(), h.Sum())
+	}
+	if r.Histogram("flare_test_seconds", "a histogram", nil).Count() != 0 {
+		t.Error("second histogram lookup saw an earlier observation")
+	}
+
+	// A tracer without a registry, and a missing tracer, expose none.
+	if NewTracer(nil).Registry() != nil {
+		t.Error("NewTracer(nil).Registry() != nil")
+	}
+	if TracerFrom(context.Background()).Registry() != nil {
+		t.Error("nil tracer's Registry() != nil")
+	}
+	tr := NewTracerCapacity(nil, 1)
+	ctx := WithTracer(context.Background(), tr)
+	for i := 0; i < 3; i++ { // evictions count into a detached counter
+		_, span := StartSpan(ctx, "stage")
+		span.End()
+	}
+	if got := len(tr.Snapshot()); got != 1 {
+		t.Errorf("retained roots = %d, want 1", got)
 	}
 }

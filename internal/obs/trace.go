@@ -72,6 +72,8 @@ func (s *Span) End() {
 	s.mu.Unlock()
 
 	if s.tracer != nil {
+		// A nil registry would build a detached histogram per span only
+		// to drop it; skip that allocation on the hot path.
 		if reg := s.tracer.reg; reg != nil {
 			reg.Histogram(StageHistogram,
 				"duration of FLARE pipeline stages and server operations by span name",
@@ -158,7 +160,7 @@ const DefaultTraceCapacity = 32
 // durable trace export, not this ring, is the history of record).
 type Tracer struct {
 	reg     *Registry
-	dropped *Counter // nil when reg is nil
+	dropped *Counter
 
 	mu   sync.Mutex
 	ring []*Span // fixed ring storage, nil slots until first wrap
@@ -179,16 +181,19 @@ func NewTracerCapacity(reg *Registry, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	t := &Tracer{reg: reg, ring: make([]*Span, capacity)}
-	if reg != nil {
-		t.dropped = reg.Counter("flare_trace_dropped_total",
-			"completed root spans evicted from the tracer's bounded ring")
-	}
-	return t
+	return &Tracer{reg: reg, ring: make([]*Span, capacity),
+		dropped: reg.Counter("flare_trace_dropped_total",
+			"completed root spans evicted from the tracer's bounded ring")}
 }
 
-// Registry returns the registry stage durations are observed into.
-func (t *Tracer) Registry() *Registry { return t.reg }
+// Registry returns the registry stage durations are observed into; nil
+// for a nil tracer or one built without a registry.
+func (t *Tracer) Registry() *Registry {
+	if t == nil {
+		return nil
+	}
+	return t.reg
+}
 
 // Capacity returns the ring's fixed root-span retention.
 func (t *Tracer) Capacity() int { return len(t.ring) }
@@ -204,9 +209,7 @@ func (t *Tracer) recordRoot(s *Span) {
 	t.ring[t.head] = s
 	t.head = (t.head + 1) % len(t.ring)
 	t.mu.Unlock()
-	if t.dropped != nil {
-		t.dropped.Inc()
-	}
+	t.dropped.Inc()
 }
 
 // Snapshot returns the retained root span trees, oldest first.

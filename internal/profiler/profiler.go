@@ -280,13 +280,12 @@ func (c *Collector) measure(ctx context.Context, ids []int) error {
 	}
 	c.reducePhase(ctx, ids)
 	c.measured = n
-	if t := obs.TracerFrom(ctx); t != nil && t.Registry() != nil {
-		t.Registry().Counter("flare_profiler_scenarios_total",
-			"scenarios measured by the profiler").Add(uint64(len(ids)))
-		t.Registry().Counter("flare_profiler_samples_total",
-			"noisy per-scenario measurements taken by the profiler").
-			Add(uint64(len(ids)) * uint64(c.opts.SamplesPerScenario))
-	}
+	reg := obs.TracerFrom(ctx).Registry()
+	reg.Counter("flare_profiler_scenarios_total",
+		"scenarios measured by the profiler").Add(uint64(len(ids)))
+	reg.Counter("flare_profiler_samples_total",
+		"noisy per-scenario measurements taken by the profiler").
+		Add(uint64(len(ids)) * uint64(c.opts.SamplesPerScenario))
 	return nil
 }
 

@@ -44,17 +44,22 @@ type Options struct {
 	// fault-free run would have produced. Nil injects nothing.
 	Injector *fault.Injector
 	// Retry is the per-scenario retry policy; the zero value uses
-	// retry's defaults with the op name "replay.scenario". Real
-	// evaluation errors are permanent (a malformed scenario will not heal
-	// by retrying) — only injected transients are retried.
+	// retry's defaults with the op name "replay.scenario", recording into
+	// the registry of the context's tracer. Real evaluation errors are
+	// permanent (a malformed scenario will not heal by retrying) — only
+	// injected transients are retried.
 	Retry retry.Policy
 }
 
-// retryPolicy names the zero-valued policy after the replay site.
-func (o Options) retryPolicy() retry.Policy {
+// retryPolicy names the zero-valued policy after the replay site and
+// points an unset registry at the context tracer's.
+func (o Options) retryPolicy(ctx context.Context) retry.Policy {
 	p := o.Retry
 	if p.Name == "" {
 		p.Name = "replay.scenario"
+	}
+	if p.Registry == nil {
+		p.Registry = obs.TracerFrom(ctx).Registry()
 	}
 	return p
 }
@@ -277,11 +282,9 @@ func (tb testbed) estimate(ctx context.Context, strata []stratum, job string) (*
 		est.ReductionPct /= weightSum
 		se = math.Sqrt(variance) / weightSum
 	}
-	if t := obs.TracerFrom(ctx); t != nil && t.Registry() != nil {
-		t.Registry().Counter("flare_replays_total",
-			"representative scenario replays", "mode", mode).
-			Add(uint64(est.ScenariosReplayed))
-	}
+	obs.TracerFrom(ctx).Registry().Counter("flare_replays_total",
+		"representative scenario replays", "mode", mode).
+		Add(uint64(est.ScenariosReplayed))
 	return est, se, nil
 }
 
@@ -295,7 +298,7 @@ func (tb testbed) replay(ctx context.Context, cluster int, sc scenario.Scenario,
 	span.SetAttr("cluster", cluster)
 	span.SetAttr("scenario_id", sc.ID)
 	var imp perfscore.Impact
-	err := tb.opts.retryPolicy().Do(ctx, func() error {
+	err := tb.opts.retryPolicy(ctx).Do(ctx, func() error {
 		if err := tb.opts.Injector.Err("replay.scenario"); err != nil {
 			return err
 		}

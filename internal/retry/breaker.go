@@ -66,8 +66,7 @@ type BreakerOptions struct {
 	Cooldown time.Duration
 	// Now is the clock (tests). Default time.Now.
 	Now func() time.Time
-	// Registry receives flare_breaker_* metrics; nil means the process
-	// default.
+	// Registry receives flare_breaker_* metrics; nil records nothing.
 	Registry *obs.Registry
 }
 
@@ -81,9 +80,6 @@ func NewBreaker(name string, opts BreakerOptions) *Breaker {
 	}
 	if opts.Now == nil {
 		opts.Now = time.Now
-	}
-	if opts.Registry == nil {
-		opts.Registry = obs.Default()
 	}
 	b := &Breaker{
 		name:      name,

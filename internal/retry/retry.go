@@ -39,7 +39,7 @@ type Policy struct {
 	Seed int64
 	// Name labels the flare_retry_* metrics. Default "op".
 	Name string
-	// Registry receives the metrics; nil means the process default.
+	// Registry receives the metrics; nil records nothing.
 	Registry *obs.Registry
 	// Sleep replaces the delay wait (tests). Nil sleeps on a timer,
 	// honouring ctx cancellation.
@@ -65,9 +65,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.Name == "" {
 		p.Name = "op"
-	}
-	if p.Registry == nil {
-		p.Registry = obs.Default()
 	}
 	return p
 }

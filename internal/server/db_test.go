@@ -8,6 +8,7 @@ import (
 
 	"flare/internal/machine"
 	"flare/internal/metricdb"
+	"flare/internal/obs"
 	"flare/internal/store"
 )
 
@@ -29,7 +30,7 @@ func dbServer(t *testing.T, dir string) *Server {
 	if err := base.pipeline.PersistDataset(db); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(base.pipeline, machine.PaperFeatures())
+	srv, err := NewWithTelemetry(base.pipeline, machine.PaperFeatures(), obs.NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestDBQuerySurvivesRestart(t *testing.T) {
 	if err := base.pipeline.PersistDataset(db1); err != nil {
 		t.Fatal(err)
 	}
-	srv1, err := New(base.pipeline, machine.PaperFeatures())
+	srv1, err := NewWithTelemetry(base.pipeline, machine.PaperFeatures(), obs.NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestDBQuerySurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(base.pipeline, machine.PaperFeatures())
+	srv, err := NewWithTelemetry(base.pipeline, machine.PaperFeatures(), obs.NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,24 +69,19 @@ type Server struct {
 	lastGood map[string]estimateResponse // per key, last journaled estimate
 }
 
-// New creates a server over a pipeline that has completed Profile and
-// Analyze, exposing the given features for estimation. Telemetry goes to
-// the process-default registry; use NewWithTelemetry to isolate it.
-func New(p *core.Pipeline, features []machine.Feature) (*Server, error) {
-	return NewWithTelemetry(p, features, obs.Default(), nil)
-}
-
-// NewWithTelemetry is New with an explicit metrics registry and tracer.
-// A nil tracer gets a fresh one observing into reg; passing the tracer
-// the pipeline was built under makes its build spans visible at
-// /api/trace.
+// NewWithTelemetry creates a server over a pipeline that has completed
+// Profile and Analyze, exposing the given features for estimation. reg
+// is the registry /metrics exposes and every layer below the server
+// records into; it must not be nil. A nil tracer gets a fresh one
+// observing into reg; passing the tracer the pipeline was built under
+// makes its build spans visible at /api/trace.
 func NewWithTelemetry(p *core.Pipeline, features []machine.Feature,
 	reg *obs.Registry, tracer *obs.Tracer) (*Server, error) {
 	if p == nil || p.Analysis() == nil {
 		return nil, errors.New("server: pipeline must be analysed before serving")
 	}
 	if reg == nil {
-		reg = obs.Default()
+		return nil, errors.New("server: a metrics registry is required")
 	}
 	if tracer == nil {
 		tracer = obs.NewTracer(reg)

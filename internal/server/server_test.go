@@ -12,9 +12,12 @@ import (
 
 	"flare/internal/core"
 	"flare/internal/dcsim"
+	"flare/internal/fault"
 	"flare/internal/machine"
+	"flare/internal/metricdb"
 	"flare/internal/obs"
 	"flare/internal/replayer"
+	"flare/internal/store"
 )
 
 var (
@@ -68,7 +71,7 @@ func testServer(t *testing.T) *Server {
 	t.Helper()
 	p := testPipeline(t)
 	srvOnce.Do(func() {
-		srvVal, srvErr = New(p, machine.PaperFeatures())
+		srvVal, srvErr = NewWithTelemetry(p, machine.PaperFeatures(), obs.NewRegistry(), nil)
 	})
 	if srvErr != nil {
 		t.Fatal(srvErr)
@@ -93,23 +96,27 @@ func get(t *testing.T, h http.Handler, path string, wantStatus int, out interfac
 }
 
 func TestNewRequiresAnalysedPipeline(t *testing.T) {
-	if _, err := New(nil, nil); err == nil {
+	if _, err := NewWithTelemetry(nil, nil, obs.NewRegistry(), nil); err == nil {
 		t.Error("nil pipeline did not error")
 	}
 	p, err := core.New(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(p, nil); err == nil {
+	if _, err := NewWithTelemetry(p, nil, obs.NewRegistry(), nil); err == nil {
 		t.Error("un-analysed pipeline did not error")
 	}
 }
 
+func TestNewRequiresRegistry(t *testing.T) {
+	if _, err := NewWithTelemetry(testPipeline(t), machine.PaperFeatures(), nil, nil); err == nil {
+		t.Error("nil registry did not error")
+	}
+}
+
 func TestNewRejectsDuplicateFeatures(t *testing.T) {
-	s := testServer(t)
-	_ = s
 	feats := []machine.Feature{machine.Baseline(), machine.Baseline()}
-	if _, err := New(srvVal.pipeline, feats); err == nil {
+	if _, err := NewWithTelemetry(testPipeline(t), feats, obs.NewRegistry(), nil); err == nil {
 		t.Error("duplicate features did not error")
 	}
 }
@@ -303,8 +310,7 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestReplayCounterInInjectedRegistry checks that the replay counter
-// lands in the server's own registry, not the process-global one: after
-// one estimate a fresh-registry server's /metrics reports one all-job
+// lands in the server's own registry: after one estimate a fresh-registry server's /metrics reports one all-job
 // replay per representative.
 func TestReplayCounterInInjectedRegistry(t *testing.T) {
 	s := newTelemetryServer(t)
@@ -316,6 +322,52 @@ func TestReplayCounterInInjectedRegistry(t *testing.T) {
 	want := fmt.Sprintf(`flare_replays_total{mode="all-job"} %d`, len(srvVal.pipeline.Representatives()))
 	if body := rec.Body.String(); !strings.Contains(body, want+"\n") {
 		t.Errorf("/metrics missing %q", want)
+	}
+}
+
+// TestOneRegistryCarriesEveryLayer builds a server, a store-backed
+// database and a fault injector on one fresh registry and serves one
+// estimate: the replay retry, the journal retry, the store and the
+// injector must all show on that server's /metrics, with nothing left in
+// a registry the server does not expose.
+func TestOneRegistryCarriesEveryLayer(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := NewWithTelemetry(testPipeline(t), machine.PaperFeatures(), reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stOpts := store.DefaultOptions()
+	stOpts.Registry = reg
+	st, err := store.Open(t.TempDir(), stOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	db, err := metricdb.OpenDB(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AttachDB(db)
+	inj, err := fault.New(fault.MustParseSpec("server.estimate=latency@1:1ms"), 1, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetResilience(Options{Injector: inj})
+	h := s.Handler()
+	get(t, h, "/api/estimate?feature=feature1", http.StatusOK, nil)
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := rec.Body.String()
+	for _, want := range []string{
+		`flare_retry_attempts_total{op="replay.scenario"} `,
+		`flare_retry_attempts_total{op="metricdb.journal"} `,
+		`flare_store_wal_appends_total `,
+		`flare_fault_injected_total{`,
+	} {
+		if !strings.Contains(body, "\n"+want) {
+			t.Errorf("/metrics missing a %s series", strings.TrimSpace(want))
+		}
 	}
 }
 

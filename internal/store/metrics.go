@@ -18,9 +18,6 @@ type storeMetrics struct {
 }
 
 func newStoreMetrics(reg *obs.Registry) *storeMetrics {
-	if reg == nil {
-		reg = obs.Default()
-	}
 	return &storeMetrics{
 		walAppends: reg.Counter("flare_store_wal_appends_total",
 			"records appended to the store's write-ahead log"),

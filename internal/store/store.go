@@ -29,8 +29,8 @@ type Options struct {
 	// CompactAtSegments merges all live segments into one when the live
 	// count reaches this threshold; <= 0 disables compaction. Default 4.
 	CompactAtSegments int
-	// Registry receives the flare_store_* telemetry; nil means the
-	// process-default registry.
+	// Registry receives the flare_store_* telemetry and, through
+	// metricdb, the journal's retry counters; nil records nothing.
 	Registry *obs.Registry
 	// Injector, when non-nil, arms deterministic fault injection on the
 	// store's durability paths. Sites: "store.wal.append" (appends fail
@@ -680,6 +680,9 @@ func (s *Store) Close() error {
 
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
+
+// Registry returns the registry the store records its telemetry into.
+func (s *Store) Registry() *obs.Registry { return s.opts.Registry }
 
 // Stats describes the store's current shape.
 type Stats struct {

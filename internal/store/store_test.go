@@ -11,7 +11,8 @@ import (
 	"flare/internal/obs"
 )
 
-// testOptions keeps tests independent of the process-default registry.
+// testOptions gives each test store its own registry, so tests that read
+// flare_store_* counters see only their own store.
 func testOptions() Options {
 	o := DefaultOptions()
 	o.Registry = obs.NewRegistry()

@@ -45,8 +45,7 @@ func writeUnitCfg(t *testing.T, src string) string {
 }
 
 // TestUnitExemptSuppression drives the vet protocol end to end: the
-// same determinism violation must exit 2 bare, and 0 under either the
-// legacy deterministic-exempt directive or the generic
+// same determinism violation must exit 2 bare, and 0 under the generic
 // //lint:exempt <analyzer> <reason> form.
 func TestUnitExemptSuppression(t *testing.T) {
 	if testing.Short() {
@@ -57,15 +56,6 @@ func TestUnitExemptSuppression(t *testing.T) {
 import "time"
 
 func Seed() int64 { return time.Now().UnixNano() }
-`
-	const legacyExempt = `package kmeans
-
-import "time"
-
-func Seed() int64 {
-	//lint:deterministic-exempt benchmark harness timing, never reaches golden output
-	return time.Now().UnixNano()
-}
 `
 	const genericExempt = `package kmeans
 
@@ -91,7 +81,6 @@ func Seed() int64 {
 		want int
 	}{
 		{"bare violation gates", violation, 2},
-		{"legacy directive suppresses", legacyExempt, 0},
 		{"generic directive suppresses", genericExempt, 0},
 		{"reasonless directive does not suppress", reasonless, 2},
 	}
