@@ -151,7 +151,7 @@ bench-stages:
 		| tee -a results/bench-stages.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkClusterBatchEstimate$$' -benchtime 10x ./internal/server \
 		| tee -a results/bench-stages.txt
-	$(GO) run ./cmd/benchjson -in results/bench-stages.txt \
+	$(GO) run ./cmd/flare-impact -bench-parse -in results/bench-stages.txt \
 		-out results/BENCH_stages.json
 
 # Load-driven resilience proof: boot flare-server against a populated

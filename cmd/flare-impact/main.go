@@ -1,4 +1,4 @@
-// Command flare-impact judges the impact of a change. Two modes:
+// Command flare-impact judges the impact of a change. Three modes:
 //
 // Two-tree mode compares a base build tree against a head build tree —
 // golden determinism checks in each, the bench suite in each with
@@ -14,6 +14,13 @@
 //
 //	go test -count=10 -json ./... | flare-impact -flaky-stream \
 //	    -flaky-baseline results/flaky-baseline.json
+//
+// Bench-parse mode converts `go test -bench` output into the JSON stage
+// report (benchmark ns/op plus custom `-ms` stage metrics as ns/op) that
+// `make bench-stages` commits:
+//
+//	flare-impact -bench-parse -in results/bench-stages.txt \
+//	    -out results/BENCH_stages.json
 //
 // Exit codes: 0 verdict pass, 1 runner error, 2 verdict fail.
 package main
@@ -54,10 +61,15 @@ func run() (int, error) {
 	baselinePath := flag.String("flaky-baseline", "", "known-flaky baseline JSON; only NEWLY flaky tests fail the verdict")
 	benchCmd := flag.String("bench-cmd", "", "override the bench command (space-separated argv)")
 	goldenCmd := flag.String("golden-cmd", "", "override the golden determinism command (space-separated argv)")
-	out := flag.String("out", "", "write the verdict/flaky JSON to this file (text digest always prints to stdout)")
+	out := flag.String("out", "", "write the verdict, flaky or bench-parse JSON to this file (a verdict or flaky text digest always prints to stdout)")
 	stream := flag.Bool("flaky-stream", false, "read a `go test -json` stream and run only the flaky detector")
-	in := flag.String("in", "", "with -flaky-stream: stream file to read (default stdin)")
+	benchParse := flag.Bool("bench-parse", false, "parse `go test -bench` output into the JSON stage report (written to -out, default stdout)")
+	in := flag.String("in", "", "with -flaky-stream or -bench-parse: input file to read (default stdin)")
 	flag.Parse()
+
+	if *benchParse {
+		return runBenchParse(*in, *out)
+	}
 
 	var baseline *impact.Baseline
 	if *baselinePath != "" {
@@ -109,17 +121,38 @@ func run() (int, error) {
 	return 0, nil
 }
 
+// openIn opens path for reading, or stdin when path is empty.
+func openIn(path string) (io.ReadCloser, error) {
+	if path == "" {
+		return io.NopCloser(os.Stdin), nil
+	}
+	return os.Open(path)
+}
+
+// runBenchParse implements -bench-parse: bench text in, stage JSON out.
+func runBenchParse(inPath, outPath string) (int, error) {
+	r, err := openIn(inPath)
+	if err != nil {
+		return 1, err
+	}
+	defer r.Close()
+	rep, err := impact.ParseBench(r)
+	if err != nil {
+		return 1, err
+	}
+	if outPath == "" {
+		return 0, rep.WriteJSON(os.Stdout)
+	}
+	return 0, writeJSON(outPath, rep.WriteJSON)
+}
+
 // runStream implements -flaky-stream: detector only, no tree running.
 func runStream(inPath, outPath string, baseline *impact.Baseline) (int, error) {
-	var r io.Reader = os.Stdin
-	if inPath != "" {
-		f, err := os.Open(inPath)
-		if err != nil {
-			return 1, err
-		}
-		defer f.Close()
-		r = f
+	r, err := openIn(inPath)
+	if err != nil {
+		return 1, err
 	}
+	defer r.Close()
 	det := impact.NewFlakyDetector()
 	if err := det.Consume(r); err != nil {
 		return 1, err

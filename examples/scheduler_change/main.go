@@ -89,7 +89,7 @@ func run() error {
 	}
 	anOpts := analyzer.DefaultOptions()
 	anOpts.Clusters = 18
-	an, err := analyzer.Analyze(subDS, anOpts)
+	an, err := analyzer.AnalyzeContext(context.Background(), subDS, anOpts)
 	if err != nil {
 		return err
 	}

@@ -142,15 +142,11 @@ type Analysis struct {
 	AugmentedCols int
 }
 
-// Analyze runs the full Analyzer pipeline on a profiled dataset.
-func Analyze(ds *profiler.Dataset, opts Options) (*Analysis, error) {
-	return AnalyzeContext(context.Background(), ds, opts)
-}
-
-// AnalyzeContext is Analyze with span tracing: each stage (refine, PCA,
-// projection, cluster sweep, clustering, representative extraction)
-// records its own sub-span with the quantities the paper reports —
-// metric counts, PC count, k, Lloyd iterations.
+// AnalyzeContext runs the full Analyzer pipeline on a profiled dataset.
+// Each stage (refine, PCA, projection, cluster sweep, clustering,
+// representative extraction) records its own sub-span under the tracer
+// in ctx, with the quantities the paper reports — metric counts, PC
+// count, k, Lloyd iterations.
 func AnalyzeContext(ctx context.Context, ds *profiler.Dataset, opts Options) (*Analysis, error) {
 	if ds == nil || ds.Matrix == nil {
 		return nil, errors.New("analyzer: nil dataset")

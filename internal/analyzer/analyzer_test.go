@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -48,7 +49,7 @@ func testDataset(t *testing.T) *profiler.Dataset {
 }
 
 func TestAnalyzeValidation(t *testing.T) {
-	if _, err := Analyze(nil, DefaultOptions()); err == nil {
+	if _, err := AnalyzeContext(context.Background(), nil, DefaultOptions()); err == nil {
 		t.Error("nil dataset did not error")
 	}
 }
@@ -57,7 +58,7 @@ func TestAnalyzeFixedClusterCount(t *testing.T) {
 	ds := testDataset(t)
 	opts := DefaultOptions()
 	opts.Clusters = 18
-	an, err := Analyze(ds, opts)
+	an, err := AnalyzeContext(context.Background(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestAnalyzeRepresentativeInvariants(t *testing.T) {
 	ds := testDataset(t)
 	opts := DefaultOptions()
 	opts.Clusters = 18
-	an, err := Analyze(ds, opts)
+	an, err := AnalyzeContext(context.Background(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestAnalyzeWhitenedScoresUnitVariance(t *testing.T) {
 	ds := testDataset(t)
 	opts := DefaultOptions()
 	opts.Clusters = 12
-	an, err := Analyze(ds, opts)
+	an, err := AnalyzeContext(context.Background(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestAnalyzeSkipWhitenKeepsEigenScale(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Clusters = 12
 	opts.SkipWhiten = true
-	an, err := Analyze(ds, opts)
+	an, err := AnalyzeContext(context.Background(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestAnalyzeSkipRefineKeepsAllMetrics(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Clusters = 8
 	opts.SkipRefine = true
-	an, err := Analyze(ds, opts)
+	an, err := AnalyzeContext(context.Background(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestAnalyzeAutoClusterSweep(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SweepMin = 4
 	opts.SweepMax = 30
-	an, err := Analyze(ds, opts)
+	an, err := AnalyzeContext(context.Background(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +225,11 @@ func TestAnalyzeDeterministic(t *testing.T) {
 	ds := testDataset(t)
 	opts := DefaultOptions()
 	opts.Clusters = 10
-	a, err := Analyze(ds, opts)
+	a, err := AnalyzeContext(context.Background(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Analyze(ds, opts)
+	b, err := AnalyzeContext(context.Background(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestClusterCenterPCs(t *testing.T) {
 	ds := testDataset(t)
 	opts := DefaultOptions()
 	opts.Clusters = 6
-	an, err := Analyze(ds, opts)
+	an, err := AnalyzeContext(context.Background(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestAnalyzeHierarchicalMethod(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Clusters = 18
 	opts.Method = MethodHierarchical
-	an, err := Analyze(ds, opts)
+	an, err := AnalyzeContext(context.Background(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestAnalyzeHierarchicalMethod(t *testing.T) {
 	// SSE must be self-consistent and in the same ballpark as k-means.
 	kopts := DefaultOptions()
 	kopts.Clusters = 18
-	km, err := Analyze(ds, kopts)
+	km, err := AnalyzeContext(context.Background(), ds, kopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestAnalyzePerJobMetrics(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Clusters = 12
 	opts.PerJobMetrics = []string{workload.GraphAnalytics, workload.DataCaching}
-	an, err := Analyze(ds, opts)
+	an, err := AnalyzeContext(context.Background(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,11 +334,11 @@ func TestAnalyzePerJobMetricsUnknownJob(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Clusters = 8
 	opts.PerJobMetrics = []string{"nosuchjob"}
-	if _, err := Analyze(ds, opts); err == nil {
+	if _, err := AnalyzeContext(context.Background(), ds, opts); err == nil {
 		t.Error("unknown per-job metric did not error")
 	}
 	opts.PerJobMetrics = []string{""}
-	if _, err := Analyze(ds, opts); err == nil {
+	if _, err := AnalyzeContext(context.Background(), ds, opts); err == nil {
 		t.Error("empty per-job metric did not error")
 	}
 }

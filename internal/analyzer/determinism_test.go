@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -22,7 +23,7 @@ func TestAnalyzeWorkersGolden(t *testing.T) {
 		t.Helper()
 		o := opts
 		o.Workers = workers
-		an, err := Analyze(ds, o)
+		an, err := AnalyzeContext(context.Background(), ds, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,12 +63,12 @@ func TestAnalyzeSeedZeroStillWorks(t *testing.T) {
 	opts.Seed = 0
 	opts.Clusters = 8
 
-	a, err := Analyze(ds, opts)
+	a, err := AnalyzeContext(context.Background(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Workers = 4
-	b, err := Analyze(ds, opts)
+	b, err := AnalyzeContext(context.Background(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -196,7 +197,7 @@ func TestIncrementalValidation(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Clusters = 6
 	opts.PerJobMetrics = []string{workload.WebSearch}
-	augmented, err := Analyze(ds, opts)
+	augmented, err := AnalyzeContext(context.Background(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestIncrementalValidation(t *testing.T) {
 	}
 
 	opts.PerJobMetrics = nil
-	an, err := Analyze(ds, opts)
+	an, err := AnalyzeContext(context.Background(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

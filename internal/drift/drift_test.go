@@ -1,6 +1,7 @@
 package drift
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -53,7 +54,7 @@ func testFixture(t *testing.T) fixture {
 		}
 		opts := analyzer.DefaultOptions()
 		opts.Clusters = 16
-		fix.an, fix.err = analyzer.Analyze(fix.ds, opts)
+		fix.an, fix.err = analyzer.AnalyzeContext(context.Background(), fix.ds, opts)
 		if fix.err != nil {
 			return
 		}
@@ -186,7 +187,7 @@ func TestNewDetectorRejectsAugmentedAnalysis(t *testing.T) {
 	opts := analyzer.DefaultOptions()
 	opts.Clusters = 8
 	opts.PerJobMetrics = []string{workload.GraphAnalytics}
-	an, err := analyzer.Analyze(f.ds, opts)
+	an, err := analyzer.AnalyzeContext(context.Background(), f.ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"flare/internal/machine"
+	"flare/internal/parallel"
 	"flare/internal/perfscore"
 	"flare/internal/scenario"
 	"flare/internal/stats"
@@ -101,44 +100,22 @@ func (e *Evaluator) scenarioImpacts(feat machine.Feature) ([]perfscore.Impact, e
 	}
 
 	// Evaluate the population in parallel; evaluations are deterministic
-	// and indexed by scenario ID, so the result is order-independent.
-	impacts := make([]perfscore.Impact, e.set.Len())
-	workers := runtime.GOMAXPROCS(0)
-	if workers > e.set.Len() {
-		workers = e.set.Len()
-	}
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		next     atomic.Int64
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				id := int(next.Add(1)) - 1
-				if id >= e.set.Len() {
-					return
-				}
-				sc, err := e.set.Get(id)
-				if err != nil {
-					errOnce.Do(func() { firstErr = fmt.Errorf("evaluate: %w", err) })
-					return
-				}
-				imp, err := perfscore.EvaluateScenario(e.cfg, feat, sc, e.cat, e.inh, perfscore.Options{})
-				if err != nil {
-					errOnce.Do(func() { firstErr = fmt.Errorf("evaluate: %w", err) })
-					return
-				}
-				impacts[id] = imp
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	// and indexed by scenario ID, so the result is order-independent, and
+	// the lowest-ID error is reported whatever the scheduling.
+	n := e.set.Len()
+	impacts := make([]perfscore.Impact, n)
+	errs := make([]error, n)
+	parallel.For(parallel.Workers(0), n, func(id int) {
+		sc, err := e.set.Get(id)
+		if err == nil {
+			impacts[id], err = perfscore.EvaluateScenario(e.cfg, feat, sc, e.cat, e.inh, perfscore.Options{})
+		}
+		errs[id] = err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("evaluate: %w", err)
+		}
 	}
 
 	e.mu.Lock()

@@ -24,7 +24,7 @@ func (env *Env) ablationFeature() int { return 0 }
 // flareErrorWith re-analyzes the dataset with the given options and
 // returns FLARE's absolute all-job error against ground truth.
 func (env *Env) flareErrorWith(opts analyzer.Options) (absErr float64, reps int, err error) {
-	an, err := analyzer.Analyze(env.Dataset, opts)
+	an, err := analyzer.AnalyzeContext(context.TODO(), env.Dataset, opts)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -117,7 +117,7 @@ func AblationRefinement(env *Env) (*report.Table, error) {
 	for _, skip := range []bool{false, true} {
 		opts := env.baseAnalyzerOptions()
 		opts.SkipRefine = skip
-		an, err := analyzer.Analyze(env.Dataset, opts)
+		an, err := analyzer.AnalyzeContext(context.TODO(), env.Dataset, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -253,7 +253,7 @@ func AblationClusteringMethod(env *Env) (*report.Table, error) {
 	for _, method := range []analyzer.Method{analyzer.MethodKMeans, analyzer.MethodHierarchical} {
 		opts := env.baseAnalyzerOptions()
 		opts.Method = method
-		an, err := analyzer.Analyze(env.Dataset, opts)
+		an, err := analyzer.AnalyzeContext(context.TODO(), env.Dataset, opts)
 		if err != nil {
 			return nil, err
 		}

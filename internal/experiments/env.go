@@ -98,7 +98,7 @@ func NewEnv(opts EnvOptions) (*Env, error) {
 	anOpts := analyzer.DefaultOptions()
 	anOpts.Seed = opts.Seed
 	anOpts.Clusters = opts.Clusters
-	env.Analysis, err = analyzer.Analyze(env.Dataset, anOpts)
+	env.Analysis, err = analyzer.AnalyzeContext(context.TODO(), env.Dataset, anOpts)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: analysis: %w", err)
 	}

@@ -54,7 +54,7 @@ func ExtensionPerJobMetrics(env *Env) (*report.Table, error) {
 	}
 	opts := env.baseAnalyzerOptions()
 	opts.PerJobMetrics = []string{job}
-	augmented, err := analyzer.Analyze(env.Dataset, opts)
+	augmented, err := analyzer.AnalyzeContext(context.TODO(), env.Dataset, opts)
 	if err != nil {
 		return nil, err
 	}

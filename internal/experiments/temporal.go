@@ -31,7 +31,7 @@ func ExtensionTemporalMetrics(env *Env) (*report.Table, error) {
 	anOpts := analyzer.DefaultOptions()
 	anOpts.Seed = env.Opts.Seed
 	anOpts.Clusters = env.Analysis.Clustering.K
-	an, err := analyzer.Analyze(ds, anOpts)
+	an, err := analyzer.AnalyzeContext(context.TODO(), ds, anOpts)
 	if err != nil {
 		return nil, err
 	}

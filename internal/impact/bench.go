@@ -1,7 +1,6 @@
-// Benchmark-report parsing and comparison, library-ified from
-// cmd/benchjson so the two-tree impact runner (and any other tool) can
-// join per-stage timings without shelling out. cmd/benchjson remains as
-// a thin CLI over these functions.
+// Benchmark-report parsing and comparison: the two-tree impact runner
+// joins per-stage timings with these without shelling out, and
+// `flare-impact -bench-parse` is the CLI over the parser.
 package impact
 
 import (

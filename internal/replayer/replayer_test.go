@@ -51,7 +51,7 @@ func testFixture(t *testing.T) fixture {
 		}
 		opts := analyzer.DefaultOptions()
 		opts.Clusters = 18
-		fix.an, err = analyzer.Analyze(ds, opts)
+		fix.an, err = analyzer.AnalyzeContext(context.Background(), ds, opts)
 		if err != nil {
 			fix.err = err
 			return

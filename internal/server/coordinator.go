@@ -200,24 +200,17 @@ func (c *coordinator) fetch(ctx context.Context, tracer *obs.Tracer,
 	span.SetAttr("peer", owner)
 	span.SetAttr("feature", feat)
 
-	res := c.roundTrip(ctx, owner, feat, job)
-	br.Record(res.err)
-	if res.err != nil {
-		span.SetAttr("error", res.err.Error())
+	body, err := c.roundTrip(ctx, owner, feat, job)
+	br.Record(err)
+	if err != nil {
+		span.SetAttr("error", err.Error())
 	}
-	return res.body, res.err
+	return body, err
 }
 
-// peerResult carries roundTrip's outcome so fetch can record it on the
-// breaker and span in one place.
-type peerResult struct {
-	body []byte
-	err  error
-}
-
-func (c *coordinator) roundTrip(ctx context.Context, owner, feat, job string) peerResult {
+func (c *coordinator) roundTrip(ctx context.Context, owner, feat, job string) ([]byte, error) {
 	if err := c.cfg.Injector.Err("cluster.peer.request"); err != nil {
-		return peerResult{err: err}
+		return nil, err
 	}
 	q := url.Values{"feature": {feat}}
 	if job != "" {
@@ -226,22 +219,22 @@ func (c *coordinator) roundTrip(ctx context.Context, owner, feat, job string) pe
 	u := c.peers[owner].URL + "/api/estimate?" + q.Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return peerResult{err: err}
+		return nil, err
 	}
 	req.Header.Set(clusterForwardHeader, c.cfg.NodeID)
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return peerResult{err: err}
+		return nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
 	if err != nil {
-		return peerResult{err: err}
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return peerResult{err: fmt.Errorf("peer %s answered %d", owner, resp.StatusCode)}
+		return nil, fmt.Errorf("peer %s answered %d", owner, resp.StatusCode)
 	}
-	return peerResult{body: body}
+	return body, nil
 }
 
 // batchEstimateResponse is the /api/estimate/batch body. Estimates are
@@ -255,11 +248,12 @@ type batchEstimateResponse struct {
 
 // handleEstimateBatch serves GET /api/estimate/batch?features=a,b,c[&job=J].
 // Features are validated up front (no partial fan-out on a bad
-// request), then fanned out concurrently — remote features to their
-// ring owners, local ones through the singleflight cache — and merged
-// in request order. Without clustering every element is local and the
-// response bytes are identical, which is what the golden cluster test
-// pins down.
+// request), then every element goes through resolveEstimate
+// concurrently — remote features to their ring owners, local ones
+// through the singleflight cache — under one shared deadline, and the
+// elements are merged in request order. Without clustering every
+// element is local and the response bytes are identical, which is what
+// the golden cluster test pins down.
 func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return
@@ -281,101 +275,49 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	job := r.URL.Query().Get("job")
 
-	ctx := obs.WithTracer(r.Context(), s.tracer)
-	ctx, span := obs.StartSpan(ctx, "cluster.batch")
+	_, span := obs.StartSpan(obs.WithTracer(r.Context(), s.tracer), "cluster.batch")
 	defer span.End()
 	span.SetAttr("features", len(feats))
 	if s.cluster != nil {
 		s.reg.Counter("flare_cluster_batch_requests_total",
 			"batch estimate requests fanned out by the coordinator").Inc()
 	}
-	if s.opts.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
-		defer cancel()
-	}
 
-	elems := make([]elemResult, len(feats))
+	deadline := time.Now().Add(s.opts.RequestTimeout)
+	elems := make([]*estimateEntry, len(feats))
 	var wg sync.WaitGroup
 	for i := range feats {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			elems[i] = s.estimateElement(ctx, r, feats[i], job)
+			elems[i] = s.resolveEstimate(r, deadline, feats[i], job)
 		}(i)
 	}
 	wg.Wait()
 
-	// Deterministic error reporting: the lowest-index failure wins.
-	// Outcome counters (timeouts, degraded) are recorded HERE, at
-	// response-write time, so they count exactly what the client
-	// observes: one 503 per timed-out batch (not one per element that
-	// shared the deadline), and no degraded elements from batches that
-	// failed overall.
-	for i := range elems {
-		if elems[i].errMsg == "" {
-			continue
-		}
-		if elems[i].timedOut {
-			s.reg.Counter("flare_request_timeouts_total",
-				"estimate requests that hit RequestTimeout while waiting",
-				"route", "/api/estimate/batch").Inc()
-		}
-		if elems[i].status == http.StatusServiceUnavailable {
-			retryAfterHeader(w, time.Second)
-		}
-		writeError(w, elems[i].status, "feature %q: %s", feats[i].Name, elems[i].errMsg)
-		return
-	}
+	// The response is decided only after every element resolves, so the
+	// serve-time counters see exactly what the client observes: the
+	// lowest-index failure (one timeout per timed-out batch, not one per
+	// element that shared the deadline), and no degraded elements from
+	// batches that failed overall.
+	const route = "/api/estimate/batch"
 	out := make([]json.RawMessage, len(feats))
-	for i := range elems {
-		out[i] = elems[i].body
-		if elems[i].degraded {
-			s.countDegraded(estimateResponse{Degraded: true})
+	for i, e := range elems {
+		switch {
+		case e == nil:
+			w.WriteHeader(statusClientClosed)
+			return
+		case e.errMsg != "":
+			s.countServed(w, route, e)
+			writeError(w, e.status, "feature %q: %s", feats[i].Name, e.errMsg)
+			return
 		}
+		out[i] = e.body
+	}
+	for _, e := range elems {
+		s.countServed(w, route, e)
 	}
 	writeJSON(w, http.StatusOK, batchEstimateResponse{Job: job, Estimates: out})
-}
-
-// elemResult is one batch element's outcome. timedOut and degraded feed
-// the serve-time outcome counters in handleEstimateBatch.
-type elemResult struct {
-	body     json.RawMessage
-	status   int
-	errMsg   string
-	timedOut bool
-	degraded bool
-}
-
-// estimateElement resolves one batch element: remote via the ring owner
-// when possible, locally otherwise. The returned bytes are a compact
-// estimate JSON object. Outcome counters are the caller's job — a batch
-// is one request, and what it observes is decided only after every
-// element resolves.
-func (s *Server) estimateElement(ctx context.Context, r *http.Request,
-	feat machine.Feature, job string) elemResult {
-	if peerBody, ok := s.forwardEstimate(r, feat.Name, job); ok {
-		return elemResult{body: peerBody, status: http.StatusOK}
-	}
-	entry := s.lookupEstimate(feat, job)
-	select {
-	case <-entry.done:
-	case <-ctx.Done():
-		return elemResult{
-			status: http.StatusServiceUnavailable,
-			errMsg: fmt.Sprintf("estimate still computing after %s; retry later", s.opts.RequestTimeout),
-
-			timedOut: true,
-		}
-	}
-	if entry.errMsg != "" {
-		return elemResult{status: entry.status, errMsg: entry.errMsg}
-	}
-	b, err := json.Marshal(entry.resp)
-	if err != nil {
-		return elemResult{status: http.StatusInternalServerError, errMsg: err.Error()}
-	}
-	return elemResult{body: b, status: http.StatusOK, degraded: entry.resp.Degraded}
 }
 
 // clusterHealth is the /api/health "cluster" section.

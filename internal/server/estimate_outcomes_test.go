@@ -348,3 +348,70 @@ func wantOutcomeBody(t *testing.T, row outcomeRow, rt outcomeRoute, ref map[stri
 	}
 	return string(b) + "\n"
 }
+
+// TestEstimateCancelIsNotTimeout sends an estimate whose client hangs up
+// while the computation is still running. On both routes, with and
+// without RequestTimeout, the handler must return at once (freeing its
+// limiter slot) and must not count a server timeout.
+func TestEstimateCancelIsNotTimeout(t *testing.T) {
+	var all []string
+	for _, f := range machine.PaperFeatures() {
+		all = append(all, f.Name)
+	}
+	for _, rt := range []outcomeRoute{
+		{name: "single", feats: all[:1]},
+		{name: "batch", batch: true, feats: all},
+	} {
+		for _, timeout := range []time.Duration{0, 30 * time.Second} {
+			rt, timeout := rt, timeout
+			t.Run(fmt.Sprintf("%s/timeout=%s", rt.name, timeout), func(t *testing.T) {
+				in, err := fault.New(fault.MustParseSpec("server.estimate=latency@1:500ms"), 1, obs.NewRegistry())
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, _ := outcomeServer(t, Options{RequestTimeout: timeout, MaxConcurrent: 1, Injector: in})
+				t.Cleanup(func() { waitComputations(s) })
+				h := s.Handler()
+				before := outcomeCounters(t, s)
+
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				rec := httptest.NewRecorder()
+				served := make(chan struct{})
+				go func() {
+					defer close(served)
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, rt.path(""), nil).WithContext(ctx))
+				}()
+				// Hang up once every element's computation has started.
+				for {
+					s.mu.Lock()
+					started := len(s.cache)
+					s.mu.Unlock()
+					if started == len(rt.feats) {
+						break
+					}
+					time.Sleep(time.Millisecond)
+				}
+				cancel()
+				select {
+				case <-served:
+				case <-time.After(250 * time.Millisecond):
+					t.Fatal("handler still waiting on the estimate after its client hung up")
+				}
+				if rec.Code == http.StatusOK {
+					t.Error("cancelled request answered 200")
+				}
+				for series, n := range counterDeltas(before, outcomeCounters(t, s)) {
+					if strings.HasPrefix(series, "flare_request_timeouts_total") {
+						t.Errorf("%s moved by %d on a client hang-up", series, n)
+					}
+				}
+				next := httptest.NewRecorder()
+				h.ServeHTTP(next, httptest.NewRequest(http.MethodGet, "/api/summary", nil))
+				if next.Code != http.StatusOK {
+					t.Errorf("next request = %d, want 200 (limiter slot still held)", next.Code)
+				}
+			})
+		}
+	}
+}

@@ -143,31 +143,17 @@ func (s *Server) persistEstimate(resp estimateResponse) error {
 // last-known-good estimate for the key flagged degraded, or 503 with
 // Retry-After when the key has never been served successfully.
 func (s *Server) degrade(e *estimateEntry, key, why string) {
-	e.evict = true // degraded results are never cached: next request re-probes
 	s.mu.Lock()
 	lg, ok := s.lastGood[key]
 	s.mu.Unlock()
-	if ok {
-		e.resp = lg
-		e.resp.Degraded = true
-		e.status = http.StatusOK
+	if !ok {
+		e.fail(http.StatusServiceUnavailable, "estimate temporarily unavailable: "+why)
+		e.retryAfter = time.Second
 		return
 	}
-	e.status = http.StatusServiceUnavailable
-	e.retryAfter = true
-	e.errMsg = "estimate temporarily unavailable: " + why
-}
-
-// countDegraded records one degraded response at serve time. Counting
-// responses (not degrade computations) keeps flare_degraded_responses_total
-// equal to what clients actually observe: a single degraded singleflight
-// entry can satisfy many concurrent waiters, and each of those waiters
-// receives a degraded body.
-func (s *Server) countDegraded(resp estimateResponse) {
-	if resp.Degraded {
-		s.reg.Counter("flare_degraded_responses_total",
-			"estimates served from last-known-good while the store is unhealthy").Inc()
-	}
+	e.evict = true // degraded results are never cached: next request re-probes
+	lg.Degraded = true
+	e.succeed(lg)
 }
 
 // retryAfterHeader stamps the standard back-off hint on shed/degraded

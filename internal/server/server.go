@@ -304,6 +304,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, plan)
 }
 
+// writeBody emits an already-encoded JSON response.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
 // writeJSON emits a JSON response.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
@@ -318,8 +325,14 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// errorBody is msg's error response as writeJSON would emit it.
+func errorBody(msg string) []byte {
+	b, _ := json.Marshal(errorResponse{Error: msg}) // a lone string field always encodes
+	return append(b, '\n')
+}
+
 func writeError(w http.ResponseWriter, status int, format string, args ...interface{}) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+	writeBody(w, status, errorBody(fmt.Sprintf(format, args...)))
 }
 
 // requireGet guards non-GET methods.
@@ -475,21 +488,41 @@ type estimateResponse struct {
 	Degraded          bool    `json:"degraded,omitempty"`
 }
 
-// estimateEntry is one singleflight cache slot. The first request for a
-// key creates the entry and spawns the computation; every request for
-// the key (including the creator) then waits on done — with a deadline
-// when Options.RequestTimeout is set, so a wedged computation turns into
-// a bounded 503 instead of an unbounded hang. Requests for *different*
-// keys never contend.
+// estimateEntry is one estimate element's outcome, as both estimate
+// routes serve it. A singleflight cache slot is created by the first
+// request for its key, which spawns compute; compute fixes the response
+// (body bytes encoded once, status, Retry-After) before closing done, and
+// every waiter then relays those bytes. Forwarded and timed-out elements
+// get an uncached entry of their own. Requests for *different* keys never
+// contend.
 type estimateEntry struct {
 	epoch      uint64        // pipeline snapshot the estimate is computed from
 	done       chan struct{} // closed when compute finishes
 	computedAt time.Time     // staleness reference for EstimateRefresh
-	resp       estimateResponse
-	status     int    // non-200 when the computation failed
-	errMsg     string // set when the computation failed
-	evict      bool   // entry must not stay cached (failure or degraded)
-	retryAfter bool   // stamp Retry-After on the error response
+
+	body       []byte        // the response JSON and its trailing newline
+	status     int           // the response status
+	errMsg     string        // set when the estimate failed
+	degraded   bool          // served from last-known-good
+	retryAfter time.Duration // Retry-After to send; 0 sends none
+	timedOut   bool          // the request's deadline passed while waiting
+	evict      bool          // entry must not stay cached (failure or degraded)
+}
+
+// succeed resolves the entry with resp, encoded once for every waiter.
+func (e *estimateEntry) succeed(resp estimateResponse) {
+	body, err := json.Marshal(resp)
+	if err != nil {
+		e.fail(http.StatusInternalServerError, err.Error())
+		return
+	}
+	e.status, e.body, e.degraded = http.StatusOK, append(body, '\n'), resp.Degraded
+}
+
+// fail resolves the entry with an error response. Failures are never
+// cached.
+func (e *estimateEntry) fail(status int, msg string) {
+	e.status, e.errMsg, e.body, e.evict = status, msg, errorBody(msg), true
 }
 
 // compute runs the estimate on snap, journals it, and resolves the
@@ -516,9 +549,6 @@ func (e *estimateEntry) compute(s *Server, snap *core.Snapshot, feat machine.Fea
 	}
 	span.SetAttr("epoch", snap.Epoch)
 
-	e.status = http.StatusOK
-	e.resp = estimateResponse{Feature: feat.Name, Description: feat.Description, Job: job}
-
 	// The store's health gates fresh estimates: while the breaker is open
 	// the journal is known-bad, so skip straight to degraded service.
 	if err := s.opts.Breaker.Allow(); err != nil {
@@ -526,39 +556,34 @@ func (e *estimateEntry) compute(s *Server, snap *core.Snapshot, feat machine.Fea
 		return
 	}
 	// Injected faults on the estimate path itself (latency faults here
-	// exercise RequestTimeout).
-	if err := s.opts.Injector.Err("server.estimate"); err != nil {
-		e.evict = true
-		e.status = http.StatusInternalServerError
-		e.errMsg = fmt.Sprintf("estimation failed: %v", err)
+	// exercise RequestTimeout). A failed all-job estimate is a server
+	// error; a failed per-job one names a job the analysis cannot
+	// estimate, such as an LP job.
+	status := http.StatusInternalServerError
+	var est *replayer.Estimate
+	err := s.opts.Injector.Err("server.estimate")
+	switch {
+	case err != nil:
+	case job == "":
+		est, err = snap.EvaluateFeature(ctx, feat)
+	default:
+		status = http.StatusBadRequest
+		var je *replayer.JobEstimate
+		if je, err = snap.EvaluateFeatureForJob(ctx, feat, job); err == nil {
+			est = &je.Estimate
+		}
+	}
+	if err != nil {
+		e.fail(status, fmt.Sprintf("estimation failed: %v", err))
 		return
 	}
-	if job == "" {
-		est, err := snap.EvaluateFeature(ctx, feat)
-		if err != nil {
-			e.evict = true
-			e.status = http.StatusInternalServerError
-			e.errMsg = fmt.Sprintf("estimation failed: %v", err)
-			return
-		}
-		e.resp.ReductionPct = est.ReductionPct
-		e.resp.ScenariosReplayed = est.ScenariosReplayed
-	} else {
-		est, err := snap.EvaluateFeatureForJob(ctx, feat, job)
-		if err != nil {
-			e.evict = true
-			e.status = http.StatusBadRequest
-			e.errMsg = fmt.Sprintf("estimation failed: %v", err)
-			return
-		}
-		e.resp.ReductionPct = est.ReductionPct
-		e.resp.ScenariosReplayed = est.ScenariosReplayed
-	}
+	resp := estimateResponse{Feature: feat.Name, Description: feat.Description, Job: job,
+		ReductionPct: est.ReductionPct, ScenariosReplayed: est.ScenariosReplayed}
 
 	// Journal the estimate; persistence failures feed the breaker and
 	// degrade the response rather than erroring — an estimate the server
 	// cannot audit is served from last-known-good instead.
-	perr := s.persistEstimate(e.resp)
+	perr := s.persistEstimate(resp)
 	s.opts.Breaker.Record(perr)
 	if perr != nil {
 		s.degrade(e, key, "journaling estimate failed")
@@ -566,8 +591,9 @@ func (e *estimateEntry) compute(s *Server, snap *core.Snapshot, feat machine.Fea
 	}
 	e.computedAt = time.Now()
 	s.mu.Lock()
-	s.lastGood[key] = e.resp
+	s.lastGood[key] = resp
 	s.mu.Unlock()
+	e.succeed(resp)
 }
 
 // lookupEstimate resolves the singleflight cache slot for (feat, job),
@@ -614,6 +640,65 @@ func (e *estimateEntry) finished() bool {
 	}
 }
 
+// statusClientClosed records a request whose client hung up before its
+// estimate resolved (nginx's 499): it is neither a success nor a server
+// timeout, and nobody reads the response.
+const statusClientClosed = 499
+
+// resolveEstimate is the one resolver behind both estimate routes. It
+// relays the ring owner's bytes when a peer owns feat; otherwise it looks
+// up the local singleflight entry and, unless that has already finished,
+// waits on it until deadline (when RequestTimeout is set) or until the
+// client hangs up, which returns nil.
+func (s *Server) resolveEstimate(r *http.Request, deadline time.Time,
+	feat machine.Feature, job string) *estimateEntry {
+	if body, ok := s.forwardEstimate(r, feat.Name, job); ok {
+		return &estimateEntry{body: body, status: http.StatusOK}
+	}
+	e := s.lookupEstimate(feat, job)
+	if e.finished() {
+		return e
+	}
+	var expired <-chan time.Time
+	if s.opts.RequestTimeout > 0 {
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		expired = timer.C
+	}
+	select {
+	case <-e.done:
+		return e
+	case <-r.Context().Done():
+		return nil
+	case <-expired:
+		late := &estimateEntry{timedOut: true, retryAfter: s.opts.RequestTimeout}
+		late.fail(http.StatusServiceUnavailable,
+			fmt.Sprintf("estimate still computing after %s; retry later", s.opts.RequestTimeout))
+		return late
+	}
+}
+
+// countServed records at serve time what a response reports for one
+// element: a deadline timeout, a degraded estimate, and the Retry-After
+// to stamp. Counting served responses, not computations, keeps the
+// counters equal to what clients observe — one singleflight entry can
+// answer many waiters. A forwarded element counts nothing here: its
+// owner counted it.
+func (s *Server) countServed(w http.ResponseWriter, route string, e *estimateEntry) {
+	if e.timedOut {
+		s.reg.Counter("flare_request_timeouts_total",
+			"estimate requests that hit RequestTimeout while waiting",
+			"route", route).Inc()
+	}
+	if e.degraded {
+		s.reg.Counter("flare_degraded_responses_total",
+			"estimates served from last-known-good while the store is unhealthy").Inc()
+	}
+	if e.retryAfter > 0 {
+		retryAfterHeader(w, e.retryAfter)
+	}
+}
+
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return
@@ -628,44 +713,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown feature %q", featName)
 		return
 	}
-	job := r.URL.Query().Get("job")
-
-	// Cluster routing: when a peer owns this feature, relay its response
-	// verbatim. Failed forwards fall through to the local path below —
-	// deterministic pipelines make the fallback bytes identical.
-	if body, ok := s.forwardEstimate(r, featName, job); ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(body)
+	e := s.resolveEstimate(r, time.Now().Add(s.opts.RequestTimeout), feat, r.URL.Query().Get("job"))
+	if e == nil {
+		w.WriteHeader(statusClientClosed)
 		return
 	}
-
-	entry := s.lookupEstimate(feat, job)
-	if s.opts.RequestTimeout > 0 {
-		timer := time.NewTimer(s.opts.RequestTimeout)
-		defer timer.Stop()
-		select {
-		case <-entry.done:
-		case <-timer.C:
-			s.reg.Counter("flare_request_timeouts_total",
-				"estimate requests that hit RequestTimeout while waiting",
-				"route", "/api/estimate").Inc()
-			retryAfterHeader(w, s.opts.RequestTimeout)
-			writeError(w, http.StatusServiceUnavailable,
-				"estimate still computing after %s; retry later", s.opts.RequestTimeout)
-			return
-		}
-	} else {
-		<-entry.done
-	}
-
-	if entry.errMsg != "" {
-		if entry.retryAfter {
-			retryAfterHeader(w, time.Second)
-		}
-		writeError(w, entry.status, "%s", entry.errMsg)
-		return
-	}
-	s.countDegraded(entry.resp)
-	writeJSON(w, http.StatusOK, entry.resp)
+	s.countServed(w, "/api/estimate", e)
+	writeBody(w, e.status, e.body)
 }
