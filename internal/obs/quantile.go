@@ -5,7 +5,10 @@
 // estimate quantiles from the delta's bucket counts.
 package obs
 
-import "sort"
+import (
+	"sort"
+	"sync/atomic"
+)
 
 // NewHistogram returns a standalone histogram that is not attached to
 // any registry. Load generators and other client-side tools use it to
@@ -20,7 +23,7 @@ func NewHistogram(buckets []float64) *Histogram {
 	b := make([]float64, len(buckets))
 	copy(b, buckets)
 	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
+	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
 }
 
 // HistogramState is a point-in-time copy of a histogram's cumulative

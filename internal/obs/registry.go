@@ -10,8 +10,12 @@
 //
 // The registry is safe for concurrent use. Metric identity is the metric
 // name plus an optional set of label pairs; repeated registrations of the
-// same identity return the same instrument, so hot paths can call
-// Registry.Counter(...)/Histogram(...) inline without caching handles.
+// same identity return the same instrument. A lookup renders the label
+// set and takes the registry and family mutexes, so per-request paths
+// resolve their instruments once and keep the handle (the Tracer caches
+// each stage's histogram by span name; the server's middleware caches
+// per-route series on first use). Instruments themselves are lock-free:
+// counters and gauges are atomics, histograms atomic buckets.
 //
 // There is no process-wide registry: every process root creates one with
 // NewRegistry and passes it on. A nil *Registry records nothing — its
@@ -75,65 +79,62 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add increments the gauge by delta (compare-and-swap loop).
-func (g *Gauge) Add(delta float64) {
+// Add increments the gauge by delta.
+func (g *Gauge) Add(delta float64) { addFloat(&g.bits, delta) }
+
+// Value returns the current value.
+func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+
+// addFloat adds delta to the float64 stored as bits (compare-and-swap
+// loop).
+func addFloat(bits *atomic.Uint64, delta float64) {
 	for {
-		old := g.bits.Load()
+		old := bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
+		if bits.CompareAndSwap(old, next) {
 			return
 		}
 	}
 }
 
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Histogram is a fixed-bucket cumulative histogram.
+// Histogram is a fixed-bucket cumulative histogram. Observe is
+// lock-free: bucket counts are atomic and the sum is a CAS loop. The
+// sample count is the bucket total, so _count always equals the +Inf
+// bucket.
 type Histogram struct {
-	mu      sync.Mutex
-	bounds  []float64 // ascending upper bounds, +Inf implicit
-	counts  []uint64  // per-bucket (non-cumulative) counts, len(bounds)+1
-	sum     float64
-	samples uint64
+	bounds  []float64       // ascending upper bounds, +Inf implicit
+	counts  []atomic.Uint64 // per-bucket (non-cumulative) counts, len(bounds)+1
+	sumBits atomic.Uint64   // float64 bits of the sample sum
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i]++
-	h.sum += v
-	h.samples++
+	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1) // first bound >= v
+	addFloat(&h.sumBits, v)
 }
 
 // Count returns the number of observed samples.
 func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.samples
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // Sum returns the sum of observed samples.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// snapshot returns bounds plus cumulative bucket counts (including +Inf).
+// snapshot returns bounds plus cumulative bucket counts (including +Inf,
+// which is also the returned count).
 func (h *Histogram) snapshot() (bounds []float64, cumulative []uint64, sum float64, count uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	bounds = h.bounds
 	cumulative = make([]uint64, len(h.counts))
 	var acc uint64
-	for i, c := range h.counts {
-		acc += c
+	for i := range h.counts {
+		acc += h.counts[i].Load()
 		cumulative[i] = acc
 	}
-	return bounds, cumulative, h.sum, h.samples
+	return h.bounds, cumulative, h.Sum(), acc
 }
 
 // DefaultLatencyBuckets spans 100µs to 60s, suitable both for HTTP
@@ -271,22 +272,10 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 // registry it returns a detached histogram.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
 	if r == nil {
-		return newHistogram(buckets)
+		return NewHistogram(buckets)
 	}
 	f := r.family(name, help, typeHistogram)
-	return f.get(labels, func() interface{} { return newHistogram(buckets) }).(*Histogram)
-}
-
-// newHistogram builds an empty histogram over a sorted copy of buckets
-// (nil means DefaultLatencyBuckets).
-func newHistogram(buckets []float64) *Histogram {
-	if buckets == nil {
-		buckets = DefaultLatencyBuckets()
-	}
-	b := make([]float64, len(buckets))
-	copy(b, buckets)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
+	return f.get(labels, func() interface{} { return NewHistogram(buckets) }).(*Histogram)
 }
 
 // sortedFamilies returns families sorted by name for deterministic

@@ -74,10 +74,8 @@ func (s *Span) End() {
 	if s.tracer != nil {
 		// A nil registry would build a detached histogram per span only
 		// to drop it; skip that allocation on the hot path.
-		if reg := s.tracer.reg; reg != nil {
-			reg.Histogram(StageHistogram,
-				"duration of FLARE pipeline stages and server operations by span name",
-				nil, "stage", name).Observe(d.Seconds())
+		if s.tracer.reg != nil {
+			s.tracer.stageHistogram(name).Observe(d.Seconds())
 		}
 		if s.parent == nil {
 			s.tracer.recordRoot(s)
@@ -161,6 +159,7 @@ const DefaultTraceCapacity = 32
 type Tracer struct {
 	reg     *Registry
 	dropped *Counter
+	stages  sync.Map // span name -> *Histogram, resolved once per name
 
 	mu   sync.Mutex
 	ring []*Span // fixed ring storage, nil slots until first wrap
@@ -193,6 +192,19 @@ func (t *Tracer) Registry() *Registry {
 		return nil
 	}
 	return t.reg
+}
+
+// stageHistogram returns the StageHistogram series for a span name,
+// resolving it through the registry only the first time the name ends.
+func (t *Tracer) stageHistogram(name string) *Histogram {
+	if h, ok := t.stages.Load(name); ok {
+		return h.(*Histogram)
+	}
+	h := t.reg.Histogram(StageHistogram,
+		"duration of FLARE pipeline stages and server operations by span name",
+		nil, "stage", name)
+	t.stages.Store(name, h)
+	return h
 }
 
 // Capacity returns the ring's fixed root-span retention.

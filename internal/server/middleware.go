@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"flare/internal/obs"
@@ -39,6 +41,34 @@ func (s *Server) nextRequestID() string {
 	return s.reqBase + "-" + strconv.FormatUint(s.reqSeq.Add(1), 10)
 }
 
+// routeMetrics holds one route's request telemetry series. Each is
+// resolved through the registry on first use — so a series still first
+// appears with the request that first reports it — and reused after.
+type routeMetrics struct {
+	reg      *obs.Registry
+	route    string
+	duration atomic.Pointer[obs.Histogram]
+	requests sync.Map // status code -> *obs.Counter
+}
+
+// observe counts one served request and records its latency.
+func (m *routeMetrics) observe(status int, elapsed time.Duration) {
+	c, ok := m.requests.Load(status)
+	if !ok {
+		c, _ = m.requests.LoadOrStore(status, m.reg.Counter("flare_http_requests_total",
+			"HTTP requests served by route and status code",
+			"route", m.route, "code", strconv.Itoa(status)))
+	}
+	c.(*obs.Counter).Inc()
+	h := m.duration.Load()
+	if h == nil {
+		h = m.reg.Histogram("flare_http_request_duration_seconds",
+			"HTTP request latency by route", nil, "route", m.route)
+		m.duration.Store(h)
+	}
+	h.Observe(elapsed.Seconds())
+}
+
 // instrument wraps a handler with the request-telemetry middleware: a
 // per-route latency histogram, a per-route/status counter, and — for
 // traced routes — a request ID, a root span capturing the request's
@@ -48,6 +78,7 @@ func (s *Server) nextRequestID() string {
 // request.
 func (s *Server) instrument(route string, next http.Handler) http.Handler {
 	traced := tracedRoute(route)
+	metrics := &routeMetrics{reg: s.reg, route: route}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
@@ -70,12 +101,7 @@ func (s *Server) instrument(route string, next http.Handler) http.Handler {
 
 		defer func() {
 			elapsed := time.Since(start)
-			s.reg.Counter("flare_http_requests_total",
-				"HTTP requests served by route and status code",
-				"route", route, "code", strconv.Itoa(sw.status)).Inc()
-			s.reg.Histogram("flare_http_request_duration_seconds",
-				"HTTP request latency by route", nil,
-				"route", route).Observe(elapsed.Seconds())
+			metrics.observe(sw.status, elapsed)
 			if span != nil {
 				span.SetAttr("status", sw.status)
 				span.End()

@@ -703,7 +703,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return
 	}
-	featName := r.URL.Query().Get("feature")
+	q := r.URL.Query()
+	featName := q.Get("feature")
 	if featName == "" {
 		writeError(w, http.StatusBadRequest, "missing feature parameter")
 		return
@@ -713,7 +714,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown feature %q", featName)
 		return
 	}
-	e := s.resolveEstimate(r, time.Now().Add(s.opts.RequestTimeout), feat, r.URL.Query().Get("job"))
+	e := s.resolveEstimate(r, time.Now().Add(s.opts.RequestTimeout), feat, q.Get("job"))
 	if e == nil {
 		w.WriteHeader(statusClientClosed)
 		return
