@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -240,6 +241,12 @@ func TestConcurrentRegistryAccess(t *testing.T) {
 	}
 	if got := r.Histogram("flare_conc_seconds", "h", nil).Count(); got != workers*iters {
 		t.Errorf("histogram count = %d, want %d", got, workers*iters)
+	}
+	// Every worker observes i/100 for i < iters; the CAS-added sum may
+	// differ from the closed form only by float rounding.
+	wantSum := float64(workers) * float64(iters*(iters-1)/2) / 100
+	if got := r.Histogram("flare_conc_seconds", "h", nil).Sum(); math.Abs(got-wantSum) > 1e-6 {
+		t.Errorf("histogram sum = %v, want %v", got, wantSum)
 	}
 	if got := r.Gauge("flare_conc_gauge", "g").Value(); got != workers*iters {
 		t.Errorf("gauge = %v, want %d", got, workers*iters)

@@ -228,4 +228,8 @@ func TestConcurrentSpans(t *testing.T) {
 	if len(snap) != 1 || len(snap[0].Children) != 8*50 {
 		t.Fatalf("root children = %d, want 400", len(snap[0].Children))
 	}
+	// Workers resolving the stage histogram concurrently share one series.
+	if got := reg.Histogram(StageHistogram, "", nil, "stage", "worker").Count(); got != 8*50 {
+		t.Errorf("worker stage count = %d, want 400", got)
+	}
 }
