@@ -72,11 +72,7 @@ func (s *Span) End() {
 	s.mu.Unlock()
 
 	if s.tracer != nil {
-		// A nil registry would build a detached histogram per span only
-		// to drop it; skip that allocation on the hot path.
-		if s.tracer.reg != nil {
-			s.tracer.stageHistogram(name).Observe(d.Seconds())
-		}
+		s.tracer.stageHistogram(name).Observe(d.Seconds())
 		if s.parent == nil {
 			s.tracer.recordRoot(s)
 		}
@@ -195,7 +191,8 @@ func (t *Tracer) Registry() *Registry {
 }
 
 // stageHistogram returns the StageHistogram series for a span name,
-// resolving it through the registry only the first time the name ends.
+// resolving it through the registry only the first time the name ends
+// (on a nil registry, one detached histogram per name).
 func (t *Tracer) stageHistogram(name string) *Histogram {
 	if h, ok := t.stages.Load(name); ok {
 		return h.(*Histogram)
