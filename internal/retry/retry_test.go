@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -148,6 +149,38 @@ func TestFirstTrySuccessDoesNoJitterWork(t *testing.T) {
 	perCall := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
 	if perCall > 1024 {
 		t.Errorf("first-try Do allocates %d B in %v allocs per call, want <= 1 KiB (no jitter source)", perCall, allocs)
+	}
+}
+
+func TestRetryMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := Policy{MaxAttempts: 3, Registry: reg, Name: "journal",
+		Sleep: func(time.Duration) {}}
+	_ = p.Do(context.Background(), func() error { return errors.New("x") })
+	if got := reg.Counter("flare_retry_attempts_total", "", "op", "journal").Value(); got != 3 {
+		t.Errorf("attempts = %d, want 3", got)
+	}
+	if got := reg.Counter("flare_retry_giveups_total", "", "op", "journal").Value(); got != 1 {
+		t.Errorf("giveups = %d, want 1", got)
+	}
+
+	// A first-try success still registers all three series, so the
+	// zero-valued retries and giveups appear on /metrics.
+	reg = obs.NewRegistry()
+	p.Registry = reg
+	_ = p.Do(context.Background(), func() error { return nil })
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`flare_retry_attempts_total{op="journal"} 1`,
+		`flare_retry_retries_total{op="journal"} 0`,
+		`flare_retry_giveups_total{op="journal"} 0`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q in:\n%s", want, b.String())
+		}
 	}
 }
 
