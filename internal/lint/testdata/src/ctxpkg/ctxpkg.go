@@ -72,3 +72,11 @@ func (r *rpc) exempted(ctx context.Context) {
 	defer cancel()
 	r.call(c)
 }
+
+// reasonless names the analyzer but gives no reason, so the directive
+// suppresses nothing: the reason is the audit trail.
+func (r *rpc) reasonless(ctx context.Context) {
+	//lint:exempt ctxflow
+	time.Sleep(time.Millisecond) // want "time.Sleep ignores ctx cancellation"
+	r.call(ctx)
+}
