@@ -19,7 +19,7 @@ import (
 // Analyzer describes one invariant checker.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and flags
-	// (lowercase identifier, e.g. "detrand").
+	// (lowercase identifier, e.g. "ctxflow").
 	Name string
 
 	// Doc is the help text: first line is a one-sentence summary.
@@ -65,8 +65,8 @@ type Diagnostic struct {
 }
 
 // RelatedInformation is a secondary location attached to a diagnostic —
-// locksafe uses it to point at the second lock site of an inverted
-// acquisition order.
+// ctxflow uses it to point at where a function that ignores its ctx
+// blocks.
 type RelatedInformation struct {
 	Pos     token.Pos
 	End     token.Pos

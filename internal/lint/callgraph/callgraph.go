@@ -4,14 +4,13 @@
 // them. Calls into other packages are deliberately absent — they are
 // leaf facts the summary layer classifies from signatures and import
 // paths alone — which keeps the graph buildable from a single
-// type-checked package, exactly what both the standalone loader and the
-// `go vet -vettool` unit protocol hand us.
+// type-checked package, exactly what the loader hands us.
 //
 // Function literals do not get nodes of their own: a literal's body is
 // attributed to the function that lexically contains it. That is a
 // deliberate over-approximation (a stored callback may never run) that
 // errs on the side of recording effects, which is the right polarity
-// for every client analyzer: a summary that claims too much produces a
+// for the blocking summary: a summary that claims too much produces a
 // finding a human reviews, a summary that claims too little silently
 // waives an invariant.
 package callgraph
@@ -94,15 +93,6 @@ func Callee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
 	return fn
-}
-
-// Node returns the graph node for fn, or nil if fn is not declared with
-// a body in this package.
-func (g *Graph) Node(fn *types.Func) *Node {
-	if fn == nil {
-		return nil
-	}
-	return g.nodes[fn]
 }
 
 // Nodes returns every node in declaration order.

@@ -1,7 +1,7 @@
 // Package lint assembles FLARE's invariant analyzers into a runnable
-// suite. The tools/flarelint multichecker (its own module, so this one
-// stays dependency-free) is a thin wrapper over Run; tests drive the
-// same code against the repository itself.
+// suite. The tools/flarelint command (its own module, so this one stays
+// dependency-free) is a thin wrapper over Run; tests drive the same
+// code against the repository itself.
 package lint
 
 import (
@@ -11,48 +11,27 @@ import (
 
 	"flare/internal/lint/analysis"
 	"flare/internal/lint/ctxflow"
-	"flare/internal/lint/detrand"
-	"flare/internal/lint/goroleak"
 	"flare/internal/lint/load"
-	"flare/internal/lint/locksafe"
-	"flare/internal/lint/maporder"
 	"flare/internal/lint/metricname"
 	"flare/internal/lint/spanend"
-	"flare/internal/lint/syncerr"
 )
 
-// Suite returns the eight FLARE analyzers in diagnostic order: the
-// intraprocedural determinism/telemetry checks first, then the
-// summary-driven concurrency-safety analyzers.
+// Suite returns the three FLARE analyzers in diagnostic order: the
+// intraprocedural telemetry checks first, then the summary-driven
+// context-propagation check.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		detrand.Analyzer,
-		maporder.Analyzer,
 		metricname.Analyzer,
 		spanend.Analyzer,
-		syncerr.Analyzer,
 		ctxflow.Analyzer,
-		goroleak.Analyzer,
-		locksafe.Analyzer,
 	}
-}
-
-// ByName returns the named analyzer from the suite, or nil.
-func ByName(name string) *analysis.Analyzer {
-	for _, a := range Suite() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // Finding is one diagnostic with resolved source positions, the
 // JSON-stable shape `flarelint -json` emits. End, when present, closes
 // the half-open span the finding covers; URL links the invariant's
-// documentation; Related carries secondary locations (locksafe's
-// counter-edge of a lock-order inversion, goroleak's unstoppable
-// loop).
+// documentation; Related carries secondary locations (ctxflow's
+// blocking site behind an ignored ctx).
 type Finding struct {
 	Analyzer string           `json:"analyzer"`
 	URL      string           `json:"url,omitempty"`
@@ -96,7 +75,7 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Findi
 	var findings []Finding
 	regsByPkg := make(map[string][]metricname.Registration)
 	for _, pkg := range pkgs {
-		res, fs, err := RunPackage(pkg, analyzers)
+		res, fs, err := runPackage(pkg, analyzers)
 		if err != nil {
 			return nil, err
 		}
@@ -117,9 +96,9 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Findi
 	return findings, nil
 }
 
-// RunPackage applies the analyzers to one loaded package, returning
+// runPackage applies the analyzers to one loaded package, returning
 // per-analyzer results and position-resolved findings.
-func RunPackage(pkg *load.Package, analyzers []*analysis.Analyzer) (map[string]interface{}, []Finding, error) {
+func runPackage(pkg *load.Package, analyzers []*analysis.Analyzer) (map[string]interface{}, []Finding, error) {
 	results := make(map[string]interface{}, len(analyzers))
 	var findings []Finding
 	for _, a := range analyzers {
@@ -140,7 +119,6 @@ func RunPackage(pkg *load.Package, analyzers []*analysis.Analyzer) (map[string]i
 		}
 		results[a.Name] = res
 	}
-	sortFindings(findings)
 	return results, findings, nil
 }
 

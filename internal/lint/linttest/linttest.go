@@ -52,10 +52,7 @@ var (
 
 // stdPackages is the stdlib surface fixtures are allowed to import.
 // Extend the list when a new fixture needs more.
-var stdPackages = []string{
-	"bufio", "bytes", "context", "encoding/json", "fmt", "io", "net",
-	"os", "math/rand", "math/rand/v2", "sort", "strings", "sync", "time",
-}
+var stdPackages = []string{"context", "time"}
 
 func stdlib(t TB) map[string]string {
 	stdOnce.Do(func() {

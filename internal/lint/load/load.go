@@ -103,22 +103,6 @@ func findExport(all []listPkg, path string) (string, bool) {
 	return "", false
 }
 
-// LoadFiles type-checks one package given explicit source files and an
-// import-path→export-file map. This is the `go vet -vettool` entry
-// point: vet's cfg file supplies exactly these inputs.
-func LoadFiles(pkgPath string, files []string, exports map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	imp := NewExportImporter(fset, exports)
-	return check(fset, imp, pkgPath, filepath.Dir(firstOr(files, ".")), files)
-}
-
-func firstOr(s []string, def string) string {
-	if len(s) > 0 {
-		return s[0]
-	}
-	return def
-}
-
 func absFiles(dir string, names []string) []string {
 	out := make([]string, len(names))
 	for i, n := range names {
@@ -168,8 +152,7 @@ func check(fset *token.FileSet, imp types.Importer, pkgPath, dir string, files [
 }
 
 // NewExportImporter returns a types.Importer resolving import paths via
-// compiler export data files (as produced by `go list -export` or named
-// in a vet cfg's PackageFile map).
+// compiler export data files (as produced by `go list -export`).
 func NewExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		exp, ok := exports[path]

@@ -1,29 +1,20 @@
-// Package summary computes per-function effect summaries over the
-// package-level call graph: which lock classes a function acquires,
-// whether it can block (channel operations, time.Sleep, net I/O,
-// store/metricdb fsync paths), whether it reads the wall clock, whether
-// it writes to an ordered sink, and whether it can run forever. Facts
-// are computed bottom-up over the SCC condensation of the call graph
-// (see callgraph.SCCs), so a caller's summary folds in everything its
+// Package summary computes the one interprocedural fact ctxflow needs:
+// whether a function can block (channel operations, time.Sleep, net
+// I/O, store/metricdb fsync paths), and where. Facts are computed
+// bottom-up over the SCC condensation of the package call graph (see
+// callgraph.SCCs), so a caller's summary folds in everything its
 // in-package callees do, with mutual recursion handled by unioning
 // facts across each component.
 //
-// The summaries are the shared substrate of the interprocedural
-// analyzers: locksafe walks function bodies with a held-lock set and
-// consults callee summaries at every call, goroleak asks whether a
-// spawned function can ever stop, ctxflow asks whether a function
-// blocks, and detrand/maporder use the clock/ordered-write facts to see
-// one level (and further) through helper calls. Everything here is an
-// over-approximation by design: a summary that claims too much produces
-// a finding a human reviews; one that claims too little silently waives
-// an invariant.
+// Everything here is an over-approximation by design: a summary that
+// claims too much produces a finding a human reviews; one that claims
+// too little silently waives an invariant.
 package summary
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sync"
 
 	"flare/internal/lint/analysis"
 	"flare/internal/lint/callgraph"
@@ -42,19 +33,6 @@ type BlockSite struct {
 	Via      *types.Func
 }
 
-// LockSite is one lock-class acquisition. Class is a stable identity
-// for the mutex — "(*Shipper).mu" for fields keyed by receiver type,
-// "pkg.mu" for package-level vars, "func.mu" for function locals — so
-// two acquisitions through different instances of the same field
-// compare equal, which is exactly the granularity deadlock ordering
-// cares about.
-type LockSite struct {
-	Class    string
-	Read     bool // RLock rather than Lock
-	Pos, End token.Pos
-	Via      *types.Func
-}
-
 // FuncSummary is the transitive effect summary of one function.
 type FuncSummary struct {
 	Func *types.Func
@@ -65,51 +43,9 @@ type FuncSummary struct {
 	// excluded: they block the spawned goroutine, not the caller.
 	Blocks []BlockSite
 
-	// Acquires lists the lock classes acquired anywhere inside
-	// (including inside go-launched literals — a concurrently
-	// acquired lock still participates in deadlock ordering),
-	// deduplicated by class.
-	Acquires []LockSite
-
-	// CallsClock is set when time.Now/time.Since is reachable;
-	// ClockAt/ClockVia locate the root read for diagnostics.
-	CallsClock bool
-	ClockAt    token.Pos
-	ClockVia   *types.Func
-
-	// WritesOrdered is set when an ordered sink (writer/encoder
-	// method, fmt.Fprint*, metric mutation) is reachable.
-	WritesOrdered bool
-	WriteAt       token.Pos
-	WriteWhat     string
-	WriteVia      *types.Func
-
-	// RunsForever is set when the function contains (or transitively
-	// calls, outside any go statement) an infinite for-loop with no
-	// break, return, or terminating call — i.e. it can never return.
-	RunsForever bool
-	ForeverAt   token.Pos
-	ForeverVia  *types.Func
-
-	calls []callRef
-}
-
-// callRef is one in-package call with the context the effect
-// propagation needs.
-type callRef struct {
-	fn   *types.Func
-	pos  token.Pos
-	inGo bool // made inside a go-launched function literal
-}
-
-// AcquiresClass reports whether the summary acquires the lock class.
-func (s *FuncSummary) AcquiresClass(class string) bool {
-	for _, a := range s.Acquires {
-		if a.Class == class {
-			return true
-		}
-	}
-	return false
+	// calls lists the in-package callees invoked synchronously (not
+	// from a go-launched literal), deduplicated, in source order.
+	calls []*types.Func
 }
 
 // Set holds the summaries of one package.
@@ -127,32 +63,8 @@ func (s *Set) Of(fn *types.Func) *FuncSummary {
 	return s.byFunc[fn]
 }
 
-// cache keyed by type-checked package: the five analyzers that consume
-// summaries each get their own Pass, but share pkg.Types, so one
-// computation serves the whole suite. Bounded: a long-lived driver
-// (tests loading many fixture packages) resets rather than grows.
-var (
-	cacheMu sync.Mutex
-	cache   = make(map[*types.Package]*Set)
-)
-
-// For returns the summary set of the pass's package, computing it on
-// first use.
+// For computes the summary set of the pass's package.
 func For(pass *analysis.Pass) *Set {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if s, ok := cache[pass.Pkg]; ok {
-		return s
-	}
-	if len(cache) > 128 {
-		cache = make(map[*types.Package]*Set)
-	}
-	s := compute(pass)
-	cache[pass.Pkg] = s
-	return s
-}
-
-func compute(pass *analysis.Pass) *Set {
 	g := callgraph.Build(pass)
 	set := &Set{Graph: g, byFunc: make(map[*types.Func]*FuncSummary, len(g.Nodes()))}
 	for _, n := range g.Nodes() {
@@ -167,73 +79,38 @@ func compute(pass *analysis.Pass) *Set {
 		// into each member.
 		for _, n := range scc {
 			s := set.byFunc[n.Func]
-			for _, c := range s.calls {
+			for _, fn := range s.calls {
 				// Bodiless callees (interface methods declared in this
 				// package) have no summary of their own.
-				if cs := set.byFunc[c.fn]; cs != nil && !inSCC[c.fn] {
-					s.mergeCallee(cs, c)
+				if cs := set.byFunc[fn]; cs != nil && !inSCC[fn] {
+					s.mergeCallee(cs, fn)
 				}
 			}
 		}
 		// Mutual recursion: every member of a multi-node component
-		// (or a self-recursive function) reaches every other member,
-		// so union the component's facts across all members.
+		// reaches every other member, so union the component's facts
+		// across all members.
 		if len(scc) > 1 {
 			u := &FuncSummary{}
 			for _, n := range scc {
-				m := set.byFunc[n.Func]
-				u.mergeCallee(m, callRef{fn: n.Func})
+				u.mergeCallee(set.byFunc[n.Func], n.Func)
 			}
 			for _, n := range scc {
-				set.byFunc[n.Func].mergeCallee(u, callRef{fn: n.Func})
+				set.byFunc[n.Func].mergeCallee(u, n.Func)
 			}
 		}
 	}
 	return set
 }
 
-// mergeCallee folds callee facts into s for one call site.
-func (s *FuncSummary) mergeCallee(c *FuncSummary, ref callRef) {
-	if !ref.inGo {
-		for _, b := range c.Blocks {
-			via := b.Via
-			if via == nil {
-				via = ref.fn
-			}
-			s.addBlock(BlockSite{Pos: b.Pos, End: b.End, What: b.What, Via: via})
-		}
-		if c.RunsForever && !s.RunsForever {
-			s.RunsForever = true
-			s.ForeverAt = c.ForeverAt
-			s.ForeverVia = ref.fn
-			if c.ForeverVia != nil {
-				s.ForeverVia = c.ForeverVia
-			}
-		}
-	}
-	for _, a := range c.Acquires {
-		via := a.Via
+// mergeCallee folds the facts of callee c, called as fn, into s.
+func (s *FuncSummary) mergeCallee(c *FuncSummary, fn *types.Func) {
+	for _, b := range c.Blocks {
+		via := b.Via
 		if via == nil {
-			via = ref.fn
+			via = fn
 		}
-		s.addAcquire(LockSite{Class: a.Class, Read: a.Read, Pos: a.Pos, End: a.End, Via: via})
-	}
-	if c.CallsClock && !s.CallsClock {
-		s.CallsClock = true
-		s.ClockAt = c.ClockAt
-		s.ClockVia = ref.fn
-		if c.ClockVia != nil {
-			s.ClockVia = c.ClockVia
-		}
-	}
-	if c.WritesOrdered && !s.WritesOrdered {
-		s.WritesOrdered = true
-		s.WriteAt = c.WriteAt
-		s.WriteWhat = c.WriteWhat
-		s.WriteVia = ref.fn
-		if c.WriteVia != nil {
-			s.WriteVia = c.WriteVia
-		}
+		s.addBlock(BlockSite{Pos: b.Pos, End: b.End, What: b.What, Via: via})
 	}
 }
 
@@ -249,21 +126,12 @@ func (s *FuncSummary) addBlock(b BlockSite) {
 	s.Blocks = append(s.Blocks, b)
 }
 
-func (s *FuncSummary) addAcquire(a LockSite) {
-	for _, have := range s.Acquires {
-		if have.Class == a.Class && have.Read == a.Read {
-			return
-		}
-	}
-	s.Acquires = append(s.Acquires, a)
-}
-
 // direct extracts the intra-function facts of one declaration.
 func direct(pass *analysis.Pass, n *callgraph.Node) *FuncSummary {
 	s := &FuncSummary{Func: n.Func, Decl: n.Decl}
 
-	// Literals launched by `go` run concurrently: their blocking and
-	// looping belong to the spawned goroutine, not this function.
+	// Literals launched by `go` run concurrently: their blocking
+	// belongs to the spawned goroutine, not this function.
 	goLits := make(map[*ast.FuncLit]bool)
 	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
 		if g, ok := m.(*ast.GoStmt); ok {
@@ -276,7 +144,7 @@ func direct(pass *analysis.Pass, n *callgraph.Node) *FuncSummary {
 
 	var stack []ast.Node
 	inGo := 0
-	seenCall := make(map[callRef]bool)
+	seenCall := make(map[*types.Func]bool)
 	selComm := make(map[ast.Node]bool)
 	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
 		if m == nil {
@@ -292,32 +160,32 @@ func direct(pass *analysis.Pass, n *callgraph.Node) *FuncSummary {
 			inGo++
 		}
 		if sel, ok := m.(*ast.SelectStmt); ok {
-			MarkSelectComms(sel, selComm)
+			markSelectComms(sel, selComm)
 		}
-
-		if inGo == 0 && !selComm[m] && !GoLaunched(stack, m) {
-			if what, at, ok := BlockingOp(pass, m); ok {
-				s.addBlock(BlockSite{Pos: at.Pos(), End: at.End(), What: what})
-			}
-			if f, ok := m.(*ast.ForStmt); ok && !s.RunsForever && isInfiniteFor(f) && !loopEscapes(pass, f) {
-				s.RunsForever = true
-				s.ForeverAt = f.Pos()
-			}
+		if inGo > 0 || goLaunched(stack, m) {
+			return true
 		}
+		if what, at, ok := blockingOp(pass, m); ok && !selComm[m] {
+			s.addBlock(BlockSite{Pos: at.Pos(), End: at.End(), What: what})
+		}
+		// In-package callee: remember the edge for bottom-up propagation.
 		if call, ok := m.(*ast.CallExpr); ok {
-			s.classifyCall(pass, n.Func, call, inGo > 0 || GoLaunched(stack, m), seenCall)
+			if fn := callgraph.Callee(pass, call); fn != nil && fn.Pkg() == pass.Pkg && !seenCall[fn] {
+				seenCall[fn] = true
+				s.calls = append(s.calls, fn)
+			}
 		}
 		return true
 	})
 	return s
 }
 
-// GoLaunched reports whether m is the call expression of a go
+// goLaunched reports whether m is the call expression of a go
 // statement, given the walker's node stack (m on top, parent beneath).
 // Such a call runs on the new goroutine, not in the enclosing frame —
 // but its arguments, nested deeper in the tree, still evaluate
 // synchronously and are not exempted by this check.
-func GoLaunched(stack []ast.Node, m ast.Node) bool {
+func goLaunched(stack []ast.Node, m ast.Node) bool {
 	call, ok := m.(*ast.CallExpr)
 	if !ok || len(stack) < 2 {
 		return false
@@ -326,12 +194,11 @@ func GoLaunched(stack []ast.Node, m ast.Node) bool {
 	return ok && g.Call == call
 }
 
-// MarkSelectComms records the channel operations appearing as sel's
+// markSelectComms records the channel operations appearing as sel's
 // comm clauses into skip. Those sends and receives block (or not) as
 // part of the select itself — with a default they never block at all —
-// so walkers consulting BlockingOp node by node must not report them
-// on their own.
-func MarkSelectComms(sel *ast.SelectStmt, skip map[ast.Node]bool) {
+// so they are not reported on their own.
+func markSelectComms(sel *ast.SelectStmt, skip map[ast.Node]bool) {
 	for _, clause := range sel.Body.List {
 		cc, ok := clause.(*ast.CommClause)
 		if !ok || cc.Comm == nil {
@@ -351,15 +218,14 @@ func MarkSelectComms(sel *ast.SelectStmt, skip map[ast.Node]bool) {
 	}
 }
 
-// BlockingOp classifies one AST node as a potentially blocking
+// blockingOp classifies one AST node as a potentially blocking
 // operation: channel sends/receives/ranges, default-less selects, and
 // calls into the blocking catalogue (time.Sleep, net dialing and
 // round-trips, fsync, subprocess waits, WaitGroup.Wait, store/metricdb
 // journal paths). at is the node to report (usually n itself).
 // sync.Cond.Wait is deliberately excluded: it releases its mutex while
-// parked, so the condition-variable idiom of holding the lock around
-// Wait is not a held-across-blocking hazard.
-func BlockingOp(pass *analysis.Pass, n ast.Node) (what string, at ast.Node, ok bool) {
+// parked and wakes on the owner's own Signal/Broadcast.
+func blockingOp(pass *analysis.Pass, n ast.Node) (what string, at ast.Node, ok bool) {
 	switch n := n.(type) {
 	case *ast.SendStmt:
 		return "channel send", n, true
@@ -415,169 +281,11 @@ func callBlocks(pass *analysis.Pass, call *ast.CallExpr) (string, ast.Node, bool
 	return "", nil, false
 }
 
-// classifyCall records the effects of one call expression.
-func (s *FuncSummary) classifyCall(pass *analysis.Pass, enclosing *types.Func, call *ast.CallExpr, inGo bool, seen map[callRef]bool) {
-	fn := callgraph.Callee(pass, call)
-	if fn == nil {
-		return
-	}
-
-	// In-package callee: remember the edge for bottom-up propagation.
-	if fn.Pkg() == pass.Pkg {
-		if _, isFunc := fn.Type().(*types.Signature); isFunc {
-			ref := callRef{fn: fn, inGo: inGo}
-			if !seen[ref] {
-				seen[ref] = true
-				s.calls = append(s.calls, callRef{fn: fn, pos: call.Pos(), inGo: inGo})
-			}
-		}
-	}
-
-	if class, read, acquire, ok := LockOp(pass, enclosing, call); ok && acquire {
-		s.addAcquire(LockSite{Class: class, Read: read, Pos: call.Pos(), End: call.End()})
-	}
-
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return
-	}
-	switch pkg.Path() {
-	case "time":
-		if (fn.Name() == "Now" || fn.Name() == "Since") && !s.CallsClock {
-			s.CallsClock = true
-			s.ClockAt = call.Pos()
-		}
-	case "fmt":
-		switch fn.Name() {
-		case "Fprint", "Fprintf", "Fprintln":
-			if !s.WritesOrdered {
-				s.WritesOrdered = true
-				s.WriteAt = call.Pos()
-				s.WriteWhat = "fmt." + fn.Name()
-			}
-		}
-	}
-
-	if !s.WritesOrdered && isMethod(fn) {
-		switch fn.Name() {
-		case "Write", "WriteString", "WriteByte", "WriteRune", "Encode":
-			s.WritesOrdered = true
-			s.WriteAt = call.Pos()
-			s.WriteWhat = recvNamed(fn) + "." + fn.Name()
-		case "Inc", "Add", "Observe", "Set":
-			if r := recvNamed(fn); r == "Counter" || r == "Gauge" || r == "Histogram" {
-				s.WritesOrdered = true
-				s.WriteAt = call.Pos()
-				s.WriteWhat = "metric " + r + "." + fn.Name()
-			}
-		}
-	}
-}
-
 // cheapStoreCalls are store/metricdb entry points that never touch the
 // journal or fsync.
 var cheapStoreCalls = map[string]bool{
 	"Len": true, "Name": true, "Columns": true, "Stats": true, "String": true,
 	"Tables": true, "Rows": true, "Schema": true,
-}
-
-// LockOp classifies a call as a sync.Mutex/RWMutex lock or unlock,
-// returning the lock's identity class. acquire is true for Lock/RLock,
-// false for Unlock/RUnlock; read is true for the R variants. ok is
-// false for calls that are not lock operations or whose lock identity
-// cannot be resolved.
-func LockOp(pass *analysis.Pass, enclosing *types.Func, call *ast.CallExpr) (class string, read, acquire, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", false, false, false
-	}
-	fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || !isMethod(fn) {
-		return "", false, false, false
-	}
-	recv := recvNamed(fn)
-	if recv != "Mutex" && recv != "RWMutex" {
-		return "", false, false, false
-	}
-	switch fn.Name() {
-	case "Lock":
-		read, acquire = false, true
-	case "RLock":
-		read, acquire = true, true
-	case "Unlock":
-		read, acquire = false, false
-	case "RUnlock":
-		read, acquire = true, false
-	default:
-		return "", false, false, false // TryLock etc.: not tracked
-	}
-	class = lockClass(pass, enclosing, sel.X)
-	if class == "" {
-		return "", false, false, false
-	}
-	return class, read, acquire, true
-}
-
-// lockClass derives a stable identity for the lock named by expr: field
-// locks key on the (pointer-stripped) receiver type so all instances of
-// a struct share one class, package-level locks key on the package, and
-// bare local/parameter mutexes fall back to a function-scoped name.
-func lockClass(pass *analysis.Pass, enclosing *types.Func, expr ast.Expr) string {
-	qual := types.RelativeTo(pass.Pkg)
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.Ident:
-		obj := pass.TypesInfo.Uses[e]
-		if obj == nil {
-			obj = pass.TypesInfo.Defs[e]
-		}
-		v, okVar := obj.(*types.Var)
-		if !okVar {
-			return ""
-		}
-		if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return v.Pkg().Name() + "." + v.Name() // package-level lock
-		}
-		if name := namedTypeString(v.Type(), qual); name != "" && !isSyncLockType(v.Type()) {
-			return name // receiver with an embedded lock: key by its type
-		}
-		if enclosing != nil {
-			return enclosing.Name() + "." + v.Name() // bare local/param mutex
-		}
-		return v.Name()
-	case *ast.SelectorExpr:
-		if tv, okT := pass.TypesInfo.Types[e.X]; okT && tv.Type != nil {
-			if name := namedTypeString(tv.Type, qual); name != "" {
-				return "(" + name + ")." + e.Sel.Name
-			}
-		}
-		if base := lockClass(pass, enclosing, e.X); base != "" {
-			return base + "." + e.Sel.Name
-		}
-	}
-	return ""
-}
-
-func namedTypeString(t types.Type, qual types.Qualifier) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	return types.TypeString(n, qual)
-}
-
-func isSyncLockType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Pkg().Path() == "sync" &&
-		(n.Obj().Name() == "Mutex" || n.Obj().Name() == "RWMutex")
 }
 
 func isMethod(fn *types.Func) bool {
@@ -617,146 +325,4 @@ func isChanExpr(pass *analysis.Pass, e ast.Expr) bool {
 	}
 	_, isChan := tv.Type.Underlying().(*types.Chan)
 	return isChan
-}
-
-// ForeverLoop finds the first inescapable infinite for-loop directly in
-// body, skipping go-launched literals (their loops belong to the
-// goroutines they spawn — goroleak visits those go statements on its
-// own). ok is false when every loop can terminate.
-func ForeverLoop(pass *analysis.Pass, body *ast.BlockStmt) (token.Pos, bool) {
-	goLits := make(map[*ast.FuncLit]bool)
-	ast.Inspect(body, func(m ast.Node) bool {
-		if g, ok := m.(*ast.GoStmt); ok {
-			if fl, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
-				goLits[fl] = true
-			}
-		}
-		return true
-	})
-	var found token.Pos
-	var stack []ast.Node
-	inGo := 0
-	ast.Inspect(body, func(m ast.Node) bool {
-		if m == nil {
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if fl, ok := top.(*ast.FuncLit); ok && goLits[fl] {
-				inGo--
-			}
-			return true
-		}
-		stack = append(stack, m)
-		if fl, ok := m.(*ast.FuncLit); ok && goLits[fl] {
-			inGo++
-		}
-		if f, ok := m.(*ast.ForStmt); ok && inGo == 0 && !found.IsValid() &&
-			isInfiniteFor(f) && !loopEscapes(pass, f) {
-			found = f.Pos()
-		}
-		return true
-	})
-	return found, found.IsValid()
-}
-
-// isInfiniteFor reports whether the loop has no terminating condition:
-// `for {}` or `for true {}`.
-func isInfiniteFor(f *ast.ForStmt) bool {
-	if f.Cond == nil {
-		return true
-	}
-	id, ok := ast.Unparen(f.Cond).(*ast.Ident)
-	return ok && id.Name == "true"
-}
-
-// loopEscapes reports whether an infinite loop has any way out: a
-// return, an unlabeled break targeting it, any labeled break, or a call
-// that never returns (panic, os.Exit, log.Fatal*, runtime.Goexit). The
-// walk counts nested breakable constructs so an unlabeled break inside
-// an inner select/switch/for — which targets the inner construct — does
-// not count as an escape of the outer loop.
-func loopEscapes(pass *analysis.Pass, loop *ast.ForStmt) bool {
-	escaped := false
-	var walk func(n ast.Stmt, breakDepth int)
-	walkList := func(list []ast.Stmt, depth int) {
-		for _, st := range list {
-			if escaped {
-				return
-			}
-			walk(st, depth)
-		}
-	}
-	walk = func(n ast.Stmt, breakDepth int) {
-		switch n := n.(type) {
-		case *ast.ReturnStmt:
-			escaped = true
-		case *ast.BranchStmt:
-			switch n.Tok {
-			case token.BREAK:
-				if n.Label != nil || breakDepth == 0 {
-					escaped = true
-				}
-			case token.GOTO:
-				escaped = true // may jump out; assume it does
-			}
-		case *ast.ExprStmt:
-			if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok && isNoReturn(pass, call) {
-				escaped = true
-			}
-		case *ast.BlockStmt:
-			walkList(n.List, breakDepth)
-		case *ast.LabeledStmt:
-			walk(n.Stmt, breakDepth)
-		case *ast.IfStmt:
-			walkList(n.Body.List, breakDepth)
-			if n.Else != nil {
-				walk(n.Else, breakDepth)
-			}
-		case *ast.ForStmt:
-			walkList(n.Body.List, breakDepth+1)
-		case *ast.RangeStmt:
-			walkList(n.Body.List, breakDepth+1)
-		case *ast.SwitchStmt:
-			walkClauses(n.Body, breakDepth+1, walkList)
-		case *ast.TypeSwitchStmt:
-			walkClauses(n.Body, breakDepth+1, walkList)
-		case *ast.SelectStmt:
-			for _, c := range n.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					walkList(cc.Body, breakDepth+1)
-				}
-			}
-		}
-	}
-	walkList(loop.Body.List, 0)
-	return escaped
-}
-
-func walkClauses(body *ast.BlockStmt, depth int, walkList func([]ast.Stmt, int)) {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok {
-			walkList(cc.Body, depth)
-		}
-	}
-}
-
-// isNoReturn recognises calls that never return normally.
-func isNoReturn(pass *analysis.Pass, call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name == "panic" && pass.TypesInfo.Uses[fun] == types.Universe.Lookup("panic")
-	case *ast.SelectorExpr:
-		fn, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil {
-			return false
-		}
-		switch fn.Pkg().Path() {
-		case "os":
-			return fn.Name() == "Exit"
-		case "log":
-			return len(fn.Name()) >= 5 && fn.Name()[:5] == "Fatal"
-		case "runtime":
-			return fn.Name() == "Goexit"
-		}
-	}
-	return false
 }

@@ -52,7 +52,7 @@ var (
 func stdImporter(t *testing.T, fset *token.FileSet) types.Importer {
 	t.Helper()
 	stdOnce.Do(func() {
-		stdMap, stdErr = load.ExportData("", "context", "fmt", "net", "os", "sync", "time")
+		stdMap, stdErr = load.ExportData("", "time")
 	})
 	if stdErr != nil {
 		t.Fatalf("resolving stdlib export data: %v", stdErr)
@@ -62,19 +62,7 @@ func stdImporter(t *testing.T, fset *token.FileSet) types.Importer {
 
 const src = `package p
 
-import (
-	"fmt"
-	"io"
-	"sync"
-	"time"
-)
-
-type T struct {
-	mu sync.Mutex
-	n  int
-}
-
-var pkgMu sync.RWMutex
+import "time"
 
 func sendOn(ch chan int) { ch <- 1 }
 
@@ -82,59 +70,8 @@ func wrapsSend(ch chan int) { sendOn(ch) }
 
 func sleeps() { time.Sleep(time.Second) }
 
-func (t *T) locks() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.n++
-}
-
-func readsPkg() {
-	pkgMu.RLock()
-	defer pkgMu.RUnlock()
-}
-
-func wrapsLock(t *T) {
-	t.locks()
-}
-
-func clockHelper() int64 { return time.Now().UnixNano() }
-
-func usesClock() int64 { return clockHelper() }
-
-func writes(w io.Writer) { fmt.Fprintf(w, "x") }
-
 func spawns(ch chan int) {
 	go func() { <-ch }()
-}
-
-func loopsForever() {
-	for {
-	}
-}
-
-func loopsWithSelect(ch chan int) {
-	for {
-		select {
-		case <-ch:
-		}
-	}
-}
-
-func innerBreak(ch chan int) {
-	for {
-		select {
-		case <-ch:
-			break
-		}
-	}
-}
-
-func escapes(ch chan int) {
-	for {
-		if <-ch == 0 {
-			break
-		}
-	}
 }
 
 func rangesChan(ch chan int) {
@@ -201,58 +138,6 @@ func TestBlocking(t *testing.T) {
 	}
 	if got := funcByName(t, set, "spawns").Blocks; len(got) != 0 {
 		t.Errorf("spawns: go-literal receive leaked into caller blocks: %+v", got)
-	}
-}
-
-func TestLockClasses(t *testing.T) {
-	_, set := summaries(t)
-
-	locks := funcByName(t, set, "locks")
-	if len(locks.Acquires) != 1 || locks.Acquires[0].Class != "(T).mu" || locks.Acquires[0].Read {
-		t.Errorf("locks: want write acquire of (T).mu, got %+v", locks.Acquires)
-	}
-	readsPkg := funcByName(t, set, "readsPkg")
-	if len(readsPkg.Acquires) != 1 || readsPkg.Acquires[0].Class != "p.pkgMu" || !readsPkg.Acquires[0].Read {
-		t.Errorf("readsPkg: want read acquire of p.pkgMu, got %+v", readsPkg.Acquires)
-	}
-	wraps := funcByName(t, set, "wrapsLock")
-	if !wraps.AcquiresClass("(T).mu") {
-		t.Errorf("wrapsLock: callee acquire not propagated, got %+v", wraps.Acquires)
-	}
-	if len(wraps.Acquires) != 1 || wraps.Acquires[0].Via == nil || wraps.Acquires[0].Via.Name() != "locks" {
-		t.Errorf("wrapsLock: acquire should carry Via=locks, got %+v", wraps.Acquires)
-	}
-}
-
-func TestClockAndWrites(t *testing.T) {
-	_, set := summaries(t)
-
-	helper := funcByName(t, set, "clockHelper")
-	if !helper.CallsClock || helper.ClockVia != nil {
-		t.Errorf("clockHelper: want direct CallsClock, got %+v", helper)
-	}
-	uses := funcByName(t, set, "usesClock")
-	if !uses.CallsClock || uses.ClockVia == nil || uses.ClockVia.Name() != "clockHelper" {
-		t.Errorf("usesClock: want CallsClock via clockHelper, got CallsClock=%v Via=%v", uses.CallsClock, uses.ClockVia)
-	}
-	writes := funcByName(t, set, "writes")
-	if !writes.WritesOrdered || writes.WriteWhat != "fmt.Fprintf" {
-		t.Errorf("writes: want WritesOrdered via fmt.Fprintf, got %+v", writes)
-	}
-}
-
-func TestRunsForever(t *testing.T) {
-	_, set := summaries(t)
-
-	for _, name := range []string{"loopsForever", "loopsWithSelect", "innerBreak"} {
-		if !funcByName(t, set, name).RunsForever {
-			t.Errorf("%s: want RunsForever", name)
-		}
-	}
-	for _, name := range []string{"escapes", "rangesChan", "spawns", "sendOn"} {
-		if funcByName(t, set, name).RunsForever {
-			t.Errorf("%s: should not be RunsForever", name)
-		}
 	}
 }
 

@@ -12,7 +12,7 @@
 //   - the clock is injected (LoggerOptions.Now), so golden tests of the
 //     rendered output stay byte-identical run to run;
 //   - attributes render in call order — never via a map — keeping the
-//     output deterministic (the maporder invariant).
+//     output deterministic.
 package obs
 
 import (

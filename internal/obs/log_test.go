@@ -180,8 +180,7 @@ func TestTextValueQuoting(t *testing.T) {
 
 func TestJSONAttrsStayOrdered(t *testing.T) {
 	// Attribute order must be call order, never map order: emit many keys
-	// and assert their rendered positions (the maporder invariant applied
-	// to log output).
+	// and assert their rendered positions.
 	var b strings.Builder
 	l := NewLogger(&b, LoggerOptions{JSON: true, Now: fixedClock()})
 	attrs := make([]Attr, 10)

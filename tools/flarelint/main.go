@@ -1,13 +1,10 @@
-// Command flarelint machine-checks FLARE's determinism, observability,
-// durability, and concurrency invariants (see DESIGN.md "Static
-// analysis & enforced invariants"). It runs eight analyzers — detrand,
-// maporder, metricname, spanend, syncerr, and the summary-driven
-// ctxflow, goroleak, locksafe — in two modes:
-//
-// Standalone (the make lint / CI entry point):
+// Command flarelint machine-checks FLARE's observability and context
+// propagation invariants (see DESIGN.md "Static analysis & enforced
+// invariants") with three analyzers: metricname, spanend, and the
+// summary-driven ctxflow.
 //
 //	flarelint [-dir moduleroot] [-json] [-sarif file] [-baseline file]
-//	          [-write-baseline] [-analyzers a,b] [packages...]
+//	          [-write-baseline] [packages...]
 //
 // loads the named package patterns (default ./...) via the go
 // toolchain and prints one line per finding, exiting 1 when anything
@@ -16,23 +13,15 @@
 // writes a SARIF 2.1.0 log ("-" for stdout) for GitHub code scanning.
 // -baseline filters findings against a committed baseline file so only
 // new violations gate; -write-baseline re-blesses the current findings
-// into that file.
-//
-// Vet tool (per-package, driven by the go command):
-//
-//	go vet -vettool=$(command -v flarelint) ./...
-//
-// follows the go vet unit-checking protocol: invoked with a *.cfg
-// file, it analyzes that package alone against the export data the go
-// command already built. Cross-package checks (metricname duplicate
-// registrations) only run in standalone mode.
+// into that file. metricname's cross-package duplicate-registration
+// check runs over the whole load at once.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -47,14 +36,6 @@ func main() {
 }
 
 func run(args []string) int {
-	// `go vet -vettool` handshake, step 1: the go command probes the
-	// tool with -flags and expects a JSON array describing the flags it
-	// may pass. flarelint takes none of vet's analyzer flags.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return 0
-	}
-
 	fs := flag.NewFlagSet("flarelint", flag.ExitOnError)
 	var (
 		dir       = fs.String("dir", ".", "module root to analyze")
@@ -62,12 +43,11 @@ func run(args []string) int {
 		sarifOut  = fs.String("sarif", "", "write a SARIF 2.1.0 log to this file (\"-\" for stdout)")
 		basePath  = fs.String("baseline", "", "filter findings against this baseline file (only new violations gate)")
 		writeBase = fs.Bool("write-baseline", false, "write current findings to the -baseline file and exit clean")
-		names     = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		versionV  = fs.String("V", "", "internal: go tool version protocol")
 	)
+	analyzers := lint.Suite()
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: flarelint [flags] [package patterns]\n\nAnalyzers:\n")
-		for _, a := range lint.Suite() {
+		for _, a := range analyzers {
 			fmt.Fprintf(fs.Output(), "  %-12s %s\n", a.Name, firstLine(a.Doc))
 		}
 		fmt.Fprintf(fs.Output(), "\nFlags:\n")
@@ -77,32 +57,7 @@ func run(args []string) int {
 		return 2
 	}
 
-	// Handshake step 2: -V=full derives the vet cache key. The go
-	// command requires a buildID= token when the version is devel, so
-	// hash the executable the way x/tools' unitchecker does.
-	if *versionV != "" {
-		id := "unknown"
-		if exe, err := os.Executable(); err == nil {
-			if buf, err := os.ReadFile(exe); err == nil {
-				id = fmt.Sprintf("%x", sha256.Sum256(buf))
-			}
-		}
-		fmt.Printf("flarelint version devel buildID=%s\n", id)
-		return 0
-	}
-
-	analyzers, err := selectAnalyzers(*names)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flarelint:", err)
-		return 2
-	}
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runUnit(rest[0], analyzers)
-	}
-
-	findings, err := lint.Run(*dir, rest, analyzers)
+	findings, err := lint.Run(*dir, fs.Args(), analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flarelint:", err)
 		return 2
@@ -157,12 +112,10 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, f)
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
 		if findings == nil {
 			findings = []lint.Finding{}
 		}
-		if err := enc.Encode(findings); err != nil {
+		if err := writeJSON(os.Stdout, findings); err != nil {
 			fmt.Fprintln(os.Stderr, "flarelint:", err)
 			return 2
 		}
@@ -188,39 +141,27 @@ func run(args []string) int {
 }
 
 // emitSARIF writes the post-baseline findings as a SARIF 2.1.0 log.
+// A failed Close is a failed write: the log may be truncated.
 func emitSARIF(path string, analyzers []*analysis.Analyzer, findings []lint.Finding, root string) error {
 	log := sarif.Convert(analyzers, findings, root)
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
+	if path == "-" {
+		return writeJSON(os.Stdout, log)
 	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := writeJSON(f, log); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
-	if names == "" {
-		return lint.Suite(), nil
-	}
-	var out []*analysis.Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		a := lint.ByName(n)
-		if a == nil {
-			return nil, fmt.Errorf("unknown analyzer %q", n)
-		}
-		out = append(out, a)
-	}
-	return out, nil
+func writeJSON(w io.Writer, v interface{}) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 func firstLine(s string) string {
