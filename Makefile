@@ -44,9 +44,8 @@ lint-tools:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 
-# FLARE's own invariant analyzers (internal/lint, stdlib-only): detrand,
-# maporder, metricname, spanend, syncerr, plus the summary-driven
-# concurrency checks ctxflow, goroleak, locksafe. Builds from
+# FLARE's own invariant analyzers (internal/lint, stdlib-only):
+# metricname, spanend, and the summary-driven ctxflow. Builds from
 # tools/flarelint's module so the main module keeps an empty require
 # block. Findings are gated against the committed baseline: only NEW
 # violations fail, and new code must fix them or carry
