@@ -19,6 +19,13 @@
 // its WAL to followers replicating into DIR/node-i; follower lag is
 // visible in node 0's /api/health cluster section and in flare-top
 // -peers. Without -dir everything is in-memory and replication is off.
+// Either way every node persists the profiled dataset into the
+// database it serves at /api/db/*.
+//
+// Each node is assembled by internal/node, exactly as flare-server
+// assembles its one node. Node i draws its faults from fault-seed+i;
+// node 0's injector also arms the shared build's dcsim and replay
+// sites.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: HTTP servers
 // drain, follower loops stop, and the leader store flushes and closes.
@@ -29,8 +36,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -39,16 +44,10 @@ import (
 	"time"
 
 	"flare/internal/cluster"
-	"flare/internal/core"
-	"flare/internal/dcsim"
 	"flare/internal/fault"
-	"flare/internal/machine"
-	"flare/internal/metricdb"
+	"flare/internal/node"
 	"flare/internal/obs"
-	"flare/internal/profiler"
-	"flare/internal/retry"
 	"flare/internal/server"
-	"flare/internal/store"
 )
 
 func main() {
@@ -84,34 +83,29 @@ func run() error {
 	}
 	logger := obs.NewLogger(os.Stdout, obs.LoggerOptions{Level: lv, JSON: *logJSON})
 
+	// Node i records into its own registry and draws its faults from
+	// fault-seed+i; node 0's injector also arms the shared build's
+	// dcsim and replay sites.
+	regs := make([]*obs.Registry, *nodes)
+	injs := make([]*fault.Injector, *nodes)
+	for i := range regs {
+		regs[i] = obs.NewRegistry()
+		if injs[i], err = node.Injector(*faultSpec, *faultSeed+int64(i), regs[i]); err != nil {
+			return err
+		}
+	}
+
 	// One pipeline build serves every node: determinism is the cluster's
 	// correctness story, and the build is by far the slowest step.
 	logger.Info("building shared pipeline",
 		obs.KV("days", *days), obs.KV("clusters", *clusters), obs.KV("seed", *seed))
-	simCfg := dcsim.DefaultConfig()
-	simCfg.Seed = *seed
-	simCfg.Duration = time.Duration(*days) * 24 * time.Hour
-	trace, err := dcsim.Run(simCfg)
+	b, err := node.NewBuild(context.Background(), *days, *clusters, *seed, injs[0])
 	if err != nil {
-		return err
-	}
-	cfg := core.DefaultConfig()
-	cfg.Profile.Seed = *seed
-	cfg.Analyze.Seed = *seed
-	cfg.Analyze.Clusters = *clusters
-	p, err := core.New(cfg)
-	if err != nil {
-		return err
-	}
-	if err := p.Profile(trace.Scenarios); err != nil {
-		return err
-	}
-	if err := p.Analyze(); err != nil {
 		return err
 	}
 	logger.Info("pipeline ready",
-		obs.KV("scenarios", trace.Scenarios.Len()),
-		obs.KV("representatives", len(p.Representatives())))
+		obs.KV("scenarios", b.Trace.Scenarios.Len()),
+		obs.KV("representatives", len(b.Pipeline.Representatives())))
 
 	peers := make([]server.ClusterPeer, *nodes)
 	for i := range peers {
@@ -121,126 +115,54 @@ func run() error {
 		}
 	}
 
-	replCtx, replCancel := context.WithCancel(context.Background())
-	defer replCancel()
-	var httpSrvs []*http.Server
-	var closers []func() // shutdown actions, run in reverse start order
-	defer func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
+	var ns []*node.Node
+	defer func() { // in reverse start order: followers before their leader
+		for i := len(ns) - 1; i >= 0; i-- {
+			if err := ns[i].Close(); err != nil {
+				logger.Warn("closing node", obs.KV("node", nodeName(i)), obs.KV("error", err.Error()))
+			}
 		}
 	}()
+	var httpSrvs []*http.Server
 	errCh := make(chan error, *nodes)
-
-	var shipper *cluster.Shipper
 	for i := 0; i < *nodes; i++ {
-		reg := obs.NewRegistry()
-		tracer := obs.NewTracer(reg)
-		var inj *fault.Injector
-		if *faultSpec != "" {
-			rules, err := fault.ParseSpec(*faultSpec)
-			if err != nil {
-				return err
-			}
-			inj, err = fault.New(rules, *faultSeed+int64(i), reg)
-			if err != nil {
-				return err
+		cfg := node.Config{
+			Registry:   regs[i],
+			Injector:   injs[i],
+			Resilience: server.DefaultResilience(),
+			Cluster:    &server.ClusterConfig{NodeID: nodeName(i), Peers: peers, VirtualNodes: *replicas},
+			Log:        os.Stdout,
+			LogOptions: obs.LoggerOptions{Level: lv, JSON: *logJSON},
+		}
+		if *dir != "" {
+			// Node 0 leads the durable store; every other node mirrors it
+			// over an in-process pipe.
+			cfg.Dir = filepath.Join(*dir, nodeName(i))
+			if i == 0 {
+				cfg.Lead = true
+			} else {
+				cfg.Follow = ns[0].Dial
 			}
 		}
-
-		ccfg := server.ClusterConfig{
-			NodeID:       nodeName(i),
-			Peers:        peers,
-			VirtualNodes: *replicas,
-			Injector:     inj,
-		}
-		db := metricdb.NewDB()
-		switch {
-		case *dir != "" && i == 0:
-			// Leader: durable store, WAL shipped to every follower.
-			stOpts := store.DefaultOptions()
-			stOpts.Registry = reg
-			stOpts.Injector = inj
-			shipper = cluster.NewShipper(cluster.ShipperOptions{
-				Metrics: cluster.NewMetrics(reg), Injector: inj})
-			stOpts.Replicate = shipper.Record
-			st, err := store.Open(filepath.Join(*dir, nodeName(0)), stOpts)
-			if err != nil {
-				return err
-			}
-			shipper.Bind(st)
-			sh, s := shipper, st
-			closers = append(closers, func() {
-				sh.Close()
-				if err := s.Close(); err != nil {
-					logger.Warn("closing leader store", obs.KV("error", err.Error()))
-				}
-			})
-			if db, err = metricdb.OpenDB(st); err != nil {
-				return err
-			}
-			if !profiler.Stored(db) {
-				if err := p.PersistDataset(db); err != nil {
-					return err
-				}
-			}
-			ccfg.Role = "leader"
-			ccfg.ReplStatus = shipper.Followers
-		case *dir != "" && i > 0:
-			// Follower: mirror the leader's store over an in-process pipe.
-			fopts := cluster.FollowerOptions{Metrics: cluster.NewMetrics(reg), Injector: inj}
-			fopts.Store = store.DefaultOptions()
-			fopts.Store.Registry = reg
-			f, err := cluster.OpenFollower(filepath.Join(*dir, nodeName(i)), nodeName(i), fopts)
-			if err != nil {
-				return err
-			}
-			sh := shipper
-			dial := func(ctx context.Context) (io.ReadWriteCloser, error) {
-				leaderEnd, followerEnd := net.Pipe()
-				go func() {
-					_ = sh.ServeFollower(ctx, leaderEnd)
-					leaderEnd.Close()
-				}()
-				return followerEnd, nil
-			}
-			go f.RunLoop(replCtx, dial, retry.Policy{Name: "cluster.follow", Registry: reg})
-			closers = append(closers, func() {
-				if err := f.Close(); err != nil {
-					logger.Warn("closing replica", obs.KV("error", err.Error()))
-				}
-			})
-			ccfg.Role = "follower"
-			ccfg.ReplApplied = f.Applied
-		}
-
-		srv, err := server.NewWithTelemetry(p, machine.PaperFeatures(), reg, tracer)
+		n, err := node.Open(cfg)
 		if err != nil {
 			return err
 		}
-		srv.AttachDB(db)
-		srv.SetResilience(server.Options{
-			RequestTimeout:  30 * time.Second,
-			MaxConcurrent:   64,
-			EstimateRefresh: 15 * time.Minute,
-			Injector:        inj,
-		})
-		srv.SetLogger(obs.NewLogger(os.Stdout, obs.LoggerOptions{
-			Level: lv, JSON: *logJSON, Registry: reg}))
-		if err := srv.EnableCluster(ccfg); err != nil {
+		ns = append(ns, n)
+		if err := n.Serve(context.Background(), b); err != nil {
 			return err
 		}
 
 		hs := &http.Server{
 			Addr:              fmt.Sprintf("%s:%d", *host, *basePort+i),
-			Handler:           srv.Handler(),
+			Handler:           n.Server.Handler(),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		httpSrvs = append(httpSrvs, hs)
-		go func(hs *http.Server, node string) {
-			logger.Info("node listening", obs.KV("node", node), obs.KV("addr", hs.Addr))
+		go func(hs *http.Server, name string) {
+			logger.Info("node listening", obs.KV("node", name), obs.KV("addr", hs.Addr))
 			if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				errCh <- fmt.Errorf("%s: %w", node, err)
+				errCh <- fmt.Errorf("%s: %w", name, err)
 			}
 		}(hs, nodeName(i))
 	}
@@ -260,7 +182,6 @@ func run() error {
 			logger.Warn("shutdown", obs.KV("error", err.Error()))
 		}
 	}
-	replCancel()
 	return nil
 }
 

@@ -12,7 +12,9 @@
 //
 // The target is either a running server (-target URL) or a freshly
 // built in-process instance (-inprocess N; N>1 wires an in-process
-// cluster over an in-memory transport and drives node 0).
+// cluster over an in-memory transport and drives node 0). In-process
+// nodes are assembled by internal/node, exactly as flare-cluster
+// assembles its nodes.
 package main
 
 import (
@@ -22,21 +24,17 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
-	"flare/internal/core"
-	"flare/internal/dcsim"
-	"flare/internal/fault"
 	"flare/internal/loadgen"
 	"flare/internal/machine"
-	"flare/internal/metricdb"
+	"flare/internal/node"
 	"flare/internal/obs"
 	"flare/internal/server"
-	"flare/internal/store"
 )
 
 func main() {
@@ -56,9 +54,9 @@ func run() (int, error) {
 	days := flag.Int("days", 2, "in-process: simulated collection window in days")
 	clusters := flag.Int("clusters", 6, "in-process: representative count")
 	pipeSeed := flag.Int64("pipe-seed", 1, "in-process: pipeline build seed")
-	faultSpec := flag.String("fault-spec", "", `in-process: fault spec armed at the server.estimate site, e.g. "server.estimate=latency@0.2:100ms"`)
+	faultSpec := flag.String("fault-spec", "", `in-process: fault spec armed from the start at every site it names, e.g. "server.estimate=latency@0.2:100ms"`)
 	storeFaultSpec := flag.String("store-fault-spec", "", `in-process: fault spec armed on a durable store AFTER one priming estimate per feature, so store failures serve degraded from last-known-good, e.g. "store.wal.append=error@1"`)
-	faultSeed := flag.Int64("fault-seed", 1, "in-process: fault schedule seed")
+	faultSeed := flag.Int64("fault-seed", 1, "in-process: fault schedule seed; node i uses fault-seed+i")
 	maxConcurrent := flag.Int("max-concurrent", 64, "in-process: server shed threshold (0: unlimited)")
 	serverTimeout := flag.Duration("server-timeout", 2*time.Second, "in-process: server-side estimate wait bound")
 	estRefresh := flag.Duration("estimate-refresh", 0, "in-process: recompute cached estimates older than this (0: cache forever)")
@@ -96,23 +94,17 @@ func run() (int, error) {
 	var tgt loadgen.Target
 	targetName := *target
 	if *inprocess > 0 {
-		h, cleanup, err := buildInprocess(inprocConfig{
-			nodes:          *inprocess,
-			days:           *days,
-			clusters:       *clusters,
-			seed:           *pipeSeed,
-			faultSpec:      *faultSpec,
-			storeFaultSpec: *storeFaultSpec,
-			faultSeed:      *faultSeed,
-			maxConcurrent:  *maxConcurrent,
-			timeout:        *serverTimeout,
-			refresh:        *estRefresh,
-		})
+		var closeNodes func()
+		var err error
+		tgt, closeNodes, err = startInprocess(*inprocess, *days, *clusters, *pipeSeed, server.Options{
+			RequestTimeout:  *serverTimeout,
+			MaxConcurrent:   *maxConcurrent,
+			EstimateRefresh: *estRefresh,
+		}, *faultSpec, *storeFaultSpec, *faultSeed)
 		if err != nil {
 			return 1, err
 		}
-		defer cleanup()
-		tgt = loadgen.HandlerTarget(h)
+		defer closeNodes()
 		targetName = fmt.Sprintf("inprocess(nodes=%d)", *inprocess)
 	} else {
 		if *storeFaultSpec != "" {
@@ -241,184 +233,96 @@ func getJSON(tgt loadgen.Target, path string, out interface{}) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// inprocConfig shapes the in-process target build.
-type inprocConfig struct {
-	nodes          int
-	days, clusters int
-	seed           int64
-	faultSpec      string // armed at the server.estimate site from the start
-	storeFaultSpec string // armed on the durable store after priming
-	faultSeed      int64
-	maxConcurrent  int
-	timeout        time.Duration
-	refresh        time.Duration
-}
-
-// buildInprocess constructs n servers over one freshly built pipeline.
-// n == 1 serves directly; n > 1 joins the nodes into a ring over an
-// in-memory transport (no sockets) and returns node 0's handler.
+// startInprocess serves one freshly built pipeline from count
+// in-process nodes, assembled exactly as flare-cluster assembles its
+// nodes but joined over an in-memory transport (no sockets), and
+// returns node 0 as the target. Node i records into its own registry
+// and draws its faults from faultSeed+i.
 //
-// With storeFaultSpec set, the dataset lands in a durable store in a
-// temporary directory and the spec is armed only AFTER one priming
-// estimate per feature has journaled successfully — so last-known-good
-// exists and store failures during the run serve degraded 200s instead
-// of 503s. The returned cleanup closes the store and removes the
-// directory.
-//
-// The injector and the store record into node 0's registry, the one
-// whose /metrics the run scrapes.
-func buildInprocess(c inprocConfig) (http.Handler, func(), error) {
-	noop := func() {}
-	reg0 := obs.NewRegistry()
-	var inj *fault.Injector
-	if c.faultSpec != "" {
-		rules, err := fault.ParseSpec(c.faultSpec)
-		if err != nil {
-			return nil, noop, err
+// With storeFaultSpec set, every node journals into a durable store in
+// a temporary directory and the spec is armed on those stores only
+// AFTER one priming estimate per feature has journaled successfully —
+// so last-known-good exists and store failures during the run serve
+// degraded 200s instead of 503s. The returned cleanup closes the nodes
+// and removes the directory.
+func startInprocess(count, days, clusters int, seed int64, res server.Options,
+	faultSpec, storeFaultSpec string, faultSeed int64) (loadgen.Target, func(), error) {
+	var dir string
+	var nodes []*node.Node
+	cleanup := func() {
+		for i := len(nodes) - 1; i >= 0; i-- {
+			nodes[i].Close()
 		}
-		if inj, err = fault.New(rules, c.faultSeed, reg0); err != nil {
-			return nil, noop, err
-		}
-	}
-
-	simCfg := dcsim.DefaultConfig()
-	simCfg.Seed = c.seed
-	simCfg.Duration = time.Duration(c.days) * 24 * time.Hour
-	trace, err := dcsim.Run(simCfg)
-	if err != nil {
-		return nil, noop, err
-	}
-	cfg := core.DefaultConfig()
-	cfg.Profile.Seed = c.seed
-	cfg.Analyze.Seed = c.seed
-	cfg.Analyze.Clusters = c.clusters
-	p, err := core.New(cfg)
-	if err != nil {
-		return nil, noop, err
-	}
-	if err := p.Profile(trace.Scenarios); err != nil {
-		return nil, noop, err
-	}
-	if err := p.Analyze(); err != nil {
-		return nil, noop, err
-	}
-
-	cleanup := noop
-	var db *metricdb.DB
-	var st *store.Store
-	if c.storeFaultSpec != "" {
-		dir, err := os.MkdirTemp("", "flare-loadgen-store-")
-		if err != nil {
-			return nil, noop, err
-		}
-		stOpts := store.DefaultOptions()
-		stOpts.Registry = reg0
-		if st, err = store.Open(dir, stOpts); err != nil {
-			os.RemoveAll(dir)
-			return nil, noop, err
-		}
-		cleanup = func() {
-			st.Close()
+		if dir != "" {
 			os.RemoveAll(dir)
 		}
-		if db, err = metricdb.OpenDB(st); err != nil {
-			cleanup()
-			return nil, noop, err
-		}
-	} else {
-		db = metricdb.NewDB()
 	}
-	if err := p.PersistDataset(db); err != nil {
+	fail := func(err error) (loadgen.Target, func(), error) {
 		cleanup()
-		return nil, noop, err
+		return loadgen.Target{}, func() {}, err
+	}
+	if storeFaultSpec != "" {
+		var err error
+		if dir, err = os.MkdirTemp("", "flare-loadgen-store-"); err != nil {
+			return fail(err)
+		}
 	}
 
-	transport := &memDoer{handlers: map[string]http.Handler{}}
-	peers := make([]server.ClusterPeer, c.nodes)
+	transport := loadgen.Transport{}
+	peers := make([]server.ClusterPeer, count)
 	for i := range peers {
 		name := fmt.Sprintf("node-%d", i)
 		peers[i] = server.ClusterPeer{Name: name, URL: "http://" + name}
 	}
-	handlers := make([]http.Handler, c.nodes)
-	for i := 0; i < c.nodes; i++ {
-		reg := reg0
-		if i > 0 {
-			reg = obs.NewRegistry()
-		}
-		s, err := server.NewWithTelemetry(p, machine.PaperFeatures(), reg, nil)
+	var b *node.Build
+	for i := range peers {
+		reg := obs.NewRegistry()
+		inj, err := node.Injector(faultSpec, faultSeed+int64(i), reg)
 		if err != nil {
-			cleanup()
-			return nil, noop, err
+			return fail(err)
 		}
-		s.AttachDB(db)
-		s.SetResilience(server.Options{
-			RequestTimeout:  c.timeout,
-			MaxConcurrent:   c.maxConcurrent,
-			EstimateRefresh: c.refresh,
-			Injector:        inj,
-		})
-		if c.nodes > 1 {
-			if err := s.EnableCluster(server.ClusterConfig{
-				NodeID: peers[i].Name,
-				Peers:  peers,
-				Client: transport,
-			}); err != nil {
-				cleanup()
-				return nil, noop, err
+		if b == nil {
+			if b, err = node.NewBuild(context.Background(), days, clusters, seed, inj); err != nil {
+				return fail(err)
 			}
 		}
-		handlers[i] = s.Handler()
-		transport.handlers[peers[i].Name] = handlers[i]
+		cfg := node.Config{Registry: reg, Injector: inj, Resilience: res}
+		if dir != "" {
+			cfg.Dir = filepath.Join(dir, peers[i].Name)
+		}
+		if count > 1 {
+			cfg.Cluster = &server.ClusterConfig{NodeID: peers[i].Name, Peers: peers, Client: transport}
+		}
+		n, err := node.Open(cfg)
+		if err != nil {
+			return fail(err)
+		}
+		nodes = append(nodes, n)
+		if err := n.Serve(context.Background(), b); err != nil {
+			return fail(err)
+		}
+		transport[peers[i].Name] = n.Server.Handler()
 	}
+	tgt := loadgen.Target{Base: peers[0].URL, Client: transport}
 
-	if c.storeFaultSpec != "" {
-		if err := primeAndArmStore(handlers[0], st, c.storeFaultSpec, c.faultSeed); err != nil {
-			cleanup()
-			return nil, noop, err
+	if storeFaultSpec != "" {
+		// One estimate per feature journals every plain-estimate key's
+		// last-known-good on its owning node; only then do faults arm.
+		for _, feat := range machine.PaperFeatures() {
+			var est struct{}
+			if err := getJSON(tgt, "/api/estimate?feature="+feat.Name, &est); err != nil {
+				return fail(fmt.Errorf("priming: %w", err))
+			}
+		}
+		for i, n := range nodes {
+			inj, err := node.Injector(storeFaultSpec, faultSeed+int64(i), n.Store.Registry())
+			if err != nil {
+				return fail(err)
+			}
+			n.Store.SetInjector(inj)
 		}
 	}
-	return handlers[0], cleanup, nil
-}
-
-// primeAndArmStore serves one estimate per feature through the handler
-// (journaling each, so every plain-estimate key has a last-known-good)
-// and only then arms the store fault spec.
-func primeAndArmStore(h http.Handler, st *store.Store, spec string, seed int64) error {
-	for _, feat := range machine.PaperFeatures() {
-		req := httptest.NewRequest(http.MethodGet, "/api/estimate?feature="+feat.Name, nil)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			return fmt.Errorf("priming estimate for %s answered %d: %s",
-				feat.Name, rec.Code, rec.Body.String())
-		}
-	}
-	rules, err := fault.ParseSpec(spec)
-	if err != nil {
-		return err
-	}
-	inj, err := fault.New(rules, seed, st.Registry())
-	if err != nil {
-		return err
-	}
-	st.SetInjector(inj)
-	return nil
-}
-
-// memDoer routes peer requests to in-process handlers by URL host. The
-// map is fully built before any request flows, so no locking is needed.
-type memDoer struct {
-	handlers map[string]http.Handler
-}
-
-func (m *memDoer) Do(req *http.Request) (*http.Response, error) {
-	h := m.handlers[req.URL.Host]
-	if h == nil {
-		return nil, fmt.Errorf("no route to host %q", req.URL.Host)
-	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	return rec.Result(), nil
+	return tgt, cleanup, nil
 }
 
 func splitComma(s string) []string {

@@ -1,5 +1,8 @@
 // Command flare-server runs the FLARE pipeline once and serves its
-// results and feature estimates over HTTP.
+// results and feature estimates over HTTP. The pipeline build and the
+// serving node are assembled by internal/node, exactly as flare-cluster
+// and flare-loadgen -inprocess assemble theirs: -seed seeds simulation,
+// profiling, analysis and replay, so estimates equal `flare -seed`'s.
 //
 // Usage:
 //
@@ -53,7 +56,8 @@
 // when the durable store is unhealthy, previously served estimates come
 // back from last-known-good flagged "degraded": true instead of erroring.
 // -fault-spec/-fault-seed arm the deterministic fault injector (see
-// internal/fault) for drills against exactly those paths.
+// internal/fault) for drills against exactly those paths; every site
+// the spec names is armed, the build's dcsim and replay sites included.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: in-flight
 // requests drain through http.Server.Shutdown, then the trace exporter
@@ -75,16 +79,10 @@ import (
 	"time"
 
 	"flare/internal/cluster"
-	"flare/internal/core"
-	"flare/internal/dcsim"
-	"flare/internal/fault"
-	"flare/internal/machine"
-	"flare/internal/metricdb"
+	"flare/internal/node"
 	"flare/internal/obs"
 	"flare/internal/profiler"
-	"flare/internal/retry"
 	"flare/internal/server"
-	"flare/internal/store"
 )
 
 func main() {
@@ -94,7 +92,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	addr := flag.String("addr", ":8080", "listen address")
 	days := flag.Int("days", 14, "simulated collection window in days")
 	clusters := flag.Int("clusters", 18, "representative count")
@@ -137,190 +135,19 @@ func run() error {
 		return err
 	}
 
-	// The pipeline build runs under the same tracer the server exposes,
-	// so /api/trace shows the build span tree and /metrics its timings.
 	reg := obs.NewRegistry()
-	tracer := obs.NewTracer(reg)
-	ctx := obs.WithTracer(context.Background(), tracer)
 	logw := os.Stdout
 	logger := obs.NewLogger(logw, obs.LoggerOptions{Level: lv, JSON: *logJSON, Registry: reg})
 
-	var inj *fault.Injector
-	if *faultSpec != "" {
-		rules, err := fault.ParseSpec(*faultSpec)
-		if err != nil {
-			return err
-		}
-		inj, err = fault.New(rules, *faultSeed, reg)
-		if err != nil {
-			return err
-		}
+	inj, err := node.Injector(*faultSpec, *faultSeed, reg)
+	if err != nil {
+		return err
+	}
+	if inj != nil {
 		logger.Info("fault injection armed",
 			obs.KV("spec", *faultSpec), obs.KV("seed", *faultSeed))
 	}
 
-	// Open the metric database before the (slow) pipeline build so a bad
-	// -db-dir fails fast. The store must be closed on every exit path;
-	// the deferred close is a no-op after the explicit shutdown close.
-	var db *metricdb.DB
-	var st *store.Store
-	var shipper *cluster.Shipper
-	var follower *cluster.Follower
-	replCtx, replCancel := context.WithCancel(context.Background())
-	defer replCancel()
-	switch {
-	case *replFollow != "":
-		// Follower: mirror the leader's store into -db-dir. The replica
-		// rejects direct writes, so the serving database stays in-memory
-		// while the directory tracks the leader byte for byte.
-		name := *nodeID
-		if name == "" {
-			name = "follower"
-		}
-		fopts := cluster.FollowerOptions{Metrics: cluster.NewMetrics(reg), Injector: inj}
-		fopts.Store = store.DefaultOptions()
-		fopts.Store.Registry = reg
-		var err error
-		follower, err = cluster.OpenFollower(*dbDir, name, fopts)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			replCancel()
-			if err := follower.Close(); err != nil {
-				logger.Warn("closing replica", obs.KV("error", err.Error()))
-			}
-		}()
-		dial := func(ctx context.Context) (io.ReadWriteCloser, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", *replFollow)
-		}
-		go follower.RunLoop(replCtx, dial, retry.Policy{Name: "cluster.follow", Registry: reg})
-		db = metricdb.NewDB()
-		logger.Info("following replication leader",
-			obs.KV("leader", *replFollow), obs.KV("dir", *dbDir))
-	case *dbDir != "":
-		stOpts := store.DefaultOptions()
-		stOpts.Registry = reg
-		stOpts.Injector = inj
-		if *replListen != "" {
-			shipper = cluster.NewShipper(cluster.ShipperOptions{
-				Metrics: cluster.NewMetrics(reg), Injector: inj})
-			stOpts.Replicate = shipper.Record
-		}
-		var err error
-		st, err = store.Open(*dbDir, stOpts)
-		if err != nil {
-			return err
-		}
-		defer st.Close()
-		if shipper != nil {
-			shipper.Bind(st)
-			defer shipper.Close()
-			ln, err := net.Listen("tcp", *replListen)
-			if err != nil {
-				return err
-			}
-			defer ln.Close()
-			go acceptFollowers(replCtx, ln, shipper, logger)
-			logger.Info("replication leader listening", obs.KV("addr", *replListen))
-		}
-		db, err = metricdb.OpenDB(st)
-		if err != nil {
-			return err
-		}
-		logger.Info("durable metric database open",
-			obs.KV("dir", *dbDir), obs.KV("segments", st.Stats().Segments))
-	default:
-		db = metricdb.NewDB()
-	}
-
-	logger.Info("building pipeline", obs.KV("days", *days), obs.KV("clusters", *clusters))
-	ctx, buildSpan := obs.StartSpan(ctx, "server.build")
-	var trace *dcsim.Trace
-	var p *core.Pipeline
-	// The build steps run inside a closure so the deferred End closes the
-	// span on every path, including the early error returns — /api/trace
-	// and the build-duration log line both depend on the span finishing.
-	if err := func() error {
-		defer buildSpan.End()
-		simCfg := dcsim.DefaultConfig()
-		simCfg.Seed = *seed
-		simCfg.Duration = time.Duration(*days) * 24 * time.Hour
-		var err error
-		trace, err = dcsim.Run(simCfg)
-		if err != nil {
-			return err
-		}
-		trace.Stats.Record(reg, simCfg.Scheduler, trace.Scenarios.Len())
-		buildSpan.SetAttr("scenarios", trace.Scenarios.Len())
-		cfg := core.DefaultConfig()
-		cfg.Profile.Seed = *seed
-		cfg.Analyze.Seed = *seed
-		cfg.Analyze.Clusters = *clusters
-		p, err = core.New(cfg)
-		if err != nil {
-			return err
-		}
-		if err := p.ProfileContext(ctx, trace.Scenarios); err != nil {
-			return err
-		}
-		if err := p.AnalyzeContext(ctx); err != nil {
-			return err
-		}
-
-		// Record the dataset once: a restart against a populated -db-dir
-		// serves the journaled history instead of appending a duplicate run.
-		if profiler.Stored(db) {
-			logger.Info("metric database already populated; serving recorded history")
-		} else if err := p.PersistDatasetContext(ctx, db); err != nil {
-			return err
-		}
-		return nil
-	}(); err != nil {
-		return err
-	}
-
-	srv, err := server.NewWithTelemetry(p, machine.PaperFeatures(), reg, tracer)
-	if err != nil {
-		return err
-	}
-	srv.AttachDB(db)
-	srv.SetResilience(server.Options{
-		RequestTimeout:  *reqTimeout,
-		MaxConcurrent:   *maxConcurrent,
-		EstimateRefresh: *estRefresh,
-		Injector:        inj,
-	})
-	if err := srv.EnableTraceExport(db, server.ExportOptions{Retain: *traceRetain}); err != nil {
-		return err
-	}
-	if *nodeID != "" {
-		peers, err := parsePeers(*peersFlag)
-		if err != nil {
-			return err
-		}
-		ccfg := server.ClusterConfig{
-			NodeID:       *nodeID,
-			Peers:        peers,
-			VirtualNodes: *replicas,
-			Injector:     inj,
-		}
-		if shipper != nil {
-			ccfg.Role = "leader"
-			ccfg.ReplStatus = shipper.Followers
-		}
-		if follower != nil {
-			ccfg.Role = "follower"
-			ccfg.ReplApplied = follower.Applied
-		}
-		if err := srv.EnableCluster(ccfg); err != nil {
-			return err
-		}
-		logger.Info("cluster enabled", obs.KV("node", *nodeID),
-			obs.KV("peers", len(peers)), obs.KV("vnodes", *replicas))
-	}
-	defer srv.CloseTelemetry()
 	// The request logger shares the process's output and feeds warn+
 	// events to the exporter so they land next to their traces in the
 	// metric database. -quiet-requests lifts the floor to warn, which
@@ -329,20 +156,106 @@ func run() error {
 	if *quiet && reqLevel < obs.LevelWarn {
 		reqLevel = obs.LevelWarn
 	}
-	srv.SetLogger(obs.NewLogger(logw, obs.LoggerOptions{
-		Level:    reqLevel,
-		JSON:     *logJSON,
+	cfg := node.Config{
 		Registry: reg,
-		Hook:     srv.EventHook(),
-	}))
+		Injector: inj,
+		Dir:      *dbDir,
+		Lead:     *replListen != "",
+		Resilience: server.Options{
+			RequestTimeout:  *reqTimeout,
+			MaxConcurrent:   *maxConcurrent,
+			EstimateRefresh: *estRefresh,
+		},
+		TraceRetain: *traceRetain,
+		Log:         logw,
+		LogOptions:  obs.LoggerOptions{Level: reqLevel, JSON: *logJSON},
+	}
+	if *replFollow != "" {
+		cfg.Follow = func(ctx context.Context) (io.ReadWriteCloser, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", *replFollow)
+		}
+	}
+	if *nodeID != "" {
+		peers, err := parsePeers(*peersFlag)
+		if err != nil {
+			return err
+		}
+		cfg.Cluster = &server.ClusterConfig{NodeID: *nodeID, Peers: peers, VirtualNodes: *replicas}
+	}
+
+	// Open the metric database before the (slow) pipeline build so a bad
+	// -db-dir fails fast. The node is closed on every exit path: on
+	// shutdown that drains the trace exporter, then flushes the memtable
+	// and closes the WAL so the next start recovers from segments.
+	n, err := node.Open(cfg)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := n.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	switch {
+	case cfg.Follow != nil:
+		// The replica rejects direct writes, so the serving database
+		// stays in-memory while the directory tracks the leader.
+		logger.Info("following replication leader",
+			obs.KV("leader", *replFollow), obs.KV("dir", *dbDir))
+	case n.Store != nil:
+		if n.Shipper != nil {
+			ln, err := net.Listen("tcp", *replListen)
+			if err != nil {
+				return err
+			}
+			defer ln.Close()
+			replCtx, replCancel := context.WithCancel(context.Background())
+			defer replCancel()
+			go acceptFollowers(replCtx, ln, n.Shipper, logger)
+			logger.Info("replication leader listening", obs.KV("addr", *replListen))
+		}
+		logger.Info("durable metric database open",
+			obs.KV("dir", *dbDir), obs.KV("segments", n.Store.Stats().Segments))
+	}
+
+	// The pipeline build runs under the same tracer the server exposes,
+	// so /api/trace shows the build span tree and /metrics its timings.
+	logger.Info("building pipeline", obs.KV("days", *days), obs.KV("clusters", *clusters))
+	ctx, buildSpan := obs.StartSpan(obs.WithTracer(context.Background(), n.Tracer()), "server.build")
+	var b *node.Build
+	// The build steps run inside a closure so the deferred End closes the
+	// span on every path, including the early error returns — /api/trace
+	// and the build-duration log line both depend on the span finishing.
+	if err := func() error {
+		defer buildSpan.End()
+		var err error
+		if b, err = node.NewBuild(ctx, *days, *clusters, *seed, inj); err != nil {
+			return err
+		}
+		buildSpan.SetAttr("scenarios", b.Trace.Scenarios.Len())
+		// The dataset is recorded once: a restart against a populated
+		// -db-dir serves the journaled history instead of appending a
+		// duplicate run.
+		if profiler.Stored(n.DB) {
+			logger.Info("metric database already populated; serving recorded history")
+		}
+		return n.Serve(ctx, b)
+	}(); err != nil {
+		return err
+	}
+	if *nodeID != "" {
+		logger.Info("cluster enabled", obs.KV("node", *nodeID),
+			obs.KV("peers", len(cfg.Cluster.Peers)), obs.KV("vnodes", *replicas))
+	}
 	logger.Info("pipeline ready",
-		obs.KV("scenarios", trace.Scenarios.Len()),
-		obs.KV("representatives", len(p.Representatives())),
+		obs.KV("scenarios", b.Trace.Scenarios.Len()),
+		obs.KV("representatives", len(b.Pipeline.Representatives())),
 		obs.KV("build_ms", buildSpan.Duration().Milliseconds()))
 
 	httpSrv := &http.Server{
 		Addr:              *addr,
-		Handler:           srv.Handler(),
+		Handler:           n.Server.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
@@ -367,19 +280,8 @@ func run() error {
 			return err
 		}
 	}
-	// Requests have drained; drain the trace exporter into the database,
-	// then flush the memtable and close the WAL so the next start
-	// recovers instantly from segments.
-	srv.CloseTelemetry()
-	replCancel()
-	if shipper != nil {
-		shipper.Close()
-	}
-	if st != nil {
+	if n.Store != nil {
 		logger.Info("flushing metric store")
-		if err := st.Close(); err != nil {
-			return err
-		}
 	}
 	return nil
 }

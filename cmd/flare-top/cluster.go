@@ -82,11 +82,10 @@ func healthRank(s string) int {
 // cheap.
 func (p *poller) fetchLite() (*sample, error) {
 	s := &sample{at: time.Now()}
-	body, _, err := p.get("/metrics")
-	if err != nil {
+	var err error
+	if s.metrics, err = p.scrape(); err != nil {
 		return nil, err
 	}
-	s.metrics = parsePrometheus(string(body))
 	body, code, err := p.get("/api/health")
 	if err != nil {
 		return nil, err
@@ -157,8 +156,8 @@ func buildClusterReport(peers []peerSpec, prev, cur []*sample, errs []error) clu
 			}
 			if prev[i] != nil {
 				if dt := s.at.Sub(prev[i].at).Seconds(); dt > 0 {
-					d := familySum(s.metrics, "flare_http_requests_total") -
-						familySum(prev[i].metrics, "flare_http_requests_total")
+					d := s.metrics.Sum("flare_http_requests_total") -
+						prev[i].metrics.Sum("flare_http_requests_total")
 					if d > 0 {
 						row.QPS = d / dt
 					}

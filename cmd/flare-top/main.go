@@ -21,6 +21,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -28,9 +29,10 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
+
+	"flare/internal/obs"
 )
 
 func main() {
@@ -116,7 +118,7 @@ type poller struct {
 // sample is one poll of the server's observable state.
 type sample struct {
 	at      time.Time
-	metrics map[string]float64 // series key ("name" or `name{labels}`) -> value
+	metrics obs.MetricSet
 	health  healthReport
 	code    int // HTTP status of /api/health (failing answers 503)
 	spans   []spanRow
@@ -187,11 +189,10 @@ type spanRow struct {
 func (p *poller) fetch() (*sample, error) {
 	s := &sample{at: time.Now()}
 
-	body, _, err := p.get("/metrics")
-	if err != nil {
+	var err error
+	if s.metrics, err = p.scrape(); err != nil {
 		return nil, err
 	}
-	s.metrics = parsePrometheus(string(body))
 
 	body, code, err := p.get("/api/health")
 	if err != nil {
@@ -234,45 +235,17 @@ func (p *poller) get(path string) ([]byte, int, error) {
 	return body, resp.StatusCode, nil
 }
 
-// parsePrometheus reads the text exposition format into a series map.
-// Comment and blank lines are skipped; histogram bucket series keep
-// their full label set so callers can pick exact series.
-func parsePrometheus(text string) map[string]float64 {
-	out := make(map[string]float64)
-	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		// The value is everything after the last space; labels may
-		// themselves contain spaces inside quoted values.
-		sp := strings.LastIndexByte(line, ' ')
-		if sp <= 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			continue
-		}
-		out[line[:sp]] = v
+// scrape fetches and parses /metrics.
+func (p *poller) scrape() (obs.MetricSet, error) {
+	body, _, err := p.get("/metrics")
+	if err != nil {
+		return nil, err
 	}
-	return out
-}
-
-// familySum adds every series of a metric family (exact bare name or
-// any labeled series of it).
-func familySum(m map[string]float64, name string) float64 {
-	if v, ok := m[name]; ok {
-		return v
+	m, err := obs.ParseMetrics(bytes.NewReader(body))
+	if err != nil {
+		return nil, fmt.Errorf("parsing /metrics: %w", err)
 	}
-	var sum float64
-	prefix := name + "{"
-	for k, v := range m {
-		if strings.HasPrefix(k, prefix) {
-			sum += v
-		}
-	}
-	return sum
+	return m, nil
 }
 
 func flattenSpans(s spanSnapshot, out *[]spanRow) {
@@ -314,20 +287,20 @@ func buildReport(addr string, prev, cur *sample, topN int) report {
 		Addr:      addr,
 		Health:    cur.health,
 		HTTPCode:  cur.code,
-		Requests:  familySum(cur.metrics, "flare_http_requests_total"),
-		Shed:      familySum(cur.metrics, "flare_shed_total"),
-		Degraded:  familySum(cur.metrics, "flare_degraded_responses_total"),
-		Timeouts:  familySum(cur.metrics, "flare_request_timeouts_total"),
-		TraceDrop: familySum(cur.metrics, "flare_trace_dropped_total"),
-		Exported:  familySum(cur.metrics, "flare_trace_exported_total"),
+		Requests:  cur.metrics.Sum("flare_http_requests_total"),
+		Shed:      cur.metrics.Sum("flare_shed_total"),
+		Degraded:  cur.metrics.Sum("flare_degraded_responses_total"),
+		Timeouts:  cur.metrics.Sum("flare_request_timeouts_total"),
+		TraceDrop: cur.metrics.Sum("flare_trace_dropped_total"),
+		Exported:  cur.metrics.Sum("flare_trace_exported_total"),
 	}
-	hits := cur.metrics[`flare_estimate_cache_total{result="hit"}`]
-	if lookups := familySum(cur.metrics, "flare_estimate_cache_total"); lookups > 0 {
+	hits := cur.metrics.SumLabel("flare_estimate_cache_total", "result", "hit")
+	if lookups := cur.metrics.Sum("flare_estimate_cache_total"); lookups > 0 {
 		r.CacheHit = hits / lookups
 	}
 	if prev != nil {
 		if dt := cur.at.Sub(prev.at).Seconds(); dt > 0 {
-			if d := r.Requests - familySum(prev.metrics, "flare_http_requests_total"); d > 0 {
+			if d := r.Requests - prev.metrics.Sum("flare_http_requests_total"); d > 0 {
 				r.QPS = d / dt
 			}
 		}

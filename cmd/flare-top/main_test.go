@@ -124,23 +124,36 @@ func TestOnceFailsOnDeadServer(t *testing.T) {
 	}
 }
 
+// TestParsePrometheus checks the dashboard reads /metrics through the
+// shared exposition parser: family sums and exact labelled series come
+// back, and a malformed exposition fails the poll instead of silently
+// dropping series.
 func TestParsePrometheus(t *testing.T) {
 	text := `# HELP flare_http_requests_total requests
 # TYPE flare_http_requests_total counter
 flare_http_requests_total{route="/api/summary",code="200"} 7
 flare_http_requests_total{route="/api/pcs",code="500"} 2
 flare_slo_p99_seconds 0.25
-malformed line without value x
 `
-	m := parsePrometheus(text)
-	if got := familySum(m, "flare_http_requests_total"); got != 9 {
-		t.Errorf("familySum = %v, want 9", got)
+	health := `{"status":"ok"}`
+	p := &poller{base: fakeNode(t, text, health).URL, hc: http.DefaultClient}
+	s, err := p.fetchLite()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := m["flare_slo_p99_seconds"]; got != 0.25 {
+	if got := s.metrics.Sum("flare_http_requests_total"); got != 9 {
+		t.Errorf("family sum = %v, want 9", got)
+	}
+	if got := s.metrics.Sum("flare_slo_p99_seconds"); got != 0.25 {
 		t.Errorf("bare gauge = %v, want 0.25", got)
 	}
-	if got := m[`flare_http_requests_total{route="/api/pcs",code="500"}`]; got != 2 {
+	if got := s.metrics.SumLabel("flare_http_requests_total", "code", "500"); got != 2 {
 		t.Errorf("exact series = %v, want 2", got)
+	}
+
+	bad := &poller{base: fakeNode(t, text+"malformed line without value x\n", health).URL, hc: http.DefaultClient}
+	if _, err := bad.fetchLite(); err == nil || !strings.Contains(err.Error(), "parsing /metrics") {
+		t.Errorf("malformed exposition: err = %v, want a /metrics parse error", err)
 	}
 }
 
@@ -148,14 +161,13 @@ func TestBuildReportQPSAndCache(t *testing.T) {
 	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 	prev := &sample{
 		at:      base,
-		metrics: map[string]float64{`flare_http_requests_total{route="/a",code="200"}`: 10},
+		metrics: obs.MetricSet{"flare_http_requests_total": {`{route="/a",code="200"}`: 10}},
 	}
 	cur := &sample{
 		at: base.Add(2 * time.Second),
-		metrics: map[string]float64{
-			`flare_http_requests_total{route="/a",code="200"}`: 30,
-			`flare_estimate_cache_total{result="hit"}`:         3,
-			`flare_estimate_cache_total{result="miss"}`:        1,
+		metrics: obs.MetricSet{
+			"flare_http_requests_total":  {`{route="/a",code="200"}`: 30},
+			"flare_estimate_cache_total": {`{result="hit"}`: 3, `{result="miss"}`: 1},
 		},
 		spans: []spanRow{
 			{Name: "fast", DurationMs: 1},

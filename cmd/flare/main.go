@@ -30,6 +30,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -41,13 +42,12 @@ import (
 	"flare/internal/dcsim"
 	"flare/internal/fault"
 	"flare/internal/machine"
-	"flare/internal/metricdb"
+	"flare/internal/node"
 	"flare/internal/obs"
 	"flare/internal/perfscore"
 	"flare/internal/profiler"
 	"flare/internal/replayer"
 	"flare/internal/scenario"
-	"flare/internal/store"
 	"flare/internal/workload"
 )
 
@@ -105,16 +105,9 @@ func run() error {
 	}
 
 	reg := obs.NewRegistry()
-	var inj *fault.Injector
-	if *faultSpec != "" {
-		rules, err := fault.ParseSpec(*faultSpec)
-		if err != nil {
-			return err
-		}
-		inj, err = fault.New(rules, *faultSeed, reg)
-		if err != nil {
-			return err
-		}
+	inj, err := node.Injector(*faultSpec, *faultSeed, reg)
+	if err != nil {
+		return err
 	}
 
 	// The whole run is one root span; each stage below nests under it.
@@ -135,12 +128,7 @@ func run() error {
 		root.SetAttr("scenarios", set.Len())
 		logger.Info("scenario population loaded", obs.KV("colocations", set.Len()))
 
-		cfg := core.DefaultConfig()
-		cfg.Profile.Seed = *seed
-		cfg.Analyze.Seed = *seed
-		cfg.Analyze.Clusters = *clusters
-		cfg.Replay.Seed = *seed
-		cfg.Replay.Injector = inj
+		cfg := node.PipelineConfig(*seed, *clusters, inj)
 		if *catalogPath != "" {
 			f, err := os.Open(*catalogPath)
 			if err != nil {
@@ -169,31 +157,20 @@ func run() error {
 		}
 
 		if *dbDir != "" {
-			stOpts := store.DefaultOptions()
-			stOpts.Registry = reg
-			stOpts.Injector = inj
-			st, err := store.Open(*dbDir, stOpts)
+			n, err := node.Open(node.Config{Registry: reg, Injector: inj, Dir: *dbDir})
 			if err != nil {
 				return err
 			}
-			db, err := metricdb.OpenDB(st)
-			if err != nil {
-				st.Close()
+			stored := profiler.Stored(n.DB)
+			if !stored {
+				err = p.PersistDatasetContext(ctx, n.DB)
+			}
+			if err := errors.Join(err, n.Close()); err != nil {
 				return err
 			}
-			if profiler.Stored(db) {
+			if stored {
 				logger.Info("metric database already holds a dataset; not re-recording", obs.KV("dir", *dbDir))
-				if err := st.Close(); err != nil {
-					return err
-				}
 			} else {
-				if err := p.PersistDatasetContext(ctx, db); err != nil {
-					st.Close()
-					return err
-				}
-				if err := st.Close(); err != nil {
-					return err
-				}
 				logger.Info("recorded profiled dataset", obs.KV("dir", *dbDir))
 			}
 		}

@@ -21,7 +21,7 @@ import (
 )
 
 // Doer issues one HTTP request (http.Client implements it; so does the
-// in-process handler transport).
+// in-process Transport).
 type Doer interface {
 	Do(*http.Request) (*http.Response, error)
 }
@@ -51,10 +51,12 @@ var defaultClient = &http.Client{
 	},
 }
 
-// handlerTransport serves requests by calling an http.Handler directly.
-type handlerTransport struct {
-	h http.Handler
-}
+// Transport serves requests in process: each goes straight to the
+// handler registered under its URL host, with no sockets. It is the
+// in-memory transport both for driving a server and for the peer
+// requests of an in-process cluster. Register every handler before the
+// first request; the map is read without locking.
+type Transport map[string]http.Handler
 
 // memWriter is a minimal in-memory http.ResponseWriter.
 type memWriter struct {
@@ -72,9 +74,14 @@ func (w *memWriter) Write(b []byte) (int, error) {
 	return w.body.Write(b)
 }
 
-func (t handlerTransport) Do(req *http.Request) (*http.Response, error) {
-	w := &memWriter{header: make(http.Header), status: 0}
-	t.h.ServeHTTP(w, req)
+// Do serves req through the handler for its host.
+func (t Transport) Do(req *http.Request) (*http.Response, error) {
+	h := t[req.URL.Host]
+	if h == nil {
+		return nil, fmt.Errorf("loadgen: no in-process handler for host %q", req.URL.Host)
+	}
+	w := &memWriter{header: make(http.Header)}
+	h.ServeHTTP(w, req)
 	if w.status == 0 {
 		w.status = http.StatusOK
 	}
@@ -85,10 +92,11 @@ func (t handlerTransport) Do(req *http.Request) (*http.Response, error) {
 	}, nil
 }
 
-// HandlerTarget wraps an in-process handler — a single *server.Server
-// Handler() or one node of an in-process flare-cluster — as a Target.
+// HandlerTarget wraps one in-process handler — a single *server.Server
+// Handler() or one node of an in-process cluster — as a Target.
 func HandlerTarget(h http.Handler) Target {
-	return Target{Base: "http://loadgen.inprocess", Client: handlerTransport{h}}
+	const host = "loadgen.inprocess"
+	return Target{Base: "http://" + host, Client: Transport{host: h}}
 }
 
 // Options configures a run over an already-built Schedule.
@@ -203,7 +211,7 @@ func Run(ctx context.Context, target Target, sched *Schedule, opts Options) (*Re
 		buckets = DefaultBuckets()
 	}
 
-	var pre MetricSet
+	var pre obs.MetricSet
 	if opts.VerifyMetrics {
 		var err error
 		pre, err = scrapeMetrics(target)
@@ -426,7 +434,7 @@ func countDegradedBodies(op Op, payload []byte) uint64 {
 }
 
 // scrapeMetrics fetches and parses the target's /metrics exposition.
-func scrapeMetrics(target Target) (MetricSet, error) {
+func scrapeMetrics(target Target) (obs.MetricSet, error) {
 	req, err := http.NewRequest(http.MethodGet, target.Base+"/metrics", nil)
 	if err != nil {
 		return nil, err
@@ -439,7 +447,7 @@ func scrapeMetrics(target Target) (MetricSet, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("GET /metrics answered %d", resp.StatusCode)
 	}
-	return ParseMetrics(resp.Body)
+	return obs.ParseMetrics(resp.Body)
 }
 
 // CrossCheck is the client-versus-server accounting comparison.
@@ -459,7 +467,7 @@ type CheckRow struct {
 // crossCheck derives the server-side deltas and compares them with the
 // client's books. Every comparison is exact: the generator was the only
 // client, so any slack means double counting or lost requests.
-func crossCheck(res *Result, pre, post MetricSet) *CrossCheck {
+func crossCheck(res *Result, pre, post obs.MetricSet) *CrossCheck {
 	delta := func(family string) uint64 {
 		return uint64(post.Sum(family) - pre.Sum(family))
 	}

@@ -1,7 +1,7 @@
-// Durable backing for the metric database: a Backend implementation that
-// journals every table definition and row append into internal/store's
+// Durable backing for the metric database: a journal that records every
+// table definition, row append and truncation into internal/store's
 // WAL + segment engine, and OpenDB, which rebuilds a DB from that journal
-// after a restart or crash.
+// after a restart or crash and keeps journaling its later mutations.
 //
 // Key layout inside the store (ascending scan order is load order):
 //
@@ -74,20 +74,19 @@ type truncRecord struct {
 	BelowSeq uint64 `json:"below_seq"`
 }
 
-// StoreBackend journals metricdb mutations into an embedded store. Every
+// journal records metricdb mutations into an embedded store. Every
 // Insert is a durable WAL append (group-committed with concurrent
 // writers) — the profiler's samples stream to disk as they are recorded
 // instead of relying on an end-of-run dump. Transient append failures
 // (an injected or real blip on the disk path) are retried with capped
 // exponential backoff before the error reaches the caller, so a brief
 // store hiccup does not abort a multi-minute profiling run.
-type StoreBackend struct {
+type journal struct {
 	st *store.Store
 
-	// Retry is the journal append's retry policy. Replace it (before the
-	// first use) to tune the profiler->store path; the zero adjustments
-	// in defaultJournalRetry suit the embedded engine's latencies.
-	Retry retry.Policy
+	// retry is the append's retry policy: defaultJournalRetry, whose
+	// bounds suit the embedded engine's latencies.
+	retry retry.Policy
 
 	mu      sync.Mutex
 	nextSeq map[string]uint64
@@ -107,59 +106,53 @@ func defaultJournalRetry(reg *obs.Registry) retry.Policy {
 	}
 }
 
-// NewStoreBackend wraps an open store. Use OpenDB instead when the store
-// may already hold journaled tables.
-func NewStoreBackend(st *store.Store) *StoreBackend {
-	return &StoreBackend{st: st, Retry: defaultJournalRetry(st.Registry()), nextSeq: make(map[string]uint64)}
-}
-
 // append journals one durable record through the retry policy.
-func (b *StoreBackend) append(key, val []byte) error {
-	return b.Retry.Do(context.Background(), func() error {
-		return b.st.Append(key, val)
+func (j *journal) append(key, val []byte) error {
+	return j.retry.Do(context.Background(), func() error {
+		return j.st.Append(key, val)
 	})
 }
 
-// CreateTable journals a schema record.
-func (b *StoreBackend) CreateTable(name string, columns []Column) error {
+// createTable journals a schema record.
+func (j *journal) createTable(name string, columns []Column) error {
 	val, err := json.Marshal(schemaRecord{Name: name, Columns: columns})
 	if err != nil {
 		return err
 	}
 	key := append([]byte(schemaKeyPrefix), name...)
-	return b.append(key, val)
+	return j.append(key, val)
 }
 
-// Truncate journals a retention marker retiring rows below belowSeq.
+// truncate journals a retention marker retiring rows below belowSeq.
 // Appending the same key again shadows any earlier marker, so the
 // newest (highest) below_seq always wins on recovery.
-func (b *StoreBackend) Truncate(table string, belowSeq uint64) error {
+func (j *journal) truncate(table string, belowSeq uint64) error {
 	val, err := json.Marshal(truncRecord{BelowSeq: belowSeq})
 	if err != nil {
 		return err
 	}
 	key := append([]byte(truncKeyPrefix), table...)
-	return b.append(key, val)
+	return j.append(key, val)
 }
 
-// Insert journals one row under the table's next sequence number.
-func (b *StoreBackend) Insert(table string, r Row) error {
+// insert journals one row under the table's next sequence number. Calls
+// for one table arrive in insertion order (Table.Insert holds the
+// table's lock across the call), so the journal replays to an identical
+// table.
+func (j *journal) insert(table string, r Row) error {
 	val, err := json.Marshal(r)
 	if err != nil {
 		return err
 	}
-	b.mu.Lock()
-	seq := b.nextSeq[table]
-	b.nextSeq[table] = seq + 1
-	b.mu.Unlock()
-	return b.append(rowKey(table, seq), val)
+	j.mu.Lock()
+	seq := j.nextSeq[table]
+	j.nextSeq[table] = seq + 1
+	j.mu.Unlock()
+	return j.append(rowKey(table, seq), val)
 }
 
-// Store returns the underlying engine (for stats and lifecycle).
-func (b *StoreBackend) Store() *store.Store { return b.st }
-
-// OpenDB reconstructs a database from the journal in st and attaches a
-// backend so further mutations stay durable. Opening an empty store
+// OpenDB reconstructs a database from the journal in st and keeps
+// journaling into st, so further mutations stay durable. Opening an empty store
 // yields an empty durable DB. The recovered DB serves exactly the rows
 // that were durably journaled before the last shutdown or crash.
 func OpenDB(st *store.Store) (*DB, error) {
@@ -220,7 +213,7 @@ func OpenDB(st *store.Store) (*DB, error) {
 		return nil, scanErr
 	}
 
-	// Build in-memory first (no backend attached) — the journal already
+	// Build in-memory first (no journal attached) — the store already
 	// holds these records; replaying them must not re-journal. Rows
 	// beneath a table's truncation marker were retired by TruncateHead
 	// and are skipped (compaction reclaims their bytes eventually).
@@ -247,13 +240,11 @@ func OpenDB(st *store.Store) (*DB, error) {
 		return nil, fmt.Errorf("metricdb: journal has rows for unknown table %s", table)
 	}
 
-	// Now attach the backend, seeded past the recovered sequence numbers.
-	backend := &StoreBackend{st: st, Retry: defaultJournalRetry(st.Registry()), nextSeq: nextSeq}
-	db.backend = backend
-	db.mu.Lock()
+	// Now attach the journal, seeded past the recovered sequence numbers.
+	j := &journal{st: st, retry: defaultJournalRetry(st.Registry()), nextSeq: nextSeq}
+	db.journal = j
 	for _, t := range db.tables {
-		t.backend = backend
+		t.journal = j
 	}
-	db.mu.Unlock()
 	return db, nil
 }

@@ -19,6 +19,16 @@ func openStore(t *testing.T, dir string) *store.Store {
 	return st
 }
 
+// openDB opens the metric database journaled in st.
+func openDB(t *testing.T, st *store.Store) *DB {
+	t.Helper()
+	db, err := OpenDB(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 // fill inserts a deterministic mix of rows, including zero values.
 func fill(t *testing.T, db *DB) {
 	t.Helper()
@@ -71,7 +81,7 @@ func TestDurableBackendGolden(t *testing.T) {
 
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	durable := NewDBWithBackend(NewStoreBackend(st))
+	durable := openDB(t, st)
 	fill(t, durable)
 	if got := dumpJSON(t, durable); !bytes.Equal(got, want) {
 		t.Errorf("durable DB differs from in-memory DB:\n got %s\nwant %s", got, want)
@@ -128,7 +138,7 @@ func TestOpenDBEmptyStore(t *testing.T) {
 func TestDurableDBContinuesAfterReopen(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	db := NewDBWithBackend(NewStoreBackend(st))
+	db := openDB(t, st)
 	fill(t, db)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -177,7 +187,7 @@ func TestDurableDBContinuesAfterReopen(t *testing.T) {
 func TestDurableDBSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	db := NewDBWithBackend(NewStoreBackend(st))
+	db := openDB(t, st)
 	tbl, err := db.CreateTable("samples", sampleSchema())
 	if err != nil {
 		t.Fatal(err)

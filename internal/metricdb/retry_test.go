@@ -7,14 +7,16 @@ import (
 
 	"flare/internal/fault"
 	"flare/internal/obs"
-	"flare/internal/retry"
+	"flare/internal/store"
 )
 
-// fastRetry is the default journal policy without real sleeps.
-func fastRetry() retry.Policy {
-	p := defaultJournalRetry(obs.NewRegistry())
-	p.Sleep = func(time.Duration) {}
-	return p
+// openFastDB opens st's database with the default journal retry policy
+// minus its real sleeps.
+func openFastDB(t *testing.T, st *store.Store) *DB {
+	t.Helper()
+	db := openDB(t, st)
+	db.journal.retry.Sleep = func(time.Duration) {}
+	return db
 }
 
 // TestJournalRetriesTransientAppend injects a single failing WAL append
@@ -29,9 +31,7 @@ func TestJournalRetriesTransientAppend(t *testing.T) {
 	}
 	st.SetInjector(in)
 
-	b := NewStoreBackend(st)
-	b.Retry = fastRetry()
-	db := NewDBWithBackend(b)
+	db := openFastDB(t, st)
 	fill(t, db)
 	want := dumpJSON(t, db)
 	if err := st.Close(); err != nil {
@@ -54,23 +54,41 @@ func TestJournalRetriesTransientAppend(t *testing.T) {
 
 // TestJournalSurfacesPersistentOutage verifies a total store outage is
 // reported to the caller once retries are exhausted, wrapping the
-// injected sentinel.
+// injected sentinel, and that a failed journal write leaves the table
+// and the database unchanged.
 func TestJournalSurfacesPersistentOutage(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	defer st.Close()
+	db := openFastDB(t, st)
+	tbl, err := db.CreateTable("samples", sampleSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Insert(Row{Int(1), String("MIPS"), Float(1)}); err != nil {
+		t.Fatal(err)
+	}
 	in, err := fault.New(fault.MustParseSpec("store.wal.append=error@1"), 1, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.SetInjector(in)
 
-	b := NewStoreBackend(st)
-	b.Retry = fastRetry()
-	if err := b.Insert("samples", Row{Int(1)}); !errors.Is(err, fault.ErrInjected) {
+	if err := tbl.Insert(Row{Int(2), String("IPC"), Float(2)}); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("Insert during outage = %v, want wrapped ErrInjected", err)
 	}
-	if in.Injected() < int(b.Retry.MaxAttempts) {
-		t.Errorf("injected = %d, want >= %d (every attempt hit the fault)",
-			in.Injected(), b.Retry.MaxAttempts)
+	if attempts := db.journal.retry.MaxAttempts; in.Injected() < attempts {
+		t.Errorf("injected = %d, want >= %d (every attempt hit the fault)", in.Injected(), attempts)
+	}
+	if _, err := tbl.TruncateHead(0); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("TruncateHead during outage = %v, want wrapped ErrInjected", err)
+	}
+	if rows := tbl.Select(nil); len(rows) != 1 || rows[0][0].I != 1 {
+		t.Errorf("rows after failed journal writes = %+v, want only the first", rows)
+	}
+	if _, err := db.CreateTable("job_perf", sampleSchema()); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("CreateTable during outage = %v, want wrapped ErrInjected", err)
+	}
+	if names := db.TableNames(); len(names) != 1 {
+		t.Errorf("tables after a failed CreateTable = %v, want [samples]", names)
 	}
 }

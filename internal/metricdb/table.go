@@ -64,28 +64,6 @@ func String(s string) Value { return Value{S: s} }
 // Row is one record, with cells parallel to the table's columns.
 type Row []Value
 
-// Backend receives every schema definition and row append of a DB,
-// letting a durable engine journal them before they are applied in
-// memory. Implementations must be safe for concurrent use. A nil backend
-// keeps the DB purely in-memory (the historical behaviour).
-type Backend interface {
-	// CreateTable journals a new table's schema.
-	CreateTable(name string, columns []Column) error
-	// Insert journals one row append. Calls for one table arrive in
-	// insertion order (the table's lock is held across the call), so the
-	// journal replays to an identical table.
-	Insert(table string, r Row) error
-}
-
-// Truncator is an optional Backend capability: journaling a durable
-// truncation marker so rows dropped by TruncateHead stay dropped after a
-// restart. Backends without it truncate in memory only.
-type Truncator interface {
-	// Truncate records that all rows of table with sequence numbers below
-	// belowSeq are retired.
-	Truncate(table string, belowSeq uint64) error
-}
-
 // Table is a typed, append-only relation. It is safe for concurrent use:
 // inserts take the write lock, queries the read lock.
 type Table struct {
@@ -94,9 +72,9 @@ type Table struct {
 	columns []Column
 	colIdx  map[string]int
 	rows    []Row
-	backend Backend // nil for in-memory tables
-	// firstSeq is the backend sequence number of rows[0]; it advances as
-	// TruncateHead retires the oldest rows. Always 0 without a backend.
+	journal *journal // nil for in-memory tables
+	// firstSeq is the journal sequence number of rows[0]; it advances as
+	// TruncateHead retires the oldest rows. Always 0 without a journal.
 	firstSeq uint64
 }
 
@@ -148,7 +126,7 @@ func (t *Table) Len() int {
 }
 
 // Insert appends a row. The row must have exactly one cell per column.
-// With a backend attached the row is journaled durably first; a journal
+// With a journal attached the row is journaled durably first; a journal
 // failure leaves the in-memory table unchanged.
 func (t *Table) Insert(r Row) error {
 	if len(r) != len(t.columns) {
@@ -158,10 +136,10 @@ func (t *Table) Insert(r Row) error {
 	defer t.mu.Unlock()
 	cp := make(Row, len(r))
 	copy(cp, r)
-	// Journal under the lock so the backend's sequence order matches the
+	// Journal under the lock so the journal's sequence order matches the
 	// in-memory row order exactly — reconstruction is then byte-identical.
-	if t.backend != nil {
-		if err := t.backend.Insert(t.name, cp); err != nil {
+	if t.journal != nil {
+		if err := t.journal.insert(t.name, cp); err != nil {
 			return fmt.Errorf("metricdb: journaling %s insert: %w", t.name, err)
 		}
 	}
@@ -171,7 +149,7 @@ func (t *Table) Insert(r Row) error {
 
 // TruncateHead retires the oldest rows so at most keep remain — the
 // retention knob for append-only telemetry tables that would otherwise
-// grow without bound. With a Truncator backend the truncation is
+// grow without bound. With a journal attached the truncation is
 // journaled first, so a restarted database recovers only the surviving
 // rows; journal failure leaves the table unchanged. Returns how many
 // rows were dropped. Old journal records are reclaimed lazily by the
@@ -187,8 +165,8 @@ func (t *Table) TruncateHead(keep int) (int, error) {
 		return 0, nil
 	}
 	below := t.firstSeq + uint64(drop)
-	if tr, ok := t.backend.(Truncator); ok {
-		if err := tr.Truncate(t.name, below); err != nil {
+	if t.journal != nil {
+		if err := t.journal.truncate(t.name, below); err != nil {
 			return 0, fmt.Errorf("metricdb: journaling %s truncation: %w", t.name, err)
 		}
 	}
@@ -246,11 +224,11 @@ func (t *Table) Floats(column string, where func(Row) bool) ([]float64, error) {
 }
 
 // DB is a named collection of tables, optionally journaling every
-// mutation through a Backend for durability.
+// mutation into a durable store (see OpenDB).
 type DB struct {
 	mu      sync.RWMutex
 	tables  map[string]*Table
-	backend Backend
+	journal *journal
 }
 
 // NewDB returns an empty in-memory database.
@@ -258,17 +236,8 @@ func NewDB() *DB {
 	return &DB{tables: make(map[string]*Table)}
 }
 
-// NewDBWithBackend returns an empty database that journals every
-// CreateTable and Insert through b. Use store-backed backends (see
-// NewStoreBackend / OpenDB) to make the database survive restarts.
-func NewDBWithBackend(b Backend) *DB {
-	db := NewDB()
-	db.backend = b
-	return db
-}
-
 // CreateTable adds a new table. It fails if the name already exists.
-// With a backend attached the schema is journaled durably first.
+// With a journal attached the schema is journaled durably first.
 func (db *DB) CreateTable(name string, columns []Column) (*Table, error) {
 	t, err := NewTable(name, columns)
 	if err != nil {
@@ -279,11 +248,11 @@ func (db *DB) CreateTable(name string, columns []Column) (*Table, error) {
 	if _, dup := db.tables[name]; dup {
 		return nil, fmt.Errorf("metricdb: table %s already exists", name)
 	}
-	if db.backend != nil {
-		if err := db.backend.CreateTable(name, t.Columns()); err != nil {
+	if db.journal != nil {
+		if err := db.journal.createTable(name, t.Columns()); err != nil {
 			return nil, fmt.Errorf("metricdb: journaling table %s: %w", name, err)
 		}
-		t.backend = db.backend
+		t.journal = db.journal
 	}
 	db.tables[name] = t
 	return t, nil

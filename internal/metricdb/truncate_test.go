@@ -64,7 +64,7 @@ func TestTruncateHeadInMemory(t *testing.T) {
 func TestTruncationSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	db := NewDBWithBackend(NewStoreBackend(st))
+	db := openDB(t, st)
 	tbl, err := db.CreateTable("events", intColSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestTruncationSurvivesRestart(t *testing.T) {
 func TestTruncateEverythingSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	db := NewDBWithBackend(NewStoreBackend(st))
+	db := openDB(t, st)
 	tbl, err := db.CreateTable("events", intColSchema())
 	if err != nil {
 		t.Fatal(err)

@@ -1,165 +1,181 @@
 package node
 
 import (
-	"bufio"
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"os/exec"
+	"net/http/httptest"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 	"time"
+
+	"flare/internal/core"
+	"flare/internal/dcsim"
+	"flare/internal/loadgen"
+	"flare/internal/machine"
+	"flare/internal/obs"
+	"flare/internal/server"
 )
 
-// These tests drive the built launchers end to end and pin three
-// behaviours every serving node must share: -seed reaches the replayer,
-// every fault site named in -fault-spec is armed, and every node serves
-// the profiled dataset from its metric database.
+// These tests pin three behaviours every launcher's nodes share because
+// they are assembled here: -seed reaches the replayer, every fault site
+// named in -fault-spec is armed, and every node serves the profiled
+// dataset from its metric database.
 
-// buildCmd compiles ./cmd/<name> into a temporary directory.
-func buildCmd(t *testing.T, name string) string {
+const testDays, testClusters = 2, 6
+
+// get serves one GET through h.
+func get(t *testing.T, h http.Handler, path string) (int, string) {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), name)
-	out, err := exec.Command("go", "build", "-o", bin, "../../cmd/"+name).CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build %s: %v\n%s", name, err, out)
-	}
-	return bin
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	return rec.Code, rec.Body.String()
 }
 
-// freePort returns a port nothing is listening on right now.
-func freePort(t *testing.T) int {
+// serve opens and serves one node over b, closing it when the test ends.
+func serve(t *testing.T, b *Build, cfg Config) *Node {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	n, err := Open(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	return ln.Addr().(*net.TCPAddr).Port
-}
-
-// start launches bin and kills it when the test ends.
-func start(t *testing.T, bin string, args ...string) {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	var logs bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &logs, &logs
-	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-		if t.Failed() {
-			t.Logf("%s log:\n%s", filepath.Base(bin), logs.String())
+		if err := n.Close(); err != nil {
+			t.Error(err)
 		}
 	})
-}
-
-// get fetches base+path once the server is healthy.
-func get(t *testing.T, base, path string) (int, string) {
-	t.Helper()
-	deadline := time.Now().Add(90 * time.Second)
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never became healthy", base)
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-	resp, err := http.Get(base + path)
-	if err != nil {
+	if err := n.Serve(context.Background(), b); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, string(b)
+	return n
 }
 
-var reductionLine = regexp.MustCompile(`^\s+(feature\d):.*MIPS reduction\s+(-?[0-9.]+)%`)
-
+// TestLauncherSeedReachesReplay: a node built at seed 2 answers the
+// estimate bytes of a pipeline whose every seed is 2, configured here by
+// hand rather than through PipelineConfig.
 func TestLauncherSeedReachesReplay(t *testing.T) {
-	flare, server := buildCmd(t, "flare"), buildCmd(t, "flare-server")
-	out, err := exec.Command(flare, "-days", "2", "-clusters", "6", "-seed", "2").Output()
+	const seed = 2
+	b, err := NewBuild(context.Background(), testDays, testClusters, seed, nil)
 	if err != nil {
-		t.Fatalf("flare: %v", err)
+		t.Fatal(err)
 	}
-	want := map[string]string{}
-	sc := bufio.NewScanner(bytes.NewReader(out))
-	for sc.Scan() {
-		if m := reductionLine.FindStringSubmatch(sc.Text()); m != nil {
-			want[m[1]] = m[2]
-		}
+	n := serve(t, b, Config{Registry: obs.NewRegistry()})
+
+	simCfg := dcsim.DefaultConfig()
+	simCfg.Seed = seed
+	simCfg.Duration = testDays * 24 * time.Hour
+	trace, err := dcsim.Run(simCfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(want) != 3 {
-		t.Fatalf("flare printed %d feature estimates:\n%s", len(want), out)
+	cfg := core.DefaultConfig()
+	cfg.Profile.Seed, cfg.Analyze.Seed, cfg.Replay.Seed = seed, seed, seed
+	cfg.Analyze.Clusters = testClusters
+	p, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Profile(trace.Scenarios); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Analyze(); err != nil {
+		t.Fatal(err)
 	}
 
-	base := fmt.Sprintf("http://127.0.0.1:%d", freePort(t))
-	start(t, server, "-addr", strings.TrimPrefix(base, "http://"),
-		"-days", "2", "-clusters", "6", "-seed", "2", "-quiet-requests")
-	for feat, pct := range want {
-		code, body := get(t, base, "/api/estimate?feature="+feat)
-		if code != http.StatusOK {
-			t.Fatalf("%s: %d %s", feat, code, body)
-		}
-		var est struct {
-			Pct float64 `json:"mips_reduction_pct"`
-		}
-		if err := json.Unmarshal([]byte(body), &est); err != nil {
+	for _, feat := range machine.PaperFeatures() {
+		est, err := p.Snapshot().EvaluateFeature(context.Background(), feat)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fmt.Sprintf("%.2f", est.Pct); got != pct {
-			t.Errorf("%s at -seed 2: flare-server answers %s%%, flare prints %s%%", feat, got, pct)
+		want, err := json.Marshal(struct {
+			Feature           string  `json:"feature"`
+			Description       string  `json:"description"`
+			ReductionPct      float64 `json:"mips_reduction_pct"`
+			ScenariosReplayed int     `json:"scenarios_replayed"`
+		}{feat.Name, feat.Description, est.ReductionPct, est.ScenariosReplayed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body := get(t, n.Server.Handler(), "/api/estimate?feature="+feat.Name)
+		if code != http.StatusOK || body != string(want)+"\n" {
+			t.Errorf("%s at seed %d: node answers %d %s, pipeline estimates %s", feat.Name, seed, code, body, want)
 		}
 	}
 }
 
+// TestLauncherFaultSpecArmsReplay: one injector reaches every site a
+// spec names, including the build's dcsim and replay sites, so a
+// replay.scenario error fails the node's estimate.
 func TestLauncherFaultSpecArmsReplay(t *testing.T) {
-	server := buildCmd(t, "flare-server")
-	base := fmt.Sprintf("http://127.0.0.1:%d", freePort(t))
-	start(t, server, "-addr", strings.TrimPrefix(base, "http://"),
-		"-days", "2", "-clusters", "6", "-quiet-requests",
-		"-fault-spec", "replay.scenario=error@1", "-request-timeout", "0")
-	if code, body := get(t, base, "/api/estimate?feature=feature1"); code == http.StatusOK {
+	reg := obs.NewRegistry()
+	inj, err := Injector("replay.scenario=error@1;dcsim.machine.fail=error@1", 1, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBuild(context.Background(), testDays, testClusters, 1, inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := serve(t, b, Config{Registry: reg, Injector: inj})
+	if code, body := get(t, n.Server.Handler(), "/api/estimate?feature=feature1"); code == http.StatusOK {
 		t.Errorf("estimate with replay.scenario=error@1 answered 200: %s", body)
 	}
-	_, metrics := get(t, base, "/metrics")
-	if !strings.Contains(metrics, `flare_fault_injected_total{site="replay.scenario",kind="error"}`) {
-		t.Error("/metrics has no replay.scenario fault series")
+	_, text := get(t, n.Server.Handler(), "/metrics")
+	m, err := obs.ParseMetrics(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, site := range []string{"replay.scenario", "dcsim.machine.fail"} {
+		if m.SumLabel("flare_fault_injected_total", "site", site) == 0 {
+			t.Errorf("/metrics counts no injected %s fault", site)
+		}
 	}
 }
 
+// TestLauncherClusterNodesServeDataset: every node of a 2-node
+// in-process cluster lists the dataset's samples table, with and
+// without a store directory (with one, node 1 follows node 0).
 func TestLauncherClusterNodesServeDataset(t *testing.T) {
-	clusterBin := buildCmd(t, "flare-cluster")
+	b, err := NewBuild(context.Background(), testDays, testClusters, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("dir=%v", durable), func(t *testing.T) {
-			port := freePort(t)
-			args := []string{"-nodes", "2", "-base-port", fmt.Sprint(port),
-				"-days", "2", "-clusters", "6"}
+			dir := t.TempDir()
+			transport := loadgen.Transport{}
+			peers := []server.ClusterPeer{{Name: "node-0", URL: "http://node-0"}, {Name: "node-1", URL: "http://node-1"}}
+			roles := []string{"single", "single"}
 			if durable {
-				args = append(args, "-dir", t.TempDir())
+				roles = []string{"leader", "follower"}
 			}
-			start(t, clusterBin, args...)
-			for i := 0; i < 2; i++ {
-				base := fmt.Sprintf("http://127.0.0.1:%d", port+i)
-				code, body := get(t, base, "/api/db/tables")
-				if code != http.StatusOK || !strings.Contains(body, `"samples"`) {
+			var nodes []*Node
+			for i, peer := range peers {
+				cfg := Config{
+					Registry:   obs.NewRegistry(),
+					Resilience: server.DefaultResilience(),
+					Cluster:    &server.ClusterConfig{NodeID: peer.Name, Peers: peers, Client: transport},
+				}
+				if durable {
+					cfg.Dir = filepath.Join(dir, peer.Name)
+					cfg.Lead = i == 0
+					if i > 0 {
+						cfg.Follow = nodes[0].Dial
+					}
+				}
+				n := serve(t, b, cfg)
+				nodes = append(nodes, n)
+				transport[peer.Name] = n.Server.Handler()
+			}
+			for i, n := range nodes {
+				code, body := get(t, n.Server.Handler(), "/api/db/tables")
+				if code != http.StatusOK || !strings.Contains(body, `"name":"samples"`) {
 					t.Errorf("node-%d /api/db/tables = %d %s, want the samples table", i, code, body)
+				}
+				if _, health := get(t, n.Server.Handler(), "/api/health"); !strings.Contains(health, `"role":"`+roles[i]+`"`) {
+					t.Errorf("node-%d /api/health = %s, want role %s", i, health, roles[i])
 				}
 			}
 		})

@@ -1,9 +1,8 @@
-// Minimal Prometheus text-exposition reader, enough to cross-check the
-// generator's client-side accounting against the counters flare-server
-// publishes at /metrics. The cross-check closes the loop on the
-// resilience claims: a shed the client saw but the server did not count
-// (or vice versa) fails the run.
-package loadgen
+// Prometheus text-exposition reader: the inverse of WritePrometheus,
+// enough for a client to read a server's /metrics back into numbers —
+// flare-loadgen cross-checks its own accounting against the server's
+// counters with it, and flare-top renders its dashboard from it.
+package obs
 
 import (
 	"bufio"
@@ -13,14 +12,14 @@ import (
 	"strings"
 )
 
-// MetricSet holds parsed sample values: family name → rendered label
-// block ("" for unlabelled) → value.
+// MetricSet holds parsed sample values: series name → rendered label
+// block ("" for unlabelled) → value. A histogram family parses into its
+// _bucket, _sum and _count series.
 type MetricSet map[string]map[string]float64
 
 // ParseMetrics reads a Prometheus text exposition (version 0.0.4) and
-// returns every non-comment sample. Histogram series (_bucket/_sum/
-// _count) parse like any other family; the cross-check only consults
-// counters.
+// returns every sample. Comment and blank lines are skipped; any other
+// line that is not a well-formed sample is an error.
 func ParseMetrics(r io.Reader) (MetricSet, error) {
 	set := MetricSet{}
 	sc := bufio.NewScanner(r)
@@ -52,40 +51,33 @@ func ParseMetrics(r io.Reader) (MetricSet, error) {
 // must be scanned, not split on spaces, because label values may contain
 // spaces and escaped quotes.
 func parseSample(line string) (name, labels string, value float64, err error) {
-	rest := line
-	if i := strings.IndexByte(line, '{'); i >= 0 {
-		name = line[:i]
-		end := closeBrace(line, i)
+	name, rest := line, ""
+	if i := strings.IndexAny(line, "{ \t"); i >= 0 {
+		name, rest = line[:i], line[i:]
+	}
+	if strings.HasPrefix(rest, "{") {
+		end := closeBrace(rest)
 		if end < 0 {
-			return "", "", 0, fmt.Errorf("loadgen: unterminated label block in %q", line)
+			return "", "", 0, fmt.Errorf("obs: unterminated label block in %q", line)
 		}
-		labels = line[i : end+1]
-		rest = line[end+1:]
-	} else {
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return "", "", 0, fmt.Errorf("loadgen: bad sample line %q", line)
-		}
-		name = fields[0]
-		rest = strings.Join(fields[1:], " ")
+		labels, rest = rest[:end+1], rest[end+1:]
 	}
-	valStr := strings.Fields(strings.TrimSpace(rest))
-	if len(valStr) == 0 {
-		return "", "", 0, fmt.Errorf("loadgen: sample line %q has no value", line)
+	fields := strings.Fields(rest)
+	if len(fields) == 0 {
+		return "", "", 0, fmt.Errorf("obs: sample line %q has no value", line)
 	}
-	value, err = strconv.ParseFloat(valStr[0], 64)
-	if err != nil {
-		return "", "", 0, fmt.Errorf("loadgen: sample line %q: %v", line, err)
+	if value, err = strconv.ParseFloat(fields[0], 64); err != nil {
+		return "", "", 0, fmt.Errorf("obs: sample line %q: %v", line, err)
 	}
 	return name, labels, value, nil
 }
 
-// closeBrace finds the index of the '}' closing the label block opened
-// at open, honouring quoted values with backslash escapes.
-func closeBrace(line string, open int) int {
+// closeBrace finds the index of the '}' closing the label block that
+// opens block, honouring quoted values with backslash escapes.
+func closeBrace(block string) int {
 	inQuote := false
-	for i := open + 1; i < len(line); i++ {
-		switch line[i] {
+	for i := 1; i < len(block); i++ {
+		switch block[i] {
 		case '\\':
 			if inQuote {
 				i++ // skip the escaped byte
@@ -121,11 +113,4 @@ func (m MetricSet) SumLabel(family, key, value string) float64 {
 		}
 	}
 	return total
-}
-
-// escapeLabel mirrors the exposition format's label-value escaping.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return strings.ReplaceAll(v, "\n", `\n`)
 }

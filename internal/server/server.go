@@ -117,9 +117,6 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 // Call before Handler; a nil logger disables structured logging.
 func (s *Server) SetLogger(l *obs.Logger) { s.logger = l }
 
-// SetSLO replaces the SLO tracker's configuration. Call before serving.
-func (s *Server) SetSLO(opts SLOOptions) { s.slo = newSLOTracker(s.reg, opts) }
-
 // EventHook returns a LoggerOptions.Hook that journals every emitted
 // log event into the durable events table. It is safe to install before
 // EnableTraceExport is called (events are simply not exported until it

@@ -294,7 +294,7 @@ func TestHealthDegradedUnderStoreOutage(t *testing.T) {
 func TestHealthFailingOnBurn(t *testing.T) {
 	s := newTelemetryServer(t)
 	dumpArtifactsOnFailure(t, s)
-	s.SetSLO(SLOOptions{Window: time.Hour})
+	s.slo = newSLOTracker(s.reg, SLOOptions{Window: time.Hour})
 	h := s.Handler()
 
 	// An unknown route pattern cannot 5xx; use the estimate surface with
