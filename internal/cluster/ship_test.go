@@ -111,6 +111,20 @@ func requireSameStoreDirs(t *testing.T, leaderDir, followerDir string) {
 	}
 }
 
+// storeGet reads the newest value of key through Store.Scan.
+func storeGet(t *testing.T, st *store.Store, key string) (val string, ok bool) {
+	t.Helper()
+	if err := st.Scan(func(k, v []byte) bool {
+		if string(k) == key {
+			val, ok = string(v), true
+		}
+		return string(k) < key
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return val, ok
+}
+
 func appendN(t *testing.T, st *store.Store, prefix string, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -139,8 +153,8 @@ func TestShipperStreamsLiveFollower(t *testing.T) {
 	waitFor(t, "follower to catch up", func() bool {
 		return f.Applied() == sh.LastSeq() && sh.LastSeq() > 0
 	})
-	if v, ok := f.Store().Get([]byte("live-0007")); !ok || string(v) != "value-live-0007" {
-		t.Fatalf("follower Get = %q, %v", v, ok)
+	if v, ok := storeGet(t, f.Store(), "live-0007"); !ok || v != "value-live-0007" {
+		t.Fatalf("follower get = %q, %v", v, ok)
 	}
 	// The follower advances Applied before writing the ack, so drain the
 	// ack back to the leader before tearing the connection down.
@@ -197,7 +211,7 @@ func TestFollowerCatchUpAfterKill(t *testing.T) {
 	waitFor(t, "restarted follower to converge", func() bool {
 		return f2.Applied() == sh.LastSeq()
 	})
-	if v, ok := f2.Store().Get([]byte("during-0033")); !ok || string(v) != "value-during-0033" {
+	if v, ok := storeGet(t, f2.Store(), "during-0033"); !ok || v != "value-during-0033" {
 		t.Fatalf("follower missed writes made while down: %q, %v", v, ok)
 	}
 	conn2.Close()
@@ -231,7 +245,7 @@ func TestFollowerSnapshotCatchUp(t *testing.T) {
 	if met.snapshots.Value() == 0 {
 		t.Error("no snapshot was sent despite the trimmed window")
 	}
-	if v, ok := f.Store().Get([]byte("old-0000")); !ok || string(v) != "value-old-0000" {
+	if v, ok := storeGet(t, f.Store(), "old-0000"); !ok || v != "value-old-0000" {
 		t.Fatalf("follower missing pre-window key: %q, %v", v, ok)
 	}
 

@@ -1,6 +1,7 @@
 package dcsim
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -336,9 +337,17 @@ func TestStatsRecordExposesMetricFamilies(t *testing.T) {
 		"flare_dcsim_reschedules_total":      false,
 		"flare_dcsim_scenarios":              false,
 	}
-	for _, fam := range reg.Snapshot() {
-		if _, ok := want[fam.Name]; ok {
-			want[fam.Name] = true
+	var prom strings.Builder
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	set, err := obs.ParseMetrics(strings.NewReader(prom.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range set {
+		if _, ok := want[name]; ok {
+			want[name] = true
 		}
 	}
 	for name, seen := range want {

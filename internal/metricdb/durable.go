@@ -156,9 +156,6 @@ func (j *journal) insert(table string, r Row) error {
 // yields an empty durable DB. The recovered DB serves exactly the rows
 // that were durably journaled before the last shutdown or crash.
 func OpenDB(st *store.Store) (*DB, error) {
-	sn := st.Snapshot()
-	defer sn.Release()
-
 	type seqRow struct {
 		seq uint64
 		row Row
@@ -170,7 +167,7 @@ func OpenDB(st *store.Store) (*DB, error) {
 	var names []string // schema order: ascending table name, per scan
 
 	var scanErr error
-	sn.Scan(func(k, v []byte) bool {
+	if err := st.Scan(func(k, v []byte) bool {
 		switch {
 		case bytes.HasPrefix(k, []byte(schemaKeyPrefix)):
 			var rec schemaRecord
@@ -208,7 +205,9 @@ func OpenDB(st *store.Store) (*DB, error) {
 			return false
 		}
 		return true
-	})
+	}); err != nil {
+		return nil, fmt.Errorf("metricdb: reading journal: %w", err)
+	}
 	if scanErr != nil {
 		return nil, scanErr
 	}

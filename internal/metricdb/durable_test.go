@@ -2,6 +2,8 @@ package metricdb
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"flare/internal/obs"
@@ -218,6 +220,35 @@ func TestDurableDBSurvivesCrash(t *testing.T) {
 		if r[0].I != int64(i) || r[2].F != float64(i) {
 			t.Errorf("row %d = %+v", i, r)
 		}
+	}
+}
+
+// TestOpenDBCorruptSegment flips a byte in a published segment after the
+// store has opened (and checked it): OpenDB must fail, not rebuild a
+// database from the rows it could still read.
+func TestOpenDBCorruptSegment(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	fill(t, openDB(t, st))
+	if err := st.Close(); err != nil { // flushes the journal to a segment
+		t.Fatal(err)
+	}
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segment files = %v, %v; want one", segs, err)
+	}
+	buf, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[len(buf)-1] ^= 0x40
+	if err := os.WriteFile(segs[0], buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := OpenDB(st2); err == nil {
+		t.Fatalf("OpenDB over a corrupt segment served tables %v", db.TableNames())
 	}
 }
 

@@ -24,7 +24,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -364,69 +363,4 @@ func mergeLE(labels, le string) string {
 // what scrapers expect for bucket bounds and sums.
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// SeriesSnapshot is one labelled series in a JSON snapshot.
-type SeriesSnapshot struct {
-	Labels string `json:"labels,omitempty"`
-	// Value holds the counter count or gauge value; nil for histograms.
-	Value *float64 `json:"value,omitempty"`
-	// Histogram fields.
-	Count   uint64            `json:"count,omitempty"`
-	Sum     float64           `json:"sum,omitempty"`
-	Buckets map[string]uint64 `json:"buckets,omitempty"`
-}
-
-// FamilySnapshot is one metric family in a JSON snapshot.
-type FamilySnapshot struct {
-	Name   string           `json:"name"`
-	Type   string           `json:"type"`
-	Help   string           `json:"help,omitempty"`
-	Series []SeriesSnapshot `json:"series"`
-}
-
-// Snapshot returns the registry contents as a JSON-marshallable value.
-func (r *Registry) Snapshot() []FamilySnapshot {
-	fams := r.sortedFamilies()
-	out := make([]FamilySnapshot, 0, len(fams))
-	for _, f := range fams {
-		f.mu.Lock()
-		keys := append([]string(nil), f.order...)
-		sers := make([]*series, 0, len(keys))
-		for _, k := range keys {
-			sers = append(sers, f.series[k])
-		}
-		f.mu.Unlock()
-		fs := FamilySnapshot{Name: f.name, Type: f.typ.String(), Help: f.help}
-		for _, s := range sers {
-			ss := SeriesSnapshot{Labels: s.labels}
-			switch inst := s.inst.(type) {
-			case *Counter:
-				v := float64(inst.Value())
-				ss.Value = &v
-			case *Gauge:
-				v := inst.Value()
-				ss.Value = &v
-			case *Histogram:
-				bounds, cum, sum, count := inst.snapshot()
-				ss.Count = count
-				ss.Sum = sum
-				ss.Buckets = make(map[string]uint64, len(bounds)+1)
-				for i, le := range bounds {
-					ss.Buckets[formatFloat(le)] = cum[i]
-				}
-				ss.Buckets["+Inf"] = cum[len(cum)-1]
-			}
-			fs.Series = append(fs.Series, ss)
-		}
-		out = append(out, fs)
-	}
-	return out
-}
-
-// WriteJSON renders the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

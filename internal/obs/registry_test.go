@@ -176,26 +176,6 @@ func TestHistogramInfBucketInvariant(t *testing.T) {
 	}
 }
 
-func TestSnapshotJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("flare_a_total", "help a").Add(7)
-	r.Histogram("flare_h_seconds", "", []float64{1}).Observe(2)
-	snap := r.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot families = %d, want 2", len(snap))
-	}
-	if snap[0].Name != "flare_a_total" || snap[0].Type != "counter" {
-		t.Errorf("family 0 = %+v", snap[0])
-	}
-	if *snap[0].Series[0].Value != 7 {
-		t.Errorf("counter value = %v", *snap[0].Series[0].Value)
-	}
-	h := snap[1].Series[0]
-	if h.Count != 1 || h.Buckets["+Inf"] != 1 || h.Buckets["1"] != 0 {
-		t.Errorf("histogram series = %+v", h)
-	}
-}
-
 func TestTypeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -225,7 +205,6 @@ func TestConcurrentRegistryAccess(t *testing.T) {
 				if i%50 == 0 {
 					var b strings.Builder
 					_ = r.WritePrometheus(&b)
-					_ = r.Snapshot()
 				}
 			}
 		}(w)

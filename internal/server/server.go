@@ -95,7 +95,7 @@ func NewWithTelemetry(p *core.Pipeline, features []machine.Feature,
 		cache:    make(map[string]*estimateEntry),
 		lastGood: make(map[string]estimateResponse),
 	}
-	s.slo = newSLOTracker(reg, SLOOptions{})
+	s.slo = newSLOTracker(reg)
 	for _, f := range features {
 		if _, dup := s.features[f.Name]; dup {
 			return nil, fmt.Errorf("server: duplicate feature %q", f.Name)

@@ -24,50 +24,23 @@ import (
 // SLO layer's data source.
 const httpLatencyFamily = "flare_http_request_duration_seconds"
 
-// SLOOptions tunes the server's health verdict.
-type SLOOptions struct {
-	// Window is how far back quantiles and burn rate look. <= 0 means 5m.
-	Window time.Duration
-	// MaxSamples bounds the snapshot ring. <= 0 means 128.
-	MaxSamples int
-	// LatencyObjective is the p99 target; a window p99 above it degrades
-	// the verdict. <= 0 means 2s.
-	LatencyObjective time.Duration
-	// Availability is the SLO target used for burn-rate math: burn =
-	// error_rate / (1 - Availability). Out of (0,1) means 0.999.
-	Availability float64
-	// DegradedBurn / FailingBurn are burn-rate thresholds. <= 0 means
-	// 1 (eating budget exactly on schedule) and 10 (eating it 10x fast).
-	DegradedBurn float64
-	FailingBurn  float64
-	// Now is the clock; nil means time.Now. Injected in tests.
-	Now func() time.Time
-}
-
-func (o SLOOptions) withDefaults() SLOOptions {
-	if o.Window <= 0 {
-		o.Window = 5 * time.Minute
-	}
-	if o.MaxSamples <= 0 {
-		o.MaxSamples = 128
-	}
-	if o.LatencyObjective <= 0 {
-		o.LatencyObjective = 2 * time.Second
-	}
-	if o.Availability <= 0 || o.Availability >= 1 {
-		o.Availability = 0.999
-	}
-	if o.DegradedBurn <= 0 {
-		o.DegradedBurn = 1
-	}
-	if o.FailingBurn <= 0 {
-		o.FailingBurn = 10
-	}
-	if o.Now == nil {
-		o.Now = time.Now
-	}
-	return o
-}
+// The health verdict's fixed objectives.
+const (
+	// sloWindow is how far back quantiles and burn rate look.
+	sloWindow = 5 * time.Minute
+	// sloMaxSamples bounds the snapshot ring.
+	sloMaxSamples = 128
+	// sloLatencyObjective is the p99 target; a window p99 above it
+	// degrades the verdict.
+	sloLatencyObjective = 2 * time.Second
+	// sloAvailability is the SLO target used for burn-rate math: burn =
+	// error_rate / (1 - sloAvailability).
+	sloAvailability = 0.999
+	// sloDegradedBurn / sloFailingBurn are burn-rate thresholds: eating
+	// budget exactly on schedule, and eating it 10x fast.
+	sloDegradedBurn = 1.0
+	sloFailingBurn  = 10.0
+)
 
 // sloSample is one cumulative capture of the request telemetry.
 type sloSample struct {
@@ -80,8 +53,7 @@ type sloSample struct {
 
 // sloTracker computes windowed SLO state. Safe for concurrent use.
 type sloTracker struct {
-	opts SLOOptions
-	reg  *obs.Registry
+	reg *obs.Registry
 
 	mu      sync.Mutex
 	samples []sloSample // time-ordered; samples[0] is the window baseline
@@ -92,10 +64,9 @@ type sloTracker struct {
 	windowReqs     *obs.Gauge
 }
 
-func newSLOTracker(reg *obs.Registry, opts SLOOptions) *sloTracker {
+func newSLOTracker(reg *obs.Registry) *sloTracker {
 	return &sloTracker{
-		opts: opts.withDefaults(),
-		reg:  reg,
+		reg: reg,
 		p50: reg.Gauge("flare_slo_p50_seconds",
 			"request latency p50 over the SLO window"),
 		p99: reg.Gauge("flare_slo_p99_seconds",
@@ -157,7 +128,7 @@ func (s *sloTracker) evaluate(breaker retry.State) sloStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	now := s.opts.Now()
+	now := time.Now()
 	cur := s.capture(now)
 	s.samples = append(s.samples, cur)
 	// Prune to the window, but keep the newest sample that is *older*
@@ -165,14 +136,14 @@ func (s *sloTracker) evaluate(breaker retry.State) sloStatus {
 	// in-window sample would truncate the window to its own age.
 	cut := 0
 	for i, sm := range s.samples {
-		if now.Sub(sm.t) > s.opts.Window {
+		if now.Sub(sm.t) > sloWindow {
 			cut = i
 		}
 	}
 	s.samples = s.samples[cut:]
 	trimmed := false
-	if len(s.samples) > s.opts.MaxSamples {
-		s.samples = s.samples[len(s.samples)-s.opts.MaxSamples:]
+	if len(s.samples) > sloMaxSamples {
+		s.samples = s.samples[len(s.samples)-sloMaxSamples:]
 		trimmed = true
 	}
 
@@ -184,7 +155,7 @@ func (s *sloTracker) evaluate(breaker retry.State) sloStatus {
 	// window (or the ring overflowed), the oldest retained sample is the
 	// baseline.
 	base := sloSample{}
-	if old := s.samples[0]; trimmed || now.Sub(old.t) > s.opts.Window {
+	if old := s.samples[0]; trimmed || now.Sub(old.t) > sloWindow {
 		base = old
 	}
 	delta := cur.hist.Sub(base.hist)
@@ -194,7 +165,7 @@ func (s *sloTracker) evaluate(breaker retry.State) sloStatus {
 
 	st := sloStatus{
 		Breaker:        breaker.String(),
-		WindowSeconds:  s.opts.Window.Seconds(),
+		WindowSeconds:  sloWindow.Seconds(),
 		WindowRequests: reqs,
 		WindowErrors:   errs,
 		WindowShed:     shed,
@@ -205,25 +176,25 @@ func (s *sloTracker) evaluate(breaker retry.State) sloStatus {
 	if reqs > 0 {
 		st.ErrorRate = float64(errs) / float64(reqs)
 	}
-	st.BurnRate = st.ErrorRate / (1 - s.opts.Availability)
+	st.BurnRate = st.ErrorRate / (1 - sloAvailability)
 
 	var reasons []string
 	failing := false
-	if st.BurnRate >= s.opts.FailingBurn {
+	if st.BurnRate >= sloFailingBurn {
 		failing = true
 		reasons = append(reasons, fmt.Sprintf(
-			"error-budget burn %.1fx >= failing threshold %.1fx", st.BurnRate, s.opts.FailingBurn))
+			"error-budget burn %.1fx >= failing threshold %.1fx", st.BurnRate, sloFailingBurn))
 	}
 	if breaker == retry.Open {
 		reasons = append(reasons, "store circuit breaker open")
 	}
-	if !failing && st.BurnRate >= s.opts.DegradedBurn {
+	if !failing && st.BurnRate >= sloDegradedBurn {
 		reasons = append(reasons, fmt.Sprintf(
-			"error-budget burn %.1fx >= degraded threshold %.1fx", st.BurnRate, s.opts.DegradedBurn))
+			"error-budget burn %.1fx >= degraded threshold %.1fx", st.BurnRate, sloDegradedBurn))
 	}
-	if p99 := time.Duration(st.P99Ms * float64(time.Millisecond)); reqs > 0 && p99 > s.opts.LatencyObjective {
+	if p99 := time.Duration(st.P99Ms * float64(time.Millisecond)); reqs > 0 && p99 > sloLatencyObjective {
 		reasons = append(reasons, fmt.Sprintf(
-			"window p99 %s exceeds objective %s", p99.Round(time.Millisecond), s.opts.LatencyObjective))
+			"window p99 %s exceeds objective %s", p99.Round(time.Millisecond), sloLatencyObjective))
 	}
 	if shed > 0 {
 		reasons = append(reasons, fmt.Sprintf("%d requests shed in window", shed))

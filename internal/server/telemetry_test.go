@@ -294,7 +294,6 @@ func TestHealthDegradedUnderStoreOutage(t *testing.T) {
 func TestHealthFailingOnBurn(t *testing.T) {
 	s := newTelemetryServer(t)
 	dumpArtifactsOnFailure(t, s)
-	s.slo = newSLOTracker(s.reg, SLOOptions{Window: time.Hour})
 	h := s.Handler()
 
 	// An unknown route pattern cannot 5xx; use the estimate surface with
@@ -427,7 +426,7 @@ func BenchmarkRequestTelemetry(b *testing.B) {
 		cache:    make(map[string]*estimateEntry),
 		lastGood: make(map[string]estimateResponse),
 	}
-	s.slo = newSLOTracker(reg, SLOOptions{})
+	s.slo = newSLOTracker(reg)
 	h := s.instrument("/api/bench", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	}))
@@ -450,7 +449,7 @@ func BenchmarkRequestTelemetryUntraced(b *testing.B) {
 		cache:    make(map[string]*estimateEntry),
 		lastGood: make(map[string]estimateResponse),
 	}
-	s.slo = newSLOTracker(reg, SLOOptions{})
+	s.slo = newSLOTracker(reg)
 	h := s.instrument("/healthz", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	}))

@@ -49,11 +49,11 @@ func TestInjectedAppendOutage(t *testing.T) {
 
 	s.SetInjector(nil)
 	mustAppend(t, s, "after", "3")
-	if _, ok := s.Get([]byte("during")); ok {
+	if _, ok := get(t, s, "during"); ok {
 		t.Error("failed append is visible")
 	}
-	if v, ok := s.Get([]byte("after")); !ok || string(v) != "3" {
-		t.Errorf("Get(after) = %q,%v, want 3,true", v, ok)
+	if v, ok := get(t, s, "after"); !ok || v != "3" {
+		t.Errorf("get(after) = %q,%v, want 3,true", v, ok)
 	}
 }
 
@@ -85,8 +85,8 @@ func TestCrashPointFlushPublish(t *testing.T) {
 		t.Errorf("after recovery: orphan segments remain: %v", orphans)
 	}
 	for k, want := range map[string]string{"a": "1", "b": "2"} {
-		if v, ok := s2.Get([]byte(k)); !ok || string(v) != want {
-			t.Errorf("recovered Get(%s) = %q,%v, want %q,true", k, v, ok, want)
+		if v, ok := get(t, s2, k); !ok || v != want {
+			t.Errorf("recovered get(%s) = %q,%v, want %q,true", k, v, ok, want)
 		}
 	}
 }
@@ -142,8 +142,8 @@ func TestInjectedCompactionFailure(t *testing.T) {
 	s2 := openTest(t, dir, testOptions())
 	defer s2.Close()
 	for k, want := range map[string]string{"a": "1", "b": "2"} {
-		if v, ok := s2.Get([]byte(k)); !ok || string(v) != want {
-			t.Errorf("Get(%s) = %q,%v, want %q,true", k, v, ok, want)
+		if v, ok := get(t, s2, k); !ok || v != want {
+			t.Errorf("get(%s) = %q,%v, want %q,true", k, v, ok, want)
 		}
 	}
 }

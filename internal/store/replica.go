@@ -119,7 +119,7 @@ func (s *Store) walHook() func(gen, pos uint64, batch []byte) {
 }
 
 // OpenReplica opens dir as a read-only replica of a leader store. The
-// replica serves Get/Snapshot/Scan but mutates only through ApplyEvent;
+// replica serves Scan but mutates only through ApplyEvent;
 // Append and Flush fail with ErrReplica, it never self-compacts, and
 // Close does not flush (a flush would mint ids the leader never
 // published and diverge the directories). Reopening replays the shipped
@@ -224,9 +224,9 @@ func (s *Store) applyFlush(ev ReplicationEvent) error {
 }
 
 // applyCompact mirrors a leader compaction by merging the replica's own
-// oldest Inputs segments. Event order guarantees those are byte-identical
-// to the leader's merge inputs, and mergeSegments is deterministic, so
-// the output segment matches byte for byte.
+// oldest Inputs segments through compactAs. Event order guarantees those
+// are byte-identical to the leader's merge inputs, and the merge is
+// deterministic, so the output segment matches byte for byte.
 func (s *Store) applyCompact(ev ReplicationEvent) error {
 	s.rot.Lock()
 	defer s.rot.Unlock()
@@ -243,53 +243,15 @@ func (s *Store) applyCompact(ev ReplicationEvent) error {
 		s.mu.Unlock()
 		return nil
 	}
-	if ev.Inputs <= 0 || ev.Inputs > len(s.segs) {
-		n := len(s.segs)
+	live := s.man.Segments
+	if ev.Inputs <= 0 || ev.Inputs > len(live) {
 		s.mu.Unlock()
 		return fmt.Errorf("store: compaction of %d segments but replica has %d: %w",
-			ev.Inputs, n, ErrReplicaDiverged)
-	}
-	merge := make([]*segment, ev.Inputs)
-	copy(merge, s.segs[:ev.Inputs])
-	for _, sg := range merge {
-		sg.acquire()
+			ev.Inputs, len(live), ErrReplicaDiverged)
 	}
 	s.nextSeg = ev.NextSegID
 	s.mu.Unlock()
-
-	merged := mergeSegments(merge)
-	for _, sg := range merge {
-		sg.release()
-	}
-	if _, err := writeSegment(s.dir, ev.SegID, merged); err != nil {
-		return err
-	}
-	seg, err := openSegment(s.dir, ev.SegID)
-	if err != nil {
-		return err
-	}
-
-	s.mu.Lock()
-	man := s.man
-	man.NextSegID = ev.NextSegID
-	man.Segments = append([]uint64{ev.SegID}, man.Segments[ev.Inputs:]...)
-	if err := saveManifest(s.dir, man); err != nil {
-		s.mu.Unlock()
-		_ = os.Remove(seg.path)
-		return err
-	}
-	old := make([]*segment, ev.Inputs)
-	copy(old, s.segs[:ev.Inputs])
-	s.man = man
-	s.segs = append([]*segment{seg}, s.segs[ev.Inputs:]...)
-	s.met.compactions.Inc()
-	s.met.segsLive.Set(float64(len(s.segs)))
-	s.mu.Unlock()
-
-	for _, sg := range old {
-		sg.markDead()
-	}
-	return nil
+	return s.compactAs(live[:ev.Inputs], ev.SegID, false)
 }
 
 // Position reports the replica-relevant durable position: the current

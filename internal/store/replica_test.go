@@ -153,12 +153,12 @@ func TestReplicaConvergesByteIdentical(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		key := fmt.Sprintf("k-%02d-%03d", round, 7)
 		want := fmt.Sprintf("v-%d-%d", round, 49)
-		got, ok := r2.Get([]byte(key))
-		if !ok || string(got) != want {
-			t.Fatalf("replica Get(%s) = %q, %v; want %q", key, got, ok, want)
+		got, ok := get(t, r2, key)
+		if !ok || got != want {
+			t.Fatalf("replica get(%s) = %q, %v; want %q", key, got, ok, want)
 		}
 	}
-	if v, ok := r2.Get([]byte("tail-03")); !ok || string(v) != "t" {
+	if v, ok := get(t, r2, "tail-03"); !ok || v != "t" {
 		t.Fatalf("replica lost unflushed tail record: %q, %v", v, ok)
 	}
 	if err := leader.Close(); err != nil {

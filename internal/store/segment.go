@@ -5,92 +5,50 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync/atomic"
 )
 
 // segMagic is the segment file header. Bumping the trailing digits
 // versions the on-disk format.
 var segMagic = []byte("FLSEG001")
 
-// entry is one key/value pair owned by the engine (never aliasing caller
-// or file-read buffers that may be recycled).
-type entry struct {
-	key   []byte
-	value []byte
-}
-
-// segment is one immutable, sorted on-disk run. Readers hold references;
-// the file is deleted only when it has been dropped from the manifest
-// (dead) and the last reference is released, so snapshots opened before a
-// compaction keep reading the exact files they started with.
-type segment struct {
-	id      uint64
-	path    string
-	entries []entry // ascending, unique keys
-
-	refs atomic.Int32
-	dead atomic.Bool
-}
-
-func (s *segment) acquire() { s.refs.Add(1) }
-
-// release drops one reference, removing the file once the segment is both
-// dead and unreferenced. Removal errors are ignored: a leftover file is
-// re-collected as an orphan on the next Open.
-func (s *segment) release() {
-	if s.refs.Add(-1) == 0 && s.dead.Load() {
-		_ = os.Remove(s.path)
-	}
-}
-
-// markDead flags the segment as dropped from the manifest and releases
-// the store's own reference.
-func (s *segment) markDead() {
-	s.dead.Store(true)
-	s.release()
-}
-
 func segmentPath(dir string, id uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("seg-%06d.seg", id))
 }
 
-// writeSegment persists sorted entries as segment id under dir, fsyncing
+// writeSegment persists sorted records as segment id under dir, fsyncing
 // the file and the directory before the atomic rename publishes it.
-func writeSegment(dir string, id uint64, entries []entry) (string, error) {
+func writeSegment(dir string, id uint64, recs []record) error {
 	path := segmentPath(dir, id)
 	tmp := path + ".tmp"
-	buf := make([]byte, 0, len(segMagic)+segmentSize(entries))
+	buf := make([]byte, 0, len(segMagic)+segmentSize(recs))
 	buf = append(buf, segMagic...)
-	for _, e := range entries {
-		buf = appendFrame(buf, e.key, e.value)
+	for _, r := range recs {
+		buf = appendFrame(buf, r.key, r.value)
 	}
 	if err := writeFileSync(tmp, buf); err != nil {
-		return "", err
+		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return "", fmt.Errorf("store: publishing segment: %w", err)
+		return fmt.Errorf("store: publishing segment: %w", err)
 	}
-	if err := syncDir(dir); err != nil {
-		return "", err
-	}
-	return path, nil
+	return syncDir(dir)
 }
 
-// segmentSize is the framed byte size of a run of entries.
-func segmentSize(entries []entry) int {
+// segmentSize is the framed byte size of a run of records.
+func segmentSize(recs []record) int {
 	n := 0
-	for _, e := range entries {
-		n += frameHeaderSize + 2 + len(e.key) + len(e.value) // ~2 varint bytes
+	for _, r := range recs {
+		n += frameHeaderSize + 2 + len(r.key) + len(r.value) // ~2 varint bytes
 	}
 	return n
 }
 
-// openSegment loads a segment file fully into memory. Segments hold the
-// profiler's numeric history and stay small (the memtable flush threshold
-// bounds them); trading residency for zero read syscalls keeps scans
-// allocation-free.
-func openSegment(dir string, id uint64) (*segment, error) {
+// readSegment reads segment id from disk and checks it whole: magic,
+// every frame's CRC, and strictly ascending keys. Segments stay on disk;
+// the store reads one only when it needs its records (validation on
+// Open, a Scan, a compaction's inputs). The records alias the file
+// buffer, which lives as long as they do.
+func readSegment(dir string, id uint64) ([]record, error) {
 	path := segmentPath(dir, id)
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -104,27 +62,55 @@ func openSegment(dir string, id uint64) (*segment, error) {
 	if valid != len(body) {
 		return nil, fmt.Errorf("store: segment %s: corrupt frame at offset %d", path, len(segMagic)+valid)
 	}
-	entries := make([]entry, len(recs))
-	for i, r := range recs {
-		entries[i] = entry{key: r.key, value: r.value}
-		if i > 0 && bytes.Compare(entries[i-1].key, r.key) >= 0 {
+	for i := 1; i < len(recs); i++ {
+		if bytes.Compare(recs[i-1].key, recs[i].key) >= 0 {
 			return nil, fmt.Errorf("store: segment %s: keys out of order at record %d", path, i)
 		}
 	}
-	seg := &segment{id: id, path: path, entries: entries}
-	seg.refs.Store(1) // the store's own reference
-	return seg, nil
+	return recs, nil
 }
 
-// get returns the value for key, if present.
-func (s *segment) get(key []byte) ([]byte, bool) {
-	i := sort.Search(len(s.entries), func(i int) bool {
-		return bytes.Compare(s.entries[i].key, key) >= 0
-	})
-	if i < len(s.entries) && bytes.Equal(s.entries[i].key, key) {
-		return s.entries[i].value, true
+// readRuns reads the named segments (oldest first) as sorted runs.
+func readRuns(dir string, ids []uint64) ([][]record, error) {
+	runs := make([][]record, 0, len(ids)+1)
+	for _, id := range ids {
+		recs, err := readSegment(dir, id)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, recs)
 	}
-	return nil, false
+	return runs, nil
+}
+
+// mergeRuns k-way merges sorted runs (oldest first) into fn in ascending
+// key order, the newest run winning duplicate keys, until fn returns
+// false. It is the one merge behind both Scan and compaction.
+func mergeRuns(runs [][]record, fn func(key, value []byte) bool) {
+	idx := make([]int, len(runs))
+	for {
+		// Smallest key across runs; among ties the newest (highest index)
+		// run supplies the value and every tied run advances.
+		var best []byte
+		for i, run := range runs {
+			if idx[i] < len(run) && (best == nil || bytes.Compare(run[idx[i]].key, best) < 0) {
+				best = run[idx[i]].key
+			}
+		}
+		if best == nil {
+			return
+		}
+		var winner record
+		for i, run := range runs {
+			if idx[i] < len(run) && bytes.Equal(run[idx[i]].key, best) {
+				winner = run[idx[i]]
+				idx[i]++
+			}
+		}
+		if !fn(winner.key, winner.value) {
+			return
+		}
+	}
 }
 
 // writeFileSync writes buf to path and fsyncs it.

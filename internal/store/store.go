@@ -54,9 +54,10 @@ func DefaultOptions() Options {
 	return Options{FlushBytes: 4 << 20, SyncWrites: true, CompactAtSegments: 4}
 }
 
-// Store is an embedded, crash-safe key/value store with sorted snapshot
-// scans. Keys are unique (last write wins) and returned in ascending byte
-// order. Safe for concurrent use.
+// Store is an embedded, crash-safe key/value store with one read path: a
+// sorted Scan. Keys are unique (last write wins) and returned in
+// ascending byte order. Segments stay on disk; only the memtable is
+// resident. Safe for concurrent use.
 type Store struct {
 	dir  string
 	opts Options
@@ -72,12 +73,13 @@ type Store struct {
 	// it retires.
 	rot sync.RWMutex
 
-	// mu guards the mutable catalog: memtable, live segments, manifest.
+	// mu guards the mutable catalog: memtable and manifest (whose
+	// Segments list names the live segments, oldest first). The manifest
+	// is copy-on-write: an install replaces man.Segments, never edits it.
 	mu       sync.Mutex
 	wal      *wal
 	mem      map[string][]byte
 	memBytes int
-	segs     []*segment // oldest first
 	man      manifestState
 	nextSeg  uint64 // in-memory segment-id allocator (>= man.NextSegID)
 
@@ -94,10 +96,12 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the store in dir, replaying the current
-// WAL generation into the memtable. A torn WAL tail — the signature of a
-// crash mid-append — is truncated to the last complete record. Orphan
-// segment and WAL files not named by the manifest (crash between a file
-// write and its manifest publish) are deleted.
+// WAL generation into the memtable. Every live segment is read and
+// checked (magic, CRCs, key order), then dropped from memory; a corrupt
+// one fails Open. A torn WAL tail — the signature of a crash mid-append —
+// is truncated to the last complete record. Orphan segment and WAL files
+// not named by the manifest (crash between a file write and its manifest
+// publish) are deleted.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.FlushBytes <= 0 {
 		opts.FlushBytes = DefaultOptions().FlushBytes
@@ -115,11 +119,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		nextSeg: man.NextSegID, mem: make(map[string][]byte)}
 	s.inj.Store(opts.Injector)
 	for _, id := range man.Segments {
-		seg, err := openSegment(dir, id)
-		if err != nil {
+		if _, err := readSegment(dir, id); err != nil {
 			return nil, err
 		}
-		s.segs = append(s.segs, seg)
 	}
 	if err := s.removeOrphans(); err != nil {
 		return nil, err
@@ -129,7 +131,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.wal = newWAL(f, man.WALGen, size, opts.SyncWrites, met, s.walHook())
-	met.segsLive.Set(float64(len(s.segs)))
+	met.segsLive.Set(float64(len(man.Segments)))
 	return s, nil
 }
 
@@ -263,14 +265,6 @@ func (s *Store) Append(key, value []byte) error {
 	return nil
 }
 
-// Get returns the newest value for key (memtable first, then segments
-// newest-to-oldest).
-func (s *Store) Get(key []byte) ([]byte, bool) {
-	sn := s.Snapshot()
-	defer sn.Release()
-	return sn.Get(key)
-}
-
 // Flush persists the memtable as a new segment, publishes it in the
 // manifest together with a fresh WAL generation, and deletes the retired
 // WAL. A crash at any point recovers cleanly: before the manifest publish
@@ -330,11 +324,7 @@ func (s *Store) flushAs(segID, newGen uint64, leader bool) error {
 	entries := sortedEntries(s.mem)
 	s.mu.Unlock()
 
-	if _, err := writeSegment(s.dir, segID, entries); err != nil {
-		return err
-	}
-	seg, err := openSegment(s.dir, segID)
-	if err != nil {
+	if err := writeSegment(s.dir, segID, entries); err != nil {
 		return err
 	}
 	// Crash point: the segment file is durably on disk but the manifest
@@ -365,16 +355,15 @@ func (s *Store) flushAs(segID, newGen uint64, leader bool) error {
 		s.mu.Unlock()
 		nf.Close()
 		os.Remove(walPath(s.dir, newGen))
-		os.Remove(seg.path)
+		os.Remove(segmentPath(s.dir, segID))
 		return err
 	}
 	s.man = man
-	s.segs = append(s.segs, seg)
 	s.wal = newWAL(nf, newGen, 0, s.opts.SyncWrites, s.met, s.walHook())
 	s.mem = make(map[string][]byte)
 	s.memBytes = 0
 	s.met.flushes.Inc()
-	s.met.segsLive.Set(float64(len(s.segs)))
+	s.met.segsLive.Set(float64(len(man.Segments)))
 	if leader {
 		s.emit(ReplicationEvent{Kind: ReplFlush, SegID: segID,
 			NewGen: newGen, NextSegID: man.NextSegID})
@@ -386,11 +375,11 @@ func (s *Store) flushAs(segID, newGen uint64, leader bool) error {
 	return nil
 }
 
-// sortedEntries snapshots a memtable as ascending entries.
-func sortedEntries(mem map[string][]byte) []entry {
-	entries := make([]entry, 0, len(mem))
+// sortedEntries copies a memtable out as ascending records.
+func sortedEntries(mem map[string][]byte) []record {
+	entries := make([]record, 0, len(mem))
 	for k, v := range mem {
-		entries = append(entries, entry{key: []byte(k), value: v})
+		entries = append(entries, record{key: []byte(k), value: v})
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		return bytes.Compare(entries[i].key, entries[j].key) < 0
@@ -404,221 +393,110 @@ func (s *Store) maybeCompact() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.replica || s.opts.CompactAtSegments <= 0 || s.compacting || s.closed ||
-		len(s.segs) < s.opts.CompactAtSegments {
+		len(s.man.Segments) < s.opts.CompactAtSegments {
 		return
 	}
 	s.compacting = true
-	merge := make([]*segment, len(s.segs))
-	copy(merge, s.segs) // current segments form a stable prefix of s.segs
-	for _, seg := range merge {
-		seg.acquire()
-	}
 	s.bg.Add(1)
-	go s.compact(merge)
+	go s.compact(s.man.Segments)
 }
 
-// compact merges segments (oldest first, newest value wins) into one new
-// segment and installs it in the manifest in place of the inputs. On any
-// failure — or if the store closed meanwhile — the merge output is
-// abandoned; the store keeps serving from the old segments.
-func (s *Store) compact(merge []*segment) {
+// compact is the leader's background compaction of the inputs, which
+// stay the oldest live segments while it runs (later flushes append after
+// them). On any failure the merge output is abandoned, the store keeps
+// serving from the old segments, and the error is sticky via Err/Close.
+func (s *Store) compact(inputs []uint64) {
 	defer s.bg.Done()
 	defer func() {
-		for _, seg := range merge {
-			seg.release()
-		}
 		s.mu.Lock()
 		s.compacting = false
 		s.mu.Unlock()
 	}()
-
-	merged := mergeSegments(merge)
 	s.mu.Lock()
 	segID := s.nextSeg
 	s.nextSeg++
 	s.mu.Unlock()
-	// Fault site: background compaction failure. The store keeps serving
-	// from the unmerged segments; the error is sticky via Err/Close.
+	// Fault site: background compaction failure.
 	if err := s.injector().Err("store.compact.write"); err != nil {
 		s.setBgErr(fmt.Errorf("store: compaction: %w", err))
 		return
 	}
-	if _, err := writeSegment(s.dir, segID, merged); err != nil {
+	if err := s.compactAs(inputs, segID, true); err != nil {
 		s.setBgErr(err)
-		return
 	}
-	seg, err := openSegment(s.dir, segID)
+}
+
+// compactAs merges the inputs — the oldest live segments, oldest first,
+// newest value winning — into segment segID, installs it in the manifest
+// in their place, and deletes the input files: the core shared by a
+// leader's compact and a replica's applyCompact, as flushAs is for
+// flushes. The caller has allocated (leader) or adopted (replica) segID
+// and s.nextSeg. The inputs are read without s.mu: compaction is the only
+// code that deletes segments, and compactions never overlap (a leader
+// runs one at a time, a replica applies them under s.rot). A Scan holds
+// s.mu across its reads and the install takes s.mu, so no reader loses a
+// file, and the files are deleted only after the new manifest is durable.
+func (s *Store) compactAs(inputs []uint64, segID uint64, leader bool) error {
+	runs, err := readRuns(s.dir, inputs)
 	if err != nil {
-		s.setBgErr(err)
-		return
+		return err
+	}
+	var merged []record
+	mergeRuns(runs, func(k, v []byte) bool {
+		merged = append(merged, record{key: k, value: v})
+		return true
+	})
+	if err := writeSegment(s.dir, segID, merged); err != nil {
+		return err
 	}
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		_ = os.Remove(seg.path)
-		return
+		_ = os.Remove(segmentPath(s.dir, segID))
+		return nil
 	}
 	man := s.man
 	man.NextSegID = s.nextSeg
-	// The merged inputs are a prefix of the live list; anything flushed
-	// during the merge stays, ordered after the merged output.
-	man.Segments = append([]uint64{segID}, man.Segments[len(merge):]...)
+	// Anything flushed during the merge stays, ordered after the output.
+	man.Segments = append([]uint64{segID}, man.Segments[len(inputs):]...)
 	if err := saveManifest(s.dir, man); err != nil {
 		s.mu.Unlock()
-		_ = os.Remove(seg.path)
-		s.setBgErr(err)
-		return
+		_ = os.Remove(segmentPath(s.dir, segID))
+		return err
 	}
-	old := s.segs[:len(merge)]
 	s.man = man
-	s.segs = append([]*segment{seg}, s.segs[len(merge):]...)
 	s.met.compactions.Inc()
-	s.met.segsLive.Set(float64(len(s.segs)))
-	s.emit(ReplicationEvent{Kind: ReplCompact, SegID: segID,
-		Inputs: len(merge), NextSegID: man.NextSegID})
-	s.mu.Unlock()
-
-	for _, seg := range old {
-		seg.markDead()
-	}
-}
-
-// mergeSegments k-way merges sorted runs, newest run winning duplicates.
-func mergeSegments(segs []*segment) []entry {
-	idx := make([]int, len(segs))
-	var out []entry
-	for {
-		// Smallest key across runs; among ties the newest (highest index)
-		// run supplies the value and every tied run advances.
-		var best []byte
-		for i, seg := range segs {
-			if idx[i] >= len(seg.entries) {
-				continue
-			}
-			k := seg.entries[idx[i]].key
-			if best == nil || bytes.Compare(k, best) < 0 {
-				best = k
-			}
-		}
-		if best == nil {
-			return out
-		}
-		var winner entry
-		for i, seg := range segs {
-			if idx[i] < len(seg.entries) && bytes.Equal(seg.entries[idx[i]].key, best) {
-				winner = seg.entries[idx[i]]
-				idx[i]++
-			}
-		}
-		out = append(out, winner)
-	}
-}
-
-// Snapshot is an immutable, point-in-time view: a sorted copy of the
-// memtable plus references on the live segments. Scans over a snapshot
-// never block writers and never observe later appends, flushes, or
-// compactions. Release it when done so retired segment files can be
-// deleted.
-type Snapshot struct {
-	mem      []entry // ascending
-	segs     []*segment
-	released atomic.Bool
-}
-
-// Snapshot captures the current contents.
-func (s *Store) Snapshot() *Snapshot {
-	s.mu.Lock()
-	sn := &Snapshot{mem: sortedEntries(s.mem), segs: make([]*segment, len(s.segs))}
-	copy(sn.segs, s.segs)
-	for _, seg := range sn.segs {
-		seg.acquire()
+	s.met.segsLive.Set(float64(len(man.Segments)))
+	if leader {
+		s.emit(ReplicationEvent{Kind: ReplCompact, SegID: segID,
+			Inputs: len(inputs), NextSegID: man.NextSegID})
 	}
 	s.mu.Unlock()
-	return sn
-}
 
-// Release drops the snapshot's segment references. Idempotent.
-func (sn *Snapshot) Release() {
-	if sn.released.Swap(true) {
-		return
+	// Removal errors are ignored: a leftover input is an orphan the next
+	// Open collects.
+	for _, id := range inputs {
+		_ = os.Remove(segmentPath(s.dir, id))
 	}
-	for _, seg := range sn.segs {
-		seg.release()
-	}
-}
-
-// Get returns the newest value for key within the snapshot.
-func (sn *Snapshot) Get(key []byte) ([]byte, bool) {
-	i := sort.Search(len(sn.mem), func(i int) bool {
-		return bytes.Compare(sn.mem[i].key, key) >= 0
-	})
-	if i < len(sn.mem) && bytes.Equal(sn.mem[i].key, key) {
-		return sn.mem[i].value, true
-	}
-	for j := len(sn.segs) - 1; j >= 0; j-- {
-		if v, ok := sn.segs[j].get(key); ok {
-			return v, true
-		}
-	}
-	return nil, false
-}
-
-// Len returns the number of distinct keys visible in the snapshot.
-func (sn *Snapshot) Len() int {
-	n := 0
-	sn.Scan(func([]byte, []byte) bool { n++; return true })
-	return n
+	return nil
 }
 
 // Scan visits every key/value pair in ascending key order, newest value
-// winning duplicates, until fn returns false. The slices passed to fn are
-// only valid during the call.
-func (sn *Snapshot) Scan(fn func(key, value []byte) bool) {
-	// Runs, oldest to newest; the memtable is newest of all.
-	runs := make([][]entry, 0, len(sn.segs)+1)
-	for _, seg := range sn.segs {
-		runs = append(runs, seg.entries)
+// winning duplicates, until fn returns false. It holds s.mu throughout,
+// reading the live segment files and the memtable, so appends wait until
+// it returns and fn must not call back into the store. The slices passed
+// to fn are only valid during the call. A segment that fails its checks
+// fails the Scan before fn sees any pair.
+func (s *Store) Scan(fn func(key, value []byte) bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	runs, err := readRuns(s.dir, s.man.Segments)
+	if err != nil {
+		return err
 	}
-	runs = append(runs, sn.mem)
-	idx := make([]int, len(runs))
-	for {
-		var best []byte
-		for i, run := range runs {
-			if idx[i] >= len(run) {
-				continue
-			}
-			k := run[idx[i]].key
-			if best == nil || bytes.Compare(k, best) < 0 {
-				best = k
-			}
-		}
-		if best == nil {
-			return
-		}
-		var winner entry
-		for i, run := range runs {
-			if idx[i] < len(run) && bytes.Equal(run[idx[i]].key, best) {
-				winner = run[idx[i]]
-				idx[i]++
-			}
-		}
-		if !fn(winner.key, winner.value) {
-			return
-		}
-	}
-}
-
-// ScanPrefix visits pairs whose key begins with prefix, in ascending
-// order.
-func (sn *Snapshot) ScanPrefix(prefix []byte, fn func(key, value []byte) bool) {
-	sn.Scan(func(k, v []byte) bool {
-		if bytes.HasPrefix(k, prefix) {
-			return fn(k, v)
-		}
-		// Keys are ascending: once past the prefix range, stop.
-		return bytes.Compare(k, prefix) < 0
-	})
+	mergeRuns(append(runs, sortedEntries(s.mem)), fn)
+	return nil
 }
 
 // setBgErr records the first background failure.
@@ -697,7 +575,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Segments:      len(s.segs),
+		Segments:      len(s.man.Segments),
 		MemtableBytes: s.memBytes,
 		MemtableKeys:  len(s.mem),
 		WALGeneration: int64(s.man.WALGen),

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -35,14 +36,39 @@ func mustAppend(t *testing.T, s *Store, key, value string) {
 	}
 }
 
-// collect scans a snapshot into parallel key/value slices.
-func collect(sn *Snapshot) (keys, vals []string) {
-	sn.Scan(func(k, v []byte) bool {
+// collect scans the store into parallel key/value slices.
+func collect(t *testing.T, s *Store) (keys, vals []string) {
+	t.Helper()
+	if err := s.Scan(func(k, v []byte) bool {
 		keys = append(keys, string(k))
 		vals = append(vals, string(v))
 		return true
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	return keys, vals
+}
+
+// get reads the newest value of key through Scan, the store's one read
+// path.
+func get(t *testing.T, s *Store, key string) (val string, ok bool) {
+	t.Helper()
+	if err := s.Scan(func(k, v []byte) bool {
+		if string(k) == key {
+			val, ok = string(v), true
+		}
+		return string(k) < key
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return val, ok
+}
+
+// count returns the number of distinct keys a Scan visits.
+func count(t *testing.T, s *Store) int {
+	t.Helper()
+	keys, _ := collect(t, s)
+	return len(keys)
 }
 
 func TestAppendGetScan(t *testing.T) {
@@ -54,15 +80,13 @@ func TestAppendGetScan(t *testing.T) {
 	mustAppend(t, s, "c", "3")
 	mustAppend(t, s, "a", "1b") // overwrite: last write wins
 
-	if v, ok := s.Get([]byte("a")); !ok || string(v) != "1b" {
-		t.Errorf("Get(a) = %q,%v, want 1b,true", v, ok)
+	if v, ok := get(t, s, "a"); !ok || v != "1b" {
+		t.Errorf("get(a) = %q,%v, want 1b,true", v, ok)
 	}
-	if _, ok := s.Get([]byte("zz")); ok {
-		t.Error("Get(zz) found a value")
+	if _, ok := get(t, s, "zz"); ok {
+		t.Error("get(zz) found a value")
 	}
-	sn := s.Snapshot()
-	defer sn.Release()
-	keys, vals := collect(sn)
+	keys, vals := collect(t, s)
 	if fmt.Sprint(keys) != "[a b c]" || fmt.Sprint(vals) != "[1b 2 3]" {
 		t.Errorf("Scan = %v/%v, want [a b c]/[1b 2 3]", keys, vals)
 	}
@@ -95,16 +119,14 @@ func TestFlushAndReopen(t *testing.T) {
 
 	s2 := openTest(t, dir, testOptions())
 	defer s2.Close()
-	sn := s2.Snapshot()
-	defer sn.Release()
-	if n := sn.Len(); n != 101 {
+	if n := count(t, s2); n != 101 {
 		t.Fatalf("reopened store has %d keys, want 101", n)
 	}
-	if v, ok := sn.Get([]byte("k050")); !ok || string(v) != "v50" {
-		t.Errorf("Get(k050) = %q,%v, want v50,true", v, ok)
+	if v, ok := get(t, s2, "k050"); !ok || v != "v50" {
+		t.Errorf("get(k050) = %q,%v, want v50,true", v, ok)
 	}
-	if v, ok := sn.Get([]byte("k999")); !ok || string(v) != "tail" {
-		t.Errorf("Get(k999) = %q,%v, want tail,true", v, ok)
+	if v, ok := get(t, s2, "k999"); !ok || v != "tail" {
+		t.Errorf("get(k999) = %q,%v, want tail,true", v, ok)
 	}
 }
 
@@ -120,16 +142,16 @@ func TestOverwriteAcrossFlushes(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustAppend(t, s, "k", "new") // memtable beats both segments
-	if v, ok := s.Get([]byte("k")); !ok || string(v) != "new" {
-		t.Fatalf("Get(k) = %q, want new", v)
+	if v, ok := get(t, s, "k"); !ok || v != "new" {
+		t.Fatalf("get(k) = %q, want new", v)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s2 := openTest(t, dir, testOptions())
 	defer s2.Close()
-	if v, ok := s2.Get([]byte("k")); !ok || string(v) != "new" {
-		t.Fatalf("reopened Get(k) = %q, want new", v)
+	if v, ok := get(t, s2, "k"); !ok || v != "new" {
+		t.Fatalf("reopened get(k) = %q, want new", v)
 	}
 }
 
@@ -144,9 +166,7 @@ func TestAutoFlushAtThreshold(t *testing.T) {
 	if got := s.Stats().Segments; got == 0 {
 		t.Error("no segment produced despite exceeding FlushBytes")
 	}
-	sn := s.Snapshot()
-	defer sn.Release()
-	if n := sn.Len(); n != 64 {
+	if n := count(t, s); n != 64 {
 		t.Errorf("visible keys = %d, want 64", n)
 	}
 }
@@ -175,13 +195,11 @@ func TestCompaction(t *testing.T) {
 	if got := s2.Stats().Segments; got >= 5 {
 		t.Errorf("segments after compaction = %d, want < 5", got)
 	}
-	sn := s2.Snapshot()
-	defer sn.Release()
-	if n := sn.Len(); n != 101 {
+	if n := count(t, s2); n != 101 {
 		t.Errorf("keys after compaction = %d, want 101", n)
 	}
-	if v, ok := sn.Get([]byte("shared")); !ok || string(v) != "round4" {
-		t.Errorf("Get(shared) = %q, want round4 (newest wins)", v)
+	if v, ok := get(t, s2, "shared"); !ok || v != "round4" {
+		t.Errorf("get(shared) = %q, want round4 (newest wins)", v)
 	}
 
 	// Compaction must not leak retired files.
@@ -197,82 +215,6 @@ func TestCompaction(t *testing.T) {
 	}
 	if segFiles != s2.Stats().Segments {
 		t.Errorf("%d segment files on disk, manifest has %d", segFiles, s2.Stats().Segments)
-	}
-}
-
-func TestSnapshotIsolation(t *testing.T) {
-	s := openTest(t, t.TempDir(), testOptions())
-	defer s.Close()
-	mustAppend(t, s, "a", "1")
-	mustAppend(t, s, "b", "2")
-
-	sn := s.Snapshot()
-	defer sn.Release()
-
-	mustAppend(t, s, "c", "3")
-	mustAppend(t, s, "a", "overwritten")
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	keys, vals := collect(sn)
-	if fmt.Sprint(keys) != "[a b]" || fmt.Sprint(vals) != "[1 2]" {
-		t.Errorf("snapshot saw later writes: %v/%v", keys, vals)
-	}
-
-	sn2 := s.Snapshot()
-	defer sn2.Release()
-	if n := sn2.Len(); n != 3 {
-		t.Errorf("fresh snapshot has %d keys, want 3", n)
-	}
-}
-
-// TestSnapshotSurvivesCompaction pins the refcounting contract: a
-// snapshot keeps reading the segment files it started with even after a
-// compaction retires them, and the files are deleted only on release.
-func TestSnapshotSurvivesCompaction(t *testing.T) {
-	dir := t.TempDir()
-	opts := testOptions()
-	opts.CompactAtSegments = 0 // manual control below
-	s := openTest(t, dir, opts)
-	defer s.Close()
-
-	for round := 0; round < 4; round++ {
-		for i := 0; i < 10; i++ {
-			mustAppend(t, s, fmt.Sprintf("r%d-k%02d", round, i), "v")
-		}
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sn := s.Snapshot()
-
-	// Force a merge of everything.
-	s.opts.CompactAtSegments = 2
-	s.maybeCompact()
-	s.bg.Wait()
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().Segments; got != 1 {
-		t.Fatalf("segments after forced compaction = %d, want 1", got)
-	}
-
-	// The snapshot still reads its original four segments.
-	if n := sn.Len(); n != 40 {
-		t.Errorf("snapshot sees %d keys after compaction, want 40", n)
-	}
-	for _, seg := range sn.segs {
-		if _, err := os.Stat(seg.path); err != nil {
-			t.Errorf("segment file %s vanished under a live snapshot: %v", seg.path, err)
-		}
-	}
-	retired := append([]*segment(nil), sn.segs...)
-	sn.Release()
-	for _, seg := range retired {
-		if _, err := os.Stat(seg.path); !os.IsNotExist(err) {
-			t.Errorf("retired segment %s not deleted after release (err=%v)", seg.path, err)
-		}
 	}
 }
 
@@ -313,9 +255,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: reopen failed: %v", cut, err)
 		}
-		sn := rs.Snapshot()
-		keys, _ := collect(sn)
-		sn.Release()
+		keys, _ := collect(t, rs)
 		if len(keys) != 9 {
 			t.Fatalf("cut=%d: recovered %d records, want 9 (%v)", cut, len(keys), keys)
 		}
@@ -363,9 +303,7 @@ func TestCrashRecoveryBitFlip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame=%d: reopen failed: %v", frame, err)
 		}
-		sn := rs.Snapshot()
-		keys, _ := collect(sn)
-		sn.Release()
+		keys, _ := collect(t, rs)
 		if len(keys) != frame {
 			t.Fatalf("frame=%d: recovered %d records, want %d", frame, len(keys), frame)
 		}
@@ -390,7 +328,7 @@ func TestCrashBetweenSegmentAndManifest(t *testing.T) {
 	mustAppend(t, s, "b", "2")
 
 	// Hand-write an orphan segment, as if flush crashed pre-publish.
-	if _, err := writeSegment(dir, 7, []entry{{key: []byte("a"), value: []byte("1")}}); err != nil {
+	if err := writeSegment(dir, 7, []record{{key: []byte("a"), value: []byte("1")}}); err != nil {
 		t.Fatal(err)
 	}
 	s2 := openTest(t, dir, testOptions())
@@ -398,31 +336,15 @@ func TestCrashBetweenSegmentAndManifest(t *testing.T) {
 	if _, err := os.Stat(segmentPath(dir, 7)); !os.IsNotExist(err) {
 		t.Error("orphan segment not removed on open")
 	}
-	sn := s2.Snapshot()
-	defer sn.Release()
-	if n := sn.Len(); n != 2 {
+	if n := count(t, s2); n != 2 {
 		t.Errorf("recovered %d keys, want 2", n)
 	}
 }
 
-func TestScanPrefix(t *testing.T) {
-	s := openTest(t, t.TempDir(), testOptions())
-	defer s.Close()
-	for _, k := range []string{"a/1", "a/2", "b/1", "b/2", "c/1"} {
-		mustAppend(t, s, k, "v")
-	}
-	sn := s.Snapshot()
-	defer sn.Release()
-	var got []string
-	sn.ScanPrefix([]byte("b/"), func(k, v []byte) bool {
-		got = append(got, string(k))
-		return true
-	})
-	if fmt.Sprint(got) != "[b/1 b/2]" {
-		t.Errorf("ScanPrefix(b/) = %v, want [b/1 b/2]", got)
-	}
-}
-
+// TestConcurrentAppendAndSnapshot runs appenders (forcing flushes and
+// compactions) beside concurrent Scans; every Scan must be internally
+// consistent (sorted, no duplicate keys) and never fail on a segment a
+// compaction retired. Meant for -race.
 func TestConcurrentAppendAndSnapshot(t *testing.T) {
 	opts := testOptions()
 	opts.FlushBytes = 2048 // force flushes mid-run
@@ -444,24 +366,23 @@ func TestConcurrentAppendAndSnapshot(t *testing.T) {
 			}
 		}(g)
 	}
-	// Concurrent readers: each snapshot must be internally consistent
-	// (sorted, no duplicate keys).
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				sn := s.Snapshot()
 				var prev []byte
-				sn.Scan(func(k, v []byte) bool {
+				if err := s.Scan(func(k, v []byte) bool {
 					if prev != nil && bytes.Compare(prev, k) >= 0 {
 						t.Errorf("scan out of order: %q then %q", prev, k)
 						return false
 					}
 					prev = append(prev[:0], k...)
 					return true
-				})
-				sn.Release()
+				}); err != nil {
+					t.Errorf("scan: %v", err)
+					return
+				}
 			}
 		}()
 	}
@@ -496,4 +417,64 @@ func TestStatsAndDir(t *testing.T) {
 	if st.MemtableKeys != 1 || st.MemtableBytes == 0 || st.Segments != 0 {
 		t.Errorf("Stats = %+v", st)
 	}
+}
+
+// flipSegmentByte corrupts one payload byte of live segment id in dir.
+func flipSegmentByte(t *testing.T, dir string, id uint64) {
+	t.Helper()
+	path := segmentPath(dir, id)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[len(buf)-1] ^= 0x40
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptSegmentNeverServed flips a byte in a published segment. Open
+// must refuse it; and since segments stay on disk, a corruption that
+// lands after Open must fail Scan before it hands out a single pair.
+func TestCorruptSegmentNeverServed(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, testOptions())
+	mustAppend(t, s, "a", "1")
+	mustAppend(t, s, "b", "2")
+	if err := s.Close(); err != nil { // flushes segment 0
+		t.Fatal(err)
+	}
+
+	t.Run("before open", func(t *testing.T) {
+		cp := t.TempDir()
+		for name, data := range storeFiles(t, dir) {
+			if err := os.WriteFile(filepath.Join(cp, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		flipSegmentByte(t, cp, 0)
+		s, err := Open(cp, testOptions())
+		if err == nil {
+			s.Close()
+			t.Fatal("Open served a corrupt segment")
+		}
+		if !strings.Contains(err.Error(), "corrupt frame") {
+			t.Errorf("Open = %v, want a corrupt-frame error", err)
+		}
+	})
+
+	t.Run("after open", func(t *testing.T) {
+		s := openTest(t, dir, testOptions())
+		defer s.Close()
+		mustAppend(t, s, "c", "3") // memtable pairs must not leak out either
+		flipSegmentByte(t, dir, 0)
+		visited := 0
+		err := s.Scan(func(k, v []byte) bool { visited++; return true })
+		if err == nil || !strings.Contains(err.Error(), "corrupt frame") {
+			t.Errorf("Scan over a corrupt segment = %v, want a corrupt-frame error", err)
+		}
+		if visited != 0 {
+			t.Errorf("Scan handed out %d pairs before failing", visited)
+		}
+	})
 }

@@ -10,9 +10,10 @@
 //     sorted, length-prefixed segment files at a size threshold,
 //   - a manifest names the live segments and the current WAL generation,
 //     rewritten atomically (temp file + rename) on every flush/compaction,
-//   - a background compactor merges segments to bound read fan-in, and
-//   - readers take refcounted snapshots (memtable copy + segment refs)
-//     so scans never block writers and never see later writes.
+//   - segments stay on disk: Open checks each live one, and only a Scan
+//     (under the catalog lock) or a compaction reads one back, and
+//   - a background compactor merges segments to bound read fan-in,
+//     deleting its inputs once the new manifest is durable.
 //
 // Recovery replays the current WAL generation into the memtable. A torn
 // tail — a short frame or a CRC mismatch from a crash mid-append — is
