@@ -125,10 +125,11 @@ results-check:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# Per-stage pipeline timings plus the metrics.Vector.Get, durable-store,
-# and cluster (WAL-shipping, 3-node batch fan-out) micro-benchmarks,
-# recorded under results/ so successive runs can
-# be diffed (benchstat or plain diff) to catch stage-level regressions.
+# Per-stage pipeline timings plus the metrics.Vector.Get, durable-store
+# (append, scan, and a fsynced paper-scale PersistDataset), and cluster
+# (WAL-shipping, 3-node batch fan-out) micro-benchmarks, recorded under
+# results/ so successive runs can be diffed (benchstat or plain diff) to
+# catch stage-level regressions.
 # The same run is also rendered to machine-readable JSON (stage name ->
 # ns/op) for tooling.
 bench-stages:
@@ -136,7 +137,7 @@ bench-stages:
 		| tee results/bench-stages.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkVectorGet' ./internal/metrics \
 		| tee -a results/bench-stages.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkStore(Append|Scan)$$' . \
+	$(GO) test -run '^$$' -bench 'Benchmark(Store(Append|Scan)|PersistDataset)$$' . \
 		| tee -a results/bench-stages.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkEventLog' ./internal/obs \
 		| tee -a results/bench-stages.txt

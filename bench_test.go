@@ -21,6 +21,7 @@ import (
 	"flare/internal/dcsim"
 	"flare/internal/experiments"
 	"flare/internal/machine"
+	"flare/internal/metricdb"
 	"flare/internal/obs"
 	"flare/internal/report"
 	"flare/internal/store"
@@ -454,4 +455,55 @@ func BenchmarkStoreScan(b *testing.B) {
 			b.Fatalf("scan saw %d keys, want %d", n, keys)
 		}
 	}
+}
+
+// BenchmarkPersistDataset measures core.PersistDataset of the
+// paper-scale dataset (28-day trace, seed 1) into a fresh store-backed
+// metric database per iteration, on store.DefaultOptions: SyncWrites is
+// on, because the number of fsynced WAL commits is what the journal's
+// batching sets. Opening and closing the store are not timed.
+// "batches/op" reports the WAL commits of one persist.
+func BenchmarkPersistDataset(b *testing.B) {
+	simCfg := dcsim.DefaultConfig()
+	simCfg.Seed = 1
+	simCfg.Duration = 28 * 24 * time.Hour
+	trace, err := dcsim.Run(simCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Profile.Seed = 1
+	p, err := core.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := p.Profile(trace.Scenarios); err != nil {
+		b.Fatal(err)
+	}
+	var batches uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		opts := store.DefaultOptions()
+		opts.Registry = obs.NewRegistry()
+		st, err := store.Open(b.TempDir(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		db, err := metricdb.OpenDB(st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := p.PersistDataset(db); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		batches += opts.Registry.Counter("flare_store_wal_commit_batches_total", "").Value()
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(batches)/float64(b.N), "batches/op")
 }

@@ -73,7 +73,7 @@ func run() error {
 	catalogOut := flag.String("catalog-out", "", "write the default job catalog as JSON (template for -catalog) and exit")
 	traceOut := flag.String("trace-out", "", "write the run's span-tree telemetry to this JSON file")
 	faultSpec := flag.String("fault-spec", "",
-		`inject deterministic faults, e.g. "store.wal.append=error@0.01;dcsim.machine.fail=error@0.02" (see internal/fault)`)
+		`inject deterministic faults, e.g. "store.wal.append=error@0.01;dcsim.machine.fail=error@0.02" (see internal/fault; store.wal.append fires once per append call, so a batch of journaled rows counts once)`)
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault schedule; equal seeds give identical schedules")
 	logLevel := flag.String("log-level", "info", "minimum diagnostic severity: debug, info, warn, error")
 	logJSON := flag.Bool("log-json", false, "emit diagnostics as one JSON object per line")

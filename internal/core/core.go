@@ -326,8 +326,9 @@ func (s *Snapshot) EvaluateFeatureForJob(ctx context.Context, feat machine.Featu
 
 // PersistDataset records the profiled dataset into db (the paper's
 // relational recording of collected statistics). With a store-backed db
-// (metricdb.OpenDB) the samples are journaled durably as they are
-// written. Profile must have been called.
+// (metricdb.OpenDB) the rows are journaled per scenario, as two fsynced
+// WAL commits (its samples, then its job performance), and a crash keeps
+// every committed batch. Profile must have been called.
 func (p *Pipeline) PersistDataset(db *metricdb.DB) error {
 	return p.PersistDatasetContext(context.Background(), db)
 }

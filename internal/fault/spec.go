@@ -15,10 +15,14 @@ import (
 //
 // Examples:
 //
-//	store.wal.append=error@0.01            1% of WAL appends fail
-//	store.wal.append=latency@0.05:25ms     5% of appends take +25ms
+//	store.wal.append=error@0.01            1% of WAL append calls fail
+//	store.wal.append=latency@0.05:25ms     5% of append calls take +25ms
 //	store.flush.publish=crash#2            2nd flush crashes mid-publish
 //	dcsim.machine.fail=error@0.001         machines fail probabilistically
+//
+// A rate or nth counts calls of the site: store.wal.append is checked
+// once per store Append or AppendBatch call, so a batch of records
+// counts once, and fails or slows down whole.
 //
 // Clauses may also be separated by commas. Whitespace around clauses is
 // ignored. An empty spec yields no rules.

@@ -75,12 +75,13 @@ type truncRecord struct {
 }
 
 // journal records metricdb mutations into an embedded store. Every
-// Insert is a durable WAL append (group-committed with concurrent
-// writers) — the profiler's samples stream to disk as they are recorded
-// instead of relying on an end-of-run dump. Transient append failures
-// (an injected or real blip on the disk path) are retried with capped
-// exponential backoff before the error reaches the caller, so a brief
-// store hiccup does not abort a multi-minute profiling run.
+// InsertMany is one durable WAL commit of its rows (group-committed with
+// concurrent writers) — the profiler's samples stream to disk as they
+// are recorded instead of relying on an end-of-run dump. Transient
+// append failures (an injected or real blip on the disk path) are
+// retried with capped exponential backoff before the error reaches the
+// caller, so a brief store hiccup does not abort a multi-minute
+// profiling run.
 type journal struct {
 	st *store.Store
 
@@ -106,10 +107,13 @@ func defaultJournalRetry(reg *obs.Registry) retry.Policy {
 	}
 }
 
-// append journals one durable record through the retry policy.
-func (j *journal) append(key, val []byte) error {
+// append journals recs as one durable store batch through the retry
+// policy. A retry re-appends the whole batch: its keys and values are
+// unchanged, so under last-write-wins a batch that was already durable
+// stays as it was.
+func (j *journal) append(recs ...store.KV) error {
 	return j.retry.Do(context.Background(), func() error {
-		return j.st.Append(key, val)
+		return j.st.AppendBatch(recs)
 	})
 }
 
@@ -120,7 +124,7 @@ func (j *journal) createTable(name string, columns []Column) error {
 		return err
 	}
 	key := append([]byte(schemaKeyPrefix), name...)
-	return j.append(key, val)
+	return j.append(store.KV{Key: key, Value: val})
 }
 
 // truncate journals a retention marker retiring rows below belowSeq.
@@ -132,23 +136,30 @@ func (j *journal) truncate(table string, belowSeq uint64) error {
 		return err
 	}
 	key := append([]byte(truncKeyPrefix), table...)
-	return j.append(key, val)
+	return j.append(store.KV{Key: key, Value: val})
 }
 
-// insert journals one row under the table's next sequence number. Calls
-// for one table arrive in insertion order (Table.Insert holds the
-// table's lock across the call), so the journal replays to an identical
-// table.
-func (j *journal) insert(table string, r Row) error {
-	val, err := json.Marshal(r)
-	if err != nil {
-		return err
+// insert journals rows, in order, under the table's next sequence
+// numbers as one store batch. Calls for one table arrive in insertion
+// order (Table.InsertMany holds the table's lock across the call), so
+// the journal replays to an identical table.
+func (j *journal) insert(table string, rows []Row) error {
+	recs := make([]store.KV, len(rows))
+	for i, r := range rows {
+		val, err := json.Marshal(r)
+		if err != nil {
+			return err
+		}
+		recs[i].Value = val
 	}
 	j.mu.Lock()
 	seq := j.nextSeq[table]
-	j.nextSeq[table] = seq + 1
+	j.nextSeq[table] = seq + uint64(len(rows))
 	j.mu.Unlock()
-	return j.append(rowKey(table, seq), val)
+	for i := range recs {
+		recs[i].Key = rowKey(table, seq+uint64(i))
+	}
+	return j.append(recs...)
 }
 
 // OpenDB reconstructs a database from the journal in st and keeps

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -125,25 +126,36 @@ func (t *Table) Len() int {
 	return len(t.rows)
 }
 
-// Insert appends a row. The row must have exactly one cell per column.
-// With a journal attached the row is journaled durably first; a journal
-// failure leaves the in-memory table unchanged.
-func (t *Table) Insert(r Row) error {
-	if len(r) != len(t.columns) {
-		return fmt.Errorf("metricdb: table %s insert with %d cells, want %d", t.name, len(r), len(t.columns))
+// Insert appends a row: an InsertMany of one.
+func (t *Table) Insert(r Row) error { return t.InsertMany([]Row{r}) }
+
+// InsertMany appends rows, in order. Every row must have exactly one
+// cell per column; one that does not rejects them all. With a journal
+// attached the rows are journaled durably first, as one store batch; a
+// journal failure leaves the in-memory table unchanged.
+func (t *Table) InsertMany(rows []Row) error {
+	for _, r := range rows {
+		if len(r) != len(t.columns) {
+			return fmt.Errorf("metricdb: table %s insert with %d cells, want %d", t.name, len(r), len(t.columns))
+		}
+	}
+	if len(rows) == 0 {
+		return nil
+	}
+	cps := make([]Row, len(rows))
+	for i, r := range rows {
+		cps[i] = slices.Clone(r)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cp := make(Row, len(r))
-	copy(cp, r)
 	// Journal under the lock so the journal's sequence order matches the
 	// in-memory row order exactly — reconstruction is then byte-identical.
 	if t.journal != nil {
-		if err := t.journal.insert(t.name, cp); err != nil {
+		if err := t.journal.insert(t.name, cps); err != nil {
 			return fmt.Errorf("metricdb: journaling %s insert: %w", t.name, err)
 		}
 	}
-	t.rows = append(t.rows, cp)
+	t.rows = append(t.rows, cps...)
 	return nil
 }
 
@@ -239,14 +251,33 @@ func NewDB() *DB {
 // CreateTable adds a new table. It fails if the name already exists.
 // With a journal attached the schema is journaled durably first.
 func (db *DB) CreateTable(name string, columns []Column) (*Table, error) {
+	return db.createTable(name, columns, false)
+}
+
+// GetOrCreateTable returns the named table, creating it (as CreateTable
+// does) when it does not exist yet. An existing table with a different
+// schema is an error. Concurrent callers on a fresh database all get the
+// one table, and its schema is journaled once.
+func (db *DB) GetOrCreateTable(name string, columns []Column) (*Table, error) {
+	return db.createTable(name, columns, true)
+}
+
+// createTable is CreateTable, or GetOrCreateTable when reuse is set.
+func (db *DB) createTable(name string, columns []Column, reuse bool) (*Table, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if old, dup := db.tables[name]; dup {
+		switch {
+		case !reuse:
+			return nil, fmt.Errorf("metricdb: table %s already exists", name)
+		case !slices.Equal(old.columns, columns):
+			return nil, fmt.Errorf("metricdb: table %s exists with a different schema", name)
+		}
+		return old, nil
+	}
 	t, err := NewTable(name, columns)
 	if err != nil {
 		return nil, err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, dup := db.tables[name]; dup {
-		return nil, fmt.Errorf("metricdb: table %s already exists", name)
 	}
 	if db.journal != nil {
 		if err := db.journal.createTable(name, t.Columns()); err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flare/internal/metricdb"
+	"flare/internal/obs"
 	"flare/internal/scenario"
 	"flare/internal/store"
 	"flare/internal/workload"
@@ -119,5 +120,54 @@ func TestStoreDeterministicRowOrder(t *testing.T) {
 				t.Fatalf("trial %d: row %d job %q, want %q", trial, i, got[i], first[i])
 			}
 		}
+	}
+}
+
+// TestStoreCommitsPerScenario pins the journal's write shape: the two
+// schemas, then one WAL commit for each scenario's samples rows and one
+// for its job_perf rows — not one per row.
+func TestStoreCommitsPerScenario(t *testing.T) {
+	set := scenario.NewSet()
+	for _, pl := range [][]scenario.Placement{
+		{{Job: workload.DataCaching, Instances: 2}},
+		{{Job: workload.Mcf, Instances: 1}, {Job: workload.WebSearch, Instances: 3}},
+		{{Job: workload.DataCaching, Instances: 1}, {Job: workload.Mcf, Instances: 2}},
+	} {
+		sc, err := scenario.New(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set.Add(sc)
+	}
+	ds := collect(t, set, DefaultOptions())
+
+	reg := obs.NewRegistry()
+	opts := store.DefaultOptions()
+	opts.Registry = reg
+	st, err := store.Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	db, err := metricdb.OpenDB(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Store(context.Background(), db); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reg.Counter("flare_store_wal_commit_batches_total", "").Value(), uint64(2+2*set.Len()); got != want {
+		t.Errorf("WAL commits = %d, want %d (2 schemas + 2 per scenario)", got, want)
+	}
+	rows := 0
+	for _, name := range []string{samplesTable, jobPerfTable} {
+		tbl, err := db.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows += tbl.Len()
+	}
+	if got := reg.Counter("flare_store_wal_appends_total", "").Value(); got != uint64(rows+2) {
+		t.Errorf("WAL records = %d, want %d rows + 2 schemas", got, rows)
 	}
 }

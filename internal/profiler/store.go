@@ -17,10 +17,11 @@ const (
 
 // Store writes the dataset into the metric database, creating the
 // "samples" and "job_perf" tables (the paper's relational recording of
-// collected statistics). When the database is store-backed (see
-// metricdb.OpenDB) every insert is journaled through the write-ahead log
-// as it happens, so a crash mid-store keeps all rows written so far —
-// the history no longer depends on an end-of-run dump. A "profiler.store"
+// collected statistics). Rows are inserted per scenario: its samples
+// rows, then its job_perf rows, each set with one InsertMany. When the
+// database is store-backed (see metricdb.OpenDB) each set is one
+// fsynced WAL commit, so a crash mid-store keeps every committed batch —
+// the history does not depend on an end-of-run dump. A "profiler.store"
 // span records how many rows were recorded.
 func (ds *Dataset) Store(ctx context.Context, db *metricdb.DB) error {
 	_, span := obs.StartSpan(ctx, "profiler.store")
@@ -43,19 +44,28 @@ func (ds *Dataset) Store(ctx context.Context, db *metricdb.DB) error {
 		return fmt.Errorf("profiler: %w", err)
 	}
 
+	// One reused slice holds a scenario's rows; InsertMany copies them.
 	rows := 0
 	names := ds.Catalog.Names()
+	batch := make([]metricdb.Row, 0, len(names))
+	insert := func(t *metricdb.Table) error {
+		if err := t.InsertMany(batch); err != nil {
+			return fmt.Errorf("profiler: %w", err)
+		}
+		rows += len(batch)
+		batch = batch[:0]
+		return nil
+	}
 	for id := 0; id < ds.Scenarios.Len(); id++ {
 		for col, name := range names {
-			err := samples.Insert(metricdb.Row{
+			batch = append(batch, metricdb.Row{
 				metricdb.Int(int64(id)),
 				metricdb.String(name),
 				metricdb.Float(ds.Matrix.At(id, col)),
 			})
-			if err != nil {
-				return fmt.Errorf("profiler: %w", err)
-			}
-			rows++
+		}
+		if err := insert(samples); err != nil {
+			return err
 		}
 		// Sorted jobs, not map order: the stored row sequence (and so the
 		// journaled byte stream) must be identical run to run.
@@ -65,15 +75,14 @@ func (ds *Dataset) Store(ctx context.Context, db *metricdb.DB) error {
 		}
 		sort.Strings(jobs)
 		for _, job := range jobs {
-			err := jobPerf.Insert(metricdb.Row{
+			batch = append(batch, metricdb.Row{
 				metricdb.Int(int64(id)),
 				metricdb.String(job),
 				metricdb.Float(ds.JobMIPS[id][job]),
 			})
-			if err != nil {
-				return fmt.Errorf("profiler: %w", err)
-			}
-			rows++
+		}
+		if err := insert(jobPerf); err != nil {
+			return err
 		}
 	}
 	span.SetAttr("rows", rows)

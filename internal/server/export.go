@@ -72,34 +72,28 @@ type traceExporter struct {
 	dropped        *obs.Counter
 }
 
-// exportTables ensures both export tables exist in db.
+// exportTables gets or creates both export tables in db.
 func exportTables(db *metricdb.DB) (traces, events *metricdb.Table, err error) {
-	traces, err = db.Table(tracesTable)
+	traces, err = db.GetOrCreateTable(tracesTable, []metricdb.Column{
+		{Name: "id", Type: metricdb.TypeString},
+		{Name: "route", Type: metricdb.TypeString},
+		{Name: "method", Type: metricdb.TypeString},
+		{Name: "status", Type: metricdb.TypeInt},
+		{Name: "duration_ms", Type: metricdb.TypeFloat},
+		{Name: "start_unix_ms", Type: metricdb.TypeInt},
+		{Name: "trace", Type: metricdb.TypeString},
+	})
 	if err != nil {
-		traces, err = db.CreateTable(tracesTable, []metricdb.Column{
-			{Name: "id", Type: metricdb.TypeString},
-			{Name: "route", Type: metricdb.TypeString},
-			{Name: "method", Type: metricdb.TypeString},
-			{Name: "status", Type: metricdb.TypeInt},
-			{Name: "duration_ms", Type: metricdb.TypeFloat},
-			{Name: "start_unix_ms", Type: metricdb.TypeInt},
-			{Name: "trace", Type: metricdb.TypeString},
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("server: creating %s table: %w", tracesTable, err)
-		}
+		return nil, nil, fmt.Errorf("server: creating %s table: %w", tracesTable, err)
 	}
-	events, err = db.Table(eventsTable)
+	events, err = db.GetOrCreateTable(eventsTable, []metricdb.Column{
+		{Name: "ts_unix_ms", Type: metricdb.TypeInt},
+		{Name: "level", Type: metricdb.TypeString},
+		{Name: "msg", Type: metricdb.TypeString},
+		{Name: "attrs", Type: metricdb.TypeString},
+	})
 	if err != nil {
-		events, err = db.CreateTable(eventsTable, []metricdb.Column{
-			{Name: "ts_unix_ms", Type: metricdb.TypeInt},
-			{Name: "level", Type: metricdb.TypeString},
-			{Name: "msg", Type: metricdb.TypeString},
-			{Name: "attrs", Type: metricdb.TypeString},
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("server: creating %s table: %w", eventsTable, err)
-		}
+		return nil, nil, fmt.Errorf("server: creating %s table: %w", eventsTable, err)
 	}
 	return traces, events, nil
 }

@@ -112,17 +112,16 @@ func (s *Server) persistEstimate(resp estimateResponse) error {
 	if s.db == nil {
 		return nil
 	}
-	t, err := s.db.Table(estimatesTable)
+	// Get-or-create under the database's lock: estimates computed at once
+	// on a fresh database all get the one table.
+	t, err := s.db.GetOrCreateTable(estimatesTable, []metricdb.Column{
+		{Name: "feature", Type: metricdb.TypeString},
+		{Name: "job", Type: metricdb.TypeString},
+		{Name: "reduction_pct", Type: metricdb.TypeFloat},
+		{Name: "scenarios", Type: metricdb.TypeInt},
+	})
 	if err != nil {
-		t, err = s.db.CreateTable(estimatesTable, []metricdb.Column{
-			{Name: "feature", Type: metricdb.TypeString},
-			{Name: "job", Type: metricdb.TypeString},
-			{Name: "reduction_pct", Type: metricdb.TypeFloat},
-			{Name: "scenarios", Type: metricdb.TypeInt},
-		})
-		if err != nil {
-			return fmt.Errorf("server: creating %s table: %w", estimatesTable, err)
-		}
+		return fmt.Errorf("server: creating %s table: %w", estimatesTable, err)
 	}
 	// The estimate is computed once per key by a detached singleflight
 	// goroutine serving every waiter, and the journal entry is the audit

@@ -192,3 +192,33 @@ func TestRequestTimeoutBounds(t *testing.T) {
 		t.Errorf("flare_request_timeouts_total = %d, want 1", got)
 	}
 }
+
+// TestPersistEstimateConcurrentFreshDB journals 16 estimates at once
+// into a fresh store-backed database: every one must succeed (the
+// "estimates" table is created once, not raced), and each is journaled.
+func TestPersistEstimateConcurrentFreshDB(t *testing.T) {
+	const writers = 16
+	s, st := resilientServer(t, Options{})
+	errs := make(chan error, writers)
+	for g := 0; g < writers; g++ {
+		go func(g int) {
+			errs <- s.persistEstimate(estimateResponse{Feature: "feature1",
+				Job: fmt.Sprintf("job%d", g), ReductionPct: float64(g), ScenariosReplayed: 18})
+		}(g)
+	}
+	for g := 0; g < writers; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	tbl, err := s.db.Table(estimatesTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Len() != writers {
+		t.Errorf("estimates rows = %d, want %d", tbl.Len(), writers)
+	}
+	if got := st.Registry().Counter("flare_store_wal_appends_total", "").Value(); got != writers+1 {
+		t.Errorf("journaled records = %d, want %d rows + 1 schema", got, writers)
+	}
+}

@@ -33,12 +33,13 @@ type Options struct {
 	// metricdb, the journal's retry counters; nil records nothing.
 	Registry *obs.Registry
 	// Injector, when non-nil, arms deterministic fault injection on the
-	// store's durability paths. Sites: "store.wal.append" (appends fail
-	// or slow down before reaching the log), "store.flush.segment"
-	// (segment write fails cleanly), "store.flush.publish" (crash point
-	// between the segment write and the manifest publish — the orphan-
-	// segment window), and "store.compact.write" (background compaction
-	// fails). See internal/fault.
+	// store's durability paths. Sites: "store.wal.append" (an append
+	// call fails or slows down before reaching the log; a batch counts
+	// once), "store.flush.segment" (segment write fails cleanly),
+	// "store.flush.publish" (crash point between the segment write and
+	// the manifest publish — the orphan-segment window), and
+	// "store.compact.write" (background compaction fails). See
+	// internal/fault.
 	Injector *fault.Injector
 	// Replicate, when non-nil, observes every durable state transition
 	// (committed WAL batch, flush publish, compaction install) as a
@@ -67,10 +68,10 @@ type Store struct {
 	// can start an outage against an already-open store.
 	inj atomic.Pointer[fault.Injector]
 
-	// rot serialises WAL rotation with appends: every Append holds it for
-	// read across (WAL append, memtable insert), so Flush — holding it for
-	// write — observes a memtable that exactly matches the WAL generation
-	// it retires.
+	// rot serialises WAL rotation with appends: every AppendBatch holds
+	// it for read across (WAL append, memtable inserts), so Flush —
+	// holding it for write — observes a memtable that exactly matches
+	// the WAL generation it retires.
 	rot sync.RWMutex
 
 	// mu guards the mutable catalog: memtable and manifest (whose
@@ -217,24 +218,46 @@ func (s *Store) SetInjector(in *fault.Injector) { s.inj.Store(in) }
 // injector methods are nil-safe).
 func (s *Store) injector() *fault.Injector { return s.inj.Load() }
 
-// Append durably writes one key/value pair: the record is on disk (in the
-// WAL) before Append returns. Concurrent appenders share fsyncs via group
-// commit. An empty key is invalid; a repeated key overwrites (last write
-// wins).
+// KV is one record of an AppendBatch.
+type KV struct {
+	Key, Value []byte
+}
+
+// Append durably writes one key/value pair: a batch of one.
 func (s *Store) Append(key, value []byte) error {
-	if len(key) == 0 {
-		return errors.New("store: empty key")
+	return s.AppendBatch([]KV{{Key: key, Value: value}})
+}
+
+// AppendBatch durably writes recs, in order: every record is on disk (in
+// the WAL) before AppendBatch returns. The batch is one frame run in one
+// WAL commit — one write and one fsync, shared with concurrent appenders
+// via group commit. Every record is checked before any is written, so an
+// empty key or an oversized record rejects the whole batch. A repeated
+// key overwrites (last write wins); an empty batch is a no-op.
+func (s *Store) AppendBatch(recs []KV) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	for _, r := range recs {
+		if len(r.Key) == 0 {
+			return errors.New("store: empty key")
+		}
+		if len(r.Key)+len(r.Value)+frameHeaderSize > maxFrameSize {
+			return fmt.Errorf("store: record for key %q exceeds %d bytes", r.Key, maxFrameSize)
+		}
 	}
 	if s.replica {
 		return ErrReplica
 	}
-	// Fault site: a failed or slow disk write, surfaced before any lock
-	// is held so injected latency does not serialise healthy appenders.
+	// Fault site, once per call: a failed or slow disk write, surfaced
+	// before any lock is held so injected latency does not serialise
+	// healthy appenders.
 	if err := s.injector().Err("store.wal.append"); err != nil {
 		return fmt.Errorf("store: wal append: %w", err)
 	}
-	if len(key)+len(value)+frameHeaderSize > maxFrameSize {
-		return fmt.Errorf("store: record for key %q exceeds %d bytes", key, maxFrameSize)
+	var frames []byte
+	for _, r := range recs {
+		frames = appendFrame(frames, r.Key, r.Value)
 	}
 	s.rot.RLock()
 	s.mu.Lock()
@@ -246,15 +269,16 @@ func (s *Store) Append(key, value []byte) error {
 	w := s.wal
 	s.mu.Unlock()
 
-	frame := appendFrame(nil, key, value)
-	if err := w.append(frame); err != nil {
+	if err := w.append(frames); err != nil {
 		s.rot.RUnlock()
 		return err
 	}
-	s.met.walAppends.Inc()
+	s.met.walAppends.Add(uint64(len(recs)))
 
 	s.mu.Lock()
-	s.memInsert(key, value)
+	for _, r := range recs {
+		s.memInsert(r.Key, r.Value)
+	}
 	needFlush := s.memBytes >= s.opts.FlushBytes
 	s.mu.Unlock()
 	s.rot.RUnlock()
@@ -451,12 +475,13 @@ func (s *Store) compactAs(inputs []uint64, segID uint64, leader bool) error {
 	}
 
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		_ = os.Remove(segmentPath(s.dir, segID))
-		return nil
-	}
 	man := s.man
+	if s.nextSeg == man.NextSegID {
+		// A flush took its id after segID and published first. Take one
+		// more id, so this install's NextSegID is past the flush's and a
+		// replica does not skip it as a re-delivery.
+		s.nextSeg++
+	}
 	man.NextSegID = s.nextSeg
 	// Anything flushed during the merge stays, ordered after the output.
 	man.Segments = append([]uint64{segID}, man.Segments[len(inputs):]...)
@@ -539,13 +564,16 @@ func (s *Store) Close() error {
 	if !s.replica {
 		flushErr = s.flushLocked()
 	}
+	// Let a running compaction install before the store is marked
+	// closed. Holding rot keeps any new one from starting: only a flush
+	// starts one.
+	s.bg.Wait()
 
 	s.mu.Lock()
 	s.closed = true
 	w := s.wal
 	s.mu.Unlock()
 
-	s.bg.Wait()
 	closeErr := w.close()
 	if flushErr != nil {
 		return flushErr
