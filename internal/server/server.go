@@ -266,8 +266,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	rows := s.exporter.traces.Select(nil) // insertion order: oldest first
 	resp := tracePage{Page: page, PageSize: size, Total: len(rows), Traces: make([]traceEntry, 0, size)}
-	// Page 0 is the newest traces: walk the rows backwards.
-	start := len(rows) - 1 - page*size
+	// Page 0 is the newest traces: walk the rows backwards. A page past
+	// the history is empty; comparing against the page count instead of
+	// multiplying keeps a huge page number from overflowing.
+	start := -1
+	if page <= (len(rows)-1)/size {
+		start = len(rows) - 1 - page*size
+	}
 	for i := start; i >= 0 && i > start-size; i-- {
 		row := rows[i]
 		entry := traceEntry{

@@ -148,6 +148,12 @@ func TestTracePaging(t *testing.T) {
 	if len(empty.Traces) != 0 {
 		t.Errorf("out-of-range page has %d traces", len(empty.Traces))
 	}
+	// A page number whose offset overflows int is past the end too.
+	var huge tracePage
+	get(t, h, "/api/trace?page=9223372036854775803&page_size=2", http.StatusOK, &huge)
+	if len(huge.Traces) != 0 {
+		t.Errorf("overflowing page has %d traces", len(huge.Traces))
+	}
 	// Bad parameters are 400s.
 	get(t, h, "/api/trace?page=-1", http.StatusBadRequest, nil)
 	get(t, h, "/api/trace?page=0&page_size=nope", http.StatusBadRequest, nil)
