@@ -125,7 +125,8 @@ results-check:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# Per-stage pipeline timings plus the metrics.Vector.Get, durable-store
+# Per-stage pipeline timings plus the metrics.Vector.Get, perfmodel
+# evaluation (solo, full machine, noisy sample), durable-store
 # (append, scan, and a fsynced paper-scale PersistDataset), and cluster
 # (WAL-shipping, 3-node batch fan-out) micro-benchmarks, recorded under
 # results/ so successive runs can be diffed (benchstat or plain diff) to
@@ -136,6 +137,8 @@ bench-stages:
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineStages' -benchtime 3x . \
 		| tee results/bench-stages.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkVectorGet' ./internal/metrics \
+		| tee -a results/bench-stages.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate(Solo|FullMachine|WithNoise)$$' -benchmem ./internal/perfmodel \
 		| tee -a results/bench-stages.txt
 	$(GO) test -run '^$$' -bench 'Benchmark(Store(Append|Scan)|PersistDataset)$$' . \
 		| tee -a results/bench-stages.txt

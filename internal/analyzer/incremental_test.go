@@ -121,7 +121,7 @@ func TestIncrementalTickTracksBatchPCA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := pca.Fit(refined, opts.VarianceTarget)
+	batch, err := pca.FitWorkers(refined, opts.VarianceTarget, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

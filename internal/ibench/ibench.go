@@ -17,6 +17,7 @@ import (
 
 	"flare/internal/machine"
 	"flare/internal/mathx"
+	"flare/internal/metrics"
 	"flare/internal/perfmodel"
 	"flare/internal/scenario"
 	"flare/internal/workload"
@@ -123,10 +124,23 @@ func Generator(kind Kind, intensity float64) (workload.Profile, error) {
 // Fit is the generator mix approximating a recorded scenario.
 type Fit struct {
 	Assignments []perfmodel.Assignment
-	// Target and Achieved summarise the machine-level pressures of the
-	// original colocation and its approximation.
-	Target   perfmodel.MachinePerf
-	Achieved perfmodel.MachinePerf
+	// Target and Achieved hold the machine-level pressures FitScenario
+	// matches, one metric per entry of pressures, for the original
+	// colocation and for its approximation.
+	Target   metrics.Vector
+	Achieved metrics.Vector
+}
+
+// pressures pairs each tunable generator kind with the machine-level
+// metric it is tuned to reproduce.
+var pressures = []struct {
+	kind   Kind
+	metric string
+}{
+	{Cache, "LLC-MPKI-Machine"},
+	{Stream, "MemBW-Machine"},
+	{Network, "NetworkBW-Machine"},
+	{Disk, "DiskBW-Machine"},
 }
 
 // FitScenario composes pressure generators to approximate the
@@ -138,7 +152,36 @@ func FitScenario(cfg machine.Config, sc scenario.Scenario, cat *workload.Catalog
 	if cat == nil {
 		return nil, errors.New("ibench: nil catalog")
 	}
-	target, err := evaluateScenario(cfg, sc, cat)
+	recorded, err := assignments(sc, cat)
+	if err != nil {
+		return nil, err
+	}
+	defs := make([]metrics.Def, len(pressures))
+	for i, p := range pressures {
+		defs[i] = metrics.Def{Name: p.metric, Level: metrics.LevelMachine}
+	}
+	pcat, err := metrics.NewCatalog(defs)
+	if err != nil {
+		return nil, err
+	}
+	ev, err := perfmodel.NewEvaluator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	var res perfmodel.Result
+	measure := func(jobs []perfmodel.Assignment, dst []float64) (metrics.Vector, error) {
+		if err := ev.Begin(jobs); err != nil {
+			return metrics.Vector{}, err
+		}
+		if err := ev.Relax(nil); err != nil {
+			return metrics.Vector{}, err
+		}
+		if err := ev.ResultInto(&res, perfmodel.Options{}); err != nil {
+			return metrics.Vector{}, err
+		}
+		return metrics.ExtractInto(dst, pcat, cfg, res), nil
+	}
+	target, err := measure(recorded, make([]float64, pcat.Len()))
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +199,8 @@ func FitScenario(cfg machine.Config, sc scenario.Scenario, cat *workload.Catalog
 	counts := map[Kind]int{CPU: instances}
 	intensity := map[Kind]float64{CPU: 0.5, Cache: 0.6, Stream: 0.6, Network: 0.6, Disk: 0.6}
 
-	var achieved perfmodel.MachinePerf
+	var achieved metrics.Vector
+	achievedBuf := make([]float64, pcat.Len())
 	var mix []perfmodel.Assignment
 	const rounds = 60
 	for iter := 0; iter < rounds; iter++ {
@@ -171,38 +215,27 @@ func FitScenario(cfg machine.Config, sc scenario.Scenario, cat *workload.Catalog
 			}
 			mix = append(mix, perfmodel.Assignment{Profile: prof, Instances: counts[kind]})
 		}
-		res, err := perfmodel.Evaluate(cfg, mix, perfmodel.Options{})
-		if err != nil {
+		if achieved, err = measure(mix, achievedBuf); err != nil {
 			return nil, err
 		}
-		achieved = res.Machine
 
-		type dim struct {
-			kind             Kind
-			target, achieved float64
-		}
-		dims := []dim{
-			{Cache, target.LLCMPKI, achieved.LLCMPKI},
-			{Stream, target.MemBWGBps, achieved.MemBWGBps},
-			{Network, target.NetworkMbps, achieved.NetworkMbps},
-			{Disk, target.DiskMBps, achieved.DiskMBps},
-		}
 		// (a) intensity control.
-		for _, d := range dims {
-			intensity[d.kind] = adjust(intensity[d.kind], d.target, d.achieved)
+		for i, p := range pressures {
+			intensity[p.kind] = adjust(intensity[p.kind], target.Values[i], achieved.Values[i])
 		}
 		// (b) instance reassignment for the worst saturated deficit.
 		worst, worstRatio := Kind(0), 1.25
-		for _, d := range dims {
-			if d.target < 1e-6 || intensity[d.kind] < 0.9 {
+		for i, p := range pressures {
+			want := target.Values[i]
+			if want < 1e-6 || intensity[p.kind] < 0.9 {
 				continue
 			}
-			base := d.achieved
+			base := achieved.Values[i]
 			if base < 1e-9 {
 				base = 1e-9
 			}
-			if ratio := d.target / base; ratio > worstRatio {
-				worst, worstRatio = d.kind, ratio
+			if ratio := want / base; ratio > worstRatio {
+				worst, worstRatio = p.kind, ratio
 			}
 		}
 		if worst != 0 && counts[CPU] > 0 {
@@ -215,22 +248,18 @@ func FitScenario(cfg machine.Config, sc scenario.Scenario, cat *workload.Catalog
 	return &Fit{Assignments: mix, Target: target, Achieved: achieved}, nil
 }
 
-// evaluateScenario runs the real colocation to obtain the target machine
-// pressures.
-func evaluateScenario(cfg machine.Config, sc scenario.Scenario, cat *workload.Catalog) (perfmodel.MachinePerf, error) {
-	assignments := make([]perfmodel.Assignment, 0, len(sc.Placements))
+// assignments resolves a recorded scenario's placements against the job
+// catalog.
+func assignments(sc scenario.Scenario, cat *workload.Catalog) ([]perfmodel.Assignment, error) {
+	out := make([]perfmodel.Assignment, 0, len(sc.Placements))
 	for _, p := range sc.Placements {
 		prof, err := cat.Lookup(p.Job)
 		if err != nil {
-			return perfmodel.MachinePerf{}, fmt.Errorf("ibench: %w", err)
+			return nil, fmt.Errorf("ibench: %w", err)
 		}
-		assignments = append(assignments, perfmodel.Assignment{Profile: prof, Instances: p.Instances})
+		out = append(out, perfmodel.Assignment{Profile: prof, Instances: p.Instances})
 	}
-	res, err := perfmodel.Evaluate(cfg, assignments, perfmodel.Options{})
-	if err != nil {
-		return perfmodel.MachinePerf{}, err
-	}
-	return res.Machine, nil
+	return out, nil
 }
 
 // apportion splits n instances across kinds proportionally to weights,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flare/internal/machine"
+	"flare/internal/metrics"
 	"flare/internal/perfmodel"
 	"flare/internal/scenario"
 	"flare/internal/workload"
@@ -42,7 +43,10 @@ func TestGeneratorsAllValidProfiles(t *testing.T) {
 
 func TestGeneratorsPressureTheirResource(t *testing.T) {
 	cfg := baseCfg()
-	eval := func(kind Kind, intensity float64) perfmodel.MachinePerf {
+	cat := metrics.DefaultCatalog()
+	// eval returns the named machine-level metric for six instances of
+	// one generator.
+	eval := func(kind Kind, intensity float64, metric string) float64 {
 		t.Helper()
 		p, err := Generator(kind, intensity)
 		if err != nil {
@@ -52,24 +56,28 @@ func TestGeneratorsPressureTheirResource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Machine
+		v, err := metrics.ExtractInto(make([]float64, cat.Len()), cat, cfg, res).Get(metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
 
 	// Stream hammers DRAM harder than CPU does.
-	if s, c := eval(Stream, 1.0), eval(CPU, 1.0); s.MemBWGBps <= 2*c.MemBWGBps {
-		t.Errorf("stream BW %v not far above cpu BW %v", s.MemBWGBps, c.MemBWGBps)
+	if s, c := eval(Stream, 1.0, "MemBW-Machine"), eval(CPU, 1.0, "MemBW-Machine"); s <= 2*c {
+		t.Errorf("stream BW %v not far above cpu BW %v", s, c)
 	}
 	// Cache misses more than CPU.
-	if ca, c := eval(Cache, 1.0), eval(CPU, 1.0); ca.LLCMPKI <= c.LLCMPKI {
-		t.Errorf("cache MPKI %v not above cpu MPKI %v", ca.LLCMPKI, c.LLCMPKI)
+	if ca, c := eval(Cache, 1.0, "LLC-MPKI-Machine"), eval(CPU, 1.0, "LLC-MPKI-Machine"); ca <= c {
+		t.Errorf("cache MPKI %v not above cpu MPKI %v", ca, c)
 	}
 	// Network floods the NIC.
-	if n, c := eval(Network, 1.0), eval(CPU, 1.0); n.NetworkMbps <= c.NetworkMbps {
-		t.Errorf("network generator pushes %v Mbps vs cpu %v", n.NetworkMbps, c.NetworkMbps)
+	if n, c := eval(Network, 1.0, "NetworkBW-Machine"), eval(CPU, 1.0, "NetworkBW-Machine"); n <= c {
+		t.Errorf("network generator pushes %v Mbps vs cpu %v", n, c)
 	}
 	// Intensity is monotone in the pressured dimension.
-	if lo, hi := eval(Stream, 0.2), eval(Stream, 1.0); hi.MemBWGBps <= lo.MemBWGBps {
-		t.Errorf("stream intensity not monotone: %v -> %v", lo.MemBWGBps, hi.MemBWGBps)
+	if lo, hi := eval(Stream, 0.2, "MemBW-Machine"), eval(Stream, 1.0, "MemBW-Machine"); hi <= lo {
+		t.Errorf("stream intensity not monotone: %v -> %v", lo, hi)
 	}
 }
 
@@ -101,21 +109,21 @@ func TestFitScenarioReproducesPressures(t *testing.T) {
 
 	// Key pressures within 35% (iBench reproduces pressure magnitudes,
 	// not exact microarchitecture).
-	checks := []struct {
-		name             string
-		target, achieved float64
-	}{
-		{"mem-bw", fit.Target.MemBWGBps, fit.Achieved.MemBWGBps},
-		{"llc-mpki", fit.Target.LLCMPKI, fit.Achieved.LLCMPKI},
-		{"network", fit.Target.NetworkMbps, fit.Achieved.NetworkMbps},
-	}
-	for _, c := range checks {
-		if c.target < 1e-6 {
+	for _, name := range []string{"MemBW-Machine", "LLC-MPKI-Machine", "NetworkBW-Machine"} {
+		target, err := fit.Target.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		achieved, err := fit.Achieved.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if target < 1e-6 {
 			continue
 		}
-		rel := math.Abs(c.achieved-c.target) / c.target
+		rel := math.Abs(achieved-target) / target
 		if rel > 0.35 {
-			t.Errorf("%s: achieved %v vs target %v (rel err %.0f%%)", c.name, c.achieved, c.target, rel*100)
+			t.Errorf("%s: achieved %v vs target %v (rel err %.0f%%)", name, achieved, target, rel*100)
 		}
 	}
 }
@@ -139,25 +147,28 @@ func TestFitScenarioFeatureImpactCorrelates(t *testing.T) {
 	feat := machine.CacheSizing(12)
 	featCfg := feat.Apply(cfg)
 
-	realBase, err := evaluateScenario(cfg, sc, cat)
+	recorded, err := assignments(sc, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	realFeat, err := evaluateScenario(featCfg, sc, cat)
-	if err != nil {
-		t.Fatal(err)
+	// drop is the fractional total-MIPS loss of jobs under the feature.
+	drop := func(jobs []perfmodel.Assignment) float64 {
+		t.Helper()
+		total := func(cfg machine.Config) float64 {
+			res, err := perfmodel.Evaluate(cfg, jobs, perfmodel.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum float64
+			for _, j := range res.Jobs {
+				sum += j.MIPS * float64(j.Instances)
+			}
+			return sum
+		}
+		base := total(cfg)
+		return (base - total(featCfg)) / base
 	}
-	realDrop := (realBase.TotalMIPS - realFeat.TotalMIPS) / realBase.TotalMIPS
-
-	approxBase, err := perfmodel.Evaluate(cfg, fit.Assignments, perfmodel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approxFeat, err := perfmodel.Evaluate(featCfg, fit.Assignments, perfmodel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approxDrop := (approxBase.Machine.TotalMIPS - approxFeat.Machine.TotalMIPS) / approxBase.Machine.TotalMIPS
+	realDrop, approxDrop := drop(recorded), drop(fit.Assignments)
 
 	if realDrop <= 0 || approxDrop <= 0 {
 		t.Fatalf("drops: real %v, approx %v; both should be positive for a cache-hungry mix", realDrop, approxDrop)

@@ -32,7 +32,7 @@ func BenchmarkCovariancePaperScale(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Covariance(m); err != nil {
+		if _, err := CovarianceWorkers(m, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

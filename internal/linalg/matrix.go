@@ -215,20 +215,15 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// Covariance returns the cols x cols population covariance matrix of the
-// rows of m (each row is an observation, each column a variable).
-// It returns an error if m has fewer than two rows.
-func Covariance(m *Matrix) (*Matrix, error) {
-	return CovarianceWorkers(m, 1)
-}
-
-// CovarianceWorkers is Covariance with the column-pair work split across
-// at most workers goroutines (<= 0 means GOMAXPROCS). Every (a, b) pair
-// is summed by exactly one worker over the full observation range in row
-// order, so the result is bit-identical for every worker count. The
-// inner loops run over raw slices: columns are centred once into a
-// column-major scratch so each pair reduces to a contiguous dot product
-// instead of rows*2 bounds-checked At calls.
+// CovarianceWorkers returns the cols x cols population covariance matrix
+// of the rows of m (each row is an observation, each column a variable).
+// It returns an error if m has fewer than two rows. The column-pair work
+// is split across at most workers goroutines (<= 0 means GOMAXPROCS).
+// Every (a, b) pair is summed by exactly one worker over the full
+// observation range in row order, so the result is bit-identical for
+// every worker count. The inner loops run over raw slices: columns are
+// centred once into a column-major scratch so each pair reduces to a
+// contiguous dot product instead of rows*2 bounds-checked At calls.
 func CovarianceWorkers(m *Matrix, workers int) (*Matrix, error) {
 	if m.rows < 2 {
 		return nil, errors.New("linalg: covariance requires at least 2 observations")

@@ -152,7 +152,7 @@ func TestCovariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cov, err := Covariance(m)
+	cov, err := CovarianceWorkers(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestCovariance(t *testing.T) {
 
 func TestCovarianceTooFewRows(t *testing.T) {
 	m := NewMatrix(1, 3)
-	if _, err := Covariance(m); err == nil {
+	if _, err := CovarianceWorkers(m, 1); err == nil {
 		t.Error("covariance of 1 row did not error")
 	}
 }
@@ -236,7 +236,7 @@ func TestCovarianceWorkersMatchesSequential(t *testing.T) {
 			m.Set(i, j, r.NormFloat64()*float64(j+1))
 		}
 	}
-	base, err := Covariance(m)
+	base, err := CovarianceWorkers(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

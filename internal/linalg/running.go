@@ -149,7 +149,7 @@ func (rc *RunningCov) Mean() []float64 {
 }
 
 // Cov returns the population covariance matrix (normalised by n, the
-// convention Covariance and the PCA standardisation use). It returns an
+// convention CovarianceWorkers and the PCA standardisation use). It returns an
 // error with fewer than two observations.
 func (rc *RunningCov) Cov() (*Matrix, error) {
 	if rc.n < 2 {

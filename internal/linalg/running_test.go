@@ -44,7 +44,7 @@ func TestRunningCovMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Covariance(m)
+	want, err := CovarianceWorkers(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRunningCovReplaceMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Covariance(full)
+	want, err := CovarianceWorkers(full, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func benchVector(b *testing.B, indexed bool) (Vector, string) {
 	return v, v.Names[len(v.Names)-1]
 }
 
-// BenchmarkVectorGetIndexed measures the map-backed lookup Extract now
+// BenchmarkVectorGetIndexed measures the map-backed lookup ExtractInto
 // hands out (one shared name->index map per catalog).
 func BenchmarkVectorGetIndexed(b *testing.B) {
 	v, name := benchVector(b, true)
@@ -31,7 +31,7 @@ func BenchmarkVectorGetIndexed(b *testing.B) {
 }
 
 // BenchmarkVectorGetLinear measures the fallback scan that literal-built
-// vectors (no catalog) still use — and that every Extract-built vector
+// vectors (no catalog) still use — and that every extracted vector
 // used before the index was added.
 func BenchmarkVectorGetLinear(b *testing.B) {
 	v, name := benchVector(b, false)

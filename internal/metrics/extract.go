@@ -15,9 +15,9 @@ type Vector struct {
 	Names  []string  // metric names (shared with the catalog)
 	Values []float64 // parallel values
 
-	// index maps name to position. Extract shares the catalog's immutable
-	// lookup map so Get is O(1); vectors built from struct literals leave
-	// it nil and fall back to a scan of Names.
+	// index maps name to position. ExtractInto shares the catalog's
+	// immutable lookup map so Get is O(1); vectors built from struct
+	// literals leave it nil and fall back to a scan of Names.
 	index map[string]int
 }
 
@@ -37,17 +37,13 @@ func (v Vector) Get(name string) (float64, error) {
 	return 0, fmt.Errorf("metrics: vector has no metric %q", name)
 }
 
-// Extract computes the full raw metric vector for one modelled colocation
-// result on the given machine configuration.
-func Extract(c *Catalog, cfg machine.Config, res perfmodel.Result) Vector {
-	return ExtractInto(make([]float64, c.Len()), c, cfg, res)
-}
-
-// ExtractInto is Extract writing into a caller-provided values slice of
-// length Catalog.Len(), so steady-state extraction (the profiler's
-// per-sample loop) allocates nothing. The returned Vector aliases dst and
-// shares the catalog's immutable name list; treat Names as read-only.
-// It panics on a length mismatch, which is always a programming error.
+// ExtractInto computes the full raw metric vector for one modelled
+// colocation result on the given machine configuration, writing into a
+// caller-provided values slice of length Catalog.Len(), so steady-state
+// extraction (the profiler's per-sample loop) allocates nothing. The
+// returned Vector aliases dst and shares the catalog's immutable name
+// list; treat Names as read-only. It panics on a length mismatch, which
+// is always a programming error.
 func ExtractInto(dst []float64, c *Catalog, cfg machine.Config, res perfmodel.Result) Vector {
 	if len(dst) != c.Len() {
 		panic(fmt.Sprintf("metrics: ExtractInto dst has length %d, catalog has %d metrics", len(dst), c.Len()))
@@ -59,7 +55,7 @@ func ExtractInto(dst []float64, c *Catalog, cfg machine.Config, res perfmodel.Re
 		if e.hp {
 			a = &hpAgg
 		}
-		dst[i] = applyOp(e.op, a, &machineAgg, &hpAgg, &cfg, &res, c.names[i])
+		dst[i] = applyOp(e.op, a, &machineAgg, &hpAgg, &cfg, c.names[i])
 	}
 	return Vector{
 		Names:  c.names, // read-only after NewCatalog, safe to share
@@ -151,7 +147,8 @@ func (a *agg) finish(w float64) {
 }
 
 // aggregatePair builds the machine-wide and HP-only aggregates in one pass
-// over the job list.
+// over the job list: the paper's two collection levels, and the only
+// rollup of a modelled result (perfmodel reports per-job figures only).
 func aggregatePair(jobs []perfmodel.JobPerf) (machineAgg, hpAgg agg) {
 	var wAll, wHP float64
 	for i := range jobs {
@@ -168,7 +165,7 @@ func aggregatePair(jobs []perfmodel.JobPerf) (machineAgg, hpAgg agg) {
 
 // opcode enumerates the compiled per-metric extraction operations. Level
 // metrics read one aggregate (machine or HP, chosen by the plan entry);
-// global metrics read the machine result and both aggregates.
+// global metrics read both aggregates and the machine configuration.
 type opcode uint8
 
 const (
@@ -338,9 +335,9 @@ func compileDef(d Def) planEntry {
 }
 
 // applyOp evaluates one compiled metric. a is the plan-selected aggregate
-// for level metrics; global metrics read res and both aggregates. Unknown
+// for level metrics; global metrics read both aggregates and cfg. Unknown
 // ops panic because the catalog and extractor must stay in lockstep.
-func applyOp(op opcode, a, machineAgg, hpAgg *agg, cfg *machine.Config, res *perfmodel.Result, name string) float64 {
+func applyOp(op opcode, a, machineAgg, hpAgg *agg, cfg *machine.Config, name string) float64 {
 	switch op {
 	case opStdSlot:
 		// Variability metrics summarise *across* samples; the profiler
@@ -441,11 +438,11 @@ func applyOp(op opcode, a, machineAgg, hpAgg *agg, cfg *machine.Config, res *per
 		return 0.7 * a.be
 
 	case opMemBWUtil:
-		return res.Machine.MemBWUtil
+		return memBWUtil(machineAgg, cfg)
 	case opNetworkUtil:
-		return res.Machine.NetworkUtil
+		return mathx.Clamp01(machineAgg.networkBW / (cfg.Shape.NetworkGbps * 1000))
 	case opDiskUtil:
-		return res.Machine.DiskUtil
+		return mathx.Clamp01(machineAgg.diskBW / cfg.Shape.DiskMBps)
 	case opJobTypes:
 		return float64(machineAgg.jobTypes)
 	case opHPShare:
@@ -458,9 +455,15 @@ func applyOp(op opcode, a, machineAgg, hpAgg *agg, cfg *machine.Config, res *per
 		return cfg.LLCMB
 	case opMemLatencyEst:
 		// Unloaded ~80ns, growing with bandwidth pressure.
-		u := res.Machine.MemBWUtil
+		u := memBWUtil(machineAgg, cfg)
 		return 80 * (1 + 2.2*u*u)
 	default:
 		panic(fmt.Sprintf("metrics: no extractor for metric %q", name))
 	}
+}
+
+// memBWUtil is the machine's DRAM traffic as a fraction of the shape's
+// sustainable bandwidth.
+func memBWUtil(machineAgg *agg, cfg *machine.Config) float64 {
+	return mathx.Clamp01(machineAgg.memBW / cfg.Shape.MemBWGBps)
 }

@@ -103,7 +103,7 @@ func TestExtractCoversWholeCatalog(t *testing.T) {
 	// the lockstep guarantee between catalog and the compiled op table.
 	c := DefaultCatalog()
 	cfg, res := evaluateMixed(t)
-	v := Extract(c, cfg, res)
+	v := ExtractInto(make([]float64, c.Len()), c, cfg, res)
 	if len(v.Values) != c.Len() {
 		t.Fatalf("vector has %d values, want %d", len(v.Values), c.Len())
 	}
@@ -117,7 +117,7 @@ func TestExtractCoversWholeCatalog(t *testing.T) {
 func TestExtractTwoLevelSemantics(t *testing.T) {
 	c := DefaultCatalog()
 	cfg, res := evaluateMixed(t)
-	v := Extract(c, cfg, res)
+	v := ExtractInto(make([]float64, c.Len()), c, cfg, res)
 
 	get := func(name string) float64 {
 		t.Helper()
@@ -154,10 +154,50 @@ func TestExtractTwoLevelSemantics(t *testing.T) {
 	}
 }
 
+// TestExtractMachineAggregates checks the machine rollup against the
+// per-job results it is built from: MIPS sums instances at both levels,
+// vCPUs count every instance, CPU utilisation is a fraction and the
+// instruction-weighted top-down fractions still sum to one.
+func TestExtractMachineAggregates(t *testing.T) {
+	c := DefaultCatalog()
+	cfg, res := evaluateMixed(t)
+	v := ExtractInto(make([]float64, c.Len()), c, cfg, res)
+	get := func(name string) float64 {
+		t.Helper()
+		x, err := v.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+
+	var total float64
+	for _, j := range res.Jobs {
+		total += j.MIPS * float64(j.Instances)
+	}
+	if got := get("MIPS-Machine"); math.Abs(got-total) > 1e-6*total {
+		t.Errorf("MIPS-Machine = %v, want the job sum %v", got, total)
+	}
+	if got, want := get("MIPS-HP"), res.Jobs[0].MIPS*3; math.Abs(got-want) > 1e-6*want {
+		t.Errorf("MIPS-HP = %v, want %v", got, want)
+	}
+	if got := get("VCPUs-Machine"); got != 20 {
+		t.Errorf("VCPUs-Machine = %v, want 20", got)
+	}
+	if u := get("CPUUtil-Machine"); u <= 0 || u > 1 {
+		t.Errorf("CPUUtil-Machine = %v, want in (0,1]", u)
+	}
+	sum := get("TD-Frontend-Machine") + get("TD-BadSpec-Machine") +
+		get("TD-Backend-Machine") + get("TD-Retiring-Machine")
+	if math.Abs(sum-1) > 0.02 {
+		t.Errorf("machine top-down sums to %v", sum)
+	}
+}
+
 func TestExtractDerivedDuplicatesAreConsistent(t *testing.T) {
 	c := DefaultCatalog()
 	cfg, res := evaluateMixed(t)
-	v := Extract(c, cfg, res)
+	v := ExtractInto(make([]float64, c.Len()), c, cfg, res)
 
 	get := func(name string) float64 {
 		t.Helper()
@@ -187,8 +227,8 @@ func TestExtractConfigMetricsReflectFeature(t *testing.T) {
 	cfgBase, res := evaluateMixed(t)
 
 	cfgFeat := machine.DVFSCap(1.8).Apply(cfgBase)
-	vBase := Extract(c, cfgBase, res)
-	vFeat := Extract(c, cfgFeat, res)
+	vBase := ExtractInto(make([]float64, c.Len()), c, cfgBase, res)
+	vFeat := ExtractInto(make([]float64, c.Len()), c, cfgFeat, res)
 
 	fBase, _ := vBase.Get("FreqRatio")
 	fFeat, _ := vFeat.Get("FreqRatio")
@@ -268,13 +308,13 @@ func TestExtractLeavesStdMetricsZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, res := evaluateMixed(t)
-	v := Extract(ext, cfg, res)
+	v := ExtractInto(make([]float64, ext.Len()), ext, cfg, res)
 	got, err := v.Get("MIPS-Machine-Std")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 0 {
-		t.Errorf("Extract filled a Std metric (%v); the profiler owns those", got)
+		t.Errorf("ExtractInto filled a Std metric (%v); the profiler owns those", got)
 	}
 }
 
@@ -285,7 +325,7 @@ func TestExtractIntoReusesBufferAndClearsStdSlots(t *testing.T) {
 	}
 	cfg, res := evaluateMixed(t)
 
-	fresh := Extract(c, cfg, res)
+	fresh := ExtractInto(make([]float64, c.Len()), c, cfg, res)
 	buf := make([]float64, c.Len())
 	for i := range buf {
 		buf[i] = math.NaN() // poison: every slot must be overwritten
@@ -296,7 +336,7 @@ func TestExtractIntoReusesBufferAndClearsStdSlots(t *testing.T) {
 	}
 	for i := range fresh.Values {
 		if fresh.Values[i] != reused.Values[i] {
-			t.Errorf("metric %s: ExtractInto %v != Extract %v",
+			t.Errorf("metric %s: reused buffer %v != fresh buffer %v",
 				fresh.Names[i], reused.Values[i], fresh.Values[i])
 		}
 	}
@@ -328,7 +368,7 @@ func TestExtractUnknownMetricPanics(t *testing.T) {
 			t.Error("unknown metric did not panic at extraction")
 		}
 	}()
-	Extract(c, cfg, res)
+	ExtractInto(make([]float64, c.Len()), c, cfg, res)
 }
 
 func TestCatalogStdBase(t *testing.T) {

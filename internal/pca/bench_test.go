@@ -15,7 +15,7 @@ func BenchmarkFitPaperScale(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Fit(m, DefaultVarianceTarget); err != nil {
+		if _, err := FitWorkers(m, DefaultVarianceTarget, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -26,7 +26,7 @@ func BenchmarkFitPaperScale(b *testing.B) {
 func BenchmarkTransformPaperScale(b *testing.B) {
 	r := rand.New(rand.NewSource(2))
 	m := lowRankMatrix(r, 895, 85, 18, 0.2)
-	mod, err := Fit(m, DefaultVarianceTarget)
+	mod, err := FitWorkers(m, DefaultVarianceTarget, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func labelFixture(t *testing.T) (*Model, []string, *metrics.Catalog) {
 		m.Set(i, 0, v)
 		m.Set(i, 1, -v)
 	}
-	mod, err := Fit(m, 0.95)
+	mod, err := FitWorkers(m, 0.95, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,15 +36,11 @@ type Model struct {
 	NumPC int
 }
 
-// Fit computes a PCA of m (observations in rows, metrics in columns) and
-// selects components to reach varianceTarget in (0, 1].
-func Fit(m *linalg.Matrix, varianceTarget float64) (*Model, error) {
-	return FitWorkers(m, varianceTarget, 1)
-}
-
-// FitWorkers is Fit with the covariance computation (the fit's dominant
-// cost) split across at most workers goroutines; <= 0 means GOMAXPROCS.
-// The fitted model is bit-identical for every worker count.
+// FitWorkers computes a PCA of m (observations in rows, metrics in
+// columns) and selects components to reach varianceTarget in (0, 1]. The
+// covariance computation (the fit's dominant cost) is split across at
+// most workers goroutines; <= 0 means GOMAXPROCS. The fitted model is
+// bit-identical for every worker count.
 func FitWorkers(m *linalg.Matrix, varianceTarget float64, workers int) (*Model, error) {
 	if m == nil {
 		return nil, errors.New("pca: nil matrix")

@@ -39,20 +39,20 @@ func lowRankMatrix(r *rand.Rand, n, d, rank int, noise float64) *linalg.Matrix {
 
 func TestFitValidation(t *testing.T) {
 	m := linalg.NewMatrix(5, 3)
-	if _, err := Fit(nil, 0.95); err == nil {
+	if _, err := FitWorkers(nil, 0.95, 1); err == nil {
 		t.Error("nil matrix did not error")
 	}
-	if _, err := Fit(m, 0); err == nil {
+	if _, err := FitWorkers(m, 0, 1); err == nil {
 		t.Error("zero variance target did not error")
 	}
-	if _, err := Fit(m, 1.5); err == nil {
+	if _, err := FitWorkers(m, 1.5, 1); err == nil {
 		t.Error("variance target > 1 did not error")
 	}
-	if _, err := Fit(linalg.NewMatrix(1, 3), 0.95); err == nil {
+	if _, err := FitWorkers(linalg.NewMatrix(1, 3), 0.95, 1); err == nil {
 		t.Error("single observation did not error")
 	}
 	// An all-constant matrix has zero variance.
-	if _, err := Fit(linalg.NewMatrix(10, 3), 0.95); err == nil {
+	if _, err := FitWorkers(linalg.NewMatrix(10, 3), 0.95, 1); err == nil {
 		t.Error("zero-variance input did not error")
 	}
 }
@@ -60,7 +60,7 @@ func TestFitValidation(t *testing.T) {
 func TestFitRecoversLatentRank(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	m := lowRankMatrix(r, 400, 30, 5, 0.05)
-	mod, err := Fit(m, 0.95)
+	mod, err := FitWorkers(m, 0.95, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestFitRecoversLatentRank(t *testing.T) {
 func TestExplainedVarianceSumsToOne(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	m := lowRankMatrix(r, 100, 10, 3, 0.2)
-	mod, err := Fit(m, 0.95)
+	mod, err := FitWorkers(m, 0.95, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestTransformScoresHaveEigenvalueVariance(t *testing.T) {
 	// (explained_k * total variance).
 	r := rand.New(rand.NewSource(9))
 	m := lowRankMatrix(r, 500, 12, 4, 0.1)
-	mod, err := Fit(m, 0.99)
+	mod, err := FitWorkers(m, 0.99, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestTransformScoresHaveEigenvalueVariance(t *testing.T) {
 func TestTransformScoresUncorrelated(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	m := lowRankMatrix(r, 300, 10, 4, 0.1)
-	mod, err := Fit(m, 0.99)
+	mod, err := FitWorkers(m, 0.99, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestTransformScoresUncorrelated(t *testing.T) {
 
 func TestTransformDimensionMismatch(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	mod, err := Fit(lowRankMatrix(r, 50, 6, 2, 0.1), 0.95)
+	mod, err := FitWorkers(lowRankMatrix(r, 50, 6, 2, 0.1), 0.95, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestFitHandlesConstantColumn(t *testing.T) {
 		m.Set(i, 1, 42) // constant
 		m.Set(i, 2, r.NormFloat64())
 	}
-	mod, err := Fit(m, 0.95)
+	mod, err := FitWorkers(m, 0.95, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestComponentsOrthonormalProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		m := lowRankMatrix(r, 60, 4+r.Intn(6), 2, 0.3)
-		mod, err := Fit(m, 1.0)
+		mod, err := FitWorkers(m, 1.0, 1)
 		if err != nil {
 			return false
 		}
@@ -222,7 +222,7 @@ func TestVarianceTargetMonotoneProperty(t *testing.T) {
 	m := lowRankMatrix(r, 200, 20, 6, 0.2)
 	prev := 0
 	for _, target := range []float64{0.5, 0.7, 0.9, 0.99, 1.0} {
-		mod, err := Fit(m, target)
+		mod, err := FitWorkers(m, target, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestFitFromMomentsMatchesFitWorkers(t *testing.T) {
 		m.Set(i, 3, 7)
 	}
 
-	batch, err := Fit(m, 0.95)
+	batch, err := FitWorkers(m, 0.95, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestFitFromMomentsAfterUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := Fit(m, 0.95)
+	batch, err := FitWorkers(m, 0.95, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

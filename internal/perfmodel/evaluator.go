@@ -15,10 +15,9 @@ import (
 // deterministic relaxation once and materialise many noisy results from
 // it. An Evaluator is not safe for concurrent use; create one per worker.
 type Evaluator struct {
-	cfg     machine.Config
-	st      state
-	loaded  bool // Begin succeeded since construction
-	relaxed bool // Relax succeeded since the last Begin
+	st      state // st.cfg is the bound configuration
+	loaded  bool  // Begin succeeded since construction
+	relaxed bool  // Relax succeeded since the last Begin
 }
 
 // NewEvaluator validates cfg and returns an evaluator bound to it.
@@ -26,7 +25,7 @@ func NewEvaluator(cfg machine.Config) (*Evaluator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("perfmodel: invalid config: %w", err)
 	}
-	return &Evaluator{cfg: cfg}, nil
+	return &Evaluator{st: state{cfg: cfg}}, nil
 }
 
 // Begin validates and loads a colocation: per-job calibration and the
@@ -36,7 +35,7 @@ func (e *Evaluator) Begin(jobs []Assignment) error {
 	if err := validateJobs(jobs); err != nil {
 		return err
 	}
-	e.st.load(e.cfg, jobs)
+	e.st.load(jobs)
 	e.loaded = true
 	e.relaxed = false
 	return nil
@@ -74,7 +73,8 @@ func (e *Evaluator) ResultInto(res *Result, opts Options) error {
 	return nil
 }
 
-// validateJobs checks a colocation the way Evaluate does.
+// validateJobs checks a colocation: non-empty, positive instance counts,
+// valid profiles.
 func validateJobs(jobs []Assignment) error {
 	if len(jobs) == 0 {
 		return errors.New("perfmodel: no jobs to evaluate")

@@ -31,8 +31,6 @@
 package perfmodel
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -135,64 +133,36 @@ type JobPerf struct {
 	PageFaultPerSec float64
 }
 
-// MachinePerf aggregates the colocation to machine level, the *-Machine
-// metric family of the paper's Figure 6.
-type MachinePerf struct {
-	TotalMIPS float64 // sum over all instances
-	HPMIPS    float64 // sum over HP instances only
-
-	UsedVCPUs  int     // vCPUs requested by the colocation (uncapped)
-	CPUUtil    float64 // granted vCPU time / machine vCPUs
-	AvgIPC     float64 // instruction-weighted IPC
-	EffFreqGHz float64
-
-	LLCOccupMB float64 // total allocated LLC
-	LLCMPKI    float64 // instruction-weighted machine MPKI
-	LLCAPKI    float64
-
-	MemBWGBps float64 // total DRAM traffic
-	MemBWUtil float64 // fraction of sustainable bandwidth
-
-	NetworkMbps float64
-	NetworkUtil float64
-	DiskMBps    float64
-	DiskUtil    float64
-
-	FrontendBound  float64 // instruction-weighted top-down fractions
-	BadSpeculation float64
-	BackendBound   float64
-	Retiring       float64
-
-	CtxSwitchPerSec float64
-	PageFaultPerSec float64
-}
-
-// Result is a full machine evaluation.
+// Result is the modelled performance of every job in a colocation. It
+// carries no machine-level totals: metrics.ExtractInto owns the rollup of
+// these figures to the paper's two collection levels, Machine and HP.
 type Result struct {
-	Jobs    []JobPerf
-	Machine MachinePerf
+	Jobs []JobPerf
 }
 
 // Evaluate models the steady-state performance of the given colocation on
 // the given machine configuration. Jobs must be non-empty with positive
-// instance counts and valid profiles.
+// instance counts and valid profiles. It is a one-shot Evaluator:
+// NewEvaluator, Begin, Relax under opts.ActivityFactors, then ResultInto.
+// Code that evaluates repeatedly should hold an Evaluator instead;
+// Evaluate stays exported because the flarebench layer report times it
+// as perfmodel.evaluate_us, and goes when that benchmark times the
+// Evaluator directly.
 func Evaluate(cfg machine.Config, jobs []Assignment, opts Options) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, fmt.Errorf("perfmodel: invalid config: %w", err)
-	}
-	if err := validateJobs(jobs); err != nil {
+	ev, err := NewEvaluator(cfg)
+	if err != nil {
 		return Result{}, err
 	}
-	if opts.NoiseStd > 0 && opts.Rand == nil {
-		return Result{}, errors.New("perfmodel: NoiseStd > 0 requires Options.Rand")
-	}
-	if err := validateActivity(jobs, opts.ActivityFactors); err != nil {
+	if err := ev.Begin(jobs); err != nil {
 		return Result{}, err
 	}
-
-	st := newState(cfg, jobs, opts.ActivityFactors)
-	st.relax()
-	res := st.result(opts)
+	if err := ev.Relax(opts.ActivityFactors); err != nil {
+		return Result{}, err
+	}
+	var res Result
+	if err := ev.ResultInto(&res, opts); err != nil {
+		return Result{}, err
+	}
 	return res, nil
 }
 

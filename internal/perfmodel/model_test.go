@@ -13,6 +13,15 @@ func baselineCfg() machine.Config {
 	return machine.BaselineConfig(machine.DefaultShape())
 }
 
+// totalMIPS sums per-instance MIPS over every instance in res.
+func totalMIPS(res Result) float64 {
+	var total float64
+	for _, j := range res.Jobs {
+		total += j.MIPS * float64(j.Instances)
+	}
+	return total
+}
+
 func mustProfile(t *testing.T, name string) workload.Profile {
 	t.Helper()
 	p, err := workload.DefaultCatalog().Lookup(name)
@@ -178,13 +187,12 @@ func TestSMTOffOnSaturatedMachineCutsThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rf.Machine.TotalMIPS >= rb.Machine.TotalMIPS {
-		t.Errorf("SMT off on saturated machine did not cut throughput: %v -> %v",
-			rb.Machine.TotalMIPS, rf.Machine.TotalMIPS)
+	tb, tf := totalMIPS(rb), totalMIPS(rf)
+	if tf >= tb {
+		t.Errorf("SMT off on saturated machine did not cut throughput: %v -> %v", tb, tf)
 	}
-	if rf.Machine.TotalMIPS < rb.Machine.TotalMIPS*0.5 {
-		t.Errorf("SMT off halved throughput (%v -> %v); dedicated cores should recover part",
-			rb.Machine.TotalMIPS, rf.Machine.TotalMIPS)
+	if tf < tb*0.5 {
+		t.Errorf("SMT off halved throughput (%v -> %v); dedicated cores should recover part", tb, tf)
 	}
 }
 
@@ -288,8 +296,8 @@ func TestNetworkSaturationThrottlesStreamingJobs(t *testing.T) {
 	if res.Jobs[0].MIPS >= solo*0.95 {
 		t.Errorf("NIC saturation did not throttle MS: solo %v, 6x %v", solo, res.Jobs[0].MIPS)
 	}
-	if res.Machine.NetworkUtil < 0.95 {
-		t.Errorf("NetworkUtil = %v, want ~1 when oversubscribed", res.Machine.NetworkUtil)
+	if util := res.Jobs[0].NetworkMbps * 6 / (cfg.Shape.NetworkGbps * 1000); util < 0.95 {
+		t.Errorf("network utilisation = %v, want ~1 when oversubscribed", util)
 	}
 }
 
@@ -336,35 +344,6 @@ func TestEvaluateDeterministicWithoutNoise(t *testing.T) {
 		if a.Jobs[i] != b.Jobs[i] {
 			t.Fatalf("non-deterministic result for job %s", a.Jobs[i].Job)
 		}
-	}
-}
-
-func TestMachineAggregates(t *testing.T) {
-	cfg := baselineCfg()
-	res, err := Evaluate(cfg, []Assignment{
-		{Profile: mustProfile(t, workload.DataCaching), Instances: 2}, // HP
-		{Profile: mustProfile(t, workload.Sjeng), Instances: 3},       // LP
-	}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := res.Machine
-	if m.HPMIPS <= 0 || m.HPMIPS >= m.TotalMIPS {
-		t.Errorf("HPMIPS = %v, TotalMIPS = %v; want 0 < HP < total", m.HPMIPS, m.TotalMIPS)
-	}
-	wantHP := res.Jobs[0].MIPS * 2
-	if math.Abs(m.HPMIPS-wantHP) > 1e-6 {
-		t.Errorf("HPMIPS = %v, want %v", m.HPMIPS, wantHP)
-	}
-	if m.UsedVCPUs != 20 {
-		t.Errorf("UsedVCPUs = %d, want 20", m.UsedVCPUs)
-	}
-	if m.CPUUtil <= 0 || m.CPUUtil > 1 {
-		t.Errorf("CPUUtil = %v, want in (0,1]", m.CPUUtil)
-	}
-	sum := m.FrontendBound + m.BadSpeculation + m.BackendBound + m.Retiring
-	if math.Abs(sum-1) > 0.02 {
-		t.Errorf("machine top-down sums to %v", sum)
 	}
 }
 

@@ -54,26 +54,8 @@ func TestPropertyResultsFiniteAndPositive(t *testing.T) {
 				return false
 			}
 		}
-		return res.Machine.TotalMIPS > 0 && !math.IsInf(res.Machine.TotalMIPS, 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyMachineTotalsAreSums(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		cfg := machine.BaselineConfig(machine.DefaultShape())
-		res, err := Evaluate(cfg, randomMix(r), Options{})
-		if err != nil {
-			return false
-		}
-		var total float64
-		for _, j := range res.Jobs {
-			total += j.MIPS * float64(j.Instances)
-		}
-		return math.Abs(total-res.Machine.TotalMIPS) < 1e-6*(1+total)
+		total := totalMIPS(res)
+		return total > 0 && !math.IsInf(total, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -187,7 +169,7 @@ func TestPropertyFeatureConfigsNeverGainHPScore(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if resFeat.Machine.TotalMIPS > resBase.Machine.TotalMIPS*1.08 {
+			if totalMIPS(resFeat) > totalMIPS(resBase)*1.08 {
 				return false
 			}
 		}
@@ -218,9 +200,9 @@ func TestSMTOffCanHelpSMTHostileMixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Machine.TotalMIPS <= on.Machine.TotalMIPS {
+	if totalMIPS(off) <= totalMIPS(on) {
 		t.Errorf("SMT off on an SMT-hostile saturated mix: %v -> %v MIPS; expected a gain",
-			on.Machine.TotalMIPS, off.Machine.TotalMIPS)
+			totalMIPS(on), totalMIPS(off))
 	}
 }
 

@@ -4,21 +4,13 @@ import (
 	"math"
 
 	"flare/internal/mathx"
-	"flare/internal/workload"
 )
 
-// result materialises the converged state into the public Result type,
-// synthesising the counter values a profiler would report and applying
-// optional measurement noise.
-func (st *state) result(opts Options) Result {
-	var res Result
-	st.resultInto(&res, opts)
-	return res
-}
-
-// resultInto is result writing into a caller-provided Result, reusing its
-// Jobs slice so repeated materialisations of one relaxed state (the
-// profiler's noisy samples) allocate nothing in steady state.
+// resultInto materialises the converged state into res, synthesising the
+// counter values a profiler would report and applying optional
+// measurement noise. It reuses res.Jobs, so repeated materialisations of
+// one relaxed state (the profiler's noisy samples) allocate nothing in
+// steady state.
 func (st *state) resultInto(res *Result, opts Options) {
 	if cap(res.Jobs) < len(st.jobs) {
 		res.Jobs = make([]JobPerf, len(st.jobs))
@@ -74,7 +66,6 @@ func (st *state) resultInto(res *Result, opts Options) {
 		res.Jobs[i] = jp
 	}
 
-	res.Machine = st.aggregate(res.Jobs)
 }
 
 // topdown redistributes the profile's base top-down fractions under the
@@ -116,57 +107,4 @@ func applyNoise(jp *JobPerf, opts Options) {
 	jp.DiskMBps *= perCounter()
 	jp.CtxSwitchPerSec *= perCounter()
 	jp.PageFaultPerSec *= perCounter()
-}
-
-// aggregate rolls per-job results up to machine level with instruction-
-// weighted averaging for intensive metrics and summing for extensive ones.
-func (st *state) aggregate(jobs []JobPerf) MachinePerf {
-	var m MachinePerf
-	var instrWeight float64 // total MIPS across instances, the weight basis
-
-	for i := range jobs {
-		jp := &jobs[i]
-		n := float64(jp.Instances)
-		total := jp.MIPS * n
-		m.TotalMIPS += total
-		if jp.Class == workload.ClassHP {
-			m.HPMIPS += total
-		}
-		instrWeight += total
-
-		m.LLCOccupMB += jp.LLCAllocMB * n
-		m.MemBWGBps += jp.MemBWGBps * n
-		m.NetworkMbps += jp.NetworkMbps * n
-		m.DiskMBps += jp.DiskMBps * n
-		m.CtxSwitchPerSec += jp.CtxSwitchPerSec * n
-		m.PageFaultPerSec += jp.PageFaultPerSec * n
-
-		m.AvgIPC += jp.IPC * total
-		m.LLCMPKI += jp.LLCMPKI * total
-		m.LLCAPKI += jp.LLCAPKI * total
-		m.FrontendBound += jp.FrontendBound * total
-		m.BadSpeculation += jp.BadSpeculation * total
-		m.BackendBound += jp.BackendBound * total
-		m.Retiring += jp.Retiring * total
-
-		m.UsedVCPUs += jp.Instances * 4
-	}
-
-	if instrWeight > 0 {
-		m.AvgIPC /= instrWeight
-		m.LLCMPKI /= instrWeight
-		m.LLCAPKI /= instrWeight
-		m.FrontendBound /= instrWeight
-		m.BadSpeculation /= instrWeight
-		m.BackendBound /= instrWeight
-		m.Retiring /= instrWeight
-	}
-
-	m.EffFreqGHz = st.cfg.MaxFreqGHz
-	granted := math.Min(float64(m.UsedVCPUs), float64(m.UsedVCPUs)*st.cpuShare)
-	m.CPUUtil = mathx.Clamp01(granted / float64(st.cfg.VCPUs()))
-	m.MemBWUtil = mathx.Clamp01(m.MemBWGBps / st.cfg.Shape.MemBWGBps)
-	m.NetworkUtil = mathx.Clamp01(m.NetworkMbps / (st.cfg.Shape.NetworkGbps * 1000))
-	m.DiskUtil = mathx.Clamp01(m.DiskMBps / st.cfg.Shape.DiskMBps)
-	return m
 }

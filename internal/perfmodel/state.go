@@ -41,11 +41,10 @@ func growF(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// load binds the state to a colocation: per-job calibration and the
-// activity-independent shares (CPU time, SMT). applyActivity must run
-// before relax/result.
-func (st *state) load(cfg machine.Config, jobs []Assignment) {
-	st.cfg = cfg
+// load binds the state to a colocation on st.cfg: per-job calibration
+// and the activity-independent shares (CPU time, SMT). applyActivity
+// must run before relax/resultInto.
+func (st *state) load(jobs []Assignment) {
 	st.jobs = jobs
 	n := len(jobs)
 	if cap(st.cal) < n {
@@ -62,7 +61,7 @@ func (st *state) load(cfg machine.Config, jobs []Assignment) {
 	st.mips = growF(st.mips, n)
 	st.access = growF(st.access, n)
 	for i := range jobs {
-		st.cal[i] = calibrate(cfg.Shape, jobs[i].Profile)
+		st.cal[i] = calibrate(st.cfg.Shape, jobs[i].Profile)
 	}
 	st.nInst = totalInstances(jobs)
 	st.computeCPUShare()
@@ -88,13 +87,6 @@ func (st *state) applyActivity(activity []float64) {
 		st.mpki[i] = p.LLCAPKI * missRatio(p, even)
 		st.mips[i] = st.instanceMIPS(i)
 	}
-}
-
-func newState(cfg machine.Config, jobs []Assignment, activity []float64) *state {
-	st := &state{}
-	st.load(cfg, jobs)
-	st.applyActivity(activity)
-	return st
 }
 
 func totalInstances(jobs []Assignment) int {

@@ -53,14 +53,10 @@ func (inh *Inherent) MIPS(job string) (float64, error) {
 	return m, nil
 }
 
-// HPScore sums normalised performance over the HP instances of a modelled
-// result: sum over HP jobs of instances * (MIPS / inherent MIPS).
-func (inh *Inherent) HPScore(res perfmodel.Result) (float64, error) {
-	return inh.HPScoreWith(res, MetricSumNormalized)
-}
-
 // HPScoreWith aggregates the HP instances' normalised performance under
-// the chosen metric. A result without HP instances scores 0.
+// the chosen metric; the paper's metric, MetricSumNormalized, is the sum
+// over HP jobs of instances * (MIPS / inherent MIPS). A result without
+// HP instances scores 0.
 func (inh *Inherent) HPScoreWith(res perfmodel.Result, metric Metric) (float64, error) {
 	var normalised []float64
 	for _, j := range res.Jobs {

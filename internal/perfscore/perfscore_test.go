@@ -58,7 +58,7 @@ func TestHPScoreSoloJobIsOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	score, err := inh.HPScore(res)
+	score, err := inh.HPScoreWith(res, MetricSumNormalized)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestHPScoreIgnoresLPJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	score, err := inh.HPScore(res)
+	score, err := inh.HPScoreWith(res, MetricSumNormalized)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestHPScoreIgnoresLPJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := inh.HPScore(lpOnly)
+	zero, err := inh.HPScoreWith(lpOnly, MetricSumNormalized)
 	if err != nil {
 		t.Fatal(err)
 	}
