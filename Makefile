@@ -126,11 +126,13 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
 # Per-stage pipeline timings plus the metrics.Vector.Get, perfmodel
-# evaluation (solo, full machine, noisy sample), durable-store
-# (append, scan, and a fsynced paper-scale PersistDataset), and cluster
-# (WAL-shipping, 3-node batch fan-out) micro-benchmarks, recorded under
-# results/ so successive runs can be diffed (benchstat or plain diff) to
-# catch stage-level regressions.
+# evaluation (solo, full machine, noisy sample, and one noisy full vs
+# MIPS-only materialisation), one perfscore replayed representative, one
+# cold and one hot /api/estimate, durable-store (append, scan, and a
+# fsynced paper-scale PersistDataset), and cluster (WAL-shipping, 3-node
+# batch fan-out, run by time) micro-benchmarks, recorded under results/
+# so successive runs can be diffed (benchstat or plain diff) to catch
+# stage-level regressions.
 # The same run is also rendered to machine-readable JSON (stage name ->
 # ns/op) for tooling.
 bench-stages:
@@ -138,7 +140,11 @@ bench-stages:
 		| tee results/bench-stages.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkVectorGet' ./internal/metrics \
 		| tee -a results/bench-stages.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate(Solo|FullMachine|WithNoise)$$' -benchmem ./internal/perfmodel \
+	$(GO) test -run '^$$' -bench 'Benchmark(Evaluate(Solo|FullMachine|WithNoise)|ResultInto|MIPSInto)$$' -benchmem ./internal/perfmodel \
+		| tee -a results/bench-stages.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkScoreReplay$$' -benchmem ./internal/perfscore \
+		| tee -a results/bench-stages.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkEstimate(Cold|Hot)$$' -benchmem ./internal/server \
 		| tee -a results/bench-stages.txt
 	$(GO) test -run '^$$' -bench 'Benchmark(Store(Append|Scan)|PersistDataset)$$' . \
 		| tee -a results/bench-stages.txt
@@ -152,7 +158,7 @@ bench-stages:
 		| tee -a results/bench-stages.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkWALShip$$' ./internal/cluster \
 		| tee -a results/bench-stages.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkClusterBatchEstimate$$' -benchtime 10x ./internal/server \
+	$(GO) test -run '^$$' -bench 'BenchmarkClusterBatchEstimate$$' ./internal/server \
 		| tee -a results/bench-stages.txt
 	$(GO) run ./cmd/flare-impact -bench-parse -in results/bench-stages.txt \
 		-out results/BENCH_stages.json

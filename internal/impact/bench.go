@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,19 +17,26 @@ import (
 
 // BenchReport is the parsed benchmark document: every quantity is ns/op.
 type BenchReport struct {
-	// Benchmarks maps benchmark name to its ns/op.
+	// Benchmarks maps benchmark name, without the GOMAXPROCS suffix, to
+	// its ns/op.
 	Benchmarks map[string]float64 `json:"benchmarks"`
 	// Stages maps a pipeline stage (e.g. "analyze.kmeans") to its mean
-	// wall time in ns/op, parsed from the "-ms" custom metrics.
+	// wall time in whole ns/op, parsed from the "-ms" custom metrics.
 	Stages map[string]float64 `json:"stages"`
 }
+
+// procSuffix is the "-N" GOMAXPROCS suffix `go test` appends to a
+// benchmark's name when N is not 1.
+var procSuffix = regexp.MustCompile(`-[0-9]+$`)
 
 // ParseBench scans `go test -bench` output. A line is
 //
 //	BenchmarkName  <iters>  <value> <unit>  <value> <unit> ...
 //
-// Units ending in "-ms" are stage metrics (milliseconds per op);
-// "ns/op" is the benchmark's own timing. Everything else is ignored.
+// Units ending in "-ms" are stage metrics (milliseconds per op), kept
+// rounded to whole nanoseconds; "ns/op" is the benchmark's own timing.
+// Everything else is ignored. The name's "-N" GOMAXPROCS suffix is
+// dropped, so the keys do not depend on the host's CPU count.
 func ParseBench(r io.Reader) (*BenchReport, error) {
 	rep := &BenchReport{
 		Benchmarks: map[string]float64{},
@@ -40,7 +49,7 @@ func ParseBench(r io.Reader) (*BenchReport, error) {
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		name := fields[0]
+		name := procSuffix.ReplaceAllString(fields[0], "")
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -51,7 +60,7 @@ func ParseBench(r io.Reader) (*BenchReport, error) {
 			case unit == "ns/op":
 				rep.Benchmarks[name] = v
 			case strings.HasSuffix(unit, "-ms"):
-				rep.Stages[strings.TrimSuffix(unit, "-ms")] = v * 1e6
+				rep.Stages[strings.TrimSuffix(unit, "-ms")] = math.Round(v * 1e6)
 			}
 		}
 	}

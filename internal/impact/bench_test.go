@@ -1,6 +1,7 @@
 package impact
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -98,10 +99,10 @@ some unrelated line
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Benchmarks["BenchmarkPipelineStages-8"]; got != 123456789 {
+	if got := rep.Benchmarks["BenchmarkPipelineStages"]; got != 123456789 {
 		t.Errorf("pipeline ns/op = %v", got)
 	}
-	if got := rep.Benchmarks["BenchmarkVectorGet-8"]; got != 52.5 {
+	if got := rep.Benchmarks["BenchmarkVectorGet"]; got != 52.5 {
 		t.Errorf("vector ns/op = %v", got)
 	}
 	if got := rep.Stages["analyze.kmeans"]; got != 11.08e6 {
@@ -112,6 +113,39 @@ some unrelated line
 	}
 	if _, err := ParseBench(strings.NewReader("no benchmarks here\n")); err == nil {
 		t.Error("empty input did not error")
+	}
+}
+
+// TestParseBenchStableKeys checks that one run's keys and stage values do
+// not depend on the host: the GOMAXPROCS suffix is dropped (names
+// without one, or with a non-numeric tail, are kept), and a stage's
+// milliseconds become whole nanoseconds with no float residue.
+func TestParseBenchStableKeys(t *testing.T) {
+	rep, err := ParseBench(strings.NewReader(`
+BenchmarkEvaluateSolo-2   1000   2023.5 ns/op   2.023 solo.eval-ms   2.002 solo.other-ms
+BenchmarkEstimateCold   500   300000 ns/op
+BenchmarkSub/case-a-16   10   7 ns/op
+BenchmarkTrailingDash-   10   9 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{
+		"BenchmarkEvaluateSolo":  2023.5,
+		"BenchmarkEstimateCold":  300000,
+		"BenchmarkSub/case-a":    7,
+		"BenchmarkTrailingDash-": 9,
+	}
+	if !reflect.DeepEqual(rep.Benchmarks, want) {
+		t.Errorf("benchmarks = %v, want %v", rep.Benchmarks, want)
+	}
+	// 2.023 * 1e6 and 2.002 * 1e6 are 2023000.0000000002 and
+	// 2001999.9999999998 in float64.
+	if got := rep.Stages["solo.eval"]; got != 2023000 {
+		t.Errorf("solo.eval = %v, want 2023000", got)
+	}
+	if got := rep.Stages["solo.other"]; got != 2002000 {
+		t.Errorf("solo.other = %v, want 2002000", got)
 	}
 }
 

@@ -24,8 +24,7 @@ type RunnerOptions struct {
 	// BaseDir and HeadDir are the two build trees (roots of the module).
 	BaseDir, HeadDir string
 	// BenchCmd produces `go test -bench` output on stdout when run from
-	// a tree root. Default: the per-stage pipeline benchmark at a short
-	// benchtime.
+	// a tree root. Default: defaultBenchCmds, run in order.
 	BenchCmd []string
 	// GoldenCmd runs the determinism checks; exit status is the verdict.
 	// Default: every test named *Determinism* across the tree.
@@ -55,12 +54,17 @@ type RunnerOptions struct {
 	Log io.Writer
 }
 
+// defaultBenchCmds are the bench commands a tree runs when BenchCmd is
+// unset: the per-stage pipeline benchmark at a short benchtime, and one
+// cold /api/estimate (replay, journal, encoding) at a fixed count large
+// enough to average out scheduler noise.
+var defaultBenchCmds = [][]string{
+	{"go", "test", "-run", "^$", "-bench", "BenchmarkPipelineStages", "-benchtime", "1x", "."},
+	{"go", "test", "-run", "^$", "-bench", "BenchmarkEstimateCold$", "-benchtime", "500x", "./internal/server"},
+}
+
 func (o *RunnerOptions) withDefaults() RunnerOptions {
 	opts := *o
-	if len(opts.BenchCmd) == 0 {
-		opts.BenchCmd = []string{"go", "test", "-run", "^$",
-			"-bench", "BenchmarkPipelineStages", "-benchtime", "1x", "."}
-	}
 	if len(opts.GoldenCmd) == 0 {
 		opts.GoldenCmd = []string{"go", "test", "-run", "Determinism", "./..."}
 	}
@@ -130,13 +134,21 @@ func RunImpact(ctx context.Context, o RunnerOptions) (*Verdict, error) {
 	}
 
 	// Bench round one, both trees.
+	benchCmds := defaultBenchCmds
+	if len(opts.BenchCmd) > 0 {
+		benchCmds = [][]string{opts.BenchCmd}
+	}
 	benchTree := func(dir string) (*BenchReport, error) {
-		out, err := runCmd(ctx, dir, opts.BenchCmd, opts.Env, opts.Log)
-		if err != nil {
-			return nil, fmt.Errorf("impact: bench in %s: %w (output tail: %s)",
-				dir, err, tailLines(out, 10))
+		var all strings.Builder
+		for _, argv := range benchCmds {
+			out, err := runCmd(ctx, dir, argv, opts.Env, opts.Log)
+			if err != nil {
+				return nil, fmt.Errorf("impact: bench in %s: %w (output tail: %s)",
+					dir, err, tailLines(out, 10))
+			}
+			all.WriteString(out)
 		}
-		return ParseBench(strings.NewReader(out))
+		return ParseBench(strings.NewReader(all.String()))
 	}
 	fmt.Fprintf(opts.Log, "impact: bench round 1 in base\n")
 	baseRep, err := benchTree(opts.BaseDir)

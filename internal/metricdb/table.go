@@ -67,14 +67,21 @@ type Row []Value
 
 // Table is a typed, append-only relation. It is safe for concurrent use:
 // inserts take the write lock, queries the read lock.
+//
+// The rows are stored flat, row-major, in one slice: row i is cells
+// [i*w, (i+1)*w) for w = len(columns), so a row costs its cells and no
+// slice header or allocation of its own. Cells below len(cells) are
+// never written again (inserts append past the end, TruncateHead copies
+// the survivors to a fresh slice), so a capped view of a row stays valid
+// after the lock is released.
 type Table struct {
 	mu      sync.RWMutex
 	name    string
 	columns []Column
 	colIdx  map[string]int
-	rows    []Row
+	cells   []Value
 	journal *journal // nil for in-memory tables
-	// firstSeq is the journal sequence number of rows[0]; it advances as
+	// firstSeq is the journal sequence number of row 0; it advances as
 	// TruncateHead retires the oldest rows. Always 0 without a journal.
 	firstSeq uint64
 }
@@ -123,7 +130,16 @@ func (t *Table) Columns() []Column {
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.rows)
+	return t.len()
+}
+
+// len is the row count; the caller holds t.mu.
+func (t *Table) len() int { return len(t.cells) / len(t.columns) }
+
+// row is a capped view of row i; the caller holds t.mu.
+func (t *Table) row(i int) Row {
+	w := len(t.columns)
+	return Row(t.cells[i*w : (i+1)*w : (i+1)*w])
 }
 
 // Insert appends a row: an InsertMany of one.
@@ -132,7 +148,8 @@ func (t *Table) Insert(r Row) error { return t.InsertMany([]Row{r}) }
 // InsertMany appends rows, in order. Every row must have exactly one
 // cell per column; one that does not rejects them all. With a journal
 // attached the rows are journaled durably first, as one store batch; a
-// journal failure leaves the in-memory table unchanged.
+// journal failure leaves the in-memory table unchanged. The table copies
+// the cells and keeps no reference to rows.
 func (t *Table) InsertMany(rows []Row) error {
 	for _, r := range rows {
 		if len(r) != len(t.columns) {
@@ -142,20 +159,19 @@ func (t *Table) InsertMany(rows []Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	cps := make([]Row, len(rows))
-	for i, r := range rows {
-		cps[i] = slices.Clone(r)
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Journal under the lock so the journal's sequence order matches the
 	// in-memory row order exactly — reconstruction is then byte-identical.
 	if t.journal != nil {
-		if err := t.journal.insert(t.name, cps); err != nil {
+		if err := t.journal.insert(t.name, rows); err != nil {
 			return fmt.Errorf("metricdb: journaling %s insert: %w", t.name, err)
 		}
 	}
-	t.rows = append(t.rows, cps...)
+	t.cells = slices.Grow(t.cells, len(rows)*len(t.columns))
+	for _, r := range rows {
+		t.cells = append(t.cells, r...)
+	}
 	return nil
 }
 
@@ -172,7 +188,7 @@ func (t *Table) TruncateHead(keep int) (int, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	drop := len(t.rows) - keep
+	drop := t.len() - keep
 	if drop <= 0 {
 		return 0, nil
 	}
@@ -184,7 +200,8 @@ func (t *Table) TruncateHead(keep int) (int, error) {
 	}
 	// Copy the survivors into a fresh slice so the dropped prefix is
 	// actually released, not pinned by the shared backing array.
-	t.rows = append(make([]Row, 0, keep), t.rows[drop:]...)
+	w := len(t.columns)
+	t.cells = append(make([]Value, 0, keep*w), t.cells[drop*w:]...)
 	t.firstSeq = below
 	return drop, nil
 }
@@ -204,11 +221,9 @@ func (t *Table) Select(where func(Row) bool) []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []Row
-	for _, r := range t.rows {
-		if where == nil || where(r) {
-			cp := make(Row, len(r))
-			copy(cp, r)
-			out = append(out, cp)
+	for i := range t.len() {
+		if r := t.row(i); where == nil || where(r) {
+			out = append(out, slices.Clone(r))
 		}
 	}
 	return out
@@ -227,8 +242,8 @@ func (t *Table) Floats(column string, where func(Row) bool) ([]float64, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []float64
-	for _, r := range t.rows {
-		if where == nil || where(r) {
+	for k := range t.len() {
+		if r := t.row(k); where == nil || where(r) {
 			out = append(out, r[i].F)
 		}
 	}
@@ -335,8 +350,10 @@ func (db *DB) WriteJSON(w io.Writer) error {
 	for _, n := range names {
 		t := db.tables[n]
 		t.mu.RLock()
-		td := tableDump{Name: t.name, Columns: t.Columns(), Rows: make([]Row, len(t.rows))}
-		copy(td.Rows, t.rows)
+		td := tableDump{Name: t.name, Columns: t.Columns(), Rows: make([]Row, t.len())}
+		for i := range td.Rows {
+			td.Rows[i] = t.row(i)
+		}
 		t.mu.RUnlock()
 		d.Tables = append(d.Tables, td)
 	}
@@ -360,10 +377,8 @@ func ReadJSON(r io.Reader) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, row := range td.Rows {
-			if err := t.Insert(row); err != nil {
-				return nil, err
-			}
+		if err := t.InsertMany(td.Rows); err != nil {
+			return nil, err
 		}
 	}
 	return db, nil

@@ -2,6 +2,10 @@ package metricdb
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -181,4 +185,154 @@ func TestColTypeString(t *testing.T) {
 	if TypeFloat.String() != "float" || TypeInt.String() != "int" || TypeString.String() != "string" {
 		t.Error("ColType.String wrong")
 	}
+}
+
+// TestMetricDBFlatRows drives a table through mixed-size InsertMany
+// batches, single inserts and TruncateHead retentions beside a
+// row-at-a-time reference ([]Row), and requires Len, Select (all and
+// filtered), Floats and WriteJSON to match the reference after every
+// step. Mutating the caller's rows after the insert, or a row Select
+// returned, must not reach the table.
+func TestMetricDBFlatRows(t *testing.T) {
+	db := NewDB()
+	tbl, err := db.CreateTable("samples", sampleSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref []Row
+	next := 0
+	insert := func(n int) {
+		rows := make([]Row, n)
+		for i := range rows {
+			rows[i] = Row{Int(int64(next)), String(fmt.Sprintf("m%d", next%3)), Float(float64(next) / 4)}
+			ref = append(ref, slices.Clone(rows[i]))
+			next++
+		}
+		if n == 1 {
+			err = tbl.Insert(rows[0])
+		} else {
+			err = tbl.InsertMany(rows)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			r[2] = Float(-1) // the caller reuses its buffers
+		}
+	}
+	truncate := func(keep int) {
+		drop, err := tbl.TruncateHead(keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := max(0, len(ref)-keep)
+		if drop != want {
+			t.Fatalf("TruncateHead(%d) dropped %d, want %d", keep, drop, want)
+		}
+		ref = append([]Row(nil), ref[want:]...)
+	}
+	m1 := func(r Row) bool { return r[1].S == "m1" }
+	check := func(step string) {
+		t.Helper()
+		if tbl.Len() != len(ref) {
+			t.Fatalf("%s: Len %d, want %d", step, tbl.Len(), len(ref))
+		}
+		all := tbl.Select(nil)
+		if !reflect.DeepEqual(all, ref) && !(len(all) == 0 && len(ref) == 0) {
+			t.Fatalf("%s: Select(nil) = %v, want %v", step, all, ref)
+		}
+		var wantM1 []Row
+		var wantF []float64
+		for _, r := range ref {
+			if m1(r) {
+				wantM1 = append(wantM1, r)
+				wantF = append(wantF, r[2].F)
+			}
+		}
+		if got := tbl.Select(m1); !reflect.DeepEqual(got, wantM1) {
+			t.Fatalf("%s: Select(m1) = %v, want %v", step, got, wantM1)
+		}
+		if got, err := tbl.Floats("value", m1); err != nil || !reflect.DeepEqual(got, wantF) {
+			t.Fatalf("%s: Floats = %v, %v, want %v", step, got, err, wantF)
+		}
+		if len(all) > 0 {
+			all[0][0] = Int(-7)
+			if tbl.Select(nil)[0][0].I == -7 {
+				t.Fatalf("%s: mutating a selected row reached the table", step)
+			}
+		}
+		var got, want bytes.Buffer
+		if err := db.WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		rows := ref
+		if rows == nil {
+			rows = []Row{}
+		}
+		if err := json.NewEncoder(&want).Encode(dump{Tables: []tableDump{
+			{Name: "samples", Columns: sampleSchema(), Rows: rows}}}); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("%s: WriteJSON\n%s\nwant\n%s", step, got.String(), want.String())
+		}
+	}
+	check("empty")
+	for step, op := range []func(){
+		func() { insert(5) }, func() { insert(1) }, func() { truncate(4) },
+		func() { insert(7) }, func() { truncate(20) }, func() { insert(1) },
+		func() { truncate(0) }, func() { insert(3) }, func() { truncate(1) },
+		func() { insert(2) }, func() { insert(1) },
+	} {
+		op()
+		check(fmt.Sprintf("step %d", step))
+	}
+}
+
+// TestFlatRowsConcurrentWriteJSON encodes the database while other
+// goroutines append and truncate: WriteJSON encodes row views after
+// releasing the table lock, which is safe only because cells below the
+// table's length are never written again. Run it under -race.
+func TestFlatRowsConcurrentWriteJSON(t *testing.T) {
+	db := NewDB()
+	tbl, err := db.CreateTable("samples", sampleSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				rows := []Row{{Int(int64(g)), String("MIPS"), Float(float64(i))}, {Int(int64(g)), String("IPC"), Float(1)}}
+				if err := tbl.InsertMany(rows); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%50 == 49 {
+					if _, err := tbl.TruncateHead(100); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			var b bytes.Buffer
+			if err := db.WriteJSON(&b); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := ReadJSON(&b); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }

@@ -68,3 +68,58 @@ func BenchmarkEvaluateWithNoise(b *testing.B) {
 		}
 	}
 }
+
+// noisyRelaxed returns an evaluator holding the relaxed state of the
+// noisy-sample benchmarks' colocation, and a seeded random source.
+func noisyRelaxed(b *testing.B) (*Evaluator, *rand.Rand) {
+	b.Helper()
+	cat := workload.DefaultCatalog()
+	var jobs []Assignment
+	for _, name := range []string{workload.DataCaching, workload.WebSearch, workload.Mcf} {
+		p, err := cat.Lookup(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs = append(jobs, Assignment{Profile: p, Instances: 3})
+	}
+	ev, err := NewEvaluator(machine.BaselineConfig(machine.DefaultShape()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ev.Begin(jobs); err != nil {
+		b.Fatal(err)
+	}
+	if err := ev.Relax(nil); err != nil {
+		b.Fatal(err)
+	}
+	return ev, rand.New(rand.NewSource(1))
+}
+
+// BenchmarkResultInto measures one noisy full materialisation of a
+// relaxed state: every counter of every job.
+func BenchmarkResultInto(b *testing.B) {
+	ev, rng := noisyRelaxed(b)
+	var res Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ev.ResultInto(&res, Options{NoiseStd: 0.01, Rand: rng}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMIPSInto measures the score's materialisation of the same
+// state: each job's noisy MIPS only, on the same random stream.
+func BenchmarkMIPSInto(b *testing.B) {
+	ev, rng := noisyRelaxed(b)
+	var mips []float64
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if mips, err = ev.MIPSInto(mips, Options{NoiseStd: 0.01, Rand: rng}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -63,13 +63,35 @@ func (e *Evaluator) Relax(activity []float64) error {
 // to Relax. Each call draws a fresh noise realisation from opts.Rand, so
 // repeated calls model repeated measurements of one steady state.
 func (e *Evaluator) ResultInto(res *Result, opts Options) error {
+	if err := e.checkMaterialise("ResultInto", opts); err != nil {
+		return err
+	}
+	e.st.resultInto(res, opts)
+	return nil
+}
+
+// MIPSInto materialises only the relaxed state's per-instance MIPS, one
+// per job, into dst (reused when it has the capacity) and returns it:
+// dst[i] equals ResultInto's Jobs[i].MIPS bit for bit. A score that reads
+// nothing but MIPS (perfscore) skips the counter synthesis. With noise it
+// draws the same normals per job as ResultInto, so opts.Rand is left in
+// the same state and the two calls interleave on one stream.
+func (e *Evaluator) MIPSInto(dst []float64, opts Options) ([]float64, error) {
+	if err := e.checkMaterialise("MIPSInto", opts); err != nil {
+		return dst, err
+	}
+	return e.st.mipsInto(dst, opts), nil
+}
+
+// checkMaterialise rejects a materialisation before Relax or one asking
+// for noise without a random source.
+func (e *Evaluator) checkMaterialise(op string, opts Options) error {
 	if !e.relaxed {
-		return errors.New("perfmodel: ResultInto called before Relax")
+		return fmt.Errorf("perfmodel: %s called before Relax", op)
 	}
 	if opts.NoiseStd > 0 && opts.Rand == nil {
 		return errors.New("perfmodel: NoiseStd > 0 requires Options.Rand")
 	}
-	e.st.resultInto(res, opts)
 	return nil
 }
 

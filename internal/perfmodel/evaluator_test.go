@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -179,5 +180,75 @@ func TestEvaluatorErrors(t *testing.T) {
 	}
 	if err := ev.ResultInto(&res, Options{NoiseStd: 0.1}); err == nil {
 		t.Error("NoiseStd without Rand did not error")
+	}
+	if _, err := ev.MIPSInto(nil, Options{NoiseStd: 0.1}); err == nil {
+		t.Error("MIPSInto: NoiseStd without Rand did not error")
+	}
+	fresh, err := NewEvaluator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.MIPSInto(nil, Options{}); err == nil {
+		t.Error("MIPSInto before Relax did not error")
+	}
+}
+
+// TestMIPSIntoMatchesResultInto pins the score's materialisation to the
+// full one: over the baseline and the paper features, noise-free and
+// noisy, many seeds and reused buffers, MIPSInto's dst[k] equals
+// ResultInto's Jobs[k].MIPS bit for bit, and both leave their random
+// source at the same next draw.
+func TestMIPSIntoMatchesResultInto(t *testing.T) {
+	base := machine.BaselineConfig(machine.DefaultShape())
+	cfgs := []machine.Config{base}
+	for _, f := range machine.PaperFeatures() {
+		cfgs = append(cfgs, f.Apply(base))
+	}
+	colocations := [][]Assignment{
+		testAssignments(t, workload.DataCaching, workload.Mcf, workload.WebSearch),
+		testAssignments(t, workload.Sjeng),
+		testAssignments(t, workload.MediaStreaming, workload.DataCaching, workload.GraphAnalytics, workload.Libquantum),
+	}
+	var res Result
+	var mips []float64
+	for ci, cfg := range cfgs {
+		ev, err := NewEvaluator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, jobs := range colocations {
+			if err := ev.Begin(jobs); err != nil {
+				t.Fatal(err)
+			}
+			if err := ev.Relax(nil); err != nil {
+				t.Fatal(err)
+			}
+			for _, noise := range []float64{0, 0.01, 0.05} {
+				for seed := int64(0); seed < 25; seed++ {
+					rngRes, rngMIPS := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+					// Two draws per stream: the second starts mid-stream.
+					for draw := 0; draw < 2; draw++ {
+						if err := ev.ResultInto(&res, Options{NoiseStd: noise, Rand: rngRes}); err != nil {
+							t.Fatal(err)
+						}
+						if mips, err = ev.MIPSInto(mips, Options{NoiseStd: noise, Rand: rngMIPS}); err != nil {
+							t.Fatal(err)
+						}
+						if len(mips) != len(res.Jobs) {
+							t.Fatalf("cfg %d: %d MIPS for %d jobs", ci, len(mips), len(res.Jobs))
+						}
+						for k := range mips {
+							if math.Float64bits(mips[k]) != math.Float64bits(res.Jobs[k].MIPS) {
+								t.Fatalf("cfg %d, %d jobs, noise %v, seed %d, draw %d: job %d MIPS %v, ResultInto %v",
+									ci, len(jobs), noise, seed, draw, k, mips[k], res.Jobs[k].MIPS)
+							}
+						}
+					}
+					if a, b := rngRes.Int63(), rngMIPS.Int63(); a != b {
+						t.Fatalf("cfg %d, noise %v, seed %d: random sources diverged", ci, noise, seed)
+					}
+				}
+			}
+		}
 	}
 }

@@ -89,9 +89,31 @@ func topdown(fe, bs, be, rt, memShare float64) (feOut, bsOut, beOut, rtOut float
 	return feOut, bsOut, beOut, rtOut
 }
 
+// mipsInto is resultInto reduced to each job's MIPS: the same common
+// noise factor, with the per-counter draws taken and discarded so the
+// random stream advances exactly as resultInto advances it.
+func (st *state) mipsInto(dst []float64, opts Options) []float64 {
+	dst = growF(dst, len(st.mips))
+	copy(dst, st.mips)
+	if opts.NoiseStd > 0 {
+		for i := range dst {
+			dst[i] *= math.Exp(opts.Rand.NormFloat64() * opts.NoiseStd)
+			for k := 0; k < perCounterDraws; k++ {
+				opts.Rand.NormFloat64()
+			}
+		}
+	}
+	return dst
+}
+
+// perCounterDraws is how many per-counter factors applyNoise draws after
+// a job's common factor.
+const perCounterDraws = 9
+
 // applyNoise perturbs the measured quantities with multiplicative
 // log-normal noise, correlated within a job the way real measurements are
-// (a slow run is slow in every counter).
+// (a slow run is slow in every counter). It draws the common factor, then
+// perCounterDraws per-counter factors.
 func applyNoise(jp *JobPerf, opts Options) {
 	common := math.Exp(opts.Rand.NormFloat64() * opts.NoiseStd)
 	perCounter := func() float64 {

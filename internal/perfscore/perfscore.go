@@ -23,7 +23,6 @@ import (
 
 // Inherent caches each job's inherent MIPS on a reference configuration.
 type Inherent struct {
-	cfg  machine.Config
 	mips map[string]float64
 }
 
@@ -33,7 +32,7 @@ func NewInherent(cfg machine.Config, cat *workload.Catalog) (*Inherent, error) {
 	if cat == nil || cat.Len() == 0 {
 		return nil, errors.New("perfscore: empty catalog")
 	}
-	inh := &Inherent{cfg: cfg, mips: make(map[string]float64, cat.Len())}
+	inh := &Inherent{mips: make(map[string]float64, cat.Len())}
 	for _, p := range cat.Profiles() {
 		m, err := perfmodel.SoloMIPS(cfg, p)
 		if err != nil {
@@ -51,70 +50,6 @@ func (inh *Inherent) MIPS(job string) (float64, error) {
 		return 0, fmt.Errorf("perfscore: no inherent MIPS for job %q", job)
 	}
 	return m, nil
-}
-
-// HPScoreWith aggregates the HP instances' normalised performance under
-// the chosen metric; the paper's metric, MetricSumNormalized, is the sum
-// over HP jobs of instances * (MIPS / inherent MIPS). A result without
-// HP instances scores 0.
-func (inh *Inherent) HPScoreWith(res perfmodel.Result, metric Metric) (float64, error) {
-	var normalised []float64
-	for _, j := range res.Jobs {
-		if j.Class != workload.ClassHP {
-			continue
-		}
-		base, err := inh.MIPS(j.Job)
-		if err != nil {
-			return 0, err
-		}
-		perf := j.MIPS / base
-		for k := 0; k < j.Instances; k++ {
-			normalised = append(normalised, perf)
-		}
-	}
-	if len(normalised) == 0 {
-		return 0, nil
-	}
-	switch metric {
-	case MetricHarmonicMean:
-		var invSum float64
-		for _, p := range normalised {
-			if p <= 0 {
-				return 0, nil
-			}
-			invSum += 1 / p
-		}
-		return float64(len(normalised)) / invSum, nil
-	case MetricWorstCase:
-		worst := normalised[0]
-		for _, p := range normalised[1:] {
-			if p < worst {
-				worst = p
-			}
-		}
-		return worst, nil
-	default: // MetricSumNormalized (including the zero value)
-		var sum float64
-		for _, p := range normalised {
-			sum += p
-		}
-		return sum, nil
-	}
-}
-
-// JobScore returns the per-instance normalised performance of one job in
-// a modelled result, or an error if the job is absent.
-func (inh *Inherent) JobScore(res perfmodel.Result, job string) (float64, error) {
-	base, err := inh.MIPS(job)
-	if err != nil {
-		return 0, err
-	}
-	for _, j := range res.Jobs {
-		if j.Job == job {
-			return j.MIPS / base, nil
-		}
-	}
-	return 0, fmt.Errorf("perfscore: job %q not in result", job)
 }
 
 // Metric selects the multiprogram performance metric aggregating the HP
@@ -177,15 +112,72 @@ type Impact struct {
 	JobReductionPct map[string]float64
 }
 
+// Scorer measures a feature's impact on colocations: each is modelled
+// under the baseline and the feature configuration and scored from its
+// HP jobs' MIPS alone. One Scorer keeps one evaluator per configuration,
+// and its score buffers, across every colocation it scores, so a replay
+// estimate builds the pair once instead of once per representative. A
+// Scorer is not safe for concurrent use.
+type Scorer struct {
+	inh        *Inherent
+	base, feat *perfmodel.Evaluator
+
+	asg                []perfmodel.Assignment // Scenario's listing buffer
+	inherent           []float64              // per listing; set for HP listings
+	scored             []int                  // per HP listing, its job's first listing
+	jobBase, jobFeat   []float64              // per listing, summed over samples
+	mipsBase, mipsFeat []float64              // one sample's per-instance MIPS
+}
+
+// NewScorer returns a Scorer for feat against the base configuration,
+// scoring against inh.
+func NewScorer(base machine.Config, feat machine.Feature, inh *Inherent) (*Scorer, error) {
+	evBase, err := perfmodel.NewEvaluator(base)
+	if err != nil {
+		return nil, fmt.Errorf("perfscore: baseline: %w", err)
+	}
+	evFeat, err := perfmodel.NewEvaluator(feat.Apply(base))
+	if err != nil {
+		return nil, fmt.Errorf("perfscore: feature: %w", err)
+	}
+	return &Scorer{inh: inh, base: evBase, feat: evFeat}, nil
+}
+
 // EvaluateScenario measures a feature's impact on one colocation: the
-// scenario is run (modelled) under both configurations and scored.
+// scenario is run (modelled) under both configurations and scored. It is
+// a one-shot Scorer.
 func EvaluateScenario(base machine.Config, feat machine.Feature, sc scenario.Scenario,
 	cat *workload.Catalog, inh *Inherent, opts Options) (Impact, error) {
-	assignments, err := assignments(sc, cat)
+	s, err := NewScorer(base, feat, inh)
 	if err != nil {
 		return Impact{}, err
 	}
-	imp, err := EvaluateAssignments(base, feat, assignments, inh, opts)
+	return s.Scenario(sc, cat, opts)
+}
+
+// EvaluateAssignments is EvaluateScenario for an explicit assignment list
+// (e.g. a hybrid of real jobs and synthetic interference generators). It
+// is a one-shot Scorer.
+func EvaluateAssignments(base machine.Config, feat machine.Feature,
+	assignments []perfmodel.Assignment, inh *Inherent, opts Options) (Impact, error) {
+	s, err := NewScorer(base, feat, inh)
+	if err != nil {
+		return Impact{}, err
+	}
+	return s.Assignments(assignments, opts)
+}
+
+// Scenario scores one scenario, its jobs looked up in cat.
+func (s *Scorer) Scenario(sc scenario.Scenario, cat *workload.Catalog, opts Options) (Impact, error) {
+	s.asg = s.asg[:0]
+	for _, p := range sc.Placements {
+		prof, err := cat.Lookup(p.Job)
+		if err != nil {
+			return Impact{}, fmt.Errorf("perfscore: scenario %d: %w", sc.ID, err)
+		}
+		s.asg = append(s.asg, perfmodel.Assignment{Profile: prof, Instances: p.Instances})
+	}
+	imp, err := s.Assignments(s.asg, opts)
 	if err != nil {
 		return Impact{}, err
 	}
@@ -193,74 +185,38 @@ func EvaluateScenario(base machine.Config, feat machine.Feature, sc scenario.Sce
 	return imp, nil
 }
 
-// EvaluateAssignments is EvaluateScenario for an explicit assignment list
-// (e.g. a hybrid of real jobs and synthetic interference generators).
+// Assignments scores an explicit assignment list. It retains assignments
+// until the next call.
 //
 // Noise is applied after relaxation, so each configuration is relaxed
 // once and the Samples noisy measurements are materialised from that one
 // steady state, drawing from opts.Rand in the order baseline, feature,
 // baseline, ... — the same draws as evaluating the colocation afresh per
 // sample.
-func EvaluateAssignments(base machine.Config, feat machine.Feature,
-	assignments []perfmodel.Assignment, inh *Inherent, opts Options) (Impact, error) {
-	evBase, err := relaxed(base, assignments)
-	if err != nil {
-		return Impact{}, fmt.Errorf("perfscore: baseline: %w", err)
+func (s *Scorer) Assignments(assignments []perfmodel.Assignment, opts Options) (Impact, error) {
+	if err := s.load(assignments); err != nil {
+		return Impact{}, err
 	}
-	evFeat, err := relaxed(feat.Apply(base), assignments)
-	if err != nil {
-		return Impact{}, fmt.Errorf("perfscore: feature: %w", err)
-	}
-
 	samples := opts.Samples
 	if opts.NoiseStd <= 0 || samples < 1 {
 		samples = 1
 	}
 
-	// Per-job scores accumulate at each HP job's first listing, once per
-	// listing, as a lookup by name would.
-	var scored []int
-	inherent := make([]float64, len(assignments))
-	for _, a := range assignments {
-		if a.Profile.Class != workload.ClassHP {
-			continue
-		}
-		k := 0
-		for assignments[k].Profile.Name != a.Profile.Name {
-			k++
-		}
-		if inherent[k], err = inh.MIPS(a.Profile.Name); err != nil {
-			return Impact{}, err
-		}
-		scored = append(scored, k)
-	}
-	jobBase := make([]float64, len(assignments))
-	jobFeat := make([]float64, len(assignments))
-
 	var imp Impact
-	var resBase, resFeat perfmodel.Result
+	var err error
 	mo := perfmodel.Options{NoiseStd: opts.NoiseStd, Rand: opts.Rand}
-	for s := 0; s < samples; s++ {
-		if err := evBase.ResultInto(&resBase, mo); err != nil {
+	for range samples {
+		if s.mipsBase, err = s.base.MIPSInto(s.mipsBase, mo); err != nil {
 			return Impact{}, fmt.Errorf("perfscore: baseline: %w", err)
 		}
-		if err := evFeat.ResultInto(&resFeat, mo); err != nil {
+		if s.mipsFeat, err = s.feat.MIPSInto(s.mipsFeat, mo); err != nil {
 			return Impact{}, fmt.Errorf("perfscore: feature: %w", err)
 		}
-		b, err := inh.HPScoreWith(resBase, opts.Metric)
-		if err != nil {
-			return Impact{}, err
-		}
-		f, err := inh.HPScoreWith(resFeat, opts.Metric)
-		if err != nil {
-			return Impact{}, err
-		}
-		imp.Baseline += b
-		imp.Feature += f
-
-		for _, k := range scored {
-			jobBase[k] += resBase.Jobs[k].MIPS / inherent[k]
-			jobFeat[k] += resFeat.Jobs[k].MIPS / inherent[k]
+		imp.Baseline += hpScore(assignments, s.inherent, s.mipsBase, opts.Metric)
+		imp.Feature += hpScore(assignments, s.inherent, s.mipsFeat, opts.Metric)
+		for _, k := range s.scored {
+			s.jobBase[k] += s.mipsBase[k] / s.inherent[k]
+			s.jobFeat[k] += s.mipsFeat[k] / s.inherent[k]
 		}
 	}
 
@@ -270,38 +226,101 @@ func EvaluateAssignments(base machine.Config, feat machine.Feature,
 		imp.ReductionPct = 100 * (imp.Baseline - imp.Feature) / imp.Baseline
 	}
 	imp.JobReductionPct = make(map[string]float64)
-	for k, b := range jobBase {
+	for k, b := range s.jobBase {
 		if b > 0 {
-			imp.JobReductionPct[assignments[k].Profile.Name] = 100 * (b - jobFeat[k]) / b
+			imp.JobReductionPct[assignments[k].Profile.Name] = 100 * (b - s.jobFeat[k]) / b
 		}
 	}
 	return imp, nil
 }
 
-// relaxed returns an evaluator on cfg holding the colocation's converged
-// state at nominal load.
-func relaxed(cfg machine.Config, assignments []perfmodel.Assignment) (*perfmodel.Evaluator, error) {
-	ev, err := perfmodel.NewEvaluator(cfg)
-	if err != nil {
-		return nil, err
+// load relaxes the colocation under both configurations and prepares
+// the per-listing inherent MIPS and zeroed per-job sums. Per-job scores
+// accumulate at each HP job's first listing, once per listing, as a
+// lookup by name would.
+func (s *Scorer) load(assignments []perfmodel.Assignment) error {
+	if err := relax(s.base, assignments); err != nil {
+		return fmt.Errorf("perfscore: baseline: %w", err)
 	}
-	if err := ev.Begin(assignments); err != nil {
-		return nil, err
+	if err := relax(s.feat, assignments); err != nil {
+		return fmt.Errorf("perfscore: feature: %w", err)
 	}
-	if err := ev.Relax(nil); err != nil {
-		return nil, err
+	n := len(assignments)
+	s.inherent = zeroed(s.inherent, n)
+	s.jobBase = zeroed(s.jobBase, n)
+	s.jobFeat = zeroed(s.jobFeat, n)
+	s.scored = s.scored[:0]
+	for i := range assignments {
+		p := &assignments[i].Profile
+		if p.Class != workload.ClassHP {
+			continue
+		}
+		m, err := s.inh.MIPS(p.Name)
+		if err != nil {
+			return err
+		}
+		k := 0
+		for assignments[k].Profile.Name != p.Name {
+			k++
+		}
+		s.inherent[i], s.inherent[k] = m, m
+		s.scored = append(s.scored, k)
 	}
-	return ev, nil
+	return nil
 }
 
-func assignments(sc scenario.Scenario, cat *workload.Catalog) ([]perfmodel.Assignment, error) {
-	out := make([]perfmodel.Assignment, 0, len(sc.Placements))
-	for _, p := range sc.Placements {
-		prof, err := cat.Lookup(p.Job)
-		if err != nil {
-			return nil, fmt.Errorf("perfscore: scenario %d: %w", sc.ID, err)
+// hpScore aggregates one sample's HP instances' normalised performance,
+// mips[i] / inherent[i] for every instance of each HP listing i, in
+// listing order under the chosen metric; the paper's metric,
+// MetricSumNormalized, is their sum. A sample without HP instances
+// scores 0.
+func hpScore(assignments []perfmodel.Assignment, inherent, mips []float64, metric Metric) float64 {
+	var n int
+	var acc float64 // the sum, the sum of inverses, or the worst
+	for i := range assignments {
+		a := &assignments[i]
+		if a.Profile.Class != workload.ClassHP {
+			continue
 		}
-		out = append(out, perfmodel.Assignment{Profile: prof, Instances: p.Instances})
+		p := mips[i] / inherent[i]
+		for k := 0; k < a.Instances; k++ {
+			switch metric {
+			case MetricHarmonicMean:
+				if p <= 0 {
+					return 0
+				}
+				acc += 1 / p
+			case MetricWorstCase:
+				if n == 0 || p < acc {
+					acc = p
+				}
+			default: // MetricSumNormalized (including the zero value)
+				acc += p
+			}
+			n++
+		}
 	}
-	return out, nil
+	if n > 0 && metric == MetricHarmonicMean {
+		return float64(n) / acc
+	}
+	return acc
+}
+
+// relax loads a colocation into ev and relaxes it at nominal load.
+func relax(ev *perfmodel.Evaluator, assignments []perfmodel.Assignment) error {
+	if err := ev.Begin(assignments); err != nil {
+		return err
+	}
+	return ev.Relax(nil)
+}
+
+// zeroed returns s resized to n zeros, reusing its backing array when
+// possible.
+func zeroed(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -46,6 +46,25 @@ func TestNewInherentEmptyCatalog(t *testing.T) {
 	}
 }
 
+// sampleScore scores one noise-free baseline sample of asg on cfg
+// through the scoring path (a Scorer's load, MIPSInto, hpScore) and also
+// returns the sample's per-listing MIPS and inherent MIPS.
+func sampleScore(t *testing.T, cfg machine.Config, inh *Inherent, asg []perfmodel.Assignment,
+	metric Metric) (score float64, mips, inherent []float64) {
+	t.Helper()
+	s, err := NewScorer(cfg, machine.Baseline(), inh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.load(asg); err != nil {
+		t.Fatal(err)
+	}
+	if mips, err = s.base.MIPSInto(nil, perfmodel.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	return hpScore(asg, s.inherent, mips, metric), mips, s.inherent
+}
+
 func TestHPScoreSoloJobIsOne(t *testing.T) {
 	// A job alone on the reference machine performs at exactly its
 	// inherent MIPS, so its normalised score is 1 per instance.
@@ -54,14 +73,7 @@ func TestHPScoreSoloJobIsOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := perfmodel.Evaluate(cfg, []perfmodel.Assignment{{Profile: p, Instances: 1}}, perfmodel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	score, err := inh.HPScoreWith(res, MetricSumNormalized)
-	if err != nil {
-		t.Fatal(err)
-	}
+	score, _, _ := sampleScore(t, cfg, inh, []perfmodel.Assignment{{Profile: p, Instances: 1}}, MetricSumNormalized)
 	if math.Abs(score-1) > 1e-9 {
 		t.Errorf("solo HP score = %v, want 1", score)
 	}
@@ -72,31 +84,17 @@ func TestHPScoreIgnoresLPJobs(t *testing.T) {
 	dc, _ := cat.Lookup(workload.DataCaching)
 	mcf, _ := cat.Lookup(workload.Mcf)
 
-	res, err := perfmodel.Evaluate(cfg, []perfmodel.Assignment{
+	score, _, _ := sampleScore(t, cfg, inh, []perfmodel.Assignment{
 		{Profile: dc, Instances: 2},
 		{Profile: mcf, Instances: 4},
-	}, perfmodel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	score, err := inh.HPScoreWith(res, MetricSumNormalized)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, MetricSumNormalized)
 	// Only the 2 DC instances count; under interference each scores < 1.
 	if score <= 0 || score > 2 {
 		t.Errorf("HP score = %v, want in (0, 2] for 2 HP instances", score)
 	}
 
-	// A result with only LP jobs scores 0.
-	lpOnly, err := perfmodel.Evaluate(cfg, []perfmodel.Assignment{{Profile: mcf, Instances: 2}}, perfmodel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero, err := inh.HPScoreWith(lpOnly, MetricSumNormalized)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A colocation with only LP jobs scores 0.
+	zero, _, _ := sampleScore(t, cfg, inh, []perfmodel.Assignment{{Profile: mcf, Instances: 2}}, MetricSumNormalized)
 	if zero != 0 {
 		t.Errorf("LP-only HP score = %v, want 0", zero)
 	}
@@ -105,19 +103,17 @@ func TestHPScoreIgnoresLPJobs(t *testing.T) {
 func TestJobScore(t *testing.T) {
 	cfg, cat, inh := fixture(t)
 	dc, _ := cat.Lookup(workload.DataCaching)
-	res, err := perfmodel.Evaluate(cfg, []perfmodel.Assignment{{Profile: dc, Instances: 1}}, perfmodel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := inh.JobScore(res, workload.DataCaching)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s-1) > 1e-9 {
+	_, mips, inherent := sampleScore(t, cfg, inh, []perfmodel.Assignment{{Profile: dc, Instances: 1}}, MetricSumNormalized)
+	if s := mips[0] / inherent[0]; math.Abs(s-1) > 1e-9 {
 		t.Errorf("solo job score = %v, want 1", s)
 	}
-	if _, err := inh.JobScore(res, workload.Mcf); err == nil {
-		t.Error("absent job did not error")
+	// An HP job without an inherent MIPS cannot be scored.
+	s, err := NewScorer(cfg, machine.Baseline(), &Inherent{mips: map[string]float64{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Assignments([]perfmodel.Assignment{{Profile: dc, Instances: 1}}, Options{}); err == nil {
+		t.Error("job without inherent MIPS did not error")
 	}
 }
 
@@ -208,25 +204,13 @@ func TestHPScoreWithMetrics(t *testing.T) {
 	cfg, cat, inh := fixture(t)
 	dc, _ := cat.Lookup(workload.DataCaching)
 	mcf, _ := cat.Lookup(workload.Mcf)
-	res, err := perfmodel.Evaluate(cfg, []perfmodel.Assignment{
+	asg := []perfmodel.Assignment{
 		{Profile: dc, Instances: 2},
 		{Profile: mcf, Instances: 6},
-	}, perfmodel.Options{})
-	if err != nil {
-		t.Fatal(err)
 	}
-	sum, err := inh.HPScoreWith(res, MetricSumNormalized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hmean, err := inh.HPScoreWith(res, MetricHarmonicMean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst, err := inh.HPScoreWith(res, MetricWorstCase)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum, _, _ := sampleScore(t, cfg, inh, asg, MetricSumNormalized)
+	hmean, _, _ := sampleScore(t, cfg, inh, asg, MetricHarmonicMean)
+	worst, _, _ := sampleScore(t, cfg, inh, asg, MetricWorstCase)
 	// 2 HP instances with identical normalised perf p: sum = 2p,
 	// hmean = p, worst = p.
 	if math.Abs(sum-2*hmean) > 1e-9 {
@@ -239,11 +223,7 @@ func TestHPScoreWithMetrics(t *testing.T) {
 		t.Errorf("worst normalised perf = %v, want in (0,1) under interference", worst)
 	}
 	// Zero value of Metric behaves as sum-normalized.
-	zero, err := inh.HPScoreWith(res, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zero != sum {
+	if zero, _, _ := sampleScore(t, cfg, inh, asg, 0); zero != sum {
 		t.Errorf("zero metric = %v, want sum %v", zero, sum)
 	}
 }
@@ -251,17 +231,9 @@ func TestHPScoreWithMetrics(t *testing.T) {
 func TestHPScoreWithNoHPJobs(t *testing.T) {
 	cfg, cat, inh := fixture(t)
 	mcf, _ := cat.Lookup(workload.Mcf)
-	res, err := perfmodel.Evaluate(cfg, []perfmodel.Assignment{{Profile: mcf, Instances: 2}}, perfmodel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, m := range []Metric{MetricSumNormalized, MetricHarmonicMean, MetricWorstCase} {
-		got, err := inh.HPScoreWith(res, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != 0 {
-			t.Errorf("%s on LP-only result = %v, want 0", m, got)
+		if got, _, _ := sampleScore(t, cfg, inh, []perfmodel.Assignment{{Profile: mcf, Instances: 2}}, m); got != 0 {
+			t.Errorf("%s on LP-only colocation = %v, want 0", m, got)
 		}
 	}
 }

@@ -12,10 +12,75 @@ import (
 	"flare/internal/workload"
 )
 
+// refHPScore is the reference HP score of a full modelled result: the
+// HP instances' normalised performance (MIPS / inherent MIPS, looked up
+// by job name) collected into one slice, then aggregated under metric.
+// The scoring path (hpScore over MIPSInto) must equal it bit for bit.
+func refHPScore(inh *Inherent, res perfmodel.Result, metric Metric) (float64, error) {
+	var normalised []float64
+	for _, j := range res.Jobs {
+		if j.Class != workload.ClassHP {
+			continue
+		}
+		base, err := inh.MIPS(j.Job)
+		if err != nil {
+			return 0, err
+		}
+		perf := j.MIPS / base
+		for k := 0; k < j.Instances; k++ {
+			normalised = append(normalised, perf)
+		}
+	}
+	if len(normalised) == 0 {
+		return 0, nil
+	}
+	switch metric {
+	case MetricHarmonicMean:
+		var invSum float64
+		for _, p := range normalised {
+			if p <= 0 {
+				return 0, nil
+			}
+			invSum += 1 / p
+		}
+		return float64(len(normalised)) / invSum, nil
+	case MetricWorstCase:
+		worst := normalised[0]
+		for _, p := range normalised[1:] {
+			if p < worst {
+				worst = p
+			}
+		}
+		return worst, nil
+	default: // MetricSumNormalized (including the zero value)
+		var sum float64
+		for _, p := range normalised {
+			sum += p
+		}
+		return sum, nil
+	}
+}
+
+// refJobScore is the reference per-instance normalised performance of
+// one job in a modelled result, found by name.
+func refJobScore(inh *Inherent, res perfmodel.Result, job string) (float64, error) {
+	base, err := inh.MIPS(job)
+	if err != nil {
+		return 0, err
+	}
+	for _, j := range res.Jobs {
+		if j.Job == job {
+			return j.MIPS / base, nil
+		}
+	}
+	return 0, fmt.Errorf("perfscore: job %q not in result", job)
+}
+
 // referenceAssignments is EvaluateAssignments the one-shot way: every
 // noisy sample evaluates the colocation afresh under both configurations
-// and looks each HP job's score up by name. EvaluateAssignments must
-// equal it bit for bit.
+// into a full Result (perfmodel.Evaluate, i.e. ResultInto) and looks
+// each HP job's score up by name. EvaluateAssignments and every reused
+// Scorer must equal it bit for bit.
 func referenceAssignments(base machine.Config, feat machine.Feature,
 	assignments []perfmodel.Assignment, inh *Inherent, opts Options) (Impact, error) {
 	featCfg := feat.Apply(base)
@@ -36,11 +101,11 @@ func referenceAssignments(base machine.Config, feat machine.Feature,
 		if err != nil {
 			return Impact{}, err
 		}
-		b, err := inh.HPScoreWith(resBase, opts.Metric)
+		b, err := refHPScore(inh, resBase, opts.Metric)
 		if err != nil {
 			return Impact{}, err
 		}
-		f, err := inh.HPScoreWith(resFeat, opts.Metric)
+		f, err := refHPScore(inh, resFeat, opts.Metric)
 		if err != nil {
 			return Impact{}, err
 		}
@@ -50,11 +115,11 @@ func referenceAssignments(base machine.Config, feat machine.Feature,
 			if j.Class != workload.ClassHP {
 				continue
 			}
-			sb, err := inh.JobScore(resBase, j.Job)
+			sb, err := refJobScore(inh, resBase, j.Job)
 			if err != nil {
 				return Impact{}, err
 			}
-			sf, err := inh.JobScore(resFeat, j.Job)
+			sf, err := refJobScore(inh, resFeat, j.Job)
 			if err != nil {
 				return Impact{}, err
 			}
@@ -156,6 +221,69 @@ func TestEvaluateAssignmentsMatchesReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// sameImpact reports whether got equals want bit for bit.
+func sameImpact(got, want Impact) bool {
+	if got.ScenarioID != want.ScenarioID || !sameBits(got.Baseline, want.Baseline) ||
+		!sameBits(got.Feature, want.Feature) || !sameBits(got.ReductionPct, want.ReductionPct) ||
+		len(got.JobReductionPct) != len(want.JobReductionPct) {
+		return false
+	}
+	for job, w := range want.JobReductionPct {
+		if g, ok := got.JobReductionPct[job]; !ok || !sameBits(g, w) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestScorerMatchesReferenceRandomColocations reuses one Scorer per
+// feature across many random colocations (HP and LP jobs, repeated
+// names, 1-4 instances), seeds, sample counts and all three metrics, and
+// pins each impact, and the random source's next draw, against the
+// ResultInto + refHPScore reference.
+func TestScorerMatchesReferenceRandomColocations(t *testing.T) {
+	cfg, cat, inh := fixture(t)
+	profiles := cat.Profiles()
+	feats := append([]machine.Feature{machine.Baseline()}, machine.PaperFeatures()...)
+	scorers := make([]*Scorer, len(feats))
+	for i, f := range feats {
+		var err error
+		if scorers[i], err = NewScorer(cfg, f, inh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	metrics := []Metric{MetricSumNormalized, MetricHarmonicMean, MetricWorstCase}
+	gen := rand.New(rand.NewSource(42))
+	for seed := int64(0); seed < 60; seed++ {
+		asg := make([]perfmodel.Assignment, 1+gen.Intn(5))
+		for i := range asg {
+			asg[i] = perfmodel.Assignment{Profile: profiles[gen.Intn(len(profiles))], Instances: 1 + gen.Intn(4)}
+		}
+		fi := gen.Intn(len(feats))
+		opts := Options{NoiseStd: []float64{0, 0.01, 0.05}[seed%3], Samples: 1 + gen.Intn(3),
+			Metric: metrics[seed%int64(len(metrics))]}
+		label := fmt.Sprintf("seed=%d/%s/noise=%v/samples=%d/%v", seed, feats[fi].Name, opts.NoiseStd, opts.Samples, opts.Metric)
+
+		gotRng, wantRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		gotOpts, wantOpts := opts, opts
+		gotOpts.Rand, wantOpts.Rand = gotRng, wantRng
+		got, err := scorers[fi].Assignments(asg, gotOpts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want, err := referenceAssignments(cfg, feats[fi], asg, inh, wantOpts)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", label, err)
+		}
+		if !sameImpact(got, want) {
+			t.Errorf("%s: got %+v, want %+v", label, got, want)
+		}
+		if gotRng.Int63() != wantRng.Int63() {
+			t.Errorf("%s: random source diverged after the call", label)
 		}
 	}
 }

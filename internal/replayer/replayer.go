@@ -214,10 +214,12 @@ type testbed struct {
 // error of that mean from the within-cluster variances (zero unless a
 // stratum replays more than one scenario).
 //
-// One random source seeded from opts.Seed serves every replay in order,
-// each replay passes the "replay.scenario" fault site under the retry
-// policy, and the replay count is added to flare_replays_total in the
-// registry of the context's tracer, if it carries one.
+// One random source seeded from opts.Seed and one perfscore.Scorer (the
+// baseline/feature evaluator pair) serve every replay in order, each
+// replay passes the "replay.scenario" fault site under the retry policy,
+// bound at the first replay, and the replay count is added to
+// flare_replays_total in the registry of the context's tracer, if it
+// carries one.
 func (tb testbed) estimate(ctx context.Context, strata []stratum, job string) (*Estimate, float64, error) {
 	name, mode := "replay.estimate", "all-job"
 	if job != "" {
@@ -231,6 +233,12 @@ func (tb testbed) estimate(ctx context.Context, strata []stratum, job string) (*
 		span.SetAttr("job", job)
 	}
 
+	scorer, err := perfscore.NewScorer(tb.base, tb.feat, tb.inh)
+	if err != nil {
+		return nil, 0, fmt.Errorf("replayer: %w", err)
+	}
+	var policy retry.Bound
+	bound := false
 	est := &Estimate{Feature: tb.feat.Name}
 	rng := rand.New(rand.NewSource(tb.opts.Seed))
 	sopts := perfscore.Options{NoiseStd: tb.opts.ReconstructionNoiseStd, Samples: tb.opts.Samples, Rand: rng}
@@ -250,8 +258,11 @@ func (tb testbed) estimate(ctx context.Context, strata []stratum, job string) (*
 			continue // e.g. the cluster has no instance of the job
 		}
 		impacts := make([]float64, len(replays))
+		if !bound {
+			policy, bound = tb.opts.retryPolicy(ctx).Bind(), true
+		}
 		for i, sc := range replays {
-			imp, err := tb.replay(ctx, st.cluster, sc, sopts)
+			imp, err := tb.replay(ctx, &policy, scorer, st.cluster, sc, sopts)
 			if err != nil {
 				return nil, 0, fmt.Errorf("replayer: %w", err)
 			}
@@ -288,22 +299,23 @@ func (tb testbed) estimate(ctx context.Context, strata []stratum, job string) (*
 	return est, se, nil
 }
 
-// replay measures one scenario through the fault site and retry policy
-// under a "replay.scenario" span. Faults are evaluated before
-// EvaluateScenario so failed attempts never consume replay randomness.
-func (tb testbed) replay(ctx context.Context, cluster int, sc scenario.Scenario,
-	sopts perfscore.Options) (perfscore.Impact, error) {
+// replay measures one scenario with scorer through the fault site and
+// the bound retry policy under a "replay.scenario" span. Faults are
+// evaluated before scoring so failed attempts never consume replay
+// randomness.
+func (tb testbed) replay(ctx context.Context, policy *retry.Bound, scorer *perfscore.Scorer,
+	cluster int, sc scenario.Scenario, sopts perfscore.Options) (perfscore.Impact, error) {
 	ctx, span := obs.StartSpan(ctx, "replay.scenario")
 	defer span.End()
 	span.SetAttr("cluster", cluster)
 	span.SetAttr("scenario_id", sc.ID)
 	var imp perfscore.Impact
-	err := tb.opts.retryPolicy(ctx).Do(ctx, func() error {
+	err := policy.Do(ctx, func() error {
 		if err := tb.opts.Injector.Err("replay.scenario"); err != nil {
 			return err
 		}
 		var err error
-		imp, err = perfscore.EvaluateScenario(tb.base, tb.feat, sc, tb.cat, tb.inh, sopts)
+		imp, err = scorer.Scenario(sc, tb.cat, sopts)
 		return retry.Permanent(err)
 	})
 	return imp, err

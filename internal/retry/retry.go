@@ -93,45 +93,68 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &pe)
 }
 
+// Bound is a Policy with its defaults filled in and its flare_retry_*
+// series resolved, for a caller that runs many operations under one
+// policy (an estimate's representative replays): its Do does no registry
+// lookups. A Bound is immutable and safe for concurrent use.
+type Bound struct {
+	p                          Policy
+	attempts, retries, giveups *obs.Counter
+}
+
+// Bind fills p's defaults and resolves its metric series once.
+func (p Policy) Bind() Bound {
+	p = p.withDefaults()
+	return Bound{
+		p: p,
+		attempts: p.Registry.Counter("flare_retry_attempts_total",
+			"operation attempts through the retry layer", "op", p.Name),
+		retries: p.Registry.Counter("flare_retry_retries_total",
+			"failed attempts that were retried", "op", p.Name),
+		giveups: p.Registry.Counter("flare_retry_giveups_total",
+			"operations that exhausted retries or hit a permanent error", "op", p.Name),
+	}
+}
+
+// Do is Bind followed by the bound Do: one operation under p.
+func (p Policy) Do(ctx context.Context, op func() error) error {
+	b := p.Bind()
+	return b.Do(ctx, op)
+}
+
 // Do runs op until it succeeds, returns a permanent error, exhausts
 // MaxAttempts, or ctx is done. The returned error is the last attempt's
 // (unwrapped from Permanent), annotated with the attempt count when
 // retries were exhausted.
-func (p Policy) Do(ctx context.Context, op func() error) error {
-	p = p.withDefaults()
+func (b *Bound) Do(ctx context.Context, op func() error) error {
+	p := &b.p
 	var jitter *rand.Rand // seeded at the first retry
-	attempts := p.Registry.Counter("flare_retry_attempts_total",
-		"operation attempts through the retry layer", "op", p.Name)
-	retries := p.Registry.Counter("flare_retry_retries_total",
-		"failed attempts that were retried", "op", p.Name)
-	giveups := p.Registry.Counter("flare_retry_giveups_total",
-		"operations that exhausted retries or hit a permanent error", "op", p.Name)
 
 	delay := p.BaseDelay
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
-			giveups.Inc()
+			b.giveups.Inc()
 			return err
 		}
-		attempts.Inc()
+		b.attempts.Inc()
 		err := op()
 		if err == nil {
 			return nil
 		}
 		var pe *permanentError
 		if errors.As(err, &pe) {
-			giveups.Inc()
+			b.giveups.Inc()
 			return pe.err
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			giveups.Inc()
+			b.giveups.Inc()
 			return err
 		}
 		if attempt >= p.MaxAttempts {
-			giveups.Inc()
+			b.giveups.Inc()
 			return fmt.Errorf("retry: %s failed after %d attempts: %w", p.Name, attempt, err)
 		}
-		retries.Inc()
+		b.retries.Inc()
 
 		d := delay
 		if p.JitterFrac > 0 {
@@ -142,7 +165,7 @@ func (p Policy) Do(ctx context.Context, op func() error) error {
 			d = time.Duration(float64(d) * frac)
 		}
 		if err := p.sleep(ctx, d); err != nil {
-			giveups.Inc()
+			b.giveups.Inc()
 			return err
 		}
 		delay = time.Duration(float64(delay) * p.Multiplier)

@@ -184,6 +184,55 @@ func TestRetryMetrics(t *testing.T) {
 	}
 }
 
+// TestBoundMatchesDo runs one operation mix through a Bound reused
+// across operations and through a fresh Policy.Do per operation: both
+// must return the same errors and expose byte-identical metrics, and the
+// bound form must do no registry lookup per operation.
+func TestBoundMatchesDo(t *testing.T) {
+	fail := errors.New("x")
+	ops := []func() error{
+		func() error { return nil },
+		func() error { return Permanent(fail) },
+		func() error { return fail },
+		func() error { return nil },
+	}
+	expose := func(run func(Policy, func() error) error) (string, []string) {
+		reg := obs.NewRegistry()
+		p := Policy{MaxAttempts: 2, Registry: reg, Name: "replay", Sleep: func(time.Duration) {}}
+		var errs []string
+		for _, op := range ops {
+			errs = append(errs, fmt.Sprint(run(p, op)))
+		}
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String(), errs
+	}
+	var bound Bound
+	bindOnce := func(p Policy, op func() error) error {
+		if bound.attempts == nil {
+			bound = p.Bind()
+		}
+		return bound.Do(context.Background(), op)
+	}
+	perOp := func(p Policy, op func() error) error { return p.Do(context.Background(), op) }
+	gotMetrics, gotErrs := expose(bindOnce)
+	wantMetrics, wantErrs := expose(perOp)
+	if gotMetrics != wantMetrics {
+		t.Errorf("bound exposition:\n%s\nwant:\n%s", gotMetrics, wantMetrics)
+	}
+	if fmt.Sprint(gotErrs) != fmt.Sprint(wantErrs) {
+		t.Errorf("bound errors %q, want %q", gotErrs, wantErrs)
+	}
+
+	b := Policy{Registry: obs.NewRegistry(), Name: "replay"}.Bind()
+	ok := func() error { return nil }
+	if allocs := testing.AllocsPerRun(100, func() { _ = b.Do(context.Background(), ok) }); allocs != 0 {
+		t.Errorf("first-try bound Do allocates %v times, want 0", allocs)
+	}
+}
+
 // fakeClock is a manually advanced breaker clock.
 type fakeClock struct{ t time.Time }
 
