@@ -18,7 +18,7 @@ COVERAGE_FLOOR = 70
 STATICCHECK_VERSION = 2025.1.1
 GOVULNCHECK_VERSION = v1.1.4
 
-.PHONY: all check vet lint lint-tools flarelint flarelint-baseline fix build test race coverage results-check bench bench-stages profile-cpu fmt clean loadgen-smoke impact flaky-hunt
+.PHONY: all check vet lint lint-tools flarelint flarelint-baseline fix build test race coverage results-check bench bench-stages profile-cpu fmt clean loadgen-smoke impact flaky-hunt loc
 
 all: check
 
@@ -162,6 +162,14 @@ bench-stages:
 		| tee -a results/bench-stages.txt
 	$(GO) run ./cmd/flare-impact -bench-parse -in results/bench-stages.txt \
 		-out results/BENCH_stages.json
+
+# Non-test Go line delta of the working tree against a base ref: added,
+# removed and net lines over *.go, excluding *_test.go and testdata/.
+# Usage: make loc BASE=<ref> (default HEAD: the uncommitted change).
+BASE ?= HEAD
+loc:
+	@git diff --numstat $(BASE) -- '*.go' ':!*_test.go' ':!*testdata/*' | \
+	awk '{a += $$1; r += $$2} END {printf "loc: +%d -%d net %+d non-test Go lines vs %s\n", a, r, a - r, "$(BASE)"}'
 
 # Load-driven resilience proof: boot flare-server against a populated
 # store with faults armed, drive it with two identically-seeded

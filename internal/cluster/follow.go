@@ -254,14 +254,16 @@ func (f *Follower) importSnapshot(ctx context.Context, baseSeq uint64, files []s
 }
 
 // RunLoop keeps a follower connected until ctx ends: dial, run one
-// session, and on any failure back off and redial under policy. A
-// cleanly closed stream (leader shutdown) is also retried — shutting the
-// follower down is the caller's cancellation, not the leader's.
+// session, and on any failure back off and redial under policy, bound
+// once for the loop's lifetime. A cleanly closed stream (leader
+// shutdown) is also retried — shutting the follower down is the
+// caller's cancellation, not the leader's.
 func (f *Follower) RunLoop(ctx context.Context, dial func(context.Context) (io.ReadWriteCloser, error), policy retry.Policy) {
+	bound := policy.Bind()
 	for ctx.Err() == nil {
 		// Each Do is one bounded reconnect burst; the outer loop makes
 		// the burst sequence unbounded while ctx lives.
-		_ = policy.Do(ctx, func() error {
+		_ = bound.Do(ctx, func() error {
 			conn, err := dial(ctx)
 			if err != nil {
 				return err

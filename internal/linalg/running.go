@@ -59,9 +59,6 @@ func RunningCovFromMatrix(m *Matrix) *RunningCov {
 // N returns the number of observations currently folded in.
 func (rc *RunningCov) N() int { return rc.n }
 
-// Dim returns the observation dimension.
-func (rc *RunningCov) Dim() int { return rc.d }
-
 func (rc *RunningCov) checkDim(x []float64) {
 	if len(x) != rc.d {
 		panic(fmt.Sprintf("linalg: RunningCov observation has %d dims, want %d", len(x), rc.d))

@@ -8,7 +8,7 @@
 //     caller's deadline and cancellation;
 //
 //   - passing Background/TODO into a retry policy
-//     (flare/internal/retry.Policy.Do): retry loops are exactly where
+//     (flare/internal/retry.Bound.Do): retry loops are exactly where
 //     an RPC or store call must stay cancellable, or a dead follower
 //     keeps a reconnect loop spinning forever;
 //
@@ -165,7 +165,7 @@ func isFreshRoot(fn *types.Func) bool {
 	return fn.Pkg().Path() == "context" && (fn.Name() == "Background" || fn.Name() == "TODO")
 }
 
-// isRetryDo matches (flare/internal/retry.Policy).Do and any future
+// isRetryDo matches (*flare/internal/retry.Bound).Do and any future
 // sibling with the same shape.
 func isRetryDo(fn *types.Func) bool {
 	return fn.Pkg().Path() == "flare/internal/retry" && fn.Name() == "Do"

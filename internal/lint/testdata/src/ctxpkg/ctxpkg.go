@@ -22,7 +22,8 @@ func (r *rpc) freshRoot(ctx context.Context) {
 
 // retryBackground runs a retry loop nothing can cancel.
 func retryBackground(p retry.Policy) error {
-	return p.Do(context.Background(), func() error { return nil }) // want "retry path runs on a fresh context root"
+	b := p.Bind()
+	return b.Do(context.Background(), func() error { return nil }) // want "retry path runs on a fresh context root"
 }
 
 // sleepy cannot be interrupted by ctx cancellation.

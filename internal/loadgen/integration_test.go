@@ -121,8 +121,6 @@ func TestLoadgenAgainstServerWithOutage(t *testing.T) {
 			Now:       func() time.Time { return clock }, // frozen: stays open
 			Registry:  obs.NewRegistry(),
 		}),
-		Retry: retry.Policy{MaxAttempts: 2, Sleep: func(time.Duration) {},
-			Registry: obs.NewRegistry()},
 	})
 	h := s.Handler()
 	prime(t, h)
@@ -181,8 +179,6 @@ func TestLoadgenTimeoutsCrossCheck(t *testing.T) {
 		RequestTimeout:  15 * time.Millisecond,
 		EstimateRefresh: time.Nanosecond,
 		Injector:        in,
-		Retry: retry.Policy{MaxAttempts: 1, Sleep: func(time.Duration) {},
-			Registry: obs.NewRegistry()},
 	})
 
 	mix, err := ParseMix("estimate:3,batch:2")

@@ -56,9 +56,3 @@ func (c Config) VCPUs() int {
 func (c Config) FreqRatio() float64 {
 	return c.MaxFreqGHz / c.Shape.MaxFreqGHz
 }
-
-// LLCRatio returns the configured LLC capacity relative to the shape's
-// full capacity, in (0, 1].
-func (c Config) LLCRatio() float64 {
-	return c.LLCMB / c.Shape.TotalLLCMB()
-}

@@ -79,8 +79,9 @@ func TestBaselineConfig(t *testing.T) {
 	if cfg.VCPUs() != 48 {
 		t.Errorf("VCPUs = %d, want 48", cfg.VCPUs())
 	}
-	if cfg.LLCRatio() != 1 || cfg.FreqRatio() != 1 {
-		t.Errorf("baseline ratios = (%v, %v), want (1, 1)", cfg.LLCRatio(), cfg.FreqRatio())
+	if cfg.LLCMB != cfg.Shape.TotalLLCMB() || cfg.FreqRatio() != 1 {
+		t.Errorf("baseline LLC = %v MB of %v, freq ratio = %v; want the full LLC and 1",
+			cfg.LLCMB, cfg.Shape.TotalLLCMB(), cfg.FreqRatio())
 	}
 }
 

@@ -23,11 +23,6 @@ func Clamp01(x float64) float64 {
 	return Clamp(x, 0, 1)
 }
 
-// ApproxEqual reports whether a and b differ by at most tol.
-func ApproxEqual(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol
-}
-
 // RelativeError returns |got-want| / |want|, or |got-want| when want is
 // (near) zero, so callers can assert relative accuracy without dividing by
 // zero.

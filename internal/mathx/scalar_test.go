@@ -37,7 +37,7 @@ func TestClampInvertedBoundsPanics(t *testing.T) {
 }
 
 func TestRelativeError(t *testing.T) {
-	if got := RelativeError(110, 100); !ApproxEqual(got, 0.1, 1e-12) {
+	if got := RelativeError(110, 100); math.Abs(got-0.1) > 1e-12 {
 		t.Errorf("RelativeError(110,100) = %v, want 0.1", got)
 	}
 	// Near-zero want falls back to absolute difference.

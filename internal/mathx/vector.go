@@ -1,5 +1,5 @@
 // Package mathx provides small numeric helpers shared across the FLARE
-// codebase: dense float64 vectors, tolerant comparisons, and clamping.
+// codebase: dense float64 vectors, zero-safe ratios, and clamping.
 //
 // Everything here is allocation-conscious and deterministic; no package
 // state is mutated.
@@ -91,15 +91,6 @@ func (v Vector) Sub(w Vector) Vector {
 	return out
 }
 
-// Scale returns s*v as a new vector.
-func (v Vector) Scale(s float64) Vector {
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = s * v[i]
-	}
-	return out
-}
-
 // AccumulateInto adds v into dst element-wise. dst must have the same
 // length as v. This is the allocation-free counterpart of Add used in hot
 // loops (k-means centroid updates).
@@ -141,20 +132,6 @@ func (v Vector) Min() float64 {
 		}
 	}
 	return out
-}
-
-// ApproxEqual reports whether v and w have the same length and every
-// element pair differs by at most tol.
-func (v Vector) ApproxEqual(w Vector, tol float64) bool {
-	if len(v) != len(w) {
-		return false
-	}
-	for i := range v {
-		if math.Abs(v[i]-w[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // IsFinite reports whether every element of v is finite (neither NaN nor

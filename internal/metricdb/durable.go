@@ -85,9 +85,10 @@ type truncRecord struct {
 type journal struct {
 	st *store.Store
 
-	// retry is the append's retry policy: defaultJournalRetry, whose
-	// bounds suit the embedded engine's latencies.
-	retry retry.Policy
+	// retry is the append's retry policy, bound once in OpenDB:
+	// defaultJournalRetry, whose bounds suit the embedded engine's
+	// latencies. It is the only retry between a caller and the store.
+	retry retry.Bound
 
 	mu      sync.Mutex
 	nextSeq map[string]uint64
@@ -251,7 +252,7 @@ func OpenDB(st *store.Store) (*DB, error) {
 	}
 
 	// Now attach the journal, seeded past the recovered sequence numbers.
-	j := &journal{st: st, retry: defaultJournalRetry(st.Registry()), nextSeq: nextSeq}
+	j := &journal{st: st, retry: defaultJournalRetry(st.Registry()).Bind(), nextSeq: nextSeq}
 	db.journal = j
 	for _, t := range db.tables {
 		t.journal = j

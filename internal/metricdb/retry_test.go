@@ -7,15 +7,24 @@ import (
 
 	"flare/internal/fault"
 	"flare/internal/obs"
+	"flare/internal/retry"
 	"flare/internal/store"
 )
 
-// openFastDB opens st's database with the default journal retry policy
-// minus its real sleeps.
+// fastJournalRetry is the default journal retry policy minus its real
+// sleeps.
+func fastJournalRetry(st *store.Store) retry.Policy {
+	p := defaultJournalRetry(st.Registry())
+	p.Sleep = func(time.Duration) {}
+	return p
+}
+
+// openFastDB opens st's database and rebinds its journal to
+// fastJournalRetry.
 func openFastDB(t *testing.T, st *store.Store) *DB {
 	t.Helper()
 	db := openDB(t, st)
-	db.journal.retry.Sleep = func(time.Duration) {}
+	db.journal.retry = fastJournalRetry(st).Bind()
 	return db
 }
 
@@ -76,8 +85,8 @@ func TestJournalSurfacesPersistentOutage(t *testing.T) {
 	if err := tbl.Insert(Row{Int(2), String("IPC"), Float(2)}); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("Insert during outage = %v, want wrapped ErrInjected", err)
 	}
-	if attempts := db.journal.retry.MaxAttempts; in.Injected() < attempts {
-		t.Errorf("injected = %d, want >= %d (every attempt hit the fault)", in.Injected(), attempts)
+	if attempts := fastJournalRetry(st).MaxAttempts; in.Injected() != attempts {
+		t.Errorf("injected = %d, want %d (every attempt hit the fault)", in.Injected(), attempts)
 	}
 	if _, err := tbl.TruncateHead(0); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("TruncateHead during outage = %v, want wrapped ErrInjected", err)

@@ -16,7 +16,6 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -101,9 +100,8 @@ type LoggerOptions struct {
 	Hook func(Event)
 }
 
-// Logger is a leveled structured logger. Loggers derived via With share
-// the parent's writer, lock, and configuration. A nil *Logger is valid
-// and silently discards everything.
+// Logger is a leveled structured logger. A nil *Logger is valid and
+// silently discards everything.
 type Logger struct {
 	mu     *sync.Mutex
 	out    io.Writer
@@ -112,7 +110,6 @@ type Logger struct {
 	now    func() time.Time
 	hook   func(Event)
 	counts map[Level]*Counter
-	base   []Attr
 }
 
 // NewLogger builds a logger writing one event per line to w.
@@ -141,17 +138,6 @@ func (l *Logger) Enabled(lv Level) bool {
 	return l != nil && lv >= l.level
 }
 
-// With returns a logger that attaches attrs to every event it emits,
-// after the parent's bound attrs and before the per-call ones.
-func (l *Logger) With(attrs ...Attr) *Logger {
-	if l == nil || len(attrs) == 0 {
-		return l
-	}
-	child := *l
-	child.base = append(append([]Attr(nil), l.base...), attrs...)
-	return &child
-}
-
 // Debug emits a debug event.
 func (l *Logger) Debug(msg string, attrs ...Attr) { l.emit(LevelDebug, msg, attrs) }
 
@@ -169,10 +155,8 @@ func (l *Logger) emit(lv Level, msg string, attrs []Attr) {
 		return
 	}
 	ev := Event{Time: l.now(), Level: lv, Msg: msg}
-	if len(l.base) > 0 || len(attrs) > 0 {
-		ev.Attrs = make([]Attr, 0, len(l.base)+len(attrs))
-		ev.Attrs = append(ev.Attrs, l.base...)
-		ev.Attrs = append(ev.Attrs, attrs...)
+	if len(attrs) > 0 {
+		ev.Attrs = append([]Attr(nil), attrs...)
 	}
 	var buf []byte
 	if l.json {
@@ -273,19 +257,4 @@ func appendJSONValue(buf []byte, v interface{}) []byte {
 		b, _ = json.Marshal(fmt.Sprint(v))
 	}
 	return append(buf, b...)
-}
-
-type loggerKey struct{}
-
-// WithLogger returns a context carrying the logger, alongside whatever
-// tracer/span the context already holds.
-func WithLogger(ctx context.Context, l *Logger) context.Context {
-	return context.WithValue(ctx, loggerKey{}, l)
-}
-
-// LoggerFrom returns the context's logger, or nil (which is safe to
-// use) when none is attached.
-func LoggerFrom(ctx context.Context) *Logger {
-	l, _ := ctx.Value(loggerKey{}).(*Logger)
-	return l
 }

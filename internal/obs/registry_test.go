@@ -263,13 +263,13 @@ func TestNilRegistryRecordsNothing(t *testing.T) {
 	if TracerFrom(context.Background()).Registry() != nil {
 		t.Error("nil tracer's Registry() != nil")
 	}
-	tr := NewTracerCapacity(nil, 1)
+	tr := NewTracer(nil)
 	ctx := WithTracer(context.Background(), tr)
-	for i := 0; i < 3; i++ { // evictions count into a detached counter
+	for i := 0; i < DefaultTraceCapacity+2; i++ { // evictions count into a detached counter
 		_, span := StartSpan(ctx, "stage")
 		span.End()
 	}
-	if got := len(tr.Snapshot()); got != 1 {
-		t.Errorf("retained roots = %d, want 1", got)
+	if got := len(tr.Snapshot()); got != DefaultTraceCapacity {
+		t.Errorf("retained roots = %d, want %d", got, DefaultTraceCapacity)
 	}
 }

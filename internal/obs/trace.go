@@ -144,7 +144,7 @@ func (s *Span) snapshot() SpanSnapshot {
 	return out
 }
 
-// DefaultTraceCapacity is how many root spans NewTracer retains.
+// DefaultTraceCapacity is how many root spans a Tracer retains.
 const DefaultTraceCapacity = 32
 
 // Tracer collects completed root spans into a fixed-capacity ring.
@@ -167,16 +167,7 @@ type Tracer struct {
 // may be nil to record spans without histogram exposition). It retains
 // the DefaultTraceCapacity most recent root spans.
 func NewTracer(reg *Registry) *Tracer {
-	return NewTracerCapacity(reg, DefaultTraceCapacity)
-}
-
-// NewTracerCapacity is NewTracer with an explicit root-span retention;
-// capacity <= 0 falls back to DefaultTraceCapacity.
-func NewTracerCapacity(reg *Registry, capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	return &Tracer{reg: reg, ring: make([]*Span, capacity),
+	return &Tracer{reg: reg, ring: make([]*Span, DefaultTraceCapacity),
 		dropped: reg.Counter("flare_trace_dropped_total",
 			"completed root spans evicted from the tracer's bounded ring")}
 }
@@ -203,9 +194,6 @@ func (t *Tracer) stageHistogram(name string) *Histogram {
 	t.stages.Store(name, h)
 	return h
 }
-
-// Capacity returns the ring's fixed root-span retention.
-func (t *Tracer) Capacity() int { return len(t.ring) }
 
 func (t *Tracer) recordRoot(s *Span) {
 	t.mu.Lock()

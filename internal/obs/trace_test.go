@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -104,24 +105,21 @@ func TestTracerRetainsBoundedRoots(t *testing.T) {
 
 func TestTracerRingEvictsOldestAndCounts(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTracerCapacity(reg, 4)
-	if tr.Capacity() != 4 {
-		t.Fatalf("capacity = %d, want 4", tr.Capacity())
-	}
+	tr := NewTracer(reg)
 	ctx := WithTracer(context.Background(), tr)
-	names := []string{"a", "b", "c", "d", "e", "f"}
-	for _, n := range names {
-		_, s := StartSpan(ctx, n)
+	const roots = DefaultTraceCapacity + 2
+	for i := 0; i < roots; i++ {
+		_, s := StartSpan(ctx, fmt.Sprintf("r%d", i))
 		s.End()
 	}
 	snap := tr.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("retained = %d, want 4", len(snap))
+	if len(snap) != DefaultTraceCapacity {
+		t.Fatalf("retained = %d, want %d", len(snap), DefaultTraceCapacity)
 	}
-	// Oldest first: a and b were evicted.
-	for i, want := range []string{"c", "d", "e", "f"} {
-		if snap[i].Name != want {
-			t.Errorf("snapshot[%d] = %q, want %q", i, snap[i].Name, want)
+	// Oldest first: r0 and r1 were evicted.
+	for i, root := range snap {
+		if want := fmt.Sprintf("r%d", i+2); root.Name != want {
+			t.Errorf("snapshot[%d] = %q, want %q", i, root.Name, want)
 		}
 	}
 	dropped := reg.Counter("flare_trace_dropped_total", "").Value()
@@ -130,21 +128,12 @@ func TestTracerRingEvictsOldestAndCounts(t *testing.T) {
 	}
 }
 
-func TestTracerCapacityFallback(t *testing.T) {
-	if got := NewTracerCapacity(nil, 0).Capacity(); got != DefaultTraceCapacity {
-		t.Errorf("capacity(0) = %d, want %d", got, DefaultTraceCapacity)
-	}
-	if got := NewTracerCapacity(nil, -5).Capacity(); got != DefaultTraceCapacity {
-		t.Errorf("capacity(-5) = %d, want %d", got, DefaultTraceCapacity)
-	}
-}
-
 // TestConcurrentRootRecording wraps the ring with concurrent root spans
 // and snapshots; run with -race. Retention must never exceed capacity
 // and every completed root beyond it must be counted as dropped.
 func TestConcurrentRootRecording(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTracerCapacity(reg, 8)
+	tr := NewTracer(reg)
 	ctx := WithTracer(context.Background(), tr)
 	const workers, iters = 8, 100
 	var wg sync.WaitGroup
@@ -155,7 +144,7 @@ func TestConcurrentRootRecording(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				_, s := StartSpan(ctx, "root")
 				s.End()
-				if n := len(tr.Snapshot()); n > 8 {
+				if n := len(tr.Snapshot()); n > DefaultTraceCapacity {
 					t.Errorf("snapshot len %d exceeds capacity", n)
 					return
 				}
@@ -164,7 +153,7 @@ func TestConcurrentRootRecording(t *testing.T) {
 	}
 	wg.Wait()
 	dropped := reg.Counter("flare_trace_dropped_total", "").Value()
-	if want := uint64(workers*iters - 8); dropped != want {
+	if want := uint64(workers*iters - DefaultTraceCapacity); dropped != want {
 		t.Errorf("dropped = %d, want %d", dropped, want)
 	}
 }

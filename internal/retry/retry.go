@@ -1,9 +1,10 @@
 // Package retry gives FLARE's I/O edges a uniform resilience vocabulary:
 // context-aware retries with capped exponential backoff and deterministic
 // jitter, permanent-error classification, and a small circuit breaker.
-// The profiler's journal path (metricdb -> store) and the server's
-// estimate path retry transient failures through it; the server's
-// degraded mode is driven by the breaker.
+// Each retried edge has exactly one policy, bound once by its caller:
+// the metric journal (metricdb -> store), a follower's reconnect loop,
+// and an estimate's representative replays. The server's degraded mode
+// is driven by the breaker.
 //
 // Jitter is drawn from a rand.Rand seeded from Policy.Seed at a call's
 // first retry, so a retried operation backs off through the same delay
@@ -22,8 +23,8 @@ import (
 	"flare/internal/obs"
 )
 
-// Policy configures Do. The zero value is usable: unset fields assume the
-// defaults documented on each field.
+// Policy configures a Bound. The zero value is usable: unset fields
+// assume the defaults documented on each field.
 type Policy struct {
 	// MaxAttempts bounds total tries (first call included). Default 4.
 	MaxAttempts int
@@ -86,17 +87,10 @@ func Permanent(err error) error {
 	return &permanentError{err: err}
 }
 
-// IsPermanent reports whether err (or anything it wraps) was marked
-// Permanent.
-func IsPermanent(err error) bool {
-	var pe *permanentError
-	return errors.As(err, &pe)
-}
-
 // Bound is a Policy with its defaults filled in and its flare_retry_*
-// series resolved, for a caller that runs many operations under one
-// policy (an estimate's representative replays): its Do does no registry
-// lookups. A Bound is immutable and safe for concurrent use.
+// series resolved. Callers bind once and run every operation through the
+// bound Do, which does no registry lookups. A Bound is immutable and
+// safe for concurrent use.
 type Bound struct {
 	p                          Policy
 	attempts, retries, giveups *obs.Counter
@@ -114,12 +108,6 @@ func (p Policy) Bind() Bound {
 		giveups: p.Registry.Counter("flare_retry_giveups_total",
 			"operations that exhausted retries or hit a permanent error", "op", p.Name),
 	}
-}
-
-// Do is Bind followed by the bound Do: one operation under p.
-func (p Policy) Do(ctx context.Context, op func() error) error {
-	b := p.Bind()
-	return b.Do(ctx, op)
 }
 
 // Do runs op until it succeeds, returns a permanent error, exhausts

@@ -29,7 +29,8 @@ func testPolicy(delays *[]time.Duration) Policy {
 
 func TestDoSucceedsAfterRetries(t *testing.T) {
 	calls := 0
-	err := testPolicy(nil).Do(context.Background(), func() error {
+	b := testPolicy(nil).Bind()
+	err := b.Do(context.Background(), func() error {
 		calls++
 		if calls < 3 {
 			return errors.New("transient")
@@ -44,7 +45,8 @@ func TestDoSucceedsAfterRetries(t *testing.T) {
 func TestDoExhaustsAttempts(t *testing.T) {
 	calls := 0
 	boom := errors.New("boom")
-	err := testPolicy(nil).Do(context.Background(), func() error {
+	b := testPolicy(nil).Bind()
+	err := b.Do(context.Background(), func() error {
 		calls++
 		return boom
 	})
@@ -59,16 +61,17 @@ func TestDoExhaustsAttempts(t *testing.T) {
 func TestDoPermanentStopsImmediately(t *testing.T) {
 	calls := 0
 	boom := errors.New("bad request")
-	err := testPolicy(nil).Do(context.Background(), func() error {
+	b := testPolicy(nil).Bind()
+	err := b.Do(context.Background(), func() error {
 		calls++
 		return Permanent(boom)
 	})
 	if calls != 1 {
 		t.Errorf("calls = %d, want 1", calls)
 	}
-	if !errors.Is(err, boom) || IsPermanent(err) {
+	if err != boom {
 		// Do unwraps the permanent marker before returning.
-		t.Errorf("Do = %v (permanent=%v), want bare boom", err, IsPermanent(err))
+		t.Errorf("Do = %v, want bare boom", err)
 	}
 }
 
@@ -84,7 +87,8 @@ func TestDoRespectsContext(t *testing.T) {
 	p := testPolicy(nil)
 	p.Sleep = nil // use the real ctx-aware sleep
 	p.BaseDelay = time.Hour
-	err := p.Do(ctx, func() error {
+	b := p.Bind()
+	err := b.Do(ctx, func() error {
 		calls++
 		cancel() // cancel during the first backoff
 		return errors.New("transient")
@@ -99,7 +103,8 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 	p := testPolicy(&delays)
 	p.MaxAttempts = 5
 	p.JitterFrac = -1 // disable jitter: exact delays
-	_ = p.Do(context.Background(), func() error { return errors.New("x") })
+	b := p.Bind()
+	_ = b.Do(context.Background(), func() error { return errors.New("x") })
 	want := []time.Duration{10, 20, 40, 80} // ms; capped at MaxDelay
 	if len(delays) != len(want) {
 		t.Fatalf("delays = %v, want 4 entries", delays)
@@ -120,7 +125,8 @@ func TestJitterDeterministic(t *testing.T) {
 	p := testPolicy(&delays)
 	p.MaxAttempts = 6
 	p.Seed = 7
-	_ = p.Do(context.Background(), func() error { return errors.New("x") })
+	b := p.Bind()
+	_ = b.Do(context.Background(), func() error { return errors.New("x") })
 	want := []time.Duration{11675568, 17852057, 35862201, 93169989, 86343537}
 	if fmt.Sprint(delays) != fmt.Sprint(want) {
 		t.Errorf("jittered delays = %v, want %v", delays, want)
@@ -134,13 +140,14 @@ func TestJitterDeterministic(t *testing.T) {
 func TestFirstTrySuccessDoesNoJitterWork(t *testing.T) {
 	p := testPolicy(nil)
 	p.Seed = 7
+	b := p.Bind()
 	ctx := context.Background()
 	op := func() error { return nil }
 	const runs = 100
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(runs, func() {
-		if err := p.Do(ctx, op); err != nil {
+		if err := b.Do(ctx, op); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -156,7 +163,8 @@ func TestRetryMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := Policy{MaxAttempts: 3, Registry: reg, Name: "journal",
 		Sleep: func(time.Duration) {}}
-	_ = p.Do(context.Background(), func() error { return errors.New("x") })
+	bound := p.Bind()
+	_ = bound.Do(context.Background(), func() error { return errors.New("x") })
 	if got := reg.Counter("flare_retry_attempts_total", "", "op", "journal").Value(); got != 3 {
 		t.Errorf("attempts = %d, want 3", got)
 	}
@@ -168,7 +176,8 @@ func TestRetryMetrics(t *testing.T) {
 	// zero-valued retries and giveups appear on /metrics.
 	reg = obs.NewRegistry()
 	p.Registry = reg
-	_ = p.Do(context.Background(), func() error { return nil })
+	bound = p.Bind()
+	_ = bound.Do(context.Background(), func() error { return nil })
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -185,9 +194,9 @@ func TestRetryMetrics(t *testing.T) {
 }
 
 // TestBoundMatchesDo runs one operation mix through a Bound reused
-// across operations and through a fresh Policy.Do per operation: both
-// must return the same errors and expose byte-identical metrics, and the
-// bound form must do no registry lookup per operation.
+// across operations and through a fresh Bind per operation: both must
+// return the same errors and expose byte-identical metrics, and a reused
+// Bound must do no registry lookup per operation.
 func TestBoundMatchesDo(t *testing.T) {
 	fail := errors.New("x")
 	ops := []func() error{
@@ -216,7 +225,10 @@ func TestBoundMatchesDo(t *testing.T) {
 		}
 		return bound.Do(context.Background(), op)
 	}
-	perOp := func(p Policy, op func() error) error { return p.Do(context.Background(), op) }
+	perOp := func(p Policy, op func() error) error {
+		b := p.Bind()
+		return b.Do(context.Background(), op)
+	}
 	gotMetrics, gotErrs := expose(bindOnce)
 	wantMetrics, wantErrs := expose(perOp)
 	if gotMetrics != wantMetrics {

@@ -26,15 +26,18 @@ const (
 // DefaultExportRetain bounds each export table's row count.
 const DefaultExportRetain = 1024
 
+// exportQueueDepth is the export queue's capacity. It absorbs a burst of
+// requests while the single worker journals earlier records; the
+// middleware never waits on the queue, so past this depth records are
+// dropped (counted) rather than stalling responses.
+const exportQueueDepth = 256
+
 // ExportOptions tunes EnableTraceExport.
 type ExportOptions struct {
 	// Retain is the maximum rows kept per export table; older rows are
 	// truncated away (durably, when the DB is store-backed). <= 0 means
 	// DefaultExportRetain.
 	Retain int
-	// Buffer is the export queue depth; a full queue drops records.
-	// <= 0 means 256.
-	Buffer int
 }
 
 // exportRecord is one queued export: exactly one of trace/event is set,
@@ -106,14 +109,11 @@ func newTraceExporter(db *metricdb.DB, reg *obs.Registry, opts ExportOptions) (*
 	if opts.Retain <= 0 {
 		opts.Retain = DefaultExportRetain
 	}
-	if opts.Buffer <= 0 {
-		opts.Buffer = 256
-	}
 	e := &traceExporter{
 		traces: traces,
 		events: events,
 		retain: opts.Retain,
-		ch:     make(chan exportRecord, opts.Buffer),
+		ch:     make(chan exportRecord, exportQueueDepth),
 		done:   make(chan struct{}),
 		exportedTraces: reg.Counter("flare_trace_exported_total",
 			"request traces and events journaled to the export tables", "table", tracesTable),

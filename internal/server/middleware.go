@@ -92,9 +92,6 @@ func (s *Server) instrument(route string, next http.Handler) http.Handler {
 			ctx, span = obs.StartSpan(ctx, "http."+route)
 			span.SetAttr("request_id", reqID)
 			span.SetAttr("method", r.Method)
-			if l := s.logger; l != nil {
-				ctx = obs.WithLogger(ctx, l.With(obs.KV("request_id", reqID)))
-			}
 			sw.Header().Set("X-Request-Id", reqID)
 			req = r.WithContext(ctx)
 		}
@@ -106,7 +103,9 @@ func (s *Server) instrument(route string, next http.Handler) http.Handler {
 				span.SetAttr("status", sw.status)
 				span.End()
 			}
-			if traced {
+			// The wide event is built only for a set logger: its boxed
+			// attrs would cost allocations a nil logger then discards.
+			if traced && s.logger != nil {
 				s.logger.Info("request",
 					obs.KV("request_id", reqID),
 					obs.KV("method", r.Method),

@@ -10,7 +10,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -39,9 +38,6 @@ type Options struct {
 	// Breaker guards the estimate-journal path; nil gets a default
 	// breaker registered in the server's registry.
 	Breaker *retry.Breaker
-	// Retry is the journal-persist retry policy; the zero value uses
-	// retry defaults with the op name "server.persist".
-	Retry retry.Policy
 	// Injector optionally injects faults at the "server.estimate" site
 	// (evaluated once per estimate computation — latency faults there
 	// exercise RequestTimeout). Nil injects nothing.
@@ -62,12 +58,6 @@ func DefaultResilience() Options {
 func (s *Server) SetResilience(opts Options) {
 	if opts.Breaker == nil {
 		opts.Breaker = retry.NewBreaker("server.store", retry.BreakerOptions{Registry: s.reg})
-	}
-	if opts.Retry.Name == "" {
-		opts.Retry.Name = "server.persist"
-	}
-	if opts.Retry.Registry == nil {
-		opts.Retry.Registry = s.reg
 	}
 	s.opts = opts
 	if opts.MaxConcurrent > 0 {
@@ -105,7 +95,9 @@ func (s *Server) limit(route string, next http.Handler) http.Handler {
 // journaled into (durable when the attached DB is store-backed).
 const estimatesTable = "estimates"
 
-// persistEstimate journals one estimate through the retry policy. A nil
+// persistEstimate journals one estimate. The store-backed database
+// retries the append itself (metricdb's journal policy), so the error
+// that reaches the breaker is one the journal already gave up on. A nil
 // DB persists nothing and reports success — resilience machinery only
 // engages on servers with a durable database attached.
 func (s *Server) persistEstimate(resp estimateResponse) error {
@@ -123,18 +115,11 @@ func (s *Server) persistEstimate(resp estimateResponse) error {
 	if err != nil {
 		return fmt.Errorf("server: creating %s table: %w", estimatesTable, err)
 	}
-	// The estimate is computed once per key by a detached singleflight
-	// goroutine serving every waiter, and the journal entry is the audit
-	// record of what was served — it must complete (or exhaust retries)
-	// even when the requester that triggered the computation hangs up.
-	//lint:exempt ctxflow audit journaling is deliberately detached from request cancellation
-	return s.opts.Retry.Do(context.Background(), func() error {
-		return t.Insert(metricdb.Row{
-			metricdb.String(resp.Feature),
-			metricdb.String(resp.Job),
-			metricdb.Float(resp.ReductionPct),
-			metricdb.Int(int64(resp.ScenariosReplayed)),
-		})
+	return t.Insert(metricdb.Row{
+		metricdb.String(resp.Feature),
+		metricdb.String(resp.Job),
+		metricdb.Float(resp.ReductionPct),
+		metricdb.Int(int64(resp.ScenariosReplayed)),
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 )
 
 // resilientServer builds an isolated server over the shared pipeline
-// fixture, with a durable metric DB and fast-failing resilience knobs.
+// fixture, with a durable metric DB and the given resilience knobs.
 // The returned store is the injection point for simulated outages.
 func resilientServer(t *testing.T, opts Options) (*Server, *store.Store) {
 	t.Helper()
@@ -37,10 +38,6 @@ func resilientServer(t *testing.T, opts Options) (*Server, *store.Store) {
 		t.Fatal(err)
 	}
 	s.AttachDB(db)
-	if opts.Retry.MaxAttempts == 0 {
-		opts.Retry = retry.Policy{MaxAttempts: 2, Sleep: func(time.Duration) {},
-			Registry: obs.NewRegistry()}
-	}
 	s.SetResilience(opts)
 	return s, st
 }
@@ -127,6 +124,44 @@ func TestDegradedModeUnderStoreOutage(t *testing.T) {
 	}
 	if breaker.State() != retry.Closed {
 		t.Errorf("breaker state after heal = %v, want Closed", breaker.State())
+	}
+}
+
+// TestOneRetryLayerPerEstimateJournal pins how often a served estimate's
+// audit row is tried under a total store outage: the metric journal's
+// policy is the only retry between an estimate and the store, so one
+// recomputed estimate makes exactly that policy's 4 WAL-append attempts.
+// The estimate is then served last-known-good: the healthy body, flagged
+// degraded.
+func TestOneRetryLayerPerEstimateJournal(t *testing.T) {
+	s, st := resilientServer(t, Options{EstimateRefresh: time.Nanosecond})
+	h := s.Handler()
+	path := "/api/estimate?feature=" + machine.PaperFeatures()[0].Name
+	body := func() string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d, want 200 (body: %s)", path, rec.Code, rec.Body.String())
+		}
+		return rec.Body.String()
+	}
+	healthy := body()
+
+	in := outage(t, st)
+	degraded := body()
+	if want := strings.TrimSuffix(healthy, "}\n") + `,"degraded":true}` + "\n"; degraded != want {
+		t.Errorf("degraded body = %q, want %q", degraded, want)
+	}
+	appends := 0
+	for _, ev := range in.Schedule() {
+		if ev.Site == "store.wal.append" {
+			appends++
+		}
+	}
+	if appends != 4 {
+		t.Errorf("store.wal.append faults for one estimate = %d, want 4 (schedule %s)",
+			appends, in.ScheduleString())
 	}
 }
 

@@ -360,7 +360,7 @@ func TestSLOMetricsExposed(t *testing.T) {
 // requests concurrently; run with -race. The ring must stay bounded and
 // every request must answer 200.
 func TestTraceHammer(t *testing.T) {
-	s, st := exportServer(t, t.TempDir(), ExportOptions{Retain: 16, Buffer: 1024})
+	s, st := exportServer(t, t.TempDir(), ExportOptions{Retain: 16})
 	defer st.Close()
 	defer s.CloseTelemetry()
 	s.SetLogger(obs.NewLogger(&syncLogBuffer{}, obs.LoggerOptions{Hook: s.EventHook()}))
@@ -388,8 +388,8 @@ func TestTraceHammer(t *testing.T) {
 					t.Errorf("GET %s = %d", path, rec.Code)
 					return
 				}
-				if snap := s.Tracer().Snapshot(); len(snap) > s.Tracer().Capacity() {
-					t.Errorf("ring overflow: %d > %d", len(snap), s.Tracer().Capacity())
+				if snap := s.Tracer().Snapshot(); len(snap) > obs.DefaultTraceCapacity {
+					t.Errorf("ring overflow: %d > %d", len(snap), obs.DefaultTraceCapacity)
 					return
 				}
 			}
@@ -397,8 +397,8 @@ func TestTraceHammer(t *testing.T) {
 	}
 	wg.Wait()
 	s.FlushTelemetry()
-	if n := len(s.Tracer().Snapshot()); n > s.Tracer().Capacity() {
-		t.Fatalf("final ring size %d exceeds capacity %d", n, s.Tracer().Capacity())
+	if n := len(s.Tracer().Snapshot()); n > obs.DefaultTraceCapacity {
+		t.Fatalf("final ring size %d exceeds capacity %d", n, obs.DefaultTraceCapacity)
 	}
 }
 

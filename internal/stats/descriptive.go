@@ -126,11 +126,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Median returns the median of xs, or ErrEmpty.
-func Median(xs []float64) (float64, error) {
-	return Quantile(xs, 0.5)
-}
-
 // MinMax returns the minimum and maximum of xs, or ErrEmpty.
 func MinMax(xs []float64) (minVal, maxVal float64, err error) {
 	if len(xs) == 0 {

@@ -114,9 +114,9 @@ func TestQuantile(t *testing.T) {
 }
 
 func TestMedianSingleton(t *testing.T) {
-	got, err := Median([]float64{42})
+	got, err := Quantile([]float64{42}, 0.5)
 	if err != nil || got != 42 {
-		t.Errorf("Median([42]) = %v, %v", got, err)
+		t.Errorf("Quantile([42], 0.5) = %v, %v", got, err)
 	}
 }
 

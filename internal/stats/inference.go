@@ -53,11 +53,6 @@ func NormalQuantile(p float64) float64 {
 	}
 }
 
-// NormalCDF returns P(Z <= x) for a standard normal Z.
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
 // ConfidenceInterval is a symmetric two-sided interval around a point
 // estimate.
 type ConfidenceInterval struct {

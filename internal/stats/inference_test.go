@@ -49,7 +49,8 @@ func TestNormalCDFQuantileRoundTrip(t *testing.T) {
 			p = 0.998
 		}
 		x := NormalQuantile(p)
-		return math.Abs(NormalCDF(x)-p) < 1e-6
+		cdf := 0.5 * math.Erfc(-x/math.Sqrt2) // P(Z <= x)
+		return math.Abs(cdf-p) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -77,17 +77,6 @@ func (c *Catalog) HPJobs() []Profile {
 	return out
 }
 
-// LPJobs returns the Low Priority profiles in catalog order.
-func (c *Catalog) LPJobs() []Profile {
-	var out []Profile
-	for _, p := range c.profiles {
-		if p.Class == ClassLP {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Len returns the number of profiles.
 func (c *Catalog) Len() int { return len(c.profiles) }
 

@@ -14,9 +14,6 @@ func TestDefaultCatalogShape(t *testing.T) {
 	if got := len(c.HPJobs()); got != 8 {
 		t.Errorf("HP jobs = %d, want 8", got)
 	}
-	if got := len(c.LPJobs()); got != 6 {
-		t.Errorf("LP jobs = %d, want 6", got)
-	}
 }
 
 func TestDefaultCatalogAllValid(t *testing.T) {
