@@ -18,7 +18,7 @@ COVERAGE_FLOOR = 70
 STATICCHECK_VERSION = 2025.1.1
 GOVULNCHECK_VERSION = v1.1.4
 
-.PHONY: all check vet lint lint-tools flarelint flarelint-baseline fix build test race coverage results-check bench bench-stages profile-cpu fmt clean loadgen-smoke impact flaky-hunt loc
+.PHONY: all check vet lint lint-tools flarelint fix build test race coverage results-check bench bench-stages profile-cpu fmt clean loadgen-smoke impact flaky-hunt loc
 
 all: check
 
@@ -47,24 +47,13 @@ lint-tools:
 # FLARE's own invariant analyzers (internal/lint, stdlib-only):
 # metricname, spanend, and the summary-driven ctxflow. Builds from
 # tools/flarelint's module so the main module keeps an empty require
-# block. Findings are gated against the committed baseline: only NEW
-# violations fail, and new code must fix them or carry
-# `//lint:exempt <analyzer> <reason>` (see DESIGN.md "Static analysis &
-# enforced invariants"). Also writes the SARIF log CI uploads to code
-# scanning.
+# block. Every finding fails: there is no baseline and no suppression
+# directive (see DESIGN.md "Static analysis & enforced invariants").
+# Also writes the SARIF log CI uploads to code scanning.
 flarelint:
 	cd tools/flarelint && $(GO) build -o ../../bin/flarelint .
 	@mkdir -p results
-	./bin/flarelint -baseline results/lint-baseline.json \
-		-sarif results/flarelint.sarif ./...
-
-# Re-bless the current findings into the committed baseline. Use only
-# when deliberately accepting existing diagnostics (and say why in the
-# PR); the aspirational steady state is an empty baseline.
-flarelint-baseline:
-	cd tools/flarelint && $(GO) build -o ../../bin/flarelint .
-	@mkdir -p results
-	./bin/flarelint -baseline results/lint-baseline.json -write-baseline ./...
+	./bin/flarelint -sarif results/flarelint.sarif ./...
 
 # Mechanical cleanup pass: gofmt everything, then report remaining vet
 # and flarelint diagnostics (flarelint findings also land in
@@ -103,7 +92,7 @@ race:
 # Reproducibility gate: regenerate every paper table/figure into a
 # temp dir and require each file the generator writes to equal its
 # committed copy under results/. Files it does not write
-# (BENCH_stages.json, bench-stages*.txt, the lint/flaky baselines) are
+# (BENCH_stages.json, bench-stages*.txt, the flaky baseline) are
 # not compared. Regeneration is deterministic, so any difference means
 # results/ is stale: rerun flare-experiments into results/ and commit.
 results-check:

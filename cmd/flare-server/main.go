@@ -81,7 +81,6 @@ import (
 	"flare/internal/cluster"
 	"flare/internal/node"
 	"flare/internal/obs"
-	"flare/internal/profiler"
 	"flare/internal/server"
 )
 
@@ -236,8 +235,8 @@ func run() (err error) {
 		buildSpan.SetAttr("scenarios", b.Trace.Scenarios.Len())
 		// The dataset is recorded once: a restart against a populated
 		// -db-dir serves the journaled history instead of appending a
-		// duplicate run.
-		if profiler.Stored(n.DB) {
+		// duplicate run. n.Serve reports a partial recording.
+		if stored, _ := b.Pipeline.Dataset().Stored(n.DB); stored {
 			logger.Info("metric database already populated; serving recorded history")
 		}
 		return n.Serve(ctx, b)

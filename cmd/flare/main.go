@@ -45,7 +45,6 @@ import (
 	"flare/internal/node"
 	"flare/internal/obs"
 	"flare/internal/perfscore"
-	"flare/internal/profiler"
 	"flare/internal/replayer"
 	"flare/internal/scenario"
 	"flare/internal/workload"
@@ -161,8 +160,10 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			stored := profiler.Stored(n.DB)
-			if !stored {
+			stored, err := p.Dataset().Stored(n.DB)
+			if err != nil {
+				err = fmt.Errorf("metric database in %q: %w", *dbDir, err)
+			} else if !stored {
 				err = p.PersistDatasetContext(ctx, n.DB)
 			}
 			if err := errors.Join(err, n.Close()); err != nil {

@@ -161,6 +161,10 @@ func profileWindow(shape machine.Shape, seed int64) (*profiler.Dataset, error) {
 	}
 	opts := profiler.DefaultOptions()
 	opts.Seed = seed
-	return profiler.Collect(machine.BaselineConfig(shape), trace.Scenarios,
+	coll, err := profiler.NewCollector(machine.BaselineConfig(shape), trace.Scenarios,
 		workload.DefaultCatalog(), metrics.DefaultCatalog(), opts)
+	if err != nil {
+		return nil, err
+	}
+	return coll.Collect(context.Background())
 }

@@ -56,7 +56,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	ds, err := profiler.Collect(cfg, trace.Scenarios, jobs, cat, profiler.DefaultOptions())
+	coll, err := profiler.NewCollector(cfg, trace.Scenarios, jobs, cat, profiler.DefaultOptions())
+	if err != nil {
+		return err
+	}
+	ds, err := coll.Collect(context.Background())
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"flare/internal/hcluster"
@@ -54,9 +53,6 @@ func (m Method) String() string {
 
 // Options controls the analysis.
 type Options struct {
-	// CorrelationThreshold for metric refinement; <= 0 means
-	// refine.DefaultThreshold.
-	CorrelationThreshold float64
 	// VarianceTarget for PC selection; <= 0 means pca.DefaultVarianceTarget.
 	VarianceTarget float64
 	// Clusters fixes the cluster count; 0 selects it from a sweep knee.
@@ -69,9 +65,8 @@ type Options struct {
 	SkipWhiten bool
 	// SkipRefine disables correlation pruning (ablation; the paper prunes).
 	SkipRefine bool
-	// Restarts for k-means; <= 0 uses the kmeans default.
-	Restarts int
-	// Seed drives clustering randomness.
+	// Seed drives clustering randomness; every value, 0 included, is
+	// valid.
 	Seed int64
 	// Workers bounds the analysis fan-out (concurrent sweep ks, k-means
 	// restarts, covariance column blocks); <= 0 means GOMAXPROCS. The
@@ -92,12 +87,11 @@ type Options struct {
 // DefaultOptions returns the paper's settings.
 func DefaultOptions() Options {
 	return Options{
-		CorrelationThreshold: refine.DefaultThreshold,
-		VarianceTarget:       pca.DefaultVarianceTarget,
-		Clusters:             0, // sweep
-		SweepMin:             4,
-		SweepMax:             40,
-		Seed:                 1,
+		VarianceTarget: pca.DefaultVarianceTarget,
+		Clusters:       0, // sweep
+		SweepMin:       4,
+		SweepMax:       40,
+		Seed:           1,
 	}
 }
 
@@ -151,9 +145,6 @@ func AnalyzeContext(ctx context.Context, ds *profiler.Dataset, opts Options) (*A
 	if ds == nil || ds.Matrix == nil {
 		return nil, errors.New("analyzer: nil dataset")
 	}
-	if opts.CorrelationThreshold <= 0 {
-		opts.CorrelationThreshold = refine.DefaultThreshold
-	}
 	if opts.VarianceTarget <= 0 {
 		opts.VarianceTarget = pca.DefaultVarianceTarget
 	}
@@ -184,7 +175,7 @@ func AnalyzeContext(ctx context.Context, ds *profiler.Dataset, opts Options) (*A
 	} else {
 		_, rspan := obs.StartSpan(ctx, "analyze.refine")
 		rspan.SetAttr("raw_metrics", len(names))
-		ref, err := refine.Refine(matrix, names, opts.CorrelationThreshold)
+		ref, err := refine.Refine(matrix, names, refine.DefaultThreshold)
 		if err != nil {
 			rspan.End()
 			return nil, fmt.Errorf("analyzer: refinement: %w", err)
@@ -238,15 +229,8 @@ func AnalyzeContext(ctx context.Context, ds *profiler.Dataset, opts Options) (*A
 	jspan.End()
 
 	// Step 3: clustering. The kmeans options carry the base seed for the
-	// derived per-restart/per-k substreams; the Rand fallback keeps a
-	// Seed of 0 valid (one base-seed draw per kmeans call, in program
-	// order, so the result is still a pure function of opts.Seed).
-	kopts := kmeans.Options{
-		Seed:     opts.Seed,
-		Rand:     rand.New(rand.NewSource(opts.Seed)),
-		Restarts: opts.Restarts,
-		Workers:  workers,
-	}
+	// derived per-restart/per-k substreams.
+	kopts := kmeans.Options{Seed: opts.Seed, Workers: workers}
 	k := opts.Clusters
 	if k <= 0 {
 		_, sspan := obs.StartSpan(ctx, "analyze.sweep")

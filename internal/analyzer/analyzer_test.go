@@ -34,13 +34,18 @@ func testDataset(t *testing.T) *profiler.Dataset {
 			dsErr = err
 			return
 		}
-		dsVal, dsErr = profiler.Collect(
+		coll, err := profiler.NewCollector(
 			machine.BaselineConfig(machine.DefaultShape()),
 			trace.Scenarios,
 			workload.DefaultCatalog(),
 			metrics.DefaultCatalog(),
 			profiler.DefaultOptions(),
 		)
+		if err != nil {
+			dsErr = err
+			return
+		}
+		dsVal, dsErr = coll.Collect(context.Background())
 	})
 	if dsErr != nil {
 		t.Fatal(dsErr)

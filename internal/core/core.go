@@ -184,7 +184,7 @@ func (p *Pipeline) AnalyzeContext(ctx context.Context) error {
 // Tick is TickContext with a background context and no incoming
 // scenarios (scenarios the caller added to the profiled set are new).
 func (p *Pipeline) Tick(changed []int) error {
-	_, _, err := p.TickContext(context.Background(), nil, changed)
+	_, _, _, err := p.TickContext(context.Background(), nil, changed)
 	return err
 }
 
@@ -204,34 +204,35 @@ func (p *Pipeline) Tick(changed []int) error {
 // invariants break — the analysis falls back to a deterministic full
 // rebuild, byte-identical to Analyze on the same data. Ticks before
 // Analyze just extend the dataset; Profile must have been called. It
-// returns the snapshot it published and how many incoming scenarios were
-// new; a failed tick publishes nothing.
-func (p *Pipeline) TickContext(ctx context.Context, incoming []scenario.Scenario, changed []int) (*Snapshot, int, error) {
+// returns the snapshot it published, how many incoming scenarios were
+// new and how many distinct changed IDs were re-measured; a failed tick
+// publishes nothing.
+func (p *Pipeline) TickContext(ctx context.Context, incoming []scenario.Scenario, changed []int) (snap *Snapshot, added, remeasured int, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.collector == nil {
-		return nil, 0, errors.New("core: Tick called before Profile")
+		return nil, 0, 0, errors.New("core: Tick called before Profile")
 	}
 	ctx, span := obs.StartSpan(ctx, "pipeline.tick")
 	defer span.End()
-	span.SetAttr("changed", len(changed))
 
-	touched, added, err := p.collector.TickScenarios(ctx, incoming, changed)
+	touched, added, remeasured, err := p.collector.TickScenarios(ctx, incoming, changed)
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: tick profiling: %w", err)
+		return nil, 0, 0, fmt.Errorf("core: tick profiling: %w", err)
 	}
+	span.SetAttr("changed", remeasured)
 	span.SetAttr("touched", len(touched))
 	ds := p.collector.Dataset()
 	an := p.snap.Load().Analysis
 	if an != nil && len(touched) > 0 {
 		if p.inc == nil {
 			if p.inc, err = analyzer.NewIncremental(an, p.cfg.Analyze); err != nil {
-				return nil, 0, fmt.Errorf("core: tick analysis: %w", err)
+				return nil, 0, 0, fmt.Errorf("core: tick analysis: %w", err)
 			}
 		}
 		if p.det == nil {
 			if p.det, err = drift.NewDetector(an, drift.DefaultQuantile); err != nil {
-				return nil, 0, fmt.Errorf("core: tick drift detector: %w", err)
+				return nil, 0, 0, fmt.Errorf("core: tick drift detector: %w", err)
 			}
 		}
 
@@ -243,7 +244,7 @@ func (p *Pipeline) TickContext(ctx context.Context, incoming []scenario.Scenario
 		}
 		rep, err := p.det.Assess(delta)
 		if err != nil {
-			return nil, 0, fmt.Errorf("core: tick drift assessment: %w", err)
+			return nil, 0, 0, fmt.Errorf("core: tick drift assessment: %w", err)
 		}
 		span.SetAttr("drifted", rep.Drifted)
 
@@ -254,7 +255,7 @@ func (p *Pipeline) TickContext(ctx context.Context, incoming []scenario.Scenario
 			rebuilt, err = p.inc.TickContext(ctx, touched)
 		}
 		if err != nil {
-			return nil, 0, fmt.Errorf("core: tick: %w", err)
+			return nil, 0, 0, fmt.Errorf("core: tick: %w", err)
 		}
 		span.SetAttr("rebuilt", rebuilt)
 		if rebuilt {
@@ -269,9 +270,9 @@ func (p *Pipeline) TickContext(ctx context.Context, incoming []scenario.Scenario
 		next.Dataset = ds
 		an = &next
 	}
-	snap := p.publish(ds, an)
+	snap = p.publish(ds, an)
 	span.SetAttr("epoch", snap.Epoch)
-	return snap, added, nil
+	return snap, added, remeasured, nil
 }
 
 // EvaluateFeature runs FLARE step 4 for one feature: replay the

@@ -210,19 +210,20 @@ func TestTickPublishesSnapshots(t *testing.T) {
 		}
 		bad = append(bad, sc)
 	}
-	if _, _, err := p.TickContext(ctx, bad, nil); err == nil {
+	if _, _, _, err := p.TickContext(ctx, bad, nil); err == nil {
 		t.Fatal("tick with an unknown job succeeded")
 	}
 	if p.Snapshot() != before {
 		t.Fatal("failed tick published a snapshot")
 	}
 
-	snap, added, err := p.TickContext(ctx, all[len(all)-1:], []int{0})
+	snap, added, remeasured, err := p.TickContext(ctx, all[len(all)-1:], []int{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if added != 1 || snap.Epoch != 3 || p.Snapshot() != snap {
-		t.Errorf("tick: added %d, epoch %d (current %d), want 1 and 3", added, snap.Epoch, p.Snapshot().Epoch)
+	if added != 1 || remeasured != 1 || snap.Epoch != 3 || p.Snapshot() != snap {
+		t.Errorf("tick: added %d, remeasured %d, epoch %d (current %d), want 1, 1 and 3",
+			added, remeasured, snap.Epoch, p.Snapshot().Epoch)
 	}
 	if n := len(all); snap.Dataset.Scenarios.Len() != n || snap.Dataset.Matrix.Rows() != n ||
 		snap.Analysis.Dataset != snap.Dataset || snap.Analysis.Scores.Rows() != n {

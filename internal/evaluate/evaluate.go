@@ -52,9 +52,6 @@ func New(cfg machine.Config, cat *workload.Catalog, inh *perfscore.Inherent, set
 	}, nil
 }
 
-// Population returns the evaluator's scenario population size.
-func (e *Evaluator) Population() int { return e.set.Len() }
-
 // FullResult is the ground-truth evaluation of a feature: every scenario
 // in the population measured.
 type FullResult struct {

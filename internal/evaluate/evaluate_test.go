@@ -74,8 +74,8 @@ func TestFullDatacenter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", feat.Name, err)
 		}
-		if full.Cost != ev.Population() {
-			t.Errorf("%s: cost %d, want population %d", feat.Name, full.Cost, ev.Population())
+		if full.Cost != fix.set.Len() {
+			t.Errorf("%s: cost %d, want population %d", feat.Name, full.Cost, fix.set.Len())
 		}
 		if full.MeanReductionPct <= 0 {
 			t.Errorf("%s: mean reduction %v, want positive", feat.Name, full.MeanReductionPct)
@@ -83,8 +83,8 @@ func TestFullDatacenter(t *testing.T) {
 		if full.StdReductionPct <= 0 {
 			t.Errorf("%s: zero variance across scenarios is implausible", feat.Name)
 		}
-		if len(full.Impacts) != ev.Population() {
-			t.Errorf("%s: %d impacts, want %d", feat.Name, len(full.Impacts), ev.Population())
+		if len(full.Impacts) != fix.set.Len() {
+			t.Errorf("%s: %d impacts, want %d", feat.Name, len(full.Impacts), fix.set.Len())
 		}
 	}
 }
@@ -145,7 +145,7 @@ func TestSampleValidation(t *testing.T) {
 	if _, err := ev.Sample(feat, 0, 10, 1); err == nil {
 		t.Error("n=0 did not error")
 	}
-	if _, err := ev.Sample(feat, ev.Population()+1, 10, 1); err == nil {
+	if _, err := ev.Sample(feat, fix.set.Len()+1, 10, 1); err == nil {
 		t.Error("n > population did not error")
 	}
 	if _, err := ev.Sample(feat, 5, 0, 1); err == nil {
@@ -230,7 +230,7 @@ func TestSamplingErrorCurveMonotone(t *testing.T) {
 		}
 	}
 	// Full population: zero error.
-	fullCurve, err := ev.SamplingErrorCurve(feat, []int{ev.Population()}, 0.95)
+	fullCurve, err := ev.SamplingErrorCurve(feat, []int{fix.set.Len()}, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"flare/internal/dcsim"
@@ -31,8 +32,12 @@ func ExtensionDriftDetection(env *Env) (*report.Table, error) {
 		}
 		opts := profiler.DefaultOptions()
 		opts.Seed = seed
-		return profiler.Collect(machine.BaselineConfig(shape), trace.Scenarios,
+		coll, err := profiler.NewCollector(machine.BaselineConfig(shape), trace.Scenarios,
 			env.Jobs, env.Metrics, opts)
+		if err != nil {
+			return nil, err
+		}
+		return coll.Collect(context.TODO())
 	}
 
 	calDS, err := collect(env.Opts.Shape, env.Opts.Seed+50)

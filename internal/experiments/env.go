@@ -90,7 +90,10 @@ func NewEnv(opts EnvOptions) (*Env, error) {
 
 	profOpts := profiler.DefaultOptions()
 	profOpts.Seed = opts.Seed
-	env.Dataset, err = profiler.Collect(env.Machine, trace.Scenarios, env.Jobs, env.Metrics, profOpts)
+	coll, err := profiler.NewCollector(env.Machine, trace.Scenarios, env.Jobs, env.Metrics, profOpts)
+	if err == nil {
+		env.Dataset, err = coll.Collect(context.TODO())
+	}
 	if err != nil {
 		return nil, fmt.Errorf("experiments: profiling: %w", err)
 	}

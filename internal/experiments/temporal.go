@@ -24,7 +24,11 @@ func ExtensionTemporalMetrics(env *Env) (*report.Table, error) {
 	profOpts.Seed = env.Opts.Seed
 	profOpts.SamplesPerScenario = 12 // enough windows to estimate a stddev
 	profOpts.PhaseStd = 0.4
-	ds, err := profiler.Collect(env.Machine, env.Scenarios(), env.Jobs, cat, profOpts)
+	coll, err := profiler.NewCollector(env.Machine, env.Scenarios(), env.Jobs, cat, profOpts)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := coll.Collect(context.TODO())
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,7 @@ func BenchmarkClusterPaperScale(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Cluster(m, 18, Options{Rand: rand.New(rand.NewSource(int64(i)))}); err != nil {
+		if _, err := Cluster(m, 18, Options{Seed: rand.New(rand.NewSource(int64(i))).Int63()}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -33,7 +33,7 @@ func BenchmarkClusterPaperScale(b *testing.B) {
 
 func BenchmarkSilhouettePaperScale(b *testing.B) {
 	m := benchMatrix(895, 18)
-	res, err := Cluster(m, 18, Options{Rand: rand.New(rand.NewSource(1))})
+	res, err := Cluster(m, 18, Options{Seed: rand.New(rand.NewSource(1)).Int63()})
 	if err != nil {
 		b.Fatal(err)
 	}

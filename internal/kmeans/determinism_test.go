@@ -153,30 +153,3 @@ func TestSilhouetteCacheMatchesDirect(t *testing.T) {
 		}
 	}
 }
-
-func TestOptionsRequireSeedOrRand(t *testing.T) {
-	m := benchMatrix(10, 2)
-	if _, err := Cluster(m, 2, Options{}); err == nil {
-		t.Error("Cluster without Seed or Rand did not error")
-	}
-	if _, err := Sweep(m, 2, 4, Options{}); err == nil {
-		t.Error("Sweep without Seed or Rand did not error")
-	}
-}
-
-func TestSweepLegacyRandReproducible(t *testing.T) {
-	// The legacy Rand field must still give a reproducible sweep: the
-	// base seed is one Int63 draw, so equal-seeded Rands agree.
-	m := benchMatrix(60, 3)
-	a, err := Sweep(m, 2, 6, Options{Rand: rand.New(rand.NewSource(21))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Sweep(m, 2, 6, Options{Rand: rand.New(rand.NewSource(21))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("legacy Rand sweep not reproducible")
-	}
-}

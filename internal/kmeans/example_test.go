@@ -3,7 +3,6 @@ package kmeans_test
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"flare/internal/kmeans"
 	"flare/internal/linalg"
@@ -17,7 +16,7 @@ func Example() {
 		m.Set(i, 0, centre+float64(i))
 		m.Set(i, 1, centre-float64(i))
 	}
-	res, err := kmeans.Cluster(m, 3, kmeans.Options{Rand: rand.New(rand.NewSource(1))})
+	res, err := kmeans.Cluster(m, 3, kmeans.Options{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +39,7 @@ func ExampleSweep() {
 		m.Set(i, 0, float64((i%4)*50)+float64(i)/10)
 		m.Set(i, 1, float64((i%4)*50)-float64(i)/10)
 	}
-	sweep, err := kmeans.Sweep(m, 2, 6, kmeans.Options{Rand: rand.New(rand.NewSource(1))})
+	sweep, err := kmeans.Sweep(m, 2, 6, kmeans.Options{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,35 +29,21 @@ const (
 	sweepPrime   = 104729
 )
 
+// maxIters bounds Lloyd iterations per restart.
+const maxIters = 100
+
 // Options controls a clustering run.
 type Options struct {
-	// MaxIters bounds Lloyd iterations per restart; <= 0 means 100.
-	MaxIters int
 	// Restarts runs the whole algorithm this many times with different
 	// seedings and keeps the lowest-SSE result (ties broken by the lower
 	// restart index); <= 0 means 8.
 	Restarts int
-	// Seed, when non-zero, is the base of the per-restart (and per-k, in
-	// Sweep) RNG substreams. Zero defers to Rand.
+	// Seed is the base of the per-restart (and per-k, in Sweep) RNG
+	// substreams. Every value, 0 included, is a valid seed.
 	Seed int64
-	// Rand supplies the base seed when Seed is zero: one Int63 is drawn
-	// per Cluster/Sweep call. Either Seed or Rand is required.
-	Rand *rand.Rand
 	// Workers bounds the concurrent restarts (Cluster) or concurrent ks
 	// (Sweep); <= 0 means GOMAXPROCS. The result does not depend on it.
 	Workers int
-}
-
-// baseSeed resolves the substream base from Seed or, failing that, a
-// single draw from Rand.
-func (o Options) baseSeed() (int64, error) {
-	if o.Seed != 0 {
-		return o.Seed, nil
-	}
-	if o.Rand != nil {
-		return o.Rand.Int63(), nil
-	}
-	return 0, errors.New("kmeans: Options.Seed or Options.Rand is required")
 }
 
 // Result is a converged clustering.
@@ -75,14 +61,10 @@ func Cluster(m *linalg.Matrix, k int, opts Options) (*Result, error) {
 	if m == nil {
 		return nil, errors.New("kmeans: nil matrix")
 	}
-	seed, err := opts.baseSeed()
-	if err != nil {
-		return nil, err
-	}
 	if err := validateK(k, m.Rows()); err != nil {
 		return nil, err
 	}
-	return clusterSeeded(rowViews(m), k, opts.maxIters(), opts.restarts(), seed,
+	return clusterSeeded(rowViews(m), k, opts.restarts(), opts.Seed,
 		parallel.Workers(opts.Workers)), nil
 }
 
@@ -94,13 +76,6 @@ func validateK(k, n int) error {
 		return fmt.Errorf("kmeans: k = %d exceeds %d observations", k, n)
 	}
 	return nil
-}
-
-func (o Options) maxIters() int {
-	if o.MaxIters <= 0 {
-		return 100
-	}
-	return o.MaxIters
 }
 
 func (o Options) restarts() int {
@@ -125,11 +100,11 @@ func rowViews(m *linalg.Matrix) []mathx.Vector {
 // own derived RNG substream, and keeps the lowest-SSE result. The winner
 // scan runs in restart order with a strict < comparison, so an SSE tie
 // deterministically keeps the earlier restart whatever the interleaving.
-func clusterSeeded(points []mathx.Vector, k, maxIters, restarts int, seed int64, workers int) *Result {
+func clusterSeeded(points []mathx.Vector, k, restarts int, seed int64, workers int) *Result {
 	results := make([]*Result, restarts)
 	parallel.For(workers, restarts, func(r int) {
 		rng := rand.New(rand.NewSource(seed + int64(r)*restartPrime))
-		results[r] = lloyd(points, k, maxIters, rng)
+		results[r] = lloyd(points, k, rng)
 	})
 	best := results[0]
 	for _, res := range results[1:] {
@@ -143,7 +118,7 @@ func clusterSeeded(points []mathx.Vector, k, maxIters, restarts int, seed int64,
 // lloyd runs one k-means++ seeded Lloyd iteration to convergence. All
 // per-iteration state (centroid sums, counts) is allocated once up front
 // and reused, keeping the inner loop allocation-free.
-func lloyd(points []mathx.Vector, k, maxIters int, rng *rand.Rand) *Result {
+func lloyd(points []mathx.Vector, k int, rng *rand.Rand) *Result {
 	dim := len(points[0])
 	centroids := seedPlusPlus(points, k, rng)
 	labels := make([]int, len(points))

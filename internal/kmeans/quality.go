@@ -160,10 +160,6 @@ func Sweep(m *linalg.Matrix, kMin, kMax int, opts Options) ([]SweepPoint, error)
 	if m == nil {
 		return nil, errors.New("kmeans: nil matrix")
 	}
-	seed, err := opts.baseSeed()
-	if err != nil {
-		return nil, err
-	}
 	workers := parallel.Workers(opts.Workers)
 	points := rowViews(m)
 
@@ -174,7 +170,7 @@ func Sweep(m *linalg.Matrix, kMin, kMax int, opts Options) ([]SweepPoint, error)
 
 	out := make([]SweepPoint, kMax-kMin+1)
 	errs := make([]error, len(out))
-	maxIters, restarts := opts.maxIters(), opts.restarts()
+	restarts := opts.restarts()
 	parallel.For(workers, len(out), func(i int) {
 		k := kMin + i
 		if err := validateK(k, len(points)); err != nil {
@@ -183,7 +179,7 @@ func Sweep(m *linalg.Matrix, kMin, kMax int, opts Options) ([]SweepPoint, error)
 		}
 		// Restarts run sequentially inside each k: the sweep already
 		// saturates the pool across ks.
-		res := clusterSeeded(points, k, maxIters, restarts, seed+int64(k)*sweepPrime, 1)
+		res := clusterSeeded(points, k, restarts, opts.Seed+int64(k)*sweepPrime, 1)
 		sizes, err := clusterSizes(res.Labels, k)
 		if err != nil {
 			errs[i] = err

@@ -84,15 +84,12 @@ func (p *Pass) ReportRangef(n ast.Node, format string, args ...interface{}) {
 		Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
 }
 
-// ExemptDirective is the generic suppression directive name: a line
-// (or the line above it) carrying
+// ExemptDirective names the retired suppression directive
 //
 //	//lint:exempt <analyzer> <reason>
 //
-// silences that analyzer's findings on the annotated line. Both fields
-// are mandatory: the analyzer name scopes the suppression so one
-// directive cannot blanket-silence unrelated checks, and the reason is
-// the audit trail that keeps drive-by suppressions out of review.
+// No analyzer in lint.Suite consults it: flarelint gates on every
+// finding.
 const ExemptDirective = "exempt"
 
 // Exempted reports whether the line containing pos — or the line

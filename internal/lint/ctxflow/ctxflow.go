@@ -19,8 +19,9 @@
 // then blocking (per the summary engine). That signature is a promise
 // of cancellability the body does not keep.
 //
-// Legitimate roots — detached background maintenance whose lifetime is
-// really the process — carry `//lint:exempt ctxflow <reason>`.
+// Every finding gates: there is no suppression directive. A detached
+// root whose lifetime really is the process belongs in a function that
+// takes no ctx.
 package ctxflow
 
 import (
@@ -81,20 +82,20 @@ func checkFunc(pass *analysis.Pass, set *summary.Set, decl *ast.FuncDecl) {
 		}
 		switch {
 		case isFreshRoot(fn):
-			if ctxParam != nil && !pass.Exempted(call.Pos()) {
+			if ctxParam != nil {
 				fired = true
 				pass.ReportRangef(call, "context.%s() inside a function that already receives ctx: "+
 					"the fresh root escapes the caller's deadline and cancellation — pass ctx through",
 					fn.Name())
 			}
 		case isRetryDo(fn):
-			if root := freshRootArg(pass, call); root != nil && !pass.Exempted(call.Pos()) {
+			if root := freshRootArg(pass, call); root != nil {
 				fired = true
 				pass.ReportRangef(root, "retry path runs on a fresh context root: a cancelled caller "+
 					"cannot stop the retries — thread the surrounding ctx into %s.Do", recvName(fn))
 			}
 		case fn.Pkg().Path() == "time" && fn.Name() == "Sleep":
-			if ctxParam != nil && !pass.Exempted(call.Pos()) {
+			if ctxParam != nil {
 				fired = true
 				pass.ReportRangef(call, "time.Sleep ignores ctx cancellation: "+
 					"select on a timer and ctx.Done() instead")
@@ -109,22 +110,20 @@ func checkFunc(pass *analysis.Pass, set *summary.Set, decl *ast.FuncDecl) {
 	// signature is honest about ignoring it.)
 	if ctxParam != nil && !ctxUsed && !fired && ctxParam.Name() != "_" {
 		if s := set.Of(funcOf(pass, decl)); s != nil && len(s.Blocks) > 0 {
-			if !pass.Exempted(ctxParam.Pos()) && !pass.Exempted(decl.Pos()) {
-				b := s.Blocks[0]
-				what := b.What
-				if b.Via != nil {
-					what += " via " + b.Via.Name()
-				}
-				pass.Report(analysis.Diagnostic{
-					Pos: ctxParam.Pos(), End: ctxParam.Pos() + token.Pos(len(ctxParam.Name())),
-					Analyzer: pass.Analyzer.Name,
-					Message: "ctx accepted but never consulted while the function blocks (" + what +
-						"): honour cancellation or drop the parameter",
-					Related: []analysis.RelatedInformation{
-						{Pos: b.Pos, End: b.End, Message: "blocks here"},
-					},
-				})
+			b := s.Blocks[0]
+			what := b.What
+			if b.Via != nil {
+				what += " via " + b.Via.Name()
 			}
+			pass.Report(analysis.Diagnostic{
+				Pos: ctxParam.Pos(), End: ctxParam.Pos() + token.Pos(len(ctxParam.Name())),
+				Analyzer: pass.Analyzer.Name,
+				Message: "ctx accepted but never consulted while the function blocks (" + what +
+					"): honour cancellation or drop the parameter",
+				Related: []analysis.RelatedInformation{
+					{Pos: b.Pos, End: b.End, Message: "blocks here"},
+				},
+			})
 		}
 	}
 }

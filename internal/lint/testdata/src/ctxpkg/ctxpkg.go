@@ -62,22 +62,14 @@ func nonBlocking(ctx context.Context) int {
 	return 42
 }
 
-// exempted documents why a detached root is correct here: best-effort
-// under the caller's ctx, then a bounded detached flush.
+// exempted carries the retired suppression directive: a comment
+// silences nothing, every finding gates.
 func (r *rpc) exempted(ctx context.Context) {
 	if ctx.Err() != nil {
 		return
 	}
 	//lint:exempt ctxflow flush must complete even when the caller gives up
-	c, cancel := context.WithTimeout(context.Background(), time.Second)
+	c, cancel := context.WithTimeout(context.Background(), time.Second) // want `context.Background\(\) inside a function that already receives ctx`
 	defer cancel()
 	r.call(c)
-}
-
-// reasonless names the analyzer but gives no reason, so the directive
-// suppresses nothing: the reason is the audit trail.
-func (r *rpc) reasonless(ctx context.Context) {
-	//lint:exempt ctxflow
-	time.Sleep(time.Millisecond) // want "time.Sleep ignores ctx cancellation"
-	r.call(ctx)
 }

@@ -112,18 +112,15 @@ type Options struct {
 	QPS float64
 	// Timeout is the client-side per-request bound; 0 means none.
 	Timeout time.Duration
-	// Buckets are the latency histogram bounds in seconds; nil uses
-	// DefaultBuckets.
-	Buckets []float64
 	// VerifyMetrics scrapes Base+/metrics before and after the run and
 	// cross-checks client accounting against the server's counter deltas.
 	// Requires the generator to be the target's only client.
 	VerifyMetrics bool
 }
 
-// DefaultBuckets is the latency grid reports quote quantiles from:
+// latencyBuckets is the latency grid reports quote quantiles from:
 // 50µs to 60s, dense under a second where SLOs live.
-func DefaultBuckets() []float64 {
+func latencyBuckets() []float64 {
 	return []float64{5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 0.01,
 		0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
 }
@@ -168,7 +165,8 @@ type workerState struct {
 	maxS  float64
 }
 
-func newWorkerState(buckets []float64) *workerState {
+func newWorkerState() *workerState {
+	buckets := latencyBuckets()
 	w := &workerState{
 		perOp: map[Op]*OpStats{},
 		hist:  map[Op]*obs.Histogram{},
@@ -206,10 +204,6 @@ func Run(ctx context.Context, target Target, sched *Schedule, opts Options) (*Re
 	if workers <= 0 {
 		workers = 1
 	}
-	buckets := opts.Buckets
-	if buckets == nil {
-		buckets = DefaultBuckets()
-	}
 
 	var pre obs.MetricSet
 	if opts.VerifyMetrics {
@@ -223,7 +217,7 @@ func Run(ctx context.Context, target Target, sched *Schedule, opts Options) (*Re
 	res := &Result{Schedule: sched, Options: opts, Started: time.Now()}
 	states := make([]*workerState, workers)
 	for i := range states {
-		states[i] = newWorkerState(buckets)
+		states[i] = newWorkerState()
 	}
 
 	start := time.Now()

@@ -229,27 +229,6 @@ func (t *Table) Select(where func(Row) bool) []Row {
 	return out
 }
 
-// Floats projects the named float column from rows matching the
-// predicate.
-func (t *Table) Floats(column string, where func(Row) bool) ([]float64, error) {
-	i, err := t.ColumnIndex(column)
-	if err != nil {
-		return nil, err
-	}
-	if t.columns[i].Type != TypeFloat {
-		return nil, fmt.Errorf("metricdb: column %s.%s is %s, not float", t.name, column, t.columns[i].Type)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []float64
-	for k := range t.len() {
-		if r := t.row(k); where == nil || where(r) {
-			out = append(out, r[i].F)
-		}
-	}
-	return out, nil
-}
-
 // DB is a named collection of tables, optionally journaling every
 // mutation into a durable store (see OpenDB).
 type DB struct {

@@ -86,27 +86,6 @@ func TestSelectReturnsCopies(t *testing.T) {
 	}
 }
 
-func TestFloats(t *testing.T) {
-	tbl, _ := NewTable("samples", sampleSchema())
-	_ = tbl.Insert(Row{Int(1), String("MIPS"), Float(10)})
-	_ = tbl.Insert(Row{Int(2), String("MIPS"), Float(20)})
-
-	vals, err := tbl.Floats("value", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 2 || vals[0] != 10 || vals[1] != 20 {
-		t.Errorf("Floats = %v, want [10 20]", vals)
-	}
-
-	if _, err := tbl.Floats("metric", nil); err == nil {
-		t.Error("Floats on string column did not error")
-	}
-	if _, err := tbl.Floats("nosuch", nil); err == nil {
-		t.Error("Floats on missing column did not error")
-	}
-}
-
 func TestDBCreateAndLookup(t *testing.T) {
 	db := NewDB()
 	if _, err := db.CreateTable("a", sampleSchema()); err != nil {
@@ -242,18 +221,13 @@ func TestMetricDBFlatRows(t *testing.T) {
 			t.Fatalf("%s: Select(nil) = %v, want %v", step, all, ref)
 		}
 		var wantM1 []Row
-		var wantF []float64
 		for _, r := range ref {
 			if m1(r) {
 				wantM1 = append(wantM1, r)
-				wantF = append(wantF, r[2].F)
 			}
 		}
 		if got := tbl.Select(m1); !reflect.DeepEqual(got, wantM1) {
 			t.Fatalf("%s: Select(m1) = %v, want %v", step, got, wantM1)
-		}
-		if got, err := tbl.Floats("value", m1); err != nil || !reflect.DeepEqual(got, wantF) {
-			t.Fatalf("%s: Floats = %v, %v, want %v", step, got, err, wantF)
 		}
 		if len(all) > 0 {
 			all[0][0] = Int(-7)

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -15,8 +16,11 @@ import (
 	"flare/internal/dcsim"
 	"flare/internal/loadgen"
 	"flare/internal/machine"
+	"flare/internal/metricdb"
 	"flare/internal/obs"
+	"flare/internal/scenario"
 	"flare/internal/server"
+	"flare/internal/store"
 )
 
 // These tests pin three behaviours every launcher's nodes share because
@@ -179,5 +183,65 @@ func TestLauncherClusterNodesServeDataset(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLauncherRestartChecksRecordedDataset: a restart on the same build
+// serves the recorded history without recording it again, and a
+// directory holding half the dataset (a persist killed midway) fails
+// Serve with an error naming the directory.
+func TestLauncherRestartChecksRecordedDataset(t *testing.T) {
+	b, err := NewBuild(context.Background(), testDays, testClusters, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := b.Pipeline.Dataset()
+	wantRows := ds.Scenarios.Len() * ds.Catalog.Len()
+
+	full := filepath.Join(t.TempDir(), "full")
+	first, err := Open(Config{Registry: obs.NewRegistry(), Dir: full})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(first.Serve(context.Background(), b), first.Close()); err != nil {
+		t.Fatal(err)
+	}
+	n := serve(t, b, Config{Registry: obs.NewRegistry(), Dir: full})
+	samples, err := n.DB.Table("samples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if samples.Len() != wantRows {
+		t.Errorf("restart holds %d samples rows, want %d", samples.Len(), wantRows)
+	}
+
+	half := *ds
+	half.Scenarios = scenario.NewSet()
+	for id := 0; id < ds.Scenarios.Len()/2; id++ {
+		sc, err := ds.Scenarios.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		half.Scenarios.Add(sc)
+	}
+	partial := filepath.Join(t.TempDir(), "partial")
+	st, err := store.Open(partial, store.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := metricdb.OpenDB(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(half.Store(context.Background(), db), st.Close()); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(Config{Registry: obs.NewRegistry(), Dir: partial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.Serve(context.Background(), b); err == nil || !strings.Contains(err.Error(), partial) {
+		t.Fatalf("Serve over a partial dataset = %v, want an error naming %s", err, partial)
 	}
 }

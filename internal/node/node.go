@@ -8,6 +8,7 @@ package node
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"time"
@@ -19,7 +20,6 @@ import (
 	"flare/internal/machine"
 	"flare/internal/metricdb"
 	"flare/internal/obs"
-	"flare/internal/profiler"
 	"flare/internal/retry"
 	"flare/internal/server"
 	"flare/internal/store"
@@ -202,7 +202,11 @@ func (n *Node) Serve(ctx context.Context, b *Build) error {
 	cfg, reg := n.cfg, n.cfg.Registry
 	// NewBuild simulates under dcsim's default placement policy.
 	b.Trace.Stats.Record(reg, dcsim.PolicyLeastUtilised, b.Trace.Scenarios.Len())
-	if !profiler.Stored(n.DB) {
+	stored, err := b.Pipeline.Dataset().Stored(n.DB)
+	if err != nil {
+		return fmt.Errorf("node: metric database in %q: %w", cfg.Dir, err)
+	}
+	if !stored {
 		if err := b.Pipeline.PersistDatasetContext(ctx, n.DB); err != nil {
 			return err
 		}

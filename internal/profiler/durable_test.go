@@ -31,13 +31,21 @@ func TestStoreDurableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Stored(db) {
+	stored := func(db *metricdb.DB) bool {
+		t.Helper()
+		ok, err := ds.Stored(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	if stored(db) {
 		t.Fatal("fresh database reports Stored")
 	}
 	if err := ds.Store(context.Background(), db); err != nil {
 		t.Fatal(err)
 	}
-	if !Stored(db) {
+	if !stored(db) {
 		t.Error("populated database does not report Stored")
 	}
 	if err := st.Close(); err != nil {
@@ -54,7 +62,7 @@ func TestStoreDurableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Stored(db2) {
+	if !stored(db2) {
 		t.Fatal("reopened database does not report Stored")
 	}
 
@@ -78,6 +86,63 @@ func TestStoreDurableRoundTrip(t *testing.T) {
 				t.Fatalf("cell (%d,%d) lost across durable round trip", i, j)
 			}
 		}
+	}
+}
+
+// TestStoredRejectsPartialDataset journals the first half of a dataset's
+// scenarios, as a persist killed midway leaves it, reopens the directory
+// and requires Stored to refuse it rather than report the dataset held.
+func TestStoredRejectsPartialDataset(t *testing.T) {
+	set := scenario.NewSet()
+	for n := 1; n <= 4; n++ {
+		sc, err := scenario.New([]scenario.Placement{{Job: workload.DataCaching, Instances: n}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		set.Add(sc)
+	}
+	ds := collect(t, set, DefaultOptions())
+	halfSet := scenario.NewSet()
+	for id := 0; id < set.Len()/2; id++ {
+		sc, err := set.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		halfSet.Add(sc)
+	}
+	half := *ds
+	half.Scenarios = halfSet
+
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := metricdb.OpenDB(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := half.Store(context.Background(), db); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, store.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	db2, err := metricdb.OpenDB(st2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := ds.Stored(db2); err == nil || ok {
+		t.Fatalf("Stored over half a dataset = %v, %v; want an error", ok, err)
+	}
+	if ok, err := half.Stored(db2); err != nil || !ok {
+		t.Fatalf("Stored of the recorded half = %v, %v; want true", ok, err)
 	}
 }
 

@@ -98,17 +98,6 @@ type Dataset struct {
 	JobMIPS []map[string]float64
 }
 
-// Collect profiles every scenario in the set on the given machine
-// configuration, untraced (Collector.Collect takes a context).
-func Collect(cfg machine.Config, set *scenario.Set, jobs *workload.Catalog,
-	cat *metrics.Catalog, opts Options) (*Dataset, error) {
-	c, err := NewCollector(cfg, set, jobs, cat, opts)
-	if err != nil {
-		return nil, err
-	}
-	return c.Collect(context.Background())
-}
-
 // Collector owns the reusable state of a streaming profiling run: the
 // dataset being grown and the columnar sample buffers shared across
 // ticks. Methods are not safe for concurrent use; the internal worker
@@ -205,22 +194,23 @@ func (c *Collector) Collect(ctx context.Context) (*Dataset, error) {
 // substreams). It returns the sorted IDs that were (re)profiled. Cost is
 // O(len(touched)), not O(set.Len()).
 func (c *Collector) Tick(ctx context.Context, changed []int) (touched []int, err error) {
-	touched, _, err = c.TickScenarios(ctx, nil, changed)
+	touched, _, _, err = c.TickScenarios(ctx, nil, changed)
 	return touched, err
 }
 
 // TickScenarios is Tick that first adds the incoming scenarios (deduped
 // by scenario.Set.Add) to a copy of the set held by a new Dataset, and
-// also reports how many were new. A failed tick changes neither the
-// collector's dataset nor its matrix.
-func (c *Collector) TickScenarios(ctx context.Context, incoming []scenario.Scenario, changed []int) (touched []int, added int, err error) {
+// also reports how many were new and how many distinct changed IDs were
+// re-measured. A failed tick changes neither the collector's dataset
+// nor its matrix.
+func (c *Collector) TickScenarios(ctx context.Context, incoming []scenario.Scenario, changed []int) (touched []int, added, remeasured int, err error) {
 	ctx, span := obs.StartSpan(ctx, "profiler.tick")
 	defer span.End()
 
 	seen := make(map[int]bool, len(changed))
 	for _, id := range changed {
 		if id < 0 || id >= c.measured {
-			return nil, 0, fmt.Errorf("profiler: changed scenario %d out of measured range [0,%d)", id, c.measured)
+			return nil, 0, 0, fmt.Errorf("profiler: changed scenario %d out of measured range [0,%d)", id, c.measured)
 		}
 		if !seen[id] {
 			seen[id] = true
@@ -246,13 +236,13 @@ func (c *Collector) TickScenarios(ctx context.Context, incoming []scenario.Scena
 	span.SetAttr("changed", len(seen))
 	span.SetAttr("touched", len(touched))
 	if len(touched) == 0 {
-		return nil, added, nil
+		return nil, added, len(seen), nil
 	}
 	if err := c.measure(ctx, touched); err != nil {
 		c.ds = prev
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	return touched, added, nil
+	return touched, added, len(seen), nil
 }
 
 // workers resolves the effective worker-pool size.

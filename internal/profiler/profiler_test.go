@@ -27,9 +27,19 @@ func testSet(t *testing.T) *scenario.Set {
 	return trace.Scenarios
 }
 
+// collectAll profiles every scenario of set in one untraced Collect.
+func collectAll(cfg machine.Config, set *scenario.Set, jobs *workload.Catalog,
+	cat *metrics.Catalog, opts Options) (*Dataset, error) {
+	c, err := NewCollector(cfg, set, jobs, cat, opts)
+	if err != nil {
+		return nil, err
+	}
+	return c.Collect(context.Background())
+}
+
 func collect(t *testing.T, set *scenario.Set, opts Options) *Dataset {
 	t.Helper()
-	ds, err := Collect(
+	ds, err := collectAll(
 		machine.BaselineConfig(machine.DefaultShape()),
 		set,
 		workload.DefaultCatalog(),
@@ -48,22 +58,22 @@ func TestCollectValidation(t *testing.T) {
 	cat := metrics.DefaultCatalog()
 	set := scenario.NewSet()
 
-	if _, err := Collect(cfg, set, jobs, cat, DefaultOptions()); err == nil {
+	if _, err := collectAll(cfg, set, jobs, cat, DefaultOptions()); err == nil {
 		t.Error("empty set did not error")
 	}
 	sc, _ := scenario.New([]scenario.Placement{{Job: workload.DataCaching, Instances: 1}})
 	set.Add(sc)
-	if _, err := Collect(cfg, set, nil, cat, DefaultOptions()); err == nil {
+	if _, err := collectAll(cfg, set, nil, cat, DefaultOptions()); err == nil {
 		t.Error("nil job catalog did not error")
 	}
 	bad := DefaultOptions()
 	bad.SamplesPerScenario = 0
-	if _, err := Collect(cfg, set, jobs, cat, bad); err == nil {
+	if _, err := collectAll(cfg, set, jobs, cat, bad); err == nil {
 		t.Error("zero samples did not error")
 	}
 	badCfg := cfg
 	badCfg.LLCMB = -1
-	if _, err := Collect(badCfg, set, jobs, cat, DefaultOptions()); err == nil {
+	if _, err := collectAll(badCfg, set, jobs, cat, DefaultOptions()); err == nil {
 		t.Error("invalid config did not error")
 	}
 }
@@ -72,7 +82,7 @@ func TestCollectUnknownJobErrors(t *testing.T) {
 	set := scenario.NewSet()
 	sc, _ := scenario.New([]scenario.Placement{{Job: "mystery", Instances: 1}})
 	set.Add(sc)
-	_, err := Collect(machine.BaselineConfig(machine.DefaultShape()), set,
+	_, err := collectAll(machine.BaselineConfig(machine.DefaultShape()), set,
 		workload.DefaultCatalog(), metrics.DefaultCatalog(), DefaultOptions())
 	if err == nil {
 		t.Error("unknown job in scenario did not error")
@@ -242,7 +252,7 @@ func TestPhaseStdFillsVariabilityMetrics(t *testing.T) {
 	set.Add(sj)
 
 	opts := Options{SamplesPerScenario: 24, NoiseStd: 0, Seed: 3, PhaseStd: 0.5}
-	ds, err := Collect(machine.BaselineConfig(machine.DefaultShape()), set,
+	ds, err := collectAll(machine.BaselineConfig(machine.DefaultShape()), set,
 		workload.DefaultCatalog(), cat, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +284,7 @@ func TestPhaseStdZeroLeavesStdNearZero(t *testing.T) {
 	set := scenario.NewSet()
 	sc, _ := scenario.New([]scenario.Placement{{Job: workload.MediaStreaming, Instances: 2}})
 	set.Add(sc)
-	ds, err := Collect(machine.BaselineConfig(machine.DefaultShape()), set,
+	ds, err := collectAll(machine.BaselineConfig(machine.DefaultShape()), set,
 		workload.DefaultCatalog(), cat, Options{SamplesPerScenario: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +308,7 @@ func TestCollectManyBadScenariosNoDeadlock(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Collect(machine.BaselineConfig(machine.DefaultShape()), set,
+		_, err := collectAll(machine.BaselineConfig(machine.DefaultShape()), set,
 			workload.DefaultCatalog(), metrics.DefaultCatalog(),
 			Options{SamplesPerScenario: 1, Workers: 2})
 		done <- err

@@ -89,12 +89,31 @@ func (ds *Dataset) Store(ctx context.Context, db *metricdb.DB) error {
 	return nil
 }
 
-// Stored reports whether db already holds a profiled dataset (the
-// "samples" table exists) — e.g. a server restarted against a durable
-// database directory should load rather than re-store.
-func Stored(db *metricdb.DB) bool {
-	_, err := db.Table(samplesTable)
-	return err == nil
+// Stored reports whether db already holds ds — e.g. a server restarted
+// against a durable database directory should load rather than re-store.
+// A db without a "samples" table holds no dataset. A db whose samples or
+// job_perf row counts differ from ds's is an error: Store commits each
+// scenario's rows separately, so a persist that failed or was killed
+// midway leaves a partial dataset that must not be served as the
+// recorded history.
+func (ds *Dataset) Stored(db *metricdb.DB) (bool, error) {
+	samples, err := db.Table(samplesTable)
+	if err != nil {
+		return false, nil
+	}
+	var jobRows int
+	if jobPerf, err := db.Table(jobPerfTable); err == nil {
+		jobRows = jobPerf.Len()
+	}
+	wantJobRows := 0
+	for _, mips := range ds.JobMIPS[:ds.Scenarios.Len()] {
+		wantJobRows += len(mips)
+	}
+	if want := ds.Scenarios.Len() * ds.Catalog.Len(); samples.Len() != want || jobRows != wantJobRows {
+		return false, fmt.Errorf("profiler: stored dataset is partial or from another build: "+
+			"%d samples and %d job_perf rows, want %d and %d", samples.Len(), jobRows, want, wantJobRows)
+	}
+	return true, nil
 }
 
 // LoadMatrix reads the "samples" table back into the dataset's matrix

@@ -43,8 +43,13 @@ func testFixture(t *testing.T) fixture {
 			fix.err = err
 			return
 		}
-		ds, err := profiler.Collect(fix.cfg, trace.Scenarios,
+		coll, err := profiler.NewCollector(fix.cfg, trace.Scenarios,
 			fix.cat, metrics.DefaultCatalog(), profiler.DefaultOptions())
+		if err != nil {
+			fix.err = err
+			return
+		}
+		ds, err := coll.Collect(context.Background())
 		if err != nil {
 			fix.err = err
 			return

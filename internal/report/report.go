@@ -4,7 +4,6 @@
 package report
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -154,37 +153,3 @@ func F(x float64, prec int) string {
 
 // I formats an int for table cells.
 func I(x int) string { return strconv.Itoa(x) }
-
-// Chart renders a horizontal bar chart: one line per (label, value),
-// scaled so the longest bar spans width characters. Negative values are
-// clamped to zero-length bars with the value still printed.
-func Chart(title string, labels []string, values []float64, width int) (string, error) {
-	if len(labels) != len(values) {
-		return "", errors.New("report: labels and values differ in length")
-	}
-	if width <= 0 {
-		width = 40
-	}
-	var maxVal float64
-	maxLabel := 0
-	for i, v := range values {
-		if v > maxVal {
-			maxVal = v
-		}
-		if len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	var sb strings.Builder
-	if title != "" {
-		sb.WriteString("== " + title + " ==\n")
-	}
-	for i, v := range values {
-		bar := 0
-		if maxVal > 0 && v > 0 {
-			bar = int(v / maxVal * float64(width))
-		}
-		fmt.Fprintf(&sb, "%-*s | %-*s %8.3f\n", maxLabel, labels[i], width, strings.Repeat("#", bar), v)
-	}
-	return sb.String(), nil
-}

@@ -80,36 +80,6 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
-func TestChart(t *testing.T) {
-	out, err := Chart("C", []string{"x", "yy"}, []float64{2, 4}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "##########") {
-		t.Errorf("longest bar not full width:\n%s", out)
-	}
-	if !strings.Contains(out, "#####") {
-		t.Errorf("half bar missing:\n%s", out)
-	}
-	if _, err := Chart("", []string{"a"}, []float64{1, 2}, 10); err == nil {
-		t.Error("length mismatch did not error")
-	}
-}
-
-func TestChartNegativeValues(t *testing.T) {
-	out, err := Chart("", []string{"neg", "pos"}, []float64{-5, 5}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if strings.Contains(lines[0], "#") {
-		t.Errorf("negative value drew a bar: %q", lines[0])
-	}
-	if !strings.Contains(lines[0], "-5.000") {
-		t.Errorf("negative value not printed: %q", lines[0])
-	}
-}
-
 func TestWriteMarkdown(t *testing.T) {
 	tb := NewTable("Demo", "name", "value")
 	tb.MustAddRow("a|b", "1")

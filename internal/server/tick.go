@@ -29,7 +29,7 @@ type tickScenario struct {
 // tickResponse reports what the tick touched.
 type tickResponse struct {
 	Added           int `json:"added"`           // scenarios new to the population
-	Remeasured      int `json:"remeasured"`      // changed scenarios re-profiled
+	Remeasured      int `json:"remeasured"`      // distinct changed scenarios re-profiled
 	Scenarios       int `json:"scenarios"`       // population size after the tick
 	Clusters        int `json:"clusters"`        // cluster count after the tick
 	Representatives int `json:"representatives"` // representative count after the tick
@@ -83,7 +83,7 @@ func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 		incoming = append(incoming, sc)
 	}
 
-	snap, added, err := s.pipeline.TickContext(r.Context(), incoming, req.Changed)
+	snap, added, remeasured, err := s.pipeline.TickContext(r.Context(), incoming, req.Changed)
 	if err != nil {
 		// A failed tick (e.g. a changed ID out of range) publishes nothing.
 		writeError(w, http.StatusBadRequest, "tick failed: %v", err)
@@ -93,7 +93,7 @@ func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 
 	writeJSON(w, http.StatusOK, tickResponse{
 		Added:           added,
-		Remeasured:      len(req.Changed),
+		Remeasured:      remeasured,
 		Scenarios:       snap.Dataset.Scenarios.Len(),
 		Clusters:        snap.Analysis.Clustering.K,
 		Representatives: len(snap.Analysis.Representatives),

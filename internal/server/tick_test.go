@@ -86,7 +86,7 @@ func (op tickOp) request() tickRequest {
 // apply ticks a reference pipeline the way the server ticks its own.
 func (op tickOp) apply(t *testing.T, p *core.Pipeline) {
 	t.Helper()
-	if _, _, err := p.TickContext(context.Background(), op.scenarios, op.changed); err != nil {
+	if _, _, _, err := p.TickContext(context.Background(), op.scenarios, op.changed); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -223,6 +223,41 @@ func TestTickEndpoint(t *testing.T) {
 	postTick(t, h, op.request(), http.StatusOK, &resp)
 	if resp.Added != 0 {
 		t.Errorf("duplicate tick added %d scenarios, want 0", resp.Added)
+	}
+}
+
+// TestTickDuplicateChangedIDs: a changed ID listed twice is re-profiled
+// once, and both the response and the pipeline.tick span count it once.
+func TestTickDuplicateChangedIDs(t *testing.T) {
+	s, _ := newTickServer(t, 1)
+	h := s.Handler()
+	var resp tickResponse
+	postTick(t, h, tickRequest{Changed: []int{0, 0, 2}}, http.StatusOK, &resp)
+	if resp.Remeasured != 2 {
+		t.Errorf("remeasured = %d, want 2 distinct IDs", resp.Remeasured)
+	}
+
+	var roots []obs.SpanSnapshot
+	get(t, h, "/api/trace", http.StatusOK, &roots)
+	changed := "none"
+	for _, r := range roots {
+		for _, c := range r.Children {
+			if r.Name != "http./api/tick" || c.Name != "pipeline.tick" {
+				continue
+			}
+			for _, a := range c.Attrs {
+				if a.Key == "changed" {
+					changed = fmt.Sprint(a.Value)
+				}
+			}
+		}
+	}
+	if changed != "2" {
+		t.Errorf("pipeline.tick changed = %s, want 2", changed)
+	}
+	_, metrics := serve(h, "/metrics")
+	if want := "flare_profiler_scenarios_total 2\n"; !strings.Contains(metrics, want) {
+		t.Errorf("/metrics missing %q", strings.TrimSpace(want))
 	}
 }
 

@@ -3,18 +3,15 @@
 // invariants") with three analyzers: metricname, spanend, and the
 // summary-driven ctxflow.
 //
-//	flarelint [-dir moduleroot] [-json] [-sarif file] [-baseline file]
-//	          [-write-baseline] [packages...]
+//	flarelint [-dir moduleroot] [-json] [-sarif file] [packages...]
 //
 // loads the named package patterns (default ./...) via the go
 // toolchain and prints one line per finding, exiting 1 when anything
-// is found. -json writes machine-readable diagnostics to stdout (one
-// JSON array) while the human-readable lines go to stderr. -sarif
-// writes a SARIF 2.1.0 log ("-" for stdout) for GitHub code scanning.
-// -baseline filters findings against a committed baseline file so only
-// new violations gate; -write-baseline re-blesses the current findings
-// into that file. metricname's cross-package duplicate-registration
-// check runs over the whole load at once.
+// is found: every finding gates. -json writes machine-readable
+// diagnostics to stdout (one JSON array) while the human-readable lines
+// go to stderr. -sarif writes a SARIF 2.1.0 log ("-" for stdout) for
+// GitHub code scanning. metricname's cross-package
+// duplicate-registration check runs over the whole load at once.
 package main
 
 import (
@@ -38,11 +35,9 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("flarelint", flag.ExitOnError)
 	var (
-		dir       = fs.String("dir", ".", "module root to analyze")
-		jsonOut   = fs.Bool("json", false, "write findings as JSON to stdout")
-		sarifOut  = fs.String("sarif", "", "write a SARIF 2.1.0 log to this file (\"-\" for stdout)")
-		basePath  = fs.String("baseline", "", "filter findings against this baseline file (only new violations gate)")
-		writeBase = fs.Bool("write-baseline", false, "write current findings to the -baseline file and exit clean")
+		dir      = fs.String("dir", ".", "module root to analyze")
+		jsonOut  = fs.Bool("json", false, "write findings as JSON to stdout")
+		sarifOut = fs.String("sarif", "", "write a SARIF 2.1.0 log to this file (\"-\" for stdout)")
 	)
 	analyzers := lint.Suite()
 	fs.Usage = func() {
@@ -67,47 +62,6 @@ func run(args []string) int {
 		root = *dir
 	}
 
-	if *writeBase {
-		if *basePath == "" {
-			fmt.Fprintln(os.Stderr, "flarelint: -write-baseline requires -baseline <file>")
-			return 2
-		}
-		f, err := os.Create(*basePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flarelint:", err)
-			return 2
-		}
-		if err := lint.WriteBaseline(f, findings, root); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "flarelint:", err)
-			return 2
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "flarelint:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "flarelint: baselined %d finding(s) into %s\n", len(findings), *basePath)
-		return 0
-	}
-
-	baselined := 0
-	if *basePath != "" {
-		f, err := os.Open(*basePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flarelint:", err)
-			return 2
-		}
-		entries, err := lint.ReadBaseline(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flarelint:", err)
-			return 2
-		}
-		kept := lint.FilterBaseline(findings, entries, root)
-		baselined = len(findings) - len(kept)
-		findings = kept
-	}
-
 	for _, f := range findings {
 		fmt.Fprintln(os.Stderr, f)
 	}
@@ -127,20 +81,13 @@ func run(args []string) int {
 		}
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "flarelint: %d finding(s)", len(findings))
-		if baselined > 0 {
-			fmt.Fprintf(os.Stderr, " (%d more baselined)", baselined)
-		}
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintf(os.Stderr, "flarelint: %d finding(s)\n", len(findings))
 		return 1
-	}
-	if baselined > 0 {
-		fmt.Fprintf(os.Stderr, "flarelint: clean (%d baselined finding(s) suppressed)\n", baselined)
 	}
 	return 0
 }
 
-// emitSARIF writes the post-baseline findings as a SARIF 2.1.0 log.
+// emitSARIF writes the findings as a SARIF 2.1.0 log.
 // A failed Close is a failed write: the log may be truncated.
 func emitSARIF(path string, analyzers []*analysis.Analyzer, findings []lint.Finding, root string) error {
 	log := sarif.Convert(analyzers, findings, root)
