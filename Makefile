@@ -117,8 +117,10 @@ bench:
 # Per-stage pipeline timings plus the metrics.Vector.Get, perfmodel
 # evaluation (solo, full machine, noisy sample, and one noisy full vs
 # MIPS-only materialisation), one perfscore replayed representative, one
-# cold and one hot /api/estimate, durable-store (append, scan, and a
-# fsynced paper-scale PersistDataset), and cluster (WAL-shipping, 3-node
+# cold and one hot /api/estimate, the first estimate after a rebuild that
+# leaves every representative to relax, metricdb's retained heap per row
+# (B/row) for the dataset and estimates schemas, durable-store (append,
+# scan, and a fsynced paper-scale PersistDataset), and cluster (WAL-shipping, 3-node
 # batch fan-out, run by time) micro-benchmarks, recorded under results/
 # so successive runs can be diffed (benchstat or plain diff) to catch
 # stage-level regressions.
@@ -134,6 +136,10 @@ bench-stages:
 	$(GO) test -run '^$$' -bench 'BenchmarkScoreReplay$$' -benchmem ./internal/perfscore \
 		| tee -a results/bench-stages.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkEstimate(Cold|Hot)$$' -benchmem ./internal/server \
+		| tee -a results/bench-stages.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkEstimateAfterTick$$' -benchtime 200x -benchmem ./internal/server \
+		| tee -a results/bench-stages.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkTableRowHeap' -benchtime 5x ./internal/metricdb \
 		| tee -a results/bench-stages.txt
 	$(GO) test -run '^$$' -bench 'Benchmark(Store(Append|Scan)|PersistDataset)$$' . \
 		| tee -a results/bench-stages.txt

@@ -104,7 +104,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	est, err := replayer.EstimateAllJob(context.Background(), an, jobs, inh, cfg, feature, replayer.DefaultOptions())
+	est, err := replayer.EstimateAllJob(context.Background(), an, jobs, inh, nil, cfg, feature, replayer.DefaultOptions())
 	if err != nil {
 		return err
 	}

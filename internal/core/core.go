@@ -83,11 +83,19 @@ type Pipeline struct {
 // without locking. Nothing they touch is written again (for the working
 // rows, see profiler.Dataset): each later Profile, Analyze or Tick
 // publishes a new Snapshot under the next Epoch; New publishes epoch 0.
+//
+// A snapshot also carries its population's relaxed-state table, which
+// its estimates fill as they replay (see perfscore.RelaxTable). A
+// scenario's placements never change under its ID, so Analyze and Tick
+// pass the table on to the snapshot they publish; Profile starts a new
+// one, so an estimate still running on an older snapshot never reads
+// another population's states.
 type Snapshot struct {
 	Epoch    uint64
 	Dataset  *profiler.Dataset  // nil before Profile
 	Analysis *analyzer.Analysis // nil before Analyze
 	p        *Pipeline          // configuration and inherent MIPS
+	relaxed  *perfscore.RelaxTable
 }
 
 // New validates the configuration and prepares the pipeline (including
@@ -115,9 +123,10 @@ func New(cfg Config) (*Pipeline, error) {
 // Snapshot returns the current snapshot.
 func (p *Pipeline) Snapshot() *Snapshot { return p.snap.Load() }
 
-// publish makes ds and an the next snapshot. Callers hold p.mu.
-func (p *Pipeline) publish(ds *profiler.Dataset, an *analyzer.Analysis) *Snapshot {
-	s := &Snapshot{Epoch: p.snap.Load().Epoch + 1, Dataset: ds, Analysis: an, p: p}
+// publish makes ds and an, over the population relaxed records, the
+// next snapshot. Callers hold p.mu.
+func (p *Pipeline) publish(ds *profiler.Dataset, an *analyzer.Analysis, relaxed *perfscore.RelaxTable) *Snapshot {
+	s := &Snapshot{Epoch: p.snap.Load().Epoch + 1, Dataset: ds, Analysis: an, p: p, relaxed: relaxed}
 	p.snap.Store(s)
 	return s
 }
@@ -149,7 +158,7 @@ func (p *Pipeline) ProfileContext(ctx context.Context, set *scenario.Set) error 
 	}
 	p.collector = c
 	p.inc, p.det = nil, nil
-	p.publish(ds, nil) // invalidate any previous analysis
+	p.publish(ds, nil, perfscore.NewRelaxTable()) // invalidate any previous analysis
 	return nil
 }
 
@@ -177,7 +186,7 @@ func (p *Pipeline) AnalyzeContext(ctx context.Context) error {
 	span.SetAttr("clusters", an.Clustering.K)
 	span.SetAttr("principal_components", an.PCA.NumPC)
 	p.inc, p.det = nil, nil // tick state re-derives lazily from the new baseline
-	p.publish(ds, an)
+	p.publish(ds, an, p.snap.Load().relaxed)
 	return nil
 }
 
@@ -270,7 +279,7 @@ func (p *Pipeline) TickContext(ctx context.Context, incoming []scenario.Scenario
 		next.Dataset = ds
 		an = &next
 	}
-	snap = p.publish(ds, an)
+	snap = p.publish(ds, an, p.snap.Load().relaxed)
 	span.SetAttr("epoch", snap.Epoch)
 	return snap, added, remeasured, nil
 }
@@ -292,7 +301,7 @@ func (s *Snapshot) EvaluateFeature(ctx context.Context, feat machine.Feature) (*
 	defer span.End()
 	span.SetAttr("feature", feat.Name)
 	span.SetAttr("epoch", s.Epoch)
-	est, err := replayer.EstimateAllJob(ctx, s.Analysis, s.p.cfg.Jobs, s.p.inherent, s.p.cfg.Machine, feat, s.p.cfg.Replay)
+	est, err := replayer.EstimateAllJob(ctx, s.Analysis, s.p.cfg.Jobs, s.p.inherent, s.relaxed, s.p.cfg.Machine, feat, s.p.cfg.Replay)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -317,7 +326,7 @@ func (s *Snapshot) EvaluateFeatureForJob(ctx context.Context, feat machine.Featu
 	span.SetAttr("feature", feat.Name)
 	span.SetAttr("job", job)
 	span.SetAttr("epoch", s.Epoch)
-	est, err := replayer.EstimatePerJob(ctx, s.Analysis, s.p.cfg.Jobs, s.p.inherent, s.p.cfg.Machine, feat, job, s.p.cfg.Replay)
+	est, err := replayer.EstimatePerJob(ctx, s.Analysis, s.p.cfg.Jobs, s.p.inherent, s.relaxed, s.p.cfg.Machine, feat, job, s.p.cfg.Replay)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -31,7 +31,7 @@ func (env *Env) flareErrorWith(opts analyzer.Options) (absErr float64, reps int,
 	feat := env.Features[env.ablationFeature()]
 	ropts := replayer.DefaultOptions()
 	ropts.Seed = env.Opts.Seed
-	est, err := replayer.EstimateAllJob(context.TODO(), an, env.Jobs, env.Inherent, env.Machine, feat, ropts)
+	est, err := replayer.EstimateAllJob(context.TODO(), an, env.Jobs, env.Inherent, nil, env.Machine, feat, ropts)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -121,14 +121,14 @@ func NewEnv(opts EnvOptions) (*Env, error) {
 func (env *Env) FLAREEstimate(feat machine.Feature) (*replayer.Estimate, error) {
 	opts := replayer.DefaultOptions()
 	opts.Seed = env.Opts.Seed
-	return replayer.EstimateAllJob(context.TODO(), env.Analysis, env.Jobs, env.Inherent, env.Machine, feat, opts)
+	return replayer.EstimateAllJob(context.TODO(), env.Analysis, env.Jobs, env.Inherent, nil, env.Machine, feat, opts)
 }
 
 // FLAREPerJob runs FLARE's per-job estimation for one feature and job.
 func (env *Env) FLAREPerJob(feat machine.Feature, job string) (*replayer.JobEstimate, error) {
 	opts := replayer.DefaultOptions()
 	opts.Seed = env.Opts.Seed
-	return replayer.EstimatePerJob(context.TODO(), env.Analysis, env.Jobs, env.Inherent, env.Machine, feat, job, opts)
+	return replayer.EstimatePerJob(context.TODO(), env.Analysis, env.Jobs, env.Inherent, nil, env.Machine, feat, job, opts)
 }
 
 // Scenarios returns the trace's scenario population.

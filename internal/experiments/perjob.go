@@ -33,11 +33,11 @@ func ExtensionPerJobMetrics(env *Env) (*report.Table, error) {
 			}
 			ropts := replayer.DefaultOptions()
 			ropts.Seed = env.Opts.Seed
-			jest, err := replayer.EstimatePerJob(context.TODO(), an, env.Jobs, env.Inherent, env.Machine, feat, job, ropts)
+			jest, err := replayer.EstimatePerJob(context.TODO(), an, env.Jobs, env.Inherent, nil, env.Machine, feat, job, ropts)
 			if err != nil {
 				return err
 			}
-			est, err := replayer.EstimateAllJob(context.TODO(), an, env.Jobs, env.Inherent, env.Machine, feat, ropts)
+			est, err := replayer.EstimateAllJob(context.TODO(), an, env.Jobs, env.Inherent, nil, env.Machine, feat, ropts)
 			if err != nil {
 				return err
 			}

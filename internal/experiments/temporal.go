@@ -52,7 +52,7 @@ func ExtensionTemporalMetrics(env *Env) (*report.Table, error) {
 			}
 			ropts := replayer.DefaultOptions()
 			ropts.Seed = env.Opts.Seed
-			est, err := replayer.EstimateAllJob(context.TODO(), a, env.Jobs, env.Inherent, env.Machine, feat, ropts)
+			est, err := replayer.EstimateAllJob(context.TODO(), a, env.Jobs, env.Inherent, nil, env.Machine, feat, ropts)
 			if err != nil {
 				return err
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -109,6 +110,30 @@ func TestInsertManyRejectsWrongArity(t *testing.T) {
 	}
 	if tbl.Len() != 0 {
 		t.Errorf("table has %d rows after a rejected batch, want 0", tbl.Len())
+	}
+}
+
+// TestInsertManyRejectsForeignField puts one cell that sets a field its
+// column's type does not hold into a batch, for each column type: the
+// batch is rejected whole, so no cell is silently dropped.
+func TestInsertManyRejectsForeignField(t *testing.T) {
+	for _, bad := range []Row{
+		{Value{I: 1, F: 2}, String("m"), Float(1)},
+		{Int(1), Value{S: "m", I: 3}, Float(1)},
+		{Int(1), String("m"), Value{S: "x"}},
+		{Int(1), String("m"), Value{F: 1, I: 1}},
+	} {
+		tbl, _ := NewTable("samples", sampleSchema())
+		if err := tbl.InsertMany(append(manyRows(0, 2), bad)); err == nil {
+			t.Errorf("row %+v accepted", bad)
+		}
+		if tbl.Len() != 0 {
+			t.Errorf("row %+v: table has %d rows after a rejected batch, want 0", bad, tbl.Len())
+		}
+	}
+	tbl, _ := NewTable("samples", sampleSchema())
+	if err := tbl.Insert(Row{Value{F: math.Copysign(0, -1)}, String(""), Float(0)}); err != nil {
+		t.Errorf("zero cells rejected: %v", err)
 	}
 }
 

@@ -68,18 +68,25 @@ type Row []Value
 // Table is a typed, append-only relation. It is safe for concurrent use:
 // inserts take the write lock, queries the read lock.
 //
-// The rows are stored flat, row-major, in one slice: row i is cells
-// [i*w, (i+1)*w) for w = len(columns), so a row costs its cells and no
-// slice header or allocation of its own. Cells below len(cells) are
-// never written again (inserts append past the end, TruncateHead copies
-// the survivors to a fresh slice), so a capped view of a row stays valid
-// after the lock is released.
+// Cells are stored by column type: all float cells in one []float64, all
+// int cells in one []int64 and all string cells in one []string, each
+// row-major over the columns of its type. A row of a float, an int and a
+// string column costs 32 bytes and no allocation of its own; Rows are
+// built from the columns only when a query or dump asks for them.
 type Table struct {
 	mu      sync.RWMutex
 	name    string
 	columns []Column
 	colIdx  map[string]int
-	cells   []Value
+	// slot[c] is column c's position among the table's columns of its
+	// type; width[ty] is how many columns have type ty.
+	slot   []int
+	width  [TypeString + 1]int
+	rows   int
+	floats []float64
+	ints   []int64
+	strs   []string
+
 	journal *journal // nil for in-memory tables
 	// firstSeq is the journal sequence number of row 0; it advances as
 	// TruncateHead retires the oldest rows. Always 0 without a journal.
@@ -99,6 +106,7 @@ func NewTable(name string, columns []Column) (*Table, error) {
 		name:    name,
 		columns: make([]Column, len(columns)),
 		colIdx:  make(map[string]int, len(columns)),
+		slot:    make([]int, len(columns)),
 	}
 	copy(t.columns, columns)
 	for i, c := range t.columns {
@@ -112,6 +120,8 @@ func NewTable(name string, columns []Column) (*Table, error) {
 			return nil, fmt.Errorf("metricdb: table %s has duplicate column %s", name, c.Name)
 		}
 		t.colIdx[c.Name] = i
+		t.slot[i] = t.width[c.Type]
+		t.width[c.Type]++
 	}
 	return t, nil
 }
@@ -130,30 +140,56 @@ func (t *Table) Columns() []Column {
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.len()
+	return t.rows
 }
 
-// len is the row count; the caller holds t.mu.
-func (t *Table) len() int { return len(t.cells) / len(t.columns) }
+// rowInto writes row i's cells into r, one per column; the caller holds
+// t.mu.
+func (t *Table) rowInto(r Row, i int) {
+	for c, col := range t.columns {
+		k := i*t.width[col.Type] + t.slot[c]
+		switch col.Type {
+		case TypeFloat:
+			r[c] = Value{F: t.floats[k]}
+		case TypeInt:
+			r[c] = Value{I: t.ints[k]}
+		default:
+			r[c] = Value{S: t.strs[k]}
+		}
+	}
+}
 
-// row is a capped view of row i; the caller holds t.mu.
-func (t *Table) row(i int) Row {
-	w := len(t.columns)
-	return Row(t.cells[i*w : (i+1)*w : (i+1)*w])
+// holds reports whether v sets no field but the one a column of type ct
+// stores; any other field would be lost.
+func (ct ColType) holds(v Value) bool {
+	switch ct {
+	case TypeFloat:
+		return v.I == 0 && v.S == ""
+	case TypeInt:
+		return v.F == 0 && v.S == ""
+	default:
+		return v.F == 0 && v.I == 0
+	}
 }
 
 // Insert appends a row: an InsertMany of one.
 func (t *Table) Insert(r Row) error { return t.InsertMany([]Row{r}) }
 
 // InsertMany appends rows, in order. Every row must have exactly one
-// cell per column; one that does not rejects them all. With a journal
+// cell per column, and each cell may set only the field its column's
+// type holds; one row that does not rejects them all. With a journal
 // attached the rows are journaled durably first, as one store batch; a
 // journal failure leaves the in-memory table unchanged. The table copies
 // the cells and keeps no reference to rows.
 func (t *Table) InsertMany(rows []Row) error {
-	for _, r := range rows {
+	for i, r := range rows {
 		if len(r) != len(t.columns) {
 			return fmt.Errorf("metricdb: table %s insert with %d cells, want %d", t.name, len(r), len(t.columns))
+		}
+		for c, v := range r {
+			if col := t.columns[c]; !col.Type.holds(v) {
+				return fmt.Errorf("metricdb: table %s row %d: %s column %s cannot hold %+v", t.name, i, col.Type, col.Name, v)
+			}
 		}
 	}
 	if len(rows) == 0 {
@@ -168,10 +204,22 @@ func (t *Table) InsertMany(rows []Row) error {
 			return fmt.Errorf("metricdb: journaling %s insert: %w", t.name, err)
 		}
 	}
-	t.cells = slices.Grow(t.cells, len(rows)*len(t.columns))
+	t.floats = slices.Grow(t.floats, len(rows)*t.width[TypeFloat])
+	t.ints = slices.Grow(t.ints, len(rows)*t.width[TypeInt])
+	t.strs = slices.Grow(t.strs, len(rows)*t.width[TypeString])
 	for _, r := range rows {
-		t.cells = append(t.cells, r...)
+		for c, col := range t.columns {
+			switch col.Type {
+			case TypeFloat:
+				t.floats = append(t.floats, r[c].F)
+			case TypeInt:
+				t.ints = append(t.ints, r[c].I)
+			default:
+				t.strs = append(t.strs, r[c].S)
+			}
+		}
 	}
+	t.rows += len(rows)
 	return nil
 }
 
@@ -188,7 +236,7 @@ func (t *Table) TruncateHead(keep int) (int, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	drop := t.len() - keep
+	drop := t.rows - keep
 	if drop <= 0 {
 		return 0, nil
 	}
@@ -198,10 +246,12 @@ func (t *Table) TruncateHead(keep int) (int, error) {
 			return 0, fmt.Errorf("metricdb: journaling %s truncation: %w", t.name, err)
 		}
 	}
-	// Copy the survivors into a fresh slice so the dropped prefix is
-	// actually released, not pinned by the shared backing array.
-	w := len(t.columns)
-	t.cells = append(make([]Value, 0, keep*w), t.cells[drop*w:]...)
+	// Copy the survivors into fresh slices so the dropped prefix is
+	// actually released, not pinned by the shared backing arrays.
+	t.floats = survivors(t.floats, drop*t.width[TypeFloat])
+	t.ints = survivors(t.ints, drop*t.width[TypeInt])
+	t.strs = survivors(t.strs, drop*t.width[TypeString])
+	t.rows = keep
 	t.firstSeq = below
 	return drop, nil
 }
@@ -215,15 +265,23 @@ func (t *Table) ColumnIndex(name string) (int, error) {
 	return i, nil
 }
 
+// survivors returns a fresh copy of s without its first drop elements.
+func survivors[T any](s []T, drop int) []T {
+	return append(make([]T, 0, len(s)-drop), s[drop:]...)
+}
+
 // Select returns copies of all rows matching the predicate (nil matches
-// everything), in insertion order.
+// everything), in insertion order. The predicate sees one scratch row,
+// refilled for every row it tests, so it must not retain its argument.
 func (t *Table) Select(where func(Row) bool) []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []Row
-	for i := range t.len() {
-		if r := t.row(i); where == nil || where(r) {
-			out = append(out, slices.Clone(r))
+	scratch := make(Row, len(t.columns))
+	for i := range t.rows {
+		t.rowInto(scratch, i)
+		if where == nil || where(scratch) {
+			out = append(out, slices.Clone(scratch))
 		}
 	}
 	return out
@@ -329,9 +387,12 @@ func (db *DB) WriteJSON(w io.Writer) error {
 	for _, n := range names {
 		t := db.tables[n]
 		t.mu.RLock()
-		td := tableDump{Name: t.name, Columns: t.Columns(), Rows: make([]Row, t.len())}
+		w := len(t.columns)
+		td := tableDump{Name: t.name, Columns: t.Columns(), Rows: make([]Row, t.rows)}
+		cells := make([]Value, t.rows*w)
 		for i := range td.Rows {
-			td.Rows[i] = t.row(i)
+			td.Rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+			t.rowInto(td.Rows[i], i)
 		}
 		t.mu.RUnlock()
 		d.Tables = append(d.Tables, td)

@@ -264,9 +264,9 @@ func TestMetricDBFlatRows(t *testing.T) {
 }
 
 // TestFlatRowsConcurrentWriteJSON encodes the database while other
-// goroutines append and truncate: WriteJSON encodes row views after
-// releasing the table lock, which is safe only because cells below the
-// table's length are never written again. Run it under -race.
+// goroutines append and truncate: WriteJSON builds each table's rows
+// from its typed columns under the table's read lock and encodes them
+// after releasing it. Run it under -race.
 func TestFlatRowsConcurrentWriteJSON(t *testing.T) {
 	db := NewDB()
 	tbl, err := db.CreateTable("samples", sampleSchema())

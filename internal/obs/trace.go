@@ -29,6 +29,10 @@ type Span struct {
 	attrs    []Attr
 	children []*Span
 	ended    bool
+	// inline backs attrs until a span sets more than two attributes, so
+	// the common span (a replay.scenario's cluster and scenario ID)
+	// grows no slice.
+	inline [2]Attr
 }
 
 // Attr is one span attribute, recorded in SetAttr order.
@@ -271,6 +275,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		}
 	}
 	s := &Span{tracer: tracer, parent: parent, name: name, start: time.Now()}
+	s.attrs = s.inline[:0]
 	if parent != nil {
 		parent.addChild(s)
 	}

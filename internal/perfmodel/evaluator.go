@@ -63,7 +63,10 @@ func (e *Evaluator) Relax(activity []float64) error {
 // to Relax. Each call draws a fresh noise realisation from opts.Rand, so
 // repeated calls model repeated measurements of one steady state.
 func (e *Evaluator) ResultInto(res *Result, opts Options) error {
-	if err := e.checkMaterialise("ResultInto", opts); err != nil {
+	if err := e.checkRelaxed("ResultInto"); err != nil {
+		return err
+	}
+	if err := checkNoise(opts); err != nil {
 		return err
 	}
 	e.st.resultInto(res, opts)
@@ -75,20 +78,26 @@ func (e *Evaluator) ResultInto(res *Result, opts Options) error {
 // dst[i] equals ResultInto's Jobs[i].MIPS bit for bit. A score that reads
 // nothing but MIPS (perfscore) skips the counter synthesis. With noise it
 // draws the same normals per job as ResultInto, so opts.Rand is left in
-// the same state and the two calls interleave on one stream.
+// the same state and the two calls interleave on one stream. It is
+// NoisyMIPS of the relaxed state; without noise it returns that state.
 func (e *Evaluator) MIPSInto(dst []float64, opts Options) ([]float64, error) {
-	if err := e.checkMaterialise("MIPSInto", opts); err != nil {
+	if err := e.checkRelaxed("MIPSInto"); err != nil {
 		return dst, err
 	}
-	return e.st.mipsInto(dst, opts), nil
+	return NoisyMIPS(dst, e.st.mips, opts)
 }
 
-// checkMaterialise rejects a materialisation before Relax or one asking
-// for noise without a random source.
-func (e *Evaluator) checkMaterialise(op string, opts Options) error {
+// checkRelaxed rejects a materialisation before Relax.
+func (e *Evaluator) checkRelaxed(op string) error {
 	if !e.relaxed {
 		return fmt.Errorf("perfmodel: %s called before Relax", op)
 	}
+	return nil
+}
+
+// checkNoise rejects a materialisation asking for noise without a random
+// source.
+func checkNoise(opts Options) error {
 	if opts.NoiseStd > 0 && opts.Rand == nil {
 		return errors.New("perfmodel: NoiseStd > 0 requires Options.Rand")
 	}

@@ -89,12 +89,20 @@ func topdown(fe, bs, be, rt, memShare float64) (feOut, bsOut, beOut, rtOut float
 	return feOut, bsOut, beOut, rtOut
 }
 
-// mipsInto is resultInto reduced to each job's MIPS: the same common
-// noise factor, with the per-counter draws taken and discarded so the
-// random stream advances exactly as resultInto advances it.
-func (st *state) mipsInto(dst []float64, opts Options) []float64 {
-	dst = growF(dst, len(st.mips))
-	copy(dst, st.mips)
+// NoisyMIPS materialises noisy per-instance MIPS from relaxed, a relaxed
+// colocation's per-job MIPS (MIPSInto without noise returns them), into
+// dst (reused when it has the capacity) and returns it. It is resultInto
+// reduced to each job's MIPS: the same common noise factor, with the
+// per-counter draws taken and discarded so opts.Rand advances exactly as
+// ResultInto advances it. MIPSInto materialises through it, so a caller
+// that kept a relaxed vector draws the same values without the Evaluator
+// that relaxed it.
+func NoisyMIPS(dst, relaxed []float64, opts Options) ([]float64, error) {
+	if err := checkNoise(opts); err != nil {
+		return dst, err
+	}
+	dst = growF(dst, len(relaxed))
+	copy(dst, relaxed)
 	if opts.NoiseStd > 0 {
 		for i := range dst {
 			dst[i] *= math.Exp(opts.Rand.NormFloat64() * opts.NoiseStd)
@@ -103,7 +111,7 @@ func (st *state) mipsInto(dst []float64, opts Options) []float64 {
 			}
 		}
 	}
-	return dst
+	return dst, nil
 }
 
 // perCounterDraws is how many per-counter factors applyNoise draws after

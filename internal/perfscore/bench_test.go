@@ -20,7 +20,7 @@ func replayFixture(tb testing.TB) (*Scorer, scenario.Scenario, *workload.Catalog
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s, err := NewScorer(cfg, machine.PaperFeatures()[0], inh)
+	s, err := NewScorer(cfg, machine.PaperFeatures()[0], inh, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -38,21 +38,24 @@ func replayFixture(tb testing.TB) (*Scorer, scenario.Scenario, *workload.Catalog
 }
 
 // TestScoreReplayAllocs caps the allocations of one replayed
-// representative on a reused Scorer: after the first replay sizes its
-// buffers, only the Impact's per-job map (header and buckets, two
-// allocations) is new; the ceiling leaves one allocation of slack.
+// representative on a reused Scorer, with and without a relaxed-state
+// table: after the first replay sizes the buffers (and fills the table),
+// a replay allocates nothing.
 func TestScoreReplayAllocs(t *testing.T) {
-	s, sc, cat, opts := replayFixture(t)
-	if _, err := s.Scenario(sc, cat, opts); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
+	for _, table := range []*RelaxTable{nil, NewRelaxTable()} {
+		s, sc, cat, opts := replayFixture(t)
+		s.table = table
 		if _, err := s.Scenario(sc, cat, opts); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 3 {
-		t.Errorf("one reused-pair replay allocates %v times, want <= 3", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := s.Scenario(sc, cat, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("table %t: one reused-pair replay allocates %v times, want 0", table != nil, allocs)
+		}
 	}
 }
 

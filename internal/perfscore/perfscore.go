@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"flare/internal/machine"
 	"flare/internal/perfmodel"
@@ -112,6 +114,49 @@ type Impact struct {
 	JobReductionPct map[string]float64
 }
 
+// RelaxTable records relaxed colocations: for a scenario ID and a
+// machine configuration, the per-listing MIPS the scenario's colocation
+// relaxes to at nominal load (MIPSInto without noise). That state is a
+// pure function of the configuration and the scenario's placements, and
+// within one population a scenario's placements never change under its
+// ID, so one table serves every estimate over the population: the first
+// score of a scenario on a configuration relaxes it, later scores copy
+// the recorded vector and draw their noise from it. Entries are filled
+// lazily and never change. A RelaxTable is safe for concurrent use.
+type RelaxTable struct {
+	mu   sync.RWMutex
+	mips map[machine.Config]map[int][]float64
+}
+
+// NewRelaxTable returns an empty table.
+func NewRelaxTable() *RelaxTable {
+	return &RelaxTable{mips: make(map[machine.Config]map[int][]float64)}
+}
+
+// get returns scenario id's relaxed MIPS on cfg, if recorded. The slice
+// is shared: callers only read it.
+func (t *RelaxTable) get(cfg machine.Config, id int) ([]float64, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	mips, ok := t.mips[cfg][id]
+	return mips, ok
+}
+
+// put records scenario id's relaxed MIPS on cfg, keeping the table's
+// slice. A concurrent scorer may have recorded the same vector first.
+func (t *RelaxTable) put(cfg machine.Config, id int, mips []float64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	byID := t.mips[cfg]
+	if byID == nil {
+		byID = make(map[int][]float64)
+		t.mips[cfg] = byID
+	}
+	if _, ok := byID[id]; !ok {
+		byID[id] = mips
+	}
+}
+
 // Scorer measures a feature's impact on colocations: each is modelled
 // under the baseline and the feature configuration and scored from its
 // HP jobs' MIPS alone. One Scorer keeps one evaluator per configuration,
@@ -119,10 +164,14 @@ type Impact struct {
 // estimate builds the pair once instead of once per representative. A
 // Scorer is not safe for concurrent use.
 type Scorer struct {
-	inh        *Inherent
-	base, feat *perfmodel.Evaluator
+	inh                  *Inherent
+	base, feat           *perfmodel.Evaluator
+	baseCfg, featCfg     machine.Config
+	table                *RelaxTable // nil relaxes every scenario
+	relaxBase, relaxFeat []float64   // the evaluators' relaxed MIPS
 
-	asg                []perfmodel.Assignment // Scenario's listing buffer
+	listing            []perfmodel.Assignment // Scenario's listing buffer
+	asg                []perfmodel.Assignment // the colocation scored last
 	inherent           []float64              // per listing; set for HP listings
 	scored             []int                  // per HP listing, its job's first listing
 	jobBase, jobFeat   []float64              // per listing, summed over samples
@@ -130,29 +179,37 @@ type Scorer struct {
 }
 
 // NewScorer returns a Scorer for feat against the base configuration,
-// scoring against inh.
-func NewScorer(base machine.Config, feat machine.Feature, inh *Inherent) (*Scorer, error) {
+// scoring against inh. A non-nil table serves and records the relaxed
+// state of the scenarios Scenario scores; it must only ever see the
+// scenarios of one population (see RelaxTable).
+func NewScorer(base machine.Config, feat machine.Feature, inh *Inherent, table *RelaxTable) (*Scorer, error) {
 	evBase, err := perfmodel.NewEvaluator(base)
 	if err != nil {
 		return nil, fmt.Errorf("perfscore: baseline: %w", err)
 	}
-	evFeat, err := perfmodel.NewEvaluator(feat.Apply(base))
+	featCfg := feat.Apply(base)
+	evFeat, err := perfmodel.NewEvaluator(featCfg)
 	if err != nil {
 		return nil, fmt.Errorf("perfscore: feature: %w", err)
 	}
-	return &Scorer{inh: inh, base: evBase, feat: evFeat}, nil
+	return &Scorer{inh: inh, base: evBase, feat: evFeat, baseCfg: base, featCfg: featCfg, table: table}, nil
 }
 
 // EvaluateScenario measures a feature's impact on one colocation: the
 // scenario is run (modelled) under both configurations and scored. It is
-// a one-shot Scorer.
+// a one-shot Scorer, and also maps each HP job to its own reduction.
 func EvaluateScenario(base machine.Config, feat machine.Feature, sc scenario.Scenario,
 	cat *workload.Catalog, inh *Inherent, opts Options) (Impact, error) {
-	s, err := NewScorer(base, feat, inh)
+	s, err := NewScorer(base, feat, inh, nil)
 	if err != nil {
 		return Impact{}, err
 	}
-	return s.Scenario(sc, cat, opts)
+	imp, err := s.Scenario(sc, cat, opts)
+	if err != nil {
+		return Impact{}, err
+	}
+	imp.JobReductionPct = s.jobReductions()
+	return imp, nil
 }
 
 // EvaluateAssignments is EvaluateScenario for an explicit assignment list
@@ -160,24 +217,28 @@ func EvaluateScenario(base machine.Config, feat machine.Feature, sc scenario.Sce
 // is a one-shot Scorer.
 func EvaluateAssignments(base machine.Config, feat machine.Feature,
 	assignments []perfmodel.Assignment, inh *Inherent, opts Options) (Impact, error) {
-	s, err := NewScorer(base, feat, inh)
+	s, err := NewScorer(base, feat, inh, nil)
 	if err != nil {
 		return Impact{}, err
 	}
 	return s.Assignments(assignments, opts)
 }
 
-// Scenario scores one scenario, its jobs looked up in cat.
+// Scenario scores one scenario, its jobs looked up in cat. With a table
+// its relaxed state under each configuration comes from the table when
+// an earlier score recorded it, and is relaxed and recorded otherwise.
+// Unlike Assignments it leaves Impact.JobReductionPct nil: a per-job
+// replay reads its one job through JobReductionPct.
 func (s *Scorer) Scenario(sc scenario.Scenario, cat *workload.Catalog, opts Options) (Impact, error) {
-	s.asg = s.asg[:0]
+	s.listing = s.listing[:0]
 	for _, p := range sc.Placements {
 		prof, err := cat.Lookup(p.Job)
 		if err != nil {
 			return Impact{}, fmt.Errorf("perfscore: scenario %d: %w", sc.ID, err)
 		}
-		s.asg = append(s.asg, perfmodel.Assignment{Profile: prof, Instances: p.Instances})
+		s.listing = append(s.listing, perfmodel.Assignment{Profile: prof, Instances: p.Instances})
 	}
-	imp, err := s.Assignments(s.asg, opts)
+	imp, err := s.score(s.listing, sc.ID, opts)
 	if err != nil {
 		return Impact{}, err
 	}
@@ -185,16 +246,60 @@ func (s *Scorer) Scenario(sc scenario.Scenario, cat *workload.Catalog, opts Opti
 	return imp, nil
 }
 
-// Assignments scores an explicit assignment list. It retains assignments
-// until the next call.
+// Assignments scores an explicit assignment list, relaxing it under both
+// configurations. It retains assignments until the next call.
+func (s *Scorer) Assignments(assignments []perfmodel.Assignment, opts Options) (Impact, error) {
+	imp, err := s.score(assignments, -1, opts)
+	if err != nil {
+		return Impact{}, err
+	}
+	imp.JobReductionPct = s.jobReductions()
+	return imp, nil
+}
+
+// JobReductionPct returns job's own per-instance reduction on the
+// colocation scored last, as the JobReductionPct map of an Impact would
+// hold it: 0 when job is not one of its HP jobs or its baseline score is
+// not positive.
+func (s *Scorer) JobReductionPct(job string) float64 {
+	for k, b := range s.jobBase {
+		if b > 0 && s.asg[k].Profile.Name == job {
+			return 100 * (b - s.jobFeat[k]) / b
+		}
+	}
+	return 0
+}
+
+// jobReductions maps each HP job of the colocation scored last to its
+// JobReductionPct.
+func (s *Scorer) jobReductions() map[string]float64 {
+	out := make(map[string]float64)
+	for k, b := range s.jobBase {
+		if b > 0 {
+			out[s.asg[k].Profile.Name] = 100 * (b - s.jobFeat[k]) / b
+		}
+	}
+	return out
+}
+
+// score scores assignments, the listing of scenario id (-1 for none).
 //
 // Noise is applied after relaxation, so each configuration is relaxed
 // once and the Samples noisy measurements are materialised from that one
 // steady state, drawing from opts.Rand in the order baseline, feature,
 // baseline, ... — the same draws as evaluating the colocation afresh per
 // sample.
-func (s *Scorer) Assignments(assignments []perfmodel.Assignment, opts Options) (Impact, error) {
-	if err := s.load(assignments); err != nil {
+func (s *Scorer) score(assignments []perfmodel.Assignment, id int, opts Options) (Impact, error) {
+	s.asg = assignments
+	relaxedBase, err := s.relaxed(s.base, s.baseCfg, &s.relaxBase, id)
+	if err != nil {
+		return Impact{}, fmt.Errorf("perfscore: baseline: %w", err)
+	}
+	relaxedFeat, err := s.relaxed(s.feat, s.featCfg, &s.relaxFeat, id)
+	if err != nil {
+		return Impact{}, fmt.Errorf("perfscore: feature: %w", err)
+	}
+	if err := s.prepare(); err != nil {
 		return Impact{}, err
 	}
 	samples := opts.Samples
@@ -203,13 +308,12 @@ func (s *Scorer) Assignments(assignments []perfmodel.Assignment, opts Options) (
 	}
 
 	var imp Impact
-	var err error
 	mo := perfmodel.Options{NoiseStd: opts.NoiseStd, Rand: opts.Rand}
 	for range samples {
-		if s.mipsBase, err = s.base.MIPSInto(s.mipsBase, mo); err != nil {
+		if s.mipsBase, err = perfmodel.NoisyMIPS(s.mipsBase, relaxedBase, mo); err != nil {
 			return Impact{}, fmt.Errorf("perfscore: baseline: %w", err)
 		}
-		if s.mipsFeat, err = s.feat.MIPSInto(s.mipsFeat, mo); err != nil {
+		if s.mipsFeat, err = perfmodel.NoisyMIPS(s.mipsFeat, relaxedFeat, mo); err != nil {
 			return Impact{}, fmt.Errorf("perfscore: feature: %w", err)
 		}
 		imp.Baseline += hpScore(assignments, s.inherent, s.mipsBase, opts.Metric)
@@ -225,26 +329,41 @@ func (s *Scorer) Assignments(assignments []perfmodel.Assignment, opts Options) (
 	if imp.Baseline > 0 {
 		imp.ReductionPct = 100 * (imp.Baseline - imp.Feature) / imp.Baseline
 	}
-	imp.JobReductionPct = make(map[string]float64)
-	for k, b := range s.jobBase {
-		if b > 0 {
-			imp.JobReductionPct[assignments[k].Profile.Name] = 100 * (b - s.jobFeat[k]) / b
-		}
-	}
 	return imp, nil
 }
 
-// load relaxes the colocation under both configurations and prepares
-// the per-listing inherent MIPS and zeroed per-job sums. Per-job scores
-// accumulate at each HP job's first listing, once per listing, as a
-// lookup by name would.
-func (s *Scorer) load(assignments []perfmodel.Assignment) error {
-	if err := relax(s.base, assignments); err != nil {
-		return fmt.Errorf("perfscore: baseline: %w", err)
+// relaxed returns the colocation s.asg's relaxed per-listing MIPS on
+// cfg, ev's configuration: from the table when it holds scenario id,
+// else relaxed by ev into *buf (and then recorded in the table).
+func (s *Scorer) relaxed(ev *perfmodel.Evaluator, cfg machine.Config, buf *[]float64, id int) ([]float64, error) {
+	useTable := s.table != nil && id >= 0
+	if useTable {
+		if mips, ok := s.table.get(cfg, id); ok {
+			return mips, nil
+		}
 	}
-	if err := relax(s.feat, assignments); err != nil {
-		return fmt.Errorf("perfscore: feature: %w", err)
+	if err := ev.Begin(s.asg); err != nil {
+		return nil, err
 	}
+	if err := ev.Relax(nil); err != nil {
+		return nil, err
+	}
+	mips, err := ev.MIPSInto(*buf, perfmodel.Options{})
+	if err != nil {
+		return nil, err
+	}
+	*buf = mips
+	if useTable {
+		s.table.put(cfg, id, slices.Clone(mips))
+	}
+	return mips, nil
+}
+
+// prepare sets the per-listing inherent MIPS of s.asg and zeroes the
+// per-job sums. Per-job scores accumulate at each HP job's first
+// listing, once per listing, as a lookup by name would.
+func (s *Scorer) prepare() error {
+	assignments := s.asg
 	n := len(assignments)
 	s.inherent = zeroed(s.inherent, n)
 	s.jobBase = zeroed(s.jobBase, n)
@@ -304,14 +423,6 @@ func hpScore(assignments []perfmodel.Assignment, inherent, mips []float64, metri
 		return float64(n) / acc
 	}
 	return acc
-}
-
-// relax loads a colocation into ev and relaxes it at nominal load.
-func relax(ev *perfmodel.Evaluator, assignments []perfmodel.Assignment) error {
-	if err := ev.Begin(assignments); err != nil {
-		return err
-	}
-	return ev.Relax(nil)
 }
 
 // zeroed returns s resized to n zeros, reusing its backing array when

@@ -47,19 +47,20 @@ func TestNewInherentEmptyCatalog(t *testing.T) {
 }
 
 // sampleScore scores one noise-free baseline sample of asg on cfg
-// through the scoring path (a Scorer's load, MIPSInto, hpScore) and also
+// through the scoring path (a Scorer's relaxed, prepare, hpScore) and also
 // returns the sample's per-listing MIPS and inherent MIPS.
 func sampleScore(t *testing.T, cfg machine.Config, inh *Inherent, asg []perfmodel.Assignment,
 	metric Metric) (score float64, mips, inherent []float64) {
 	t.Helper()
-	s, err := NewScorer(cfg, machine.Baseline(), inh)
+	s, err := NewScorer(cfg, machine.Baseline(), inh, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.load(asg); err != nil {
+	s.asg = asg
+	if mips, err = s.relaxed(s.base, s.baseCfg, &s.relaxBase, -1); err != nil {
 		t.Fatal(err)
 	}
-	if mips, err = s.base.MIPSInto(nil, perfmodel.Options{}); err != nil {
+	if err := s.prepare(); err != nil {
 		t.Fatal(err)
 	}
 	return hpScore(asg, s.inherent, mips, metric), mips, s.inherent
@@ -108,7 +109,7 @@ func TestJobScore(t *testing.T) {
 		t.Errorf("solo job score = %v, want 1", s)
 	}
 	// An HP job without an inherent MIPS cannot be scored.
-	s, err := NewScorer(cfg, machine.Baseline(), &Inherent{mips: map[string]float64{}})
+	s, err := NewScorer(cfg, machine.Baseline(), &Inherent{mips: map[string]float64{}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,5 +244,29 @@ func TestMetricString(t *testing.T) {
 		MetricHarmonicMean.String() != "harmonic-mean" ||
 		MetricWorstCase.String() != "worst-case" {
 		t.Error("Metric.String wrong")
+	}
+}
+
+// TestRelaxTableKeepsChecks scores through a relaxed-state table: a
+// colocation Begin rejects still errors and records nothing, so it
+// errors again, and noise without a random source errors on the score
+// that relaxes and records the scenario and on the score that reads it.
+func TestRelaxTableKeepsChecks(t *testing.T) {
+	s, sc, cat, opts := replayFixture(t)
+	s.table = NewRelaxTable()
+	bad := scenario.Scenario{ID: 7, Placements: []scenario.Placement{{Job: workload.DataCaching, Instances: 0}}}
+	for pass := 0; pass < 2; pass++ {
+		if _, err := s.Scenario(bad, cat, opts); err == nil {
+			t.Errorf("pass %d: a non-positive instance count did not error", pass)
+		}
+		if _, err := s.Scenario(sc, cat, Options{NoiseStd: 0.01}); err == nil {
+			t.Errorf("pass %d: NoiseStd > 0 without Rand did not error", pass)
+		}
+	}
+	if _, ok := s.table.get(s.baseCfg, bad.ID); ok {
+		t.Error("a rejected colocation was recorded")
+	}
+	if _, ok := s.table.get(s.featCfg, sc.ID); !ok {
+		t.Error("a relaxed colocation was not recorded")
 	}
 }

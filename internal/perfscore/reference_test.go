@@ -252,7 +252,7 @@ func TestScorerMatchesReferenceRandomColocations(t *testing.T) {
 	scorers := make([]*Scorer, len(feats))
 	for i, f := range feats {
 		var err error
-		if scorers[i], err = NewScorer(cfg, f, inh); err != nil {
+		if scorers[i], err = NewScorer(cfg, f, inh, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -50,7 +50,7 @@ func EstimateAllJobWithCI(ctx context.Context, an *analyzer.Analysis, cat *workl
 	if err != nil {
 		return nil, err
 	}
-	est, se, err := testbed{cat, inh, base, feat, opts}.estimate(ctx, strata, "")
+	est, se, err := testbed{cat, inh, nil, base, feat, opts}.estimate(ctx, strata, "")
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,7 @@ func TestEstimateWithCIValidation(t *testing.T) {
 func TestEstimateWithCIZeroExtraMatchesPointEstimate(t *testing.T) {
 	f := testFixture(t)
 	feat := machine.CacheSizing(12)
-	point, err := EstimateAllJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, DefaultOptions())
+	point, err := EstimateAllJob(context.Background(), f.an, f.cat, f.inh, nil, f.cfg, feat, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

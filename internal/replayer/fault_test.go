@@ -36,12 +36,12 @@ func faultOptions(t *testing.T, spec string) Options {
 func TestReplayRetriesInjectedFault(t *testing.T) {
 	f := testFixture(t)
 	feat := machine.SMTOff()
-	clean, err := EstimateAllJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, DefaultOptions())
+	clean, err := EstimateAllJob(context.Background(), f.an, f.cat, f.inh, nil, f.cfg, feat, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := faultOptions(t, "replay.scenario=error#1")
-	faulty, err := EstimateAllJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, opts)
+	faulty, err := EstimateAllJob(context.Background(), f.an, f.cat, f.inh, nil, f.cfg, feat, opts)
 	if err != nil {
 		t.Fatalf("estimate with one transient fault = %v, want absorbed", err)
 	}
@@ -61,7 +61,7 @@ func TestReplayRetriesInjectedFault(t *testing.T) {
 func TestReplayPermanentOutageSurfaces(t *testing.T) {
 	f := testFixture(t)
 	opts := faultOptions(t, "replay.scenario=error@1")
-	_, err := EstimateAllJob(context.Background(), f.an, f.cat, f.inh, f.cfg, machine.SMTOff(), opts)
+	_, err := EstimateAllJob(context.Background(), f.an, f.cat, f.inh, nil, f.cfg, machine.SMTOff(), opts)
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("estimate during outage = %v, want wrapped ErrInjected", err)
 	}
@@ -72,12 +72,12 @@ func TestPerJobRetriesInjectedFault(t *testing.T) {
 	f := testFixture(t)
 	feat := machine.SMTOff()
 	job := f.cat.Profiles()[0].Name
-	clean, err := EstimatePerJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, job, DefaultOptions())
+	clean, err := EstimatePerJob(context.Background(), f.an, f.cat, f.inh, nil, f.cfg, feat, job, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := faultOptions(t, "replay.scenario=error#2")
-	faulty, err := EstimatePerJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, job, opts)
+	faulty, err := EstimatePerJob(context.Background(), f.an, f.cat, f.inh, nil, f.cfg, feat, job, opts)
 	if err != nil {
 		t.Fatalf("per-job estimate with one transient fault = %v, want absorbed", err)
 	}

@@ -130,7 +130,7 @@ func EstimateFromPlan(ctx context.Context, plan *Plan, cat *workload.Catalog, in
 		strata[i] = stratum{cluster: pc.Cluster, weight: pc.Weight,
 			candidates: []scenario.Scenario{pc.Representative}}
 	}
-	est, _, err := testbed{cat, inh, base, feat, opts}.estimate(ctx, strata, "")
+	est, _, err := testbed{cat, inh, nil, base, feat, opts}.estimate(ctx, strata, "")
 	return est, err
 }
 
@@ -149,7 +149,7 @@ func EstimatePerJobFromPlan(ctx context.Context, plan *Plan, cat *workload.Catal
 		strata[i] = stratum{cluster: pc.Cluster, weight: float64(pc.JobInstances[job]),
 			candidates: append([]scenario.Scenario{pc.Representative}, pc.Fallbacks...)}
 	}
-	est, _, err := testbed{cat, inh, base, feat, opts}.estimate(ctx, strata, job)
+	est, _, err := testbed{cat, inh, nil, base, feat, opts}.estimate(ctx, strata, job)
 	if err != nil {
 		return nil, err
 	}

@@ -87,7 +87,7 @@ func TestReadPlanJSONRejectsInvalid(t *testing.T) {
 func TestEstimateFromPlanMatchesLiveEstimate(t *testing.T) {
 	plan, f := testPlan(t)
 	feat := machine.CacheSizing(12)
-	live, err := EstimateAllJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, DefaultOptions())
+	live, err := EstimateAllJob(context.Background(), f.an, f.cat, f.inh, nil, f.cfg, feat, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestEstimatePerJobFromPlan(t *testing.T) {
 	plan, f := testPlan(t)
 	feat := machine.DVFSCap(1.8)
 	for _, p := range f.cat.HPJobs() {
-		live, err := EstimatePerJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, p.Name, DefaultOptions())
+		live, err := EstimatePerJob(context.Background(), f.an, f.cat, f.inh, nil, f.cfg, feat, p.Name, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s live: %v", p.Name, err)
 		}
@@ -145,7 +145,7 @@ func TestEstimatePerJobFromPlan(t *testing.T) {
 func TestPerJobRejectsLPJobSameFromBothSources(t *testing.T) {
 	plan, f := testPlan(t)
 	feat := machine.DVFSCap(1.8)
-	_, liveErr := EstimatePerJob(context.Background(), f.an, f.cat, f.inh, f.cfg, feat, workload.Mcf, DefaultOptions())
+	_, liveErr := EstimatePerJob(context.Background(), f.an, f.cat, f.inh, nil, f.cfg, feat, workload.Mcf, DefaultOptions())
 	_, planErr := EstimatePerJobFromPlan(context.Background(), plan, f.cat, f.inh, f.cfg, feat, workload.Mcf, DefaultOptions())
 	if liveErr == nil || planErr == nil {
 		t.Fatalf("LP job accepted: live %v, plan %v", liveErr, planErr)

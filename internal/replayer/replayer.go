@@ -97,16 +97,19 @@ type Estimate struct {
 // EstimateAllJob estimates a feature's comprehensive impact on all HP
 // jobs from the analysis' representative scenarios. The estimate runs
 // under a "replay.estimate" span with one "replay.scenario" sub-span per
-// representative replay.
+// representative replay. A non-nil relaxed table, which must belong to
+// the analysis' population, serves and records the representatives'
+// relaxed states (see perfscore.RelaxTable); nil relaxes every replay.
 func EstimateAllJob(ctx context.Context, an *analyzer.Analysis, cat *workload.Catalog,
-	inh *perfscore.Inherent, base machine.Config, feat machine.Feature, opts Options) (*Estimate, error) {
+	inh *perfscore.Inherent, relaxed *perfscore.RelaxTable, base machine.Config, feat machine.Feature,
+	opts Options) (*Estimate, error) {
 	strata, err := liveStrata(an, func(rep analyzer.Representative) []int {
 		return []int{rep.ScenarioID}
 	})
 	if err != nil {
 		return nil, err
 	}
-	est, _, err := testbed{cat, inh, base, feat, opts}.estimate(ctx, strata, "")
+	est, _, err := testbed{cat, inh, relaxed, base, feat, opts}.estimate(ctx, strata, "")
 	return est, err
 }
 
@@ -126,10 +129,11 @@ type JobEstimate struct {
 // fallback rule); clusters with no instance of the job at all contribute
 // nothing. Cluster contributions are weighted by the number of job
 // instances in the cluster — the likelihood of observing the job there.
-// The estimate runs under a "replay.estimate_per_job" span.
+// The estimate runs under a "replay.estimate_per_job" span; relaxed is
+// as for EstimateAllJob.
 func EstimatePerJob(ctx context.Context, an *analyzer.Analysis, cat *workload.Catalog,
-	inh *perfscore.Inherent, base machine.Config, feat machine.Feature, job string,
-	opts Options) (*JobEstimate, error) {
+	inh *perfscore.Inherent, relaxed *perfscore.RelaxTable, base machine.Config, feat machine.Feature,
+	job string, opts Options) (*JobEstimate, error) {
 	if err := checkPerJob(cat, job); err != nil {
 		return nil, err
 	}
@@ -144,7 +148,7 @@ func EstimatePerJob(ctx context.Context, an *analyzer.Analysis, cat *workload.Ca
 		}
 		strata[i].weight = float64(instances)
 	}
-	est, _, err := testbed{cat, inh, base, feat, opts}.estimate(ctx, strata, job)
+	est, _, err := testbed{cat, inh, relaxed, base, feat, opts}.estimate(ctx, strata, job)
 	if err != nil {
 		return nil, err
 	}
@@ -195,14 +199,15 @@ func liveStrata(an *analyzer.Analysis, pick func(analyzer.Representative) []int)
 }
 
 // testbed is what every replay runs against: the catalog and inherent
-// MIPS it scores with, the baseline machine, the feature and the replay
-// options.
+// MIPS it scores with, the relaxed-state table (nil for none), the
+// baseline machine, the feature and the replay options.
 type testbed struct {
-	cat  *workload.Catalog
-	inh  *perfscore.Inherent
-	base machine.Config
-	feat machine.Feature
-	opts Options
+	cat     *workload.Catalog
+	inh     *perfscore.Inherent
+	relaxed *perfscore.RelaxTable
+	base    machine.Config
+	feat    machine.Feature
+	opts    Options
 }
 
 // estimate is the one replay loop behind every estimator (paper Sec 4.5).
@@ -214,8 +219,10 @@ type testbed struct {
 // error of that mean from the within-cluster variances (zero unless a
 // stratum replays more than one scenario).
 //
-// One random source seeded from opts.Seed and one perfscore.Scorer (the
-// baseline/feature evaluator pair) serve every replay in order, each
+// One random source seeded from opts.Seed (a copy of the seed's recorded
+// math/rand stream, see seededSource) and one perfscore.Scorer (the
+// baseline/feature evaluator pair, on tb.relaxed) serve every replay in
+// order, each
 // replay passes the "replay.scenario" fault site under the retry policy,
 // bound at the first replay, and the replay count is added to
 // flare_replays_total in the registry of the context's tracer, if it
@@ -233,14 +240,14 @@ func (tb testbed) estimate(ctx context.Context, strata []stratum, job string) (*
 		span.SetAttr("job", job)
 	}
 
-	scorer, err := perfscore.NewScorer(tb.base, tb.feat, tb.inh)
+	scorer, err := perfscore.NewScorer(tb.base, tb.feat, tb.inh, tb.relaxed)
 	if err != nil {
 		return nil, 0, fmt.Errorf("replayer: %w", err)
 	}
 	var policy retry.Bound
 	bound := false
 	est := &Estimate{Feature: tb.feat.Name}
-	rng := rand.New(rand.NewSource(tb.opts.Seed))
+	rng := rand.New(seededSource(tb.opts.Seed))
 	sopts := perfscore.Options{NoiseStd: tb.opts.ReconstructionNoiseStd, Samples: tb.opts.Samples, Rand: rng}
 	var weightSum, variance float64
 	for _, st := range strata {
@@ -268,7 +275,7 @@ func (tb testbed) estimate(ctx context.Context, strata []stratum, job string) (*
 			}
 			impacts[i] = imp.ReductionPct
 			if job != "" {
-				impacts[i] = imp.JobReductionPct[job]
+				impacts[i] = scorer.JobReductionPct(job)
 			}
 			est.ScenariosReplayed++
 		}

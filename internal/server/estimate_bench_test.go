@@ -3,23 +3,24 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
+	"flare/internal/core"
 	"flare/internal/machine"
 	"flare/internal/metricdb"
 	"flare/internal/obs"
 )
 
-// benchEstimate drives one /api/estimate request per iteration through
-// the real Handler (middleware, limiter, cache, singleflight, replay,
-// journal, encoding) over the shared analysed pipeline, with an
-// in-memory metric DB attached so every computed estimate is journaled
-// through the retry policy. refresh is the server's EstimateRefresh:
-// time.Nanosecond recomputes on every request, 0 serves the primed
-// cache entry forever.
-func benchEstimate(b *testing.B, refresh time.Duration) {
-	s, err := NewWithTelemetry(testPipeline(b), machine.PaperFeatures(), obs.NewRegistry(), nil)
+// estimateServer returns a function that serves one /api/estimate
+// request through the real Handler (middleware, limiter, cache,
+// singleflight, replay, journal, encoding) over p, with an in-memory
+// metric DB attached so every computed estimate is journaled through the
+// retry policy. refresh is the server's EstimateRefresh: time.Nanosecond
+// recomputes on every request, 0 serves the primed cache entry forever.
+func estimateServer(b *testing.B, p *core.Pipeline, refresh time.Duration) func() {
+	s, err := NewWithTelemetry(p, machine.PaperFeatures(), obs.NewRegistry(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -27,14 +28,21 @@ func benchEstimate(b *testing.B, refresh time.Duration) {
 	s.SetResilience(Options{EstimateRefresh: refresh})
 	h := s.Handler()
 	req := httptest.NewRequest(http.MethodGet, "/api/estimate?feature=feature1", nil)
-	serve := func() {
+	return func() {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
 			b.Fatalf("GET /api/estimate = %d: %s", rec.Code, rec.Body.String())
 		}
 	}
-	serve() // prime the cache (and every lazily registered series)
+}
+
+// benchEstimate drives one /api/estimate request per iteration over the
+// shared analysed pipeline, after one untimed request that primes the
+// cache, the relaxed-state table and every lazily registered series.
+func benchEstimate(b *testing.B, refresh time.Duration) {
+	serve := estimateServer(b, testPipeline(b), refresh)
+	serve()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -48,3 +56,39 @@ func BenchmarkEstimateCold(b *testing.B) { benchEstimate(b, time.Nanosecond) }
 
 // BenchmarkEstimateHot is one estimate served from the primed cache.
 func BenchmarkEstimateHot(b *testing.B) { benchEstimate(b, 0) }
+
+// BenchmarkEstimateAfterTick is the first estimate on representatives
+// that no estimate has relaxed yet, the most a tick that rebuilds the
+// analysis can leave to relax: before each timed request the pipeline
+// re-profiles and re-analyses the test population (untimed), which
+// starts an empty relaxed-state table, so the request relaxes every
+// representative under the baseline and the feature.
+func BenchmarkEstimateAfterTick(b *testing.B) {
+	cfg := core.DefaultConfig()
+	cfg.Analyze.Clusters = 10
+	p, err := core.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	set := testPipeline(b).Dataset().Scenarios
+	rebuild := func() {
+		if err := p.Profile(set); err != nil {
+			b.Fatal(err)
+		}
+		if err := p.Analyze(); err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC() // the rebuild's garbage is not the estimate's cost
+	}
+	rebuild()
+	serve := estimateServer(b, p, time.Nanosecond)
+	serve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rebuild()
+		b.StartTimer()
+		serve()
+	}
+}
