@@ -123,8 +123,8 @@ func New(cfg Config) (*Pipeline, error) {
 // Snapshot returns the current snapshot.
 func (p *Pipeline) Snapshot() *Snapshot { return p.snap.Load() }
 
-// publish makes ds and an, over the population relaxed records, the
-// next snapshot. Callers hold p.mu.
+// publish makes ds and an the next snapshot, with relaxed as its
+// relaxed-state table. Callers hold p.mu.
 func (p *Pipeline) publish(ds *profiler.Dataset, an *analyzer.Analysis, relaxed *perfscore.RelaxTable) *Snapshot {
 	s := &Snapshot{Epoch: p.snap.Load().Epoch + 1, Dataset: ds, Analysis: an, p: p, relaxed: relaxed}
 	p.snap.Store(s)

@@ -8,6 +8,7 @@ import (
 
 	"flare/internal/machine"
 	"flare/internal/obs"
+	"flare/internal/perfscore"
 	"flare/internal/replayer"
 	"flare/internal/scenario"
 	"flare/internal/workload"
@@ -163,9 +164,10 @@ func hasAttr(s obs.SpanSnapshot, key string, v any) bool {
 
 // TestRelaxTableStaysWithItsPopulation re-profiles a pipeline with the
 // same scenarios in reverse order, so every ID names another colocation,
-// and fills the new snapshot's table first: the new estimates must match
-// fresh replays of the new analysis, and an estimate on the old snapshot
-// must still equal a fresh pipeline's over the old population.
+// and fills the new snapshot's table first, with every scenario: the new
+// estimates must match fresh replays of the new analysis, and an estimate
+// on the old snapshot must still equal a fresh pipeline's over the old
+// population.
 func TestRelaxTableStaysWithItsPopulation(t *testing.T) {
 	all := testScenarios(t).All()
 	set, reversed := scenario.NewSet(), scenario.NewSet()
@@ -189,6 +191,19 @@ func TestRelaxTableStaysWithItsPopulation(t *testing.T) {
 		t.Fatal("Profile kept the old population's relaxed-state table")
 	}
 	checkSame(t, "new population", mustSnapshotEstimates(t, p, cur), freshEstimates(t, p, cur))
+	// Record every scenario of the new population, so a table shared with
+	// the old snapshot would hand it another colocation's state by ID.
+	for _, feat := range relaxFeatures() {
+		s, err := perfscore.NewScorer(p.cfg.Machine, feat, p.inherent, cur.relaxed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range cur.Dataset.Scenarios.All() {
+			if _, err := s.Scenario(sc, p.cfg.Jobs, perfscore.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	checkSame(t, "old snapshot after a re-profile", mustSnapshotEstimates(t, p, old), want)
 }
 

@@ -171,7 +171,7 @@ func TestLoadgenTimeoutsCrossCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := fault.New(fault.MustParseSpec("server.estimate=latency@1:250ms"), 1, obs.NewRegistry())
+	in, err := fault.New(fault.MustParseSpec("server.estimate=latency@1:5s"), 1, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +202,10 @@ func TestLoadgenTimeoutsCrossCheck(t *testing.T) {
 	if res.Cross == nil || !res.Cross.Pass {
 		t.Fatalf("client/server cross-check failed: %+v", res.Cross)
 	}
-	// Every request recomputes behind a 250ms injected latency against a
-	// 15ms bound: everything times out, one 503 per request.
+	// Every request recomputes behind a 5s injected latency against a
+	// 15ms bound: everything times out, one 503 per request. The latency
+	// outlasts the whole run, so no computation finishes while a later
+	// request for its key could join it and be served within its bound.
 	if res.Totals.Timeouts != res.Totals.Done {
 		t.Errorf("timeouts = %d, done = %d; every request should time out",
 			res.Totals.Timeouts, res.Totals.Done)

@@ -45,8 +45,9 @@ type Column struct {
 	Type ColType `json:"type"`
 }
 
-// Value is a dynamically typed cell. Exactly the field matching the
-// column's type is meaningful.
+// Value is a dynamically typed cell. Only the field matching the
+// column's type may be set: a table stores that field alone, and
+// InsertMany rejects a cell that sets another.
 type Value struct {
 	F float64 `json:"f,omitempty"`
 	I int64   `json:"i,omitempty"`

@@ -86,6 +86,26 @@ func TestSelectReturnsCopies(t *testing.T) {
 	}
 }
 
+// TestSelectScanAllocs checks that a scan allocates for the rows it
+// returns, not for the rows its predicate rejects: the predicate sees one
+// reused scratch row.
+func TestSelectScanAllocs(t *testing.T) {
+	tbl, _ := NewTable("samples", sampleSchema())
+	for i := 0; i < 1000; i++ {
+		if err := tbl.Insert(Row{Int(int64(i)), String("MIPS"), Float(float64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if got := tbl.Select(func(r Row) bool { return r[0].I == 500 }); len(got) != 1 {
+			t.Fatalf("Select matched %d rows, want 1", len(got))
+		}
+	})
+	if allocs > 3 { // the scratch row, the match's copy, the result slice
+		t.Errorf("a 1000-row scan matching one row allocates %v times, want <= 3", allocs)
+	}
+}
+
 func TestDBCreateAndLookup(t *testing.T) {
 	db := NewDB()
 	if _, err := db.CreateTable("a", sampleSchema()); err != nil {

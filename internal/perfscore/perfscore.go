@@ -124,7 +124,7 @@ type Impact struct {
 // the recorded vector and draw their noise from it. Entries are filled
 // lazily and never change. A RelaxTable is safe for concurrent use.
 type RelaxTable struct {
-	mu   sync.RWMutex
+	mu   sync.Mutex
 	mips map[machine.Config]map[int][]float64
 }
 
@@ -136,8 +136,8 @@ func NewRelaxTable() *RelaxTable {
 // get returns scenario id's relaxed MIPS on cfg, if recorded. The slice
 // is shared: callers only read it.
 func (t *RelaxTable) get(cfg machine.Config, id int) ([]float64, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	mips, ok := t.mips[cfg][id]
 	return mips, ok
 }

@@ -222,10 +222,9 @@ type testbed struct {
 // One random source seeded from opts.Seed (a copy of the seed's recorded
 // math/rand stream, see seededSource) and one perfscore.Scorer (the
 // baseline/feature evaluator pair, on tb.relaxed) serve every replay in
-// order, each
-// replay passes the "replay.scenario" fault site under the retry policy,
-// bound at the first replay, and the replay count is added to
-// flare_replays_total in the registry of the context's tracer, if it
+// order, each replay passes the "replay.scenario" fault site under the
+// retry policy, bound at the first replay, and the replay count is added
+// to flare_replays_total in the registry of the context's tracer, if it
 // carries one.
 func (tb testbed) estimate(ctx context.Context, strata []stratum, job string) (*Estimate, float64, error) {
 	name, mode := "replay.estimate", "all-job"

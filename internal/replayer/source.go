@@ -16,17 +16,19 @@ const (
 
 // seedRecords holds, per seed, the first rngLen Uint64 outputs of
 // rand.NewSource(seed), recorded the first time an estimate asks for the
-// seed. Seeding costs a 607-step loop; copying a record does not.
+// seed. Seeding costs a 607-step loop; copying a record does not. A
+// record is a pure function of its seed, so sharing the memo across the
+// process changes no caller's draws.
 var seedRecords = struct {
-	sync.RWMutex
+	sync.Mutex
 	m map[int64]*[rngLen]uint64
 }{m: make(map[int64]*[rngLen]uint64)}
 
 // seedRecord returns the recorded first outputs of rand.NewSource(seed).
 func seedRecord(seed int64) *[rngLen]uint64 {
-	seedRecords.RLock()
+	seedRecords.Lock()
 	rec := seedRecords.m[seed]
-	seedRecords.RUnlock()
+	seedRecords.Unlock()
 	if rec != nil {
 		return rec
 	}

@@ -47,9 +47,14 @@ func TestSeededSourceMatchesMathRand(t *testing.T) {
 // first use, not before, and recorded once.
 func TestSeedRecordIsLazy(t *testing.T) {
 	const seed = 1<<40 + 17
-	seedRecords.RLock()
+	t.Cleanup(func() { // forget the record, so a rerun in this process starts clean
+		seedRecords.Lock()
+		delete(seedRecords.m, seed)
+		seedRecords.Unlock()
+	})
+	seedRecords.Lock()
 	_, early := seedRecords.m[seed]
-	seedRecords.RUnlock()
+	seedRecords.Unlock()
 	if early {
 		t.Fatalf("seed %d recorded before its first use", seed)
 	}
