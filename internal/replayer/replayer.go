@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"flare/internal/analyzer"
 	"flare/internal/fault"
@@ -220,7 +219,7 @@ type testbed struct {
 // stratum replays more than one scenario).
 //
 // One random source seeded from opts.Seed (a copy of the seed's recorded
-// math/rand stream, see seededSource) and one perfscore.Scorer (the
+// math/rand stream, see seededRand) and one perfscore.Scorer (the
 // baseline/feature evaluator pair, on tb.relaxed) serve every replay in
 // order, each replay passes the "replay.scenario" fault site under the
 // retry policy, bound at the first replay, and the replay count is added
@@ -246,7 +245,8 @@ func (tb testbed) estimate(ctx context.Context, strata []stratum, job string) (*
 	var policy retry.Bound
 	bound := false
 	est := &Estimate{Feature: tb.feat.Name}
-	rng := rand.New(seededSource(tb.opts.Seed))
+	rng := seededRand(tb.opts.Seed)
+	defer replayRands.Put(rng)
 	sopts := perfscore.Options{NoiseStd: tb.opts.ReconstructionNoiseStd, Samples: tb.opts.Samples, Rand: rng}
 	var weightSum, variance float64
 	for _, st := range strata {

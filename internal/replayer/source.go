@@ -56,11 +56,16 @@ type replaySource struct {
 	wrapped bool // every output from here on is computed
 }
 
-// seededSource returns a source drawing rand.NewSource(seed)'s stream.
-func seededSource(seed int64) *replaySource {
-	s := new(replaySource)
-	s.Seed(seed)
-	return s
+// replayRands recycles replay RNGs across estimates: a replaySource is
+// 4.9 KB, about a fifth of the bytes a cold estimate allocates.
+var replayRands = sync.Pool{New: func() any { return rand.New(new(replaySource)) }}
+
+// seededRand returns an RNG drawing what rand.New(rand.NewSource(seed))
+// draws. Return it to replayRands once nothing draws from it.
+func seededRand(seed int64) *rand.Rand {
+	r := replayRands.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
 }
 
 // Seed restarts the source on seed's stream.

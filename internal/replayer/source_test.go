@@ -5,14 +5,15 @@ import (
 	"testing"
 )
 
-// TestSeededSourceMatchesMathRand pins seededSource draw for draw
-// against rand.NewSource over 350 seeds (negative, zero and positive),
-// 3000 draws each, well past the 607 recorded outputs, through
-// NormFloat64, Int63 and Uint64 interleaved. A Seed mid-stream must
-// restart the copy on the new seed's stream too.
+// TestSeededSourceMatchesMathRand pins seededRand draw for draw against
+// rand.NewSource over 350 seeds (negative, zero and positive), 3000
+// draws each, well past the 607 recorded outputs, through NormFloat64,
+// Int63 and Uint64 interleaved. Each RNG goes back to the pool, so later
+// seeds reseed a used one. A Seed mid-stream must restart the copy on
+// the new seed's stream too.
 func TestSeededSourceMatchesMathRand(t *testing.T) {
 	for seed := int64(-50); seed < 300; seed++ {
-		got, want := rand.New(seededSource(seed)), rand.New(rand.NewSource(seed))
+		got, want := seededRand(seed), rand.New(rand.NewSource(seed))
 		for i := 0; i < 3000; i++ {
 			switch i % 3 {
 			case 0:
@@ -29,8 +30,9 @@ func TestSeededSourceMatchesMathRand(t *testing.T) {
 				}
 			}
 		}
+		replayRands.Put(got)
 	}
-	got, want := rand.New(seededSource(3)), rand.New(rand.NewSource(3))
+	got, want := seededRand(3), rand.New(rand.NewSource(3))
 	for i := 0; i < 700; i++ {
 		got.Int63()
 	}
