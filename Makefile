@@ -119,7 +119,9 @@ bench:
 # MIPS-only materialisation), one perfscore replayed representative, one
 # cold and one hot /api/estimate, the first estimate after a rebuild that
 # leaves every representative to relax, metricdb's retained heap per row
-# (B/row) for the dataset and estimates schemas, durable-store (append,
+# (B/row) for the dataset and estimates schemas, one cold and one
+# warm-started PCA moment update, the incremental analyzer's re-measure
+# and append ticks (each with its Jacobi sweeps/op), durable-store (append,
 # scan, and a fsynced paper-scale PersistDataset), and cluster (WAL-shipping, 3-node
 # batch fan-out, run by time) micro-benchmarks, recorded under results/
 # so successive runs can be diffed (benchstat or plain diff) to catch
@@ -149,7 +151,9 @@ bench-stages:
 		| tee -a results/bench-stages.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkProfiler(Collect|Tick)$$' -benchtime 10x ./internal/profiler \
 		| tee -a results/bench-stages.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkPCAUpdate$$' ./internal/pca \
+	$(GO) test -run '^$$' -bench 'BenchmarkPCAUpdate(Warm)?$$' ./internal/pca \
+		| tee -a results/bench-stages.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalTick$$' -benchtime 100x -benchmem ./internal/analyzer \
 		| tee -a results/bench-stages.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkWALShip$$' ./internal/cluster \
 		| tee -a results/bench-stages.txt

@@ -19,7 +19,8 @@ import (
 //   - the metric refinement (column selection) is frozen at the last full
 //     build, so a tick only re-projects the touched rows;
 //   - the PCA is re-fit from a running mean/covariance accumulator
-//     (linalg.RunningCov) updated with rank-1 Replace/Add operations;
+//     (linalg.RunningCov) updated with rank-1 Replace/Add operations, its
+//     eigensolve warm-started from the previous analysis' components;
 //   - the clustering is folded forward with mini-batch k-means
 //     (kmeans.Fold) seeded from the previous centroids, with the cluster
 //     count frozen at the last full build.
@@ -138,10 +139,11 @@ func (inc *Incremental) TickContext(ctx context.Context, touched []int) (rebuilt
 		}
 	}
 
-	model, err := pca.FitFromMoments(inc.rc, inc.opts.VarianceTarget)
+	model, err := pca.FitFromMoments(inc.rc, inc.opts.VarianceTarget, inc.an.PCA)
 	if err != nil {
 		return false, fmt.Errorf("analyzer: incremental PCA: %w", err)
 	}
+	span.SetAttr("sweeps", model.Sweeps)
 	if model.NumPC != inc.an.PCA.NumPC {
 		span.SetAttr("rebuild", "numpc_changed")
 		if err := inc.RebuildContext(ctx); err != nil {

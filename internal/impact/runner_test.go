@@ -84,11 +84,15 @@ func TestFlakyFixture(t *testing.T) {
 	return dir
 }
 
+// toyOptions times BenchmarkSum over 20 iterations (about 0.1 s at 5 ms
+// each), not one: a single 5 ms sleep can read tens of percent slow when
+// other work shares the CPU, past the 25 % tolerance, while jitter spread
+// over 20 sleeps stays a small share of the total.
 func toyOptions(base, head string) RunnerOptions {
 	return RunnerOptions{
 		BaseDir:   base,
 		HeadDir:   head,
-		BenchCmd:  []string{"go", "test", "-run", "^$", "-bench", "BenchmarkSum", "-benchtime", "1x", "."},
+		BenchCmd:  []string{"go", "test", "-run", "^$", "-bench", "BenchmarkSum", "-benchtime", "20x", "."},
 		GoldenCmd: []string{"go", "test", "-count=1", "-run", "TestSumDeterminism", "."},
 	}
 }

@@ -13,7 +13,7 @@ func BenchmarkSymmetricEigen85(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SymmetricEigen(m); err != nil {
+		if _, err := SymmetricEigen(m, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 type EigenResult struct {
 	Values  []float64   // descending eigenvalues
 	Vectors [][]float64 // Vectors[k] is the eigenvector for Values[k]
+	Sweeps  int         // Jacobi sweeps run; 0 when the start basis already diagonalised the matrix
 }
 
 // jacobiMaxSweeps bounds the number of full Jacobi sweeps. For symmetric
@@ -23,22 +24,37 @@ const jacobiMaxSweeps = 100
 // matrix using the cyclic Jacobi rotation method. It returns an error if
 // the matrix is not symmetric or if the iteration fails to converge
 // (which indicates a non-symmetric or pathological input).
-func SymmetricEigen(m *Matrix) (*EigenResult, error) {
+//
+// start optionally warm-starts the iteration: an orthonormal basis with
+// start[k] the k-th basis vector, typically the eigenvectors of a nearby
+// matrix. The sweeps then run on start^T m start, accumulating rotations
+// onto the basis, so a matrix that moved little since start was computed
+// converges in few sweeps (none if start still diagonalises it below the
+// stop tolerance). A nil or mis-sized start means the identity, the cold
+// solve. start is only read, never written.
+func SymmetricEigen(m *Matrix, start [][]float64) (*EigenResult, error) {
 	if !m.IsSymmetric(1e-8) {
 		return nil, errors.New("linalg: SymmetricEigen requires a symmetric matrix")
 	}
 	n := m.Rows()
-	a := m.Clone()   // working copy, becomes diagonal
-	v := Identity(n) // accumulates rotations; columns are eigenvectors
+	// vt accumulates rotations with the eigenvectors as its rows, so the
+	// per-rotation update and the extraction walk contiguous memory.
+	var a, vt *Matrix
+	if b, err := FromRows(start); err == nil && b.rows == n && b.cols == n {
+		a, vt = changeBasis(m, b), b
+	} else {
+		a, vt = m.Clone(), Identity(n)
+	}
 
-	for sweep := 0; sweep < jacobiMaxSweeps; sweep++ {
+	sweeps := 0
+	for ; sweeps < jacobiMaxSweeps; sweeps++ {
 		off := offDiagonalNorm(a)
 		if off < 1e-12 {
 			break
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				rotate(a, v, p, q)
+				rotate(a, vt, p, q)
 			}
 		}
 	}
@@ -46,39 +62,68 @@ func SymmetricEigen(m *Matrix) (*EigenResult, error) {
 		return nil, errors.New("linalg: Jacobi iteration did not converge")
 	}
 
-	// Collect eigenpairs and sort by descending eigenvalue.
-	type pair struct {
-		value  float64
-		vector []float64
+	// Sort the eigenpairs by descending eigenvalue.
+	order := make([]int, n)
+	for k := range order {
+		order[k] = k
 	}
-	pairs := make([]pair, n)
-	for k := 0; k < n; k++ {
-		vec := make([]float64, n)
-		for i := 0; i < n; i++ {
-			vec[i] = v.At(i, k)
-		}
-		pairs[k] = pair{value: a.At(k, k), vector: vec}
-	}
-	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].value > pairs[j].value })
+	diag := func(k int) float64 { return a.data[k*n+k] }
+	sort.SliceStable(order, func(i, j int) bool { return diag(order[i]) > diag(order[j]) })
 
 	out := &EigenResult{
 		Values:  make([]float64, n),
 		Vectors: make([][]float64, n),
+		Sweeps:  sweeps,
 	}
-	for k, p := range pairs {
-		out.Values[k] = p.value
-		out.Vectors[k] = canonicalSign(p.vector)
+	for k, src := range order {
+		out.Values[k] = diag(src)
+		out.Vectors[k] = canonicalSign(append([]float64(nil), vt.RowView(src)...))
 	}
 	return out, nil
 }
 
+// changeBasis returns b m b^T for a basis b with the basis vectors as
+// rows, exactly symmetric (the upper triangle is computed and mirrored).
+// Every product is a dot of two contiguous rows: u = b m (m symmetric, so
+// row k of u is m b[k]), then entry (k, l) is b[k] . u[l].
+func changeBasis(m, b *Matrix) *Matrix {
+	n := m.rows
+	u := NewMatrix(n, n)
+	for k := 0; k < n; k++ {
+		bk, uk := b.RowView(k), u.RowView(k)
+		for i := range uk {
+			uk[i] = dot(m.RowView(i), bk)
+		}
+	}
+	a := NewMatrix(n, n)
+	for k := 0; k < n; k++ {
+		bk := b.RowView(k)
+		for l := k; l < n; l++ {
+			x := dot(bk, u.RowView(l))
+			a.data[k*n+l] = x
+			a.data[l*n+k] = x
+		}
+	}
+	return a
+}
+
+// dot returns the inner product of x and y[:len(x)].
+func dot(x, y []float64) float64 {
+	var s float64
+	for i, xi := range x {
+		s += xi * y[i]
+	}
+	return s
+}
+
 // rotate applies one Jacobi rotation zeroing a[p][q], updating both the
-// working matrix a and the accumulated eigenvector matrix v in place.
-// This is the eigensolver's innermost loop, so it indexes the row-major
-// backing stores directly instead of going through At/Set bounds checks.
-func rotate(a, v *Matrix, p, q int) {
+// working matrix a and the transposed eigenvector accumulator vt (rows
+// are eigenvectors) in place. This is the eigensolver's innermost loop,
+// so it indexes the row-major backing stores directly instead of going
+// through At/Set bounds checks.
+func rotate(a, vt *Matrix, p, q int) {
 	n := a.rows
-	ad, vd := a.data, v.data
+	ad := a.data
 	apq := ad[p*n+q]
 	if math.Abs(apq) < 1e-15 {
 		return
@@ -100,17 +145,17 @@ func rotate(a, v *Matrix, p, q int) {
 		ad[i*n+p] = c*aip - s*aiq
 		ad[i*n+q] = s*aip + c*aiq
 	}
-	rowP := ad[p*n : (p+1)*n]
-	rowQ := ad[q*n : (q+1)*n]
-	for j, apj := range rowP {
-		aqj := rowQ[j]
-		rowP[j] = c*apj - s*aqj
-		rowQ[j] = s*apj + c*aqj
-	}
-	for i := 0; i < n; i++ {
-		vip, viq := vd[i*n+p], vd[i*n+q]
-		vd[i*n+p] = c*vip - s*viq
-		vd[i*n+q] = s*vip + c*viq
+	rotateRows(ad[p*n:(p+1)*n], ad[q*n:(q+1)*n], c, s)
+	rotateRows(vt.data[p*n:(p+1)*n], vt.data[q*n:(q+1)*n], c, s)
+}
+
+// rotateRows replaces rows p and q by (c p - s q) and (s p + c q).
+func rotateRows(rowP, rowQ []float64, c, s float64) {
+	rowQ = rowQ[:len(rowP)]
+	for j, xp := range rowP {
+		xq := rowQ[j]
+		rowP[j] = c*xp - s*xq
+		rowQ[j] = s*xp + c*xq
 	}
 }
 

@@ -34,6 +34,8 @@ type Model struct {
 	// NumPC is the selected component count (smallest k whose cumulative
 	// explained variance reaches the target).
 	NumPC int
+	// Sweeps is the number of Jacobi sweeps the fit's eigensolve ran.
+	Sweeps int
 }
 
 // FitWorkers computes a PCA of m (observations in rows, metrics in
@@ -87,7 +89,7 @@ func FitWorkers(m *linalg.Matrix, varianceTarget float64, workers int) (*Model, 
 	if err != nil {
 		return nil, fmt.Errorf("pca: %w", err)
 	}
-	if err := mod.finish(cov, varianceTarget); err != nil {
+	if err := mod.finish(cov, varianceTarget, nil); err != nil {
 		return nil, err
 	}
 	return mod, nil
@@ -98,11 +100,15 @@ func FitWorkers(m *linalg.Matrix, varianceTarget float64, workers int) (*Model, 
 // from the accumulator, which equals the covariance of the standardised
 // data FitWorkers builds (population normalisation throughout). The
 // incremental analyzer uses it to turn a profiler tick into an O(d^2)
-// moment update plus one O(d^3) eigensolve, with no pass over history.
-// Agreement with FitWorkers on the same observations is within ordinary
-// floating-point accumulation error (~1e-9, pinned by tests), not
-// byte-exact.
-func FitFromMoments(rc *linalg.RunningCov, varianceTarget float64) (*Model, error) {
+// moment update plus an eigensolve, with no pass over history.
+//
+// A non-nil prev warm-starts the eigensolve from prev.Components (which
+// are only read): one O(d^3) change of basis, then only the Jacobi sweeps
+// the moved correlation matrix still needs — none when the tick left it
+// diagonal in the old basis. Agreement with FitWorkers on the same
+// observations is within ordinary floating-point accumulation error
+// (~1e-9, pinned by tests), not byte-exact, with or without prev.
+func FitFromMoments(rc *linalg.RunningCov, varianceTarget float64, prev *Model) (*Model, error) {
 	if rc == nil {
 		return nil, errors.New("pca: nil moment accumulator")
 	}
@@ -117,18 +123,23 @@ func FitFromMoments(rc *linalg.RunningCov, varianceTarget float64) (*Model, erro
 	if err != nil {
 		return nil, fmt.Errorf("pca: %w", err)
 	}
+	var start [][]float64
+	if prev != nil {
+		start = prev.Components
+	}
 	mod := &Model{Means: rc.Mean(), Stds: stds}
-	if err := mod.finish(corr, varianceTarget); err != nil {
+	if err := mod.finish(corr, varianceTarget, start); err != nil {
 		return nil, err
 	}
 	return mod, nil
 }
 
-// finish eigendecomposes the covariance of the standardised data and
-// fills the component basis, explained-variance shares, and the selected
-// component count.
-func (mod *Model) finish(cov *linalg.Matrix, varianceTarget float64) error {
-	eig, err := linalg.SymmetricEigen(cov)
+// finish eigendecomposes the covariance of the standardised data (from
+// the start basis, if any; see linalg.SymmetricEigen) and fills the
+// component basis, explained-variance shares, and the selected component
+// count.
+func (mod *Model) finish(cov *linalg.Matrix, varianceTarget float64, start [][]float64) error {
+	eig, err := linalg.SymmetricEigen(cov, start)
 	if err != nil {
 		return fmt.Errorf("pca: %w", err)
 	}
@@ -144,6 +155,7 @@ func (mod *Model) finish(cov *linalg.Matrix, varianceTarget float64) error {
 	}
 
 	mod.Components = eig.Vectors
+	mod.Sweeps = eig.Sweeps
 	mod.Explained = make([]float64, len(eig.Values))
 	for k, v := range eig.Values {
 		if v > 0 {

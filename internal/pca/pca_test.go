@@ -249,7 +249,7 @@ func TestFitFromMomentsMatchesFitWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := FitFromMoments(linalg.RunningCovFromMatrix(m), 0.95)
+	inc, err := FitFromMoments(linalg.RunningCovFromMatrix(m), 0.95, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,6 +285,10 @@ func TestFitFromMomentsAfterUpdates(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	m := lowRankMatrix(r, 90, 10, 4, 0.4)
 	rc := linalg.RunningCovFromMatrix(m)
+	before, err := FitFromMoments(rc, 0.95, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, i := range []int{2, 41, 88} {
 		old := m.Row(i)
@@ -295,40 +299,46 @@ func TestFitFromMomentsAfterUpdates(t *testing.T) {
 		rc.Replace(old, row)
 	}
 
-	inc, err := FitFromMoments(rc, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
 	batch, err := FitWorkers(m, 0.95, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inc.NumPC != batch.NumPC {
-		t.Fatalf("NumPC = %d incremental vs %d batch", inc.NumPC, batch.NumPC)
-	}
-	for k := 0; k < batch.NumPC; k++ {
-		for j := range batch.Components[k] {
-			if d := math.Abs(inc.Components[k][j] - batch.Components[k][j]); d > 1e-7 {
-				t.Fatalf("component[%d][%d] differs by %g after ticks", k, j, d)
+	// Cold, and warm-started from the model fitted before the updates.
+	for _, prev := range []*Model{nil, before} {
+		inc, err := FitFromMoments(rc, 0.95, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inc.NumPC != batch.NumPC {
+			t.Fatalf("NumPC = %d incremental vs %d batch", inc.NumPC, batch.NumPC)
+		}
+		for k := 0; k < batch.NumPC; k++ {
+			for j := range batch.Components[k] {
+				if d := math.Abs(inc.Components[k][j] - batch.Components[k][j]); d > 1e-7 {
+					t.Fatalf("warm=%v: component[%d][%d] differs by %g after ticks", prev != nil, k, j, d)
+				}
 			}
+		}
+		if prev != nil && inc.Sweeps >= before.Sweeps {
+			t.Errorf("warm fit ran %d sweeps, cold fit %d", inc.Sweeps, before.Sweeps)
 		}
 	}
 }
 
 func TestFitFromMomentsValidation(t *testing.T) {
-	if _, err := FitFromMoments(nil, 0.95); err == nil {
+	if _, err := FitFromMoments(nil, 0.95, nil); err == nil {
 		t.Error("nil accumulator did not error")
 	}
 	rc := linalg.NewRunningCov(3)
-	if _, err := FitFromMoments(rc, 0.95); err == nil {
+	if _, err := FitFromMoments(rc, 0.95, nil); err == nil {
 		t.Error("empty accumulator did not error")
 	}
 	rc.Add([]float64{1, 2, 3})
 	rc.Add([]float64{4, 5, 6})
-	if _, err := FitFromMoments(rc, 0); err == nil {
+	if _, err := FitFromMoments(rc, 0, nil); err == nil {
 		t.Error("zero variance target did not error")
 	}
-	if _, err := FitFromMoments(rc, 1.5); err == nil {
+	if _, err := FitFromMoments(rc, 1.5, nil); err == nil {
 		t.Error("variance target > 1 did not error")
 	}
 }
