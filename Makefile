@@ -117,7 +117,8 @@ bench:
 # Per-stage pipeline timings plus the metrics.Vector.Get, perfmodel
 # evaluation (solo, full machine, noisy sample, and one noisy full vs
 # MIPS-only materialisation), one perfscore replayed representative, one
-# cold and one hot /api/estimate, the first estimate after a rebuild that
+# cold all-job, one cold per-job and one hot /api/estimate, the first
+# estimate after a rebuild that
 # leaves every representative to relax, metricdb's retained heap per row
 # (B/row) for the dataset and estimates schemas, one cold and one
 # warm-started PCA moment update, the incremental analyzer's re-measure
@@ -137,7 +138,7 @@ bench-stages:
 		| tee -a results/bench-stages.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkScoreReplay$$' -benchmem ./internal/perfscore \
 		| tee -a results/bench-stages.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkEstimate(Cold|Hot)$$' -benchmem ./internal/server \
+	$(GO) test -run '^$$' -bench 'BenchmarkEstimate(Cold|PerJobCold|Hot)$$' -benchmem ./internal/server \
 		| tee -a results/bench-stages.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkEstimateAfterTick$$' -benchtime 200x -benchmem ./internal/server \
 		| tee -a results/bench-stages.txt

@@ -89,13 +89,16 @@ type Pipeline struct {
 // scenario's placements never change under its ID, so Analyze and Tick
 // pass the table on to the snapshot they publish; Profile starts a new
 // one, so an estimate still running on an older snapshot never reads
-// another population's states.
+// another population's states. Beside it, the snapshot memoises its
+// analysis' per-job strata (see replayer.JobStrata), built on each HP
+// job's first per-job estimate; publishing builds nothing.
 type Snapshot struct {
 	Epoch    uint64
 	Dataset  *profiler.Dataset  // nil before Profile
 	Analysis *analyzer.Analysis // nil before Analyze
 	p        *Pipeline          // configuration and inherent MIPS
 	relaxed  *perfscore.RelaxTable
+	jobs     replayer.JobStrata // of Analysis
 }
 
 // New validates the configuration and prepares the pipeline (including
@@ -326,7 +329,7 @@ func (s *Snapshot) EvaluateFeatureForJob(ctx context.Context, feat machine.Featu
 	span.SetAttr("feature", feat.Name)
 	span.SetAttr("job", job)
 	span.SetAttr("epoch", s.Epoch)
-	est, err := replayer.EstimatePerJob(ctx, s.Analysis, s.p.cfg.Jobs, s.p.inherent, s.relaxed, s.p.cfg.Machine, feat, job, s.p.cfg.Replay)
+	est, err := s.jobs.EstimatePerJob(ctx, s.Analysis, s.p.cfg.Jobs, s.p.inherent, s.relaxed, s.p.cfg.Machine, feat, job, s.p.cfg.Replay)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -56,11 +56,12 @@ type RunnerOptions struct {
 
 // defaultBenchCmds are the bench commands a tree runs when BenchCmd is
 // unset: the per-stage pipeline benchmark at a short benchtime, and one
-// cold /api/estimate (replay, journal, encoding) at a fixed count large
-// enough to average out scheduler noise.
+// cold all-job and one cold per-job /api/estimate (replay, journal,
+// encoding) at a fixed count large enough to average out scheduler
+// noise.
 var defaultBenchCmds = [][]string{
 	{"go", "test", "-run", "^$", "-bench", "BenchmarkPipelineStages", "-benchtime", "1x", "."},
-	{"go", "test", "-run", "^$", "-bench", "BenchmarkEstimateCold$", "-benchtime", "500x", "./internal/server"},
+	{"go", "test", "-run", "^$", "-bench", "BenchmarkEstimate(Cold|PerJobCold)$", "-benchtime", "500x", "./internal/server"},
 }
 
 func (o *RunnerOptions) withDefaults() RunnerOptions {

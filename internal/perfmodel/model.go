@@ -87,8 +87,15 @@ type Options struct {
 	// noise applied to reported throughput and counters, modelling run-to-
 	// run variance of a real machine. Zero disables noise.
 	NoiseStd float64
-	// Rand supplies randomness when NoiseStd > 0. Required in that case.
+	// Rand supplies randomness when NoiseStd > 0. Required in that case,
+	// except by NoisyMIPS (and MIPSInto) when Tape is set.
 	Rand *rand.Rand
+	// Tape, when set, supplies NoisyMIPS's common noise factors from a
+	// recorded stream instead of drawing them from Rand: the same factors
+	// a Rand seeded like the tape would give, read at the cursor, which
+	// advances. NoiseStd must equal the tape's std. ResultInto synthesises
+	// counters the tape does not record and ignores it.
+	Tape *NoiseCursor
 	// ActivityFactors optionally modulates each job's load intensity for
 	// this evaluation window (temporal/phase behaviour, paper Sec 4.1):
 	// one multiplier per Assignment, 1 = nominal load. nil means all 1.

@@ -94,18 +94,31 @@ func topdown(fe, bs, be, rt, memShare float64) (feOut, bsOut, beOut, rtOut float
 // dst (reused when it has the capacity) and returns it. It is resultInto
 // reduced to each job's MIPS: the same common noise factor, with the
 // per-counter draws taken and discarded so opts.Rand advances exactly as
-// ResultInto advances it. MIPSInto materialises through it, so a caller
-// that kept a relaxed vector draws the same values without the Evaluator
-// that relaxed it.
+// ResultInto advances it. With opts.Tape it reads each job's common
+// factor from the tape instead, in the same single multiply, so a tape
+// recorded from the seed opts.Rand was seeded with gives the same bits.
+// MIPSInto materialises through it, so a caller that kept a relaxed
+// vector draws the same values without the Evaluator that relaxed it.
 func NoisyMIPS(dst, relaxed []float64, opts Options) ([]float64, error) {
-	if err := checkNoise(opts); err != nil {
+	if opts.Tape != nil && opts.NoiseStd > 0 {
+		if err := opts.Tape.check(opts.NoiseStd); err != nil {
+			return dst, err
+		}
+	} else if err := checkNoise(opts); err != nil {
 		return dst, err
 	}
 	dst = growF(dst, len(relaxed))
-	copy(dst, relaxed)
-	if opts.NoiseStd > 0 {
-		for i := range dst {
-			dst[i] *= math.Exp(opts.Rand.NormFloat64() * opts.NoiseStd)
+	switch {
+	case opts.NoiseStd <= 0:
+		copy(dst, relaxed)
+	case opts.Tape != nil:
+		f := opts.Tape.next(len(relaxed))
+		for i, m := range relaxed {
+			dst[i] = m * f[i]
+		}
+	default:
+		for i, m := range relaxed {
+			dst[i] = m * math.Exp(opts.Rand.NormFloat64()*opts.NoiseStd)
 			for k := 0; k < perCounterDraws; k++ {
 				opts.Rand.NormFloat64()
 			}

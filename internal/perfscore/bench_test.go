@@ -9,10 +9,10 @@ import (
 	"flare/internal/workload"
 )
 
-// replayFixture returns a Scorer for the first paper feature, a
-// representative-sized scenario and the replayer's default noise
+// replayFixture returns a Scorer for the first paper feature on table
+// (nil for none), a representative-sized scenario and the replayer's default noise
 // options, as one replayed representative of an estimate sees them.
-func replayFixture(tb testing.TB) (*Scorer, scenario.Scenario, *workload.Catalog, Options) {
+func replayFixture(tb testing.TB, table *RelaxTable) (*Scorer, scenario.Scenario, *workload.Catalog, Options) {
 	tb.Helper()
 	cfg := machine.BaselineConfig(machine.DefaultShape())
 	cat := workload.DefaultCatalog()
@@ -20,7 +20,7 @@ func replayFixture(tb testing.TB) (*Scorer, scenario.Scenario, *workload.Catalog
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s, err := NewScorer(cfg, machine.PaperFeatures()[0], inh, nil)
+	s, err := NewScorer(cfg, machine.PaperFeatures()[0], inh, table)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -43,8 +43,7 @@ func replayFixture(tb testing.TB) (*Scorer, scenario.Scenario, *workload.Catalog
 // a replay allocates nothing.
 func TestScoreReplayAllocs(t *testing.T) {
 	for _, table := range []*RelaxTable{nil, NewRelaxTable()} {
-		s, sc, cat, opts := replayFixture(t)
-		s.table = table
+		s, sc, cat, opts := replayFixture(t, table)
 		if _, err := s.Scenario(sc, cat, opts); err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +62,7 @@ func TestScoreReplayAllocs(t *testing.T) {
 // Scorer: both configurations relaxed once, three noisy MIPS samples
 // each, scored.
 func BenchmarkScoreReplay(b *testing.B) {
-	s, sc, cat, opts := replayFixture(b)
+	s, sc, cat, opts := replayFixture(b, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

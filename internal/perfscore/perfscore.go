@@ -95,8 +95,13 @@ type Options struct {
 	// Samples averages this many noisy evaluations (>= 1); ignored when
 	// NoiseStd is zero.
 	Samples int
-	// Rand supplies randomness when NoiseStd > 0.
+	// Rand supplies randomness when NoiseStd > 0 and Tape is nil.
 	Rand *rand.Rand
+	// Tape, when set, supplies the noise factors instead of Rand: a
+	// cursor on the recorded stream of the seed Rand would be seeded with
+	// (see perfmodel.NewNoiseCursor), so the scores keep their bits. Each
+	// noisy measurement advances it, as it would advance Rand.
+	Tape *perfmodel.NoiseCursor
 	// Metric selects the HP aggregation; zero means MetricSumNormalized.
 	Metric Metric
 }
@@ -125,7 +130,7 @@ type Impact struct {
 // lazily and never change. A RelaxTable is safe for concurrent use.
 type RelaxTable struct {
 	mu   sync.Mutex
-	mips map[machine.Config]map[int][]float64
+	mips map[machine.Config]map[int][]float64 // the inner maps only under mu
 }
 
 // NewRelaxTable returns an empty table.
@@ -133,18 +138,9 @@ func NewRelaxTable() *RelaxTable {
 	return &RelaxTable{mips: make(map[machine.Config]map[int][]float64)}
 }
 
-// get returns scenario id's relaxed MIPS on cfg, if recorded. The slice
-// is shared: callers only read it.
-func (t *RelaxTable) get(cfg machine.Config, id int) ([]float64, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	mips, ok := t.mips[cfg][id]
-	return mips, ok
-}
-
-// put records scenario id's relaxed MIPS on cfg, keeping the table's
-// slice. A concurrent scorer may have recorded the same vector first.
-func (t *RelaxTable) put(cfg machine.Config, id int, mips []float64) {
+// byConfig returns the table's map for cfg, creating it on first use.
+// Read or write it only through get and put.
+func (t *RelaxTable) byConfig(cfg machine.Config) map[int][]float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	byID := t.mips[cfg]
@@ -152,6 +148,24 @@ func (t *RelaxTable) put(cfg machine.Config, id int, mips []float64) {
 		byID = make(map[int][]float64)
 		t.mips[cfg] = byID
 	}
+	return byID
+}
+
+// get returns scenario id's relaxed MIPS from byID, one of the table's
+// maps, if recorded. The slice is shared: callers only read it.
+func (t *RelaxTable) get(byID map[int][]float64, id int) ([]float64, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	mips, ok := byID[id]
+	return mips, ok
+}
+
+// put records scenario id's relaxed MIPS in byID, one of the table's
+// maps, keeping the table's slice. A concurrent scorer may have recorded
+// the same vector first.
+func (t *RelaxTable) put(byID map[int][]float64, id int, mips []float64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if _, ok := byID[id]; !ok {
 		byID[id] = mips
 	}
@@ -166,9 +180,9 @@ func (t *RelaxTable) put(cfg machine.Config, id int, mips []float64) {
 type Scorer struct {
 	inh                  *Inherent
 	base, feat           *perfmodel.Evaluator
-	baseCfg, featCfg     machine.Config
-	table                *RelaxTable // nil relaxes every scenario
-	relaxBase, relaxFeat []float64   // the evaluators' relaxed MIPS
+	table                *RelaxTable       // nil relaxes every scenario
+	tableBase, tableFeat map[int][]float64 // table's maps for the two configurations
+	relaxBase, relaxFeat []float64         // the evaluators' relaxed MIPS
 
 	listing            []perfmodel.Assignment // Scenario's listing buffer
 	asg                []perfmodel.Assignment // the colocation scored last
@@ -181,7 +195,9 @@ type Scorer struct {
 // NewScorer returns a Scorer for feat against the base configuration,
 // scoring against inh. A non-nil table serves and records the relaxed
 // state of the scenarios Scenario scores; it must only ever see the
-// scenarios of one population (see RelaxTable).
+// scenarios of one population (see RelaxTable). The table's map for each
+// configuration is looked up here, once, so a score hashes only the
+// scenario ID.
 func NewScorer(base machine.Config, feat machine.Feature, inh *Inherent, table *RelaxTable) (*Scorer, error) {
 	evBase, err := perfmodel.NewEvaluator(base)
 	if err != nil {
@@ -192,7 +208,11 @@ func NewScorer(base machine.Config, feat machine.Feature, inh *Inherent, table *
 	if err != nil {
 		return nil, fmt.Errorf("perfscore: feature: %w", err)
 	}
-	return &Scorer{inh: inh, base: evBase, feat: evFeat, baseCfg: base, featCfg: featCfg, table: table}, nil
+	s := &Scorer{inh: inh, base: evBase, feat: evFeat, table: table}
+	if table != nil {
+		s.tableBase, s.tableFeat = table.byConfig(base), table.byConfig(featCfg)
+	}
+	return s, nil
 }
 
 // EvaluateScenario measures a feature's impact on one colocation: the
@@ -287,15 +307,15 @@ func (s *Scorer) jobReductions() map[string]float64 {
 // Noise is applied after relaxation, so each configuration is relaxed
 // once and the Samples noisy measurements are materialised from that one
 // steady state, drawing from opts.Rand in the order baseline, feature,
-// baseline, ... — the same draws as evaluating the colocation afresh per
-// sample.
+// baseline, ... (or reading opts.Tape in that order) — the same draws as
+// evaluating the colocation afresh per sample.
 func (s *Scorer) score(assignments []perfmodel.Assignment, id int, opts Options) (Impact, error) {
 	s.asg = assignments
-	relaxedBase, err := s.relaxed(s.base, s.baseCfg, &s.relaxBase, id)
+	relaxedBase, err := s.relaxed(s.base, s.tableBase, &s.relaxBase, id)
 	if err != nil {
 		return Impact{}, fmt.Errorf("perfscore: baseline: %w", err)
 	}
-	relaxedFeat, err := s.relaxed(s.feat, s.featCfg, &s.relaxFeat, id)
+	relaxedFeat, err := s.relaxed(s.feat, s.tableFeat, &s.relaxFeat, id)
 	if err != nil {
 		return Impact{}, fmt.Errorf("perfscore: feature: %w", err)
 	}
@@ -308,7 +328,7 @@ func (s *Scorer) score(assignments []perfmodel.Assignment, id int, opts Options)
 	}
 
 	var imp Impact
-	mo := perfmodel.Options{NoiseStd: opts.NoiseStd, Rand: opts.Rand}
+	mo := perfmodel.Options{NoiseStd: opts.NoiseStd, Rand: opts.Rand, Tape: opts.Tape}
 	for range samples {
 		if s.mipsBase, err = perfmodel.NoisyMIPS(s.mipsBase, relaxedBase, mo); err != nil {
 			return Impact{}, fmt.Errorf("perfscore: baseline: %w", err)
@@ -333,12 +353,12 @@ func (s *Scorer) score(assignments []perfmodel.Assignment, id int, opts Options)
 }
 
 // relaxed returns the colocation s.asg's relaxed per-listing MIPS on
-// cfg, ev's configuration: from the table when it holds scenario id,
-// else relaxed by ev into *buf (and then recorded in the table).
-func (s *Scorer) relaxed(ev *perfmodel.Evaluator, cfg machine.Config, buf *[]float64, id int) ([]float64, error) {
+// ev's configuration: from byID, the table's map for it, when that holds
+// scenario id, else relaxed by ev into *buf (and then recorded there).
+func (s *Scorer) relaxed(ev *perfmodel.Evaluator, byID map[int][]float64, buf *[]float64, id int) ([]float64, error) {
 	useTable := s.table != nil && id >= 0
 	if useTable {
-		if mips, ok := s.table.get(cfg, id); ok {
+		if mips, ok := s.table.get(byID, id); ok {
 			return mips, nil
 		}
 	}
@@ -354,7 +374,7 @@ func (s *Scorer) relaxed(ev *perfmodel.Evaluator, cfg machine.Config, buf *[]flo
 	}
 	*buf = mips
 	if useTable {
-		s.table.put(cfg, id, slices.Clone(mips))
+		s.table.put(byID, id, slices.Clone(mips))
 	}
 	return mips, nil
 }

@@ -57,7 +57,7 @@ func sampleScore(t *testing.T, cfg machine.Config, inh *Inherent, asg []perfmode
 		t.Fatal(err)
 	}
 	s.asg = asg
-	if mips, err = s.relaxed(s.base, s.baseCfg, &s.relaxBase, -1); err != nil {
+	if mips, err = s.relaxed(s.base, nil, &s.relaxBase, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.prepare(); err != nil {
@@ -252,8 +252,7 @@ func TestMetricString(t *testing.T) {
 // errors again, and noise without a random source errors on the score
 // that relaxes and records the scenario and on the score that reads it.
 func TestRelaxTableKeepsChecks(t *testing.T) {
-	s, sc, cat, opts := replayFixture(t)
-	s.table = NewRelaxTable()
+	s, sc, cat, opts := replayFixture(t, NewRelaxTable())
 	bad := scenario.Scenario{ID: 7, Placements: []scenario.Placement{{Job: workload.DataCaching, Instances: 0}}}
 	for pass := 0; pass < 2; pass++ {
 		if _, err := s.Scenario(bad, cat, opts); err == nil {
@@ -263,10 +262,10 @@ func TestRelaxTableKeepsChecks(t *testing.T) {
 			t.Errorf("pass %d: NoiseStd > 0 without Rand did not error", pass)
 		}
 	}
-	if _, ok := s.table.get(s.baseCfg, bad.ID); ok {
+	if _, ok := s.table.get(s.tableBase, bad.ID); ok {
 		t.Error("a rejected colocation was recorded")
 	}
-	if _, ok := s.table.get(s.featCfg, sc.ID); !ok {
+	if _, ok := s.table.get(s.tableFeat, sc.ID); !ok {
 		t.Error("a relaxed colocation was not recorded")
 	}
 }

@@ -14,11 +14,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"flare/internal/analyzer"
 	"flare/internal/fault"
 	"flare/internal/machine"
 	"flare/internal/obs"
+	"flare/internal/perfmodel"
 	"flare/internal/perfscore"
 	"flare/internal/retry"
 	"flare/internal/scenario"
@@ -129,29 +131,59 @@ type JobEstimate struct {
 // nothing. Cluster contributions are weighted by the number of job
 // instances in the cluster — the likelihood of observing the job there.
 // The estimate runs under a "replay.estimate_per_job" span; relaxed is
-// as for EstimateAllJob.
+// as for EstimateAllJob. It builds the job's strata afresh; a caller that
+// estimates one analysis repeatedly keeps a JobStrata instead.
 func EstimatePerJob(ctx context.Context, an *analyzer.Analysis, cat *workload.Catalog,
+	inh *perfscore.Inherent, relaxed *perfscore.RelaxTable, base machine.Config, feat machine.Feature,
+	job string, opts Options) (*JobEstimate, error) {
+	var js JobStrata
+	return js.EstimatePerJob(ctx, an, cat, inh, relaxed, base, feat, job, opts)
+}
+
+// JobStrata memoises one analysis' per-job strata, built on a job's first
+// estimate: for each representative, the job's instance count over the
+// cluster and the first ranked member holding the job. They depend only
+// on the analysis and the job, so every later estimate for the job reads
+// them instead of rescanning the cluster members. Only jobs that pass
+// checkPerJob (the catalog's HP jobs) become keys. The zero value is
+// ready; a JobStrata must only ever see one analysis, which must not
+// change. A JobStrata is safe for concurrent use.
+type JobStrata struct {
+	byJob sync.Map // job -> []stratum, never changed once stored
+}
+
+// EstimatePerJob is the package's EstimatePerJob for an, the one
+// analysis js serves, reading the job's strata from js.
+func (js *JobStrata) EstimatePerJob(ctx context.Context, an *analyzer.Analysis, cat *workload.Catalog,
 	inh *perfscore.Inherent, relaxed *perfscore.RelaxTable, base machine.Config, feat machine.Feature,
 	job string, opts Options) (*JobEstimate, error) {
 	if err := checkPerJob(cat, job); err != nil {
 		return nil, err
 	}
-	strata, err := liveStrata(an, func(rep analyzer.Representative) []int { return rep.Ranked })
+	strata, err := js.strata(an, job)
 	if err != nil {
 		return nil, err
-	}
-	for i := range strata {
-		var instances int
-		for _, sc := range strata[i].candidates {
-			instances += sc.Instances(job)
-		}
-		strata[i].weight = float64(instances)
 	}
 	est, _, err := testbed{cat, inh, relaxed, base, feat, opts}.estimate(ctx, strata, job)
 	if err != nil {
 		return nil, err
 	}
 	return &JobEstimate{Estimate: *est, Job: job}, nil
+}
+
+// strata returns job's strata of an, building and recording them on the
+// first request. Two first requests may both build them; the first
+// stored wins, and both are equal.
+func (js *JobStrata) strata(an *analyzer.Analysis, job string) ([]stratum, error) {
+	if v, ok := js.byJob.Load(job); ok {
+		return v.([]stratum), nil
+	}
+	strata, err := jobStrata(an, job)
+	if err != nil {
+		return nil, err
+	}
+	v, _ := js.byJob.LoadOrStore(job, strata)
+	return v.([]stratum), nil
 }
 
 // checkPerJob rejects a per-job request for a job without a per-job
@@ -179,8 +211,8 @@ type stratum struct {
 // liveStrata builds one stratum per representative of a live analysis,
 // weighted by cluster size, with the candidate scenario IDs pick chooses.
 func liveStrata(an *analyzer.Analysis, pick func(analyzer.Representative) []int) ([]stratum, error) {
-	if an == nil || len(an.Representatives) == 0 {
-		return nil, errors.New("replayer: analysis has no representatives")
+	if err := checkLive(an); err != nil {
+		return nil, err
 	}
 	strata := make([]stratum, len(an.Representatives))
 	for i, rep := range an.Representatives {
@@ -195,6 +227,43 @@ func liveStrata(an *analyzer.Analysis, pick func(analyzer.Representative) []int)
 		strata[i] = st
 	}
 	return strata, nil
+}
+
+// jobStrata builds job's stratum per representative of a live analysis:
+// weighted by the job's instances over the cluster's ranked members, with
+// the first member holding the job as its one candidate (none when no
+// member holds it).
+func jobStrata(an *analyzer.Analysis, job string) ([]stratum, error) {
+	if err := checkLive(an); err != nil {
+		return nil, err
+	}
+	strata := make([]stratum, len(an.Representatives))
+	for i, rep := range an.Representatives {
+		st := stratum{cluster: rep.Cluster}
+		var instances int
+		for _, id := range rep.Ranked {
+			sc, err := an.Dataset.Scenarios.Get(id)
+			if err != nil {
+				return nil, fmt.Errorf("replayer: %w", err)
+			}
+			n := sc.Instances(job)
+			if n > 0 && instances == 0 {
+				st.candidates = []scenario.Scenario{sc}
+			}
+			instances += n
+		}
+		st.weight = float64(instances)
+		strata[i] = st
+	}
+	return strata, nil
+}
+
+// checkLive rejects an analysis without representatives.
+func checkLive(an *analyzer.Analysis) error {
+	if an == nil || len(an.Representatives) == 0 {
+		return errors.New("replayer: analysis has no representatives")
+	}
+	return nil
 }
 
 // testbed is what every replay runs against: the catalog and inherent
@@ -218,8 +287,10 @@ type testbed struct {
 // error of that mean from the within-cluster variances (zero unless a
 // stratum replays more than one scenario).
 //
-// One random source seeded from opts.Seed (a copy of the seed's recorded
-// math/rand stream, see seededRand) and one perfscore.Scorer (the
+// One cursor on the process's noise tape for (opts.Seed,
+// opts.ReconstructionNoiseStd) — the factors a math/rand stream seeded
+// with opts.Seed gives, recorded once per process (see
+// perfmodel.NewNoiseCursor) — and one perfscore.Scorer (the
 // baseline/feature evaluator pair, on tb.relaxed) serve every replay in
 // order, each replay passes the "replay.scenario" fault site under the
 // retry policy, bound at the first replay, and the replay count is added
@@ -245,9 +316,8 @@ func (tb testbed) estimate(ctx context.Context, strata []stratum, job string) (*
 	var policy retry.Bound
 	bound := false
 	est := &Estimate{Feature: tb.feat.Name}
-	rng := seededRand(tb.opts.Seed)
-	defer replayRands.Put(rng)
-	sopts := perfscore.Options{NoiseStd: tb.opts.ReconstructionNoiseStd, Samples: tb.opts.Samples, Rand: rng}
+	sopts := perfscore.Options{NoiseStd: tb.opts.ReconstructionNoiseStd, Samples: tb.opts.Samples,
+		Tape: perfmodel.NewNoiseCursor(tb.opts.Seed, tb.opts.ReconstructionNoiseStd)}
 	var weightSum, variance float64
 	for _, st := range strata {
 		replays := st.candidates
@@ -307,8 +377,8 @@ func (tb testbed) estimate(ctx context.Context, strata []stratum, job string) (*
 
 // replay measures one scenario with scorer through the fault site and
 // the bound retry policy under a "replay.scenario" span. Faults are
-// evaluated before scoring so failed attempts never consume replay
-// randomness.
+// evaluated before scoring so failed attempts never move the noise
+// cursor.
 func (tb testbed) replay(ctx context.Context, policy *retry.Bound, scorer *perfscore.Scorer,
 	cluster int, sc scenario.Scenario, sopts perfscore.Options) (perfscore.Impact, error) {
 	ctx, span := obs.StartSpan(ctx, "replay.scenario")

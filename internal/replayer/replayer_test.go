@@ -255,3 +255,44 @@ func TestEstimateDeterministicGivenSeed(t *testing.T) {
 		t.Error("same seed produced different estimates")
 	}
 }
+
+// TestJobStrataKeysOnlyHPJobs asks a JobStrata for an unknown job and an
+// LP job: both are rejected before the memo, which gains no key, while an
+// HP job's estimate records exactly its own.
+func TestJobStrataKeysOnlyHPJobs(t *testing.T) {
+	f := testFixture(t)
+	feat := machine.PaperFeatures()[0]
+	var lp string
+	for _, p := range f.cat.Profiles() {
+		if p.Class != workload.ClassHP {
+			lp = p.Name
+			break
+		}
+	}
+	var js JobStrata
+	for _, job := range []string{"mystery", lp} {
+		if _, err := js.EstimatePerJob(context.Background(), f.an, f.cat, f.inh, nil, f.cfg, feat, job, DefaultOptions()); err == nil {
+			t.Errorf("per-job estimate for %q did not error", job)
+		}
+	}
+	if keys := memoKeys(&js); len(keys) != 0 {
+		t.Fatalf("rejected jobs added memo keys: %v", keys)
+	}
+	hp := f.cat.HPJobs()[0].Name
+	if _, err := js.EstimatePerJob(context.Background(), f.an, f.cat, f.inh, nil, f.cfg, feat, hp, DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if keys := memoKeys(&js); len(keys) != 1 || keys[0] != hp {
+		t.Errorf("memo keys after an estimate for %s: %v", hp, keys)
+	}
+}
+
+// memoKeys lists the jobs js holds strata for.
+func memoKeys(js *JobStrata) []string {
+	var keys []string
+	js.byJob.Range(func(k, _ any) bool {
+		keys = append(keys, k.(string))
+		return true
+	})
+	return keys
+}
