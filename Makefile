@@ -45,7 +45,7 @@ lint-tools:
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 
 # FLARE's own invariant analyzers (internal/lint, stdlib-only):
-# metricname, spanend, and the summary-driven ctxflow. Builds from
+# metricname and the summary-driven ctxflow. Builds from
 # tools/flarelint's module so the main module keeps an empty require
 # block. Every finding fails: there is no baseline and no suppression
 # directive (see DESIGN.md "Static analysis & enforced invariants").

@@ -221,18 +221,15 @@ func run() (err error) {
 	// The pipeline build runs under the same tracer the server exposes,
 	// so /api/trace shows the build span tree and /metrics its timings.
 	logger.Info("building pipeline", obs.KV("days", *days), obs.KV("clusters", *clusters))
-	ctx, buildSpan := obs.StartSpan(obs.WithTracer(context.Background(), n.Tracer()), "server.build")
 	var b *node.Build
-	// The build steps run inside a closure so the deferred End closes the
-	// span on every path, including the early error returns — /api/trace
-	// and the build-duration log line both depend on the span finishing.
-	if err := func() error {
-		defer buildSpan.End()
+	var buildSpan *obs.Span
+	if err := obs.InSpan(obs.WithTracer(context.Background(), n.Tracer()), "server.build", func(ctx context.Context, span *obs.Span) error {
+		buildSpan = span
 		var err error
 		if b, err = node.NewBuild(ctx, *days, *clusters, *seed, inj); err != nil {
 			return err
 		}
-		buildSpan.SetAttr("scenarios", b.Trace.Scenarios.Len())
+		span.SetAttr("scenarios", b.Trace.Scenarios.Len())
 		// The dataset is recorded once: a restart against a populated
 		// -db-dir serves the journaled history instead of appending a
 		// duplicate run. n.Serve reports a partial recording.
@@ -240,7 +237,7 @@ func run() (err error) {
 			logger.Info("metric database already populated; serving recorded history")
 		}
 		return n.Serve(ctx, b)
-	}(); err != nil {
+	}); err != nil {
 		return err
 	}
 	if *nodeID != "" {

@@ -111,15 +111,7 @@ func run() error {
 
 	// The whole run is one root span; each stage below nests under it.
 	tracer := obs.NewTracer(reg)
-	ctx := obs.WithTracer(context.Background(), tracer)
-	ctx, root := obs.StartSpan(ctx, "flare.run")
-
-	// Every stage below runs inside the root span. The closure's deferred
-	// End guarantees the span closes — and the -trace-out / -v telemetry
-	// below stays usable — even when a stage fails with an early return.
-	if err := func() error {
-		defer root.End()
-
+	if err := obs.InSpan(obs.WithTracer(context.Background(), tracer), "flare.run", func(ctx context.Context, root *obs.Span) error {
 		set, err := loadScenariosContext(ctx, *scenariosPath, *traceCSV, *days, *seed, inj, logger)
 		if err != nil {
 			return err
@@ -233,7 +225,7 @@ func run() error {
 			}
 		}
 		return nil
-	}(); err != nil {
+	}); err != nil {
 		return err
 	}
 
@@ -336,37 +328,41 @@ func estimateFromPlan(path string, seed int64, perJob bool, logger *obs.Logger) 
 
 func loadScenariosContext(ctx context.Context, path, traceCSV string, days int, seed int64,
 	inj *fault.Injector, logger *obs.Logger) (*scenario.Set, error) {
-	_, span := obs.StartSpan(ctx, "flare.load_scenarios")
-	defer span.End()
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
+	var set *scenario.Set
+	err := obs.InSpan(ctx, "flare.load_scenarios", func(context.Context, *obs.Span) error {
+		if path != "" {
+			f, err := os.Open(path)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			set, err = scenario.ReadJSON(f)
+			return err
 		}
-		defer f.Close()
-		return scenario.ReadJSON(f)
-	}
-	if traceCSV != "" {
-		f, err := os.Open(traceCSV)
-		if err != nil {
-			return nil, err
+		if traceCSV != "" {
+			f, err := os.Open(traceCSV)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			events, err := clustertrace.ParseCSV(f)
+			if err != nil {
+				return err
+			}
+			set, _, err = clustertrace.Replay(events, 0)
+			return err
 		}
-		defer f.Close()
-		events, err := clustertrace.ParseCSV(f)
+		cfg := dcsim.DefaultConfig()
+		cfg.Seed = seed
+		cfg.Duration = time.Duration(days) * 24 * time.Hour
+		cfg.Faults = inj
+		logger.Info("simulating datacenter operation", obs.KV("days", days))
+		trace, err := dcsim.Run(cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		set, _, err := clustertrace.Replay(events, 0)
-		return set, err
-	}
-	cfg := dcsim.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Duration = time.Duration(days) * 24 * time.Hour
-	cfg.Faults = inj
-	logger.Info("simulating datacenter operation", obs.KV("days", days))
-	trace, err := dcsim.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return trace.Scenarios, nil
+		set = trace.Scenarios
+		return nil
+	})
+	return set, err
 }

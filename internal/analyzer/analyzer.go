@@ -172,112 +172,115 @@ func AnalyzeContext(ctx context.Context, ds *profiler.Dataset, opts Options) (*A
 	// Step 1b: refinement.
 	if opts.SkipRefine {
 		an.RefinedNames = names
-	} else {
-		_, rspan := obs.StartSpan(ctx, "analyze.refine")
-		rspan.SetAttr("raw_metrics", len(names))
+	} else if err := obs.InSpan(ctx, "analyze.refine", func(_ context.Context, span *obs.Span) error {
+		span.SetAttr("raw_metrics", len(names))
 		ref, err := refine.Refine(matrix, names, refine.DefaultThreshold)
 		if err != nil {
-			rspan.End()
-			return nil, fmt.Errorf("analyzer: refinement: %w", err)
+			return fmt.Errorf("analyzer: refinement: %w", err)
 		}
-		matrix, err = ref.Apply(matrix)
-		if err != nil {
-			rspan.End()
-			return nil, fmt.Errorf("analyzer: refinement: %w", err)
+		if matrix, err = ref.Apply(matrix); err != nil {
+			return fmt.Errorf("analyzer: refinement: %w", err)
 		}
 		an.Refined = ref
 		an.RefinedNames = ref.Names
-		rspan.SetAttr("refined_metrics", len(ref.Names))
-		rspan.End()
+		span.SetAttr("refined_metrics", len(ref.Names))
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	workers := parallel.Workers(opts.Workers)
 
 	// Step 2: high-level metric construction.
-	_, pspan := obs.StartSpan(ctx, "analyze.pca")
-	pspan.SetAttr("workers", workers)
-	model, err := pca.FitWorkers(matrix, opts.VarianceTarget, workers)
-	if err != nil {
-		pspan.End()
-		return nil, fmt.Errorf("analyzer: PCA: %w", err)
+	if err := obs.InSpan(ctx, "analyze.pca", func(_ context.Context, span *obs.Span) error {
+		span.SetAttr("workers", workers)
+		model, err := pca.FitWorkers(matrix, opts.VarianceTarget, workers)
+		if err != nil {
+			return fmt.Errorf("analyzer: PCA: %w", err)
+		}
+		an.PCA = model
+		span.SetAttr("principal_components", model.NumPC)
+		if an.Labels, err = pca.LabelComponents(model, an.RefinedNames, ds.Catalog, 6); err != nil {
+			return fmt.Errorf("analyzer: labelling: %w", err)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	an.PCA = model
-	pspan.SetAttr("principal_components", model.NumPC)
-	labels, err := pca.LabelComponents(model, an.RefinedNames, ds.Catalog, 6)
-	if err != nil {
-		pspan.End()
-		return nil, fmt.Errorf("analyzer: labelling: %w", err)
-	}
-	an.Labels = labels
-	pspan.End()
 
-	_, jspan := obs.StartSpan(ctx, "analyze.project")
-	scores, err := model.Transform(matrix)
-	if err != nil {
-		jspan.End()
-		return nil, fmt.Errorf("analyzer: projection: %w", err)
+	if err := obs.InSpan(ctx, "analyze.project", func(_ context.Context, span *obs.Span) error {
+		scores, err := an.PCA.Transform(matrix)
+		if err != nil {
+			return fmt.Errorf("analyzer: projection: %w", err)
+		}
+		an.WhitenScales = make([]float64, scores.Cols())
+		for j := range an.WhitenScales {
+			an.WhitenScales[j] = 1
+		}
+		if !opts.SkipWhiten {
+			scores, an.WhitenScales = whiten(scores)
+		}
+		an.Scores = scores
+		span.SetAttr("whitened", !opts.SkipWhiten)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	an.WhitenScales = make([]float64, scores.Cols())
-	for j := range an.WhitenScales {
-		an.WhitenScales[j] = 1
-	}
-	if !opts.SkipWhiten {
-		scores, an.WhitenScales = whiten(scores)
-	}
-	an.Scores = scores
-	jspan.SetAttr("whitened", !opts.SkipWhiten)
-	jspan.End()
+	scores := an.Scores
 
 	// Step 3: clustering. The kmeans options carry the base seed for the
 	// derived per-restart/per-k substreams.
 	kopts := kmeans.Options{Seed: opts.Seed, Workers: workers}
 	k := opts.Clusters
 	if k <= 0 {
-		_, sspan := obs.StartSpan(ctx, "analyze.sweep")
-		sweepMax := opts.SweepMax
-		if sweepMax > scores.Rows() {
-			sweepMax = scores.Rows()
+		if err := obs.InSpan(ctx, "analyze.sweep", func(_ context.Context, span *obs.Span) error {
+			sweepMax := opts.SweepMax
+			if sweepMax > scores.Rows() {
+				sweepMax = scores.Rows()
+			}
+			span.SetAttr("k_min", opts.SweepMin)
+			span.SetAttr("k_max", sweepMax)
+			span.SetAttr("workers", workers)
+			sweep, err := kmeans.Sweep(scores, opts.SweepMin, sweepMax, kopts)
+			if err != nil {
+				return fmt.Errorf("analyzer: cluster sweep: %w", err)
+			}
+			an.Sweep = sweep
+			if k, err = kmeans.KneeK(sweep, 0.12); err != nil {
+				return fmt.Errorf("analyzer: knee selection: %w", err)
+			}
+			span.SetAttr("knee_k", k)
+			return nil
+		}); err != nil {
+			return nil, err
 		}
-		sspan.SetAttr("k_min", opts.SweepMin)
-		sspan.SetAttr("k_max", sweepMax)
-		sspan.SetAttr("workers", workers)
-		sweep, err := kmeans.Sweep(scores, opts.SweepMin, sweepMax, kopts)
-		if err != nil {
-			sspan.End()
-			return nil, fmt.Errorf("analyzer: cluster sweep: %w", err)
-		}
-		an.Sweep = sweep
-		k, err = kmeans.KneeK(sweep, 0.12)
-		if err != nil {
-			sspan.End()
-			return nil, fmt.Errorf("analyzer: knee selection: %w", err)
-		}
-		sspan.SetAttr("knee_k", k)
-		sspan.End()
 	}
 	method := opts.Method
 	if method == 0 {
 		method = MethodKMeans
 	}
-	_, cspan := obs.StartSpan(ctx, "analyze."+method.String())
-	cspan.SetAttr("k", k)
-	cspan.SetAttr("scenarios", scores.Rows())
-	cspan.SetAttr("workers", workers)
-	clustering, err := cluster(scores, k, method, kopts)
-	if err != nil {
-		cspan.End()
-		return nil, fmt.Errorf("analyzer: clustering: %w", err)
+	if err := obs.InSpan(ctx, "analyze."+method.String(), func(_ context.Context, span *obs.Span) error {
+		span.SetAttr("k", k)
+		span.SetAttr("scenarios", scores.Rows())
+		span.SetAttr("workers", workers)
+		clustering, err := cluster(scores, k, method, kopts)
+		if err != nil {
+			return fmt.Errorf("analyzer: clustering: %w", err)
+		}
+		an.Clustering = clustering
+		span.SetAttr("iterations", clustering.Iters)
+		span.SetAttr("sse", clustering.SSE)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	an.Clustering = clustering
-	cspan.SetAttr("iterations", clustering.Iters)
-	cspan.SetAttr("sse", clustering.SSE)
-	cspan.End()
 
 	// Step 4: representative extraction.
-	_, xspan := obs.StartSpan(ctx, "analyze.representatives")
-	an.Representatives = extractRepresentatives(scores, clustering)
-	xspan.SetAttr("representatives", len(an.Representatives))
-	xspan.End()
+	_ = obs.InSpan(ctx, "analyze.representatives", func(_ context.Context, span *obs.Span) error {
+		an.Representatives = extractRepresentatives(scores, an.Clustering)
+		span.SetAttr("representatives", len(an.Representatives))
+		return nil
+	})
 	return an, nil
 }
 

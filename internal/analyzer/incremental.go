@@ -109,85 +109,87 @@ func (inc *Incremental) refineRow(id int, dst []float64) {
 // profiler tick, ascending IDs) into the analysis. It reports whether the
 // tick fell back to a full batch rebuild.
 func (inc *Incremental) TickContext(ctx context.Context, touched []int) (rebuilt bool, err error) {
-	_, span := obs.StartSpan(ctx, "analyze.tick")
-	defer span.End()
-	span.SetAttr("touched", len(touched))
+	err = obs.InSpan(ctx, "analyze.tick", func(_ context.Context, span *obs.Span) error {
+		span.SetAttr("touched", len(touched))
 
-	ds := inc.an.Dataset
-	n := ds.Matrix.Rows()
-	for _, id := range touched {
-		if id < 0 || id >= n {
-			return false, fmt.Errorf("analyzer: touched scenario %d out of range [0, %d)", id, n)
+		ds := inc.an.Dataset
+		n := ds.Matrix.Rows()
+		for _, id := range touched {
+			if id < 0 || id >= n {
+				return fmt.Errorf("analyzer: touched scenario %d out of range [0, %d)", id, n)
+			}
 		}
-	}
 
-	// Fold the touched rows into the running moments and the frozen-
-	// refinement matrix. New rows must extend the population contiguously.
-	for _, id := range touched {
-		if id >= inc.refined.Rows() {
-			inc.refined.GrowRows(id - inc.refined.Rows() + 1)
+		// Fold the touched rows into the running moments and the frozen-
+		// refinement matrix. New rows must extend the population contiguously.
+		for _, id := range touched {
+			if id >= inc.refined.Rows() {
+				inc.refined.GrowRows(id - inc.refined.Rows() + 1)
+			}
+			row := inc.refined.RowView(id)
+			if id < inc.rc.N() {
+				old := inc.rowBuf
+				copy(old, row)
+				inc.refineRow(id, row)
+				inc.rc.Replace(old, row)
+			} else {
+				inc.refineRow(id, row)
+				inc.rc.Add(row)
+			}
 		}
-		row := inc.refined.RowView(id)
-		if id < inc.rc.N() {
-			old := inc.rowBuf
-			copy(old, row)
-			inc.refineRow(id, row)
-			inc.rc.Replace(old, row)
-		} else {
-			inc.refineRow(id, row)
-			inc.rc.Add(row)
+
+		model, err := pca.FitFromMoments(inc.rc, inc.opts.VarianceTarget, inc.an.PCA)
+		if err != nil {
+			return fmt.Errorf("analyzer: incremental PCA: %w", err)
 		}
-	}
-
-	model, err := pca.FitFromMoments(inc.rc, inc.opts.VarianceTarget, inc.an.PCA)
-	if err != nil {
-		return false, fmt.Errorf("analyzer: incremental PCA: %w", err)
-	}
-	span.SetAttr("sweeps", model.Sweeps)
-	if model.NumPC != inc.an.PCA.NumPC {
-		span.SetAttr("rebuild", "numpc_changed")
-		if err := inc.RebuildContext(ctx); err != nil {
-			return false, err
+		span.SetAttr("sweeps", model.Sweeps)
+		if model.NumPC != inc.an.PCA.NumPC {
+			span.SetAttr("rebuild", "numpc_changed")
+			if err := inc.RebuildContext(ctx); err != nil {
+				return err
+			}
+			rebuilt = true
+			return nil
 		}
-		return true, nil
-	}
 
-	labels, err := pca.LabelComponents(model, inc.an.RefinedNames, ds.Catalog, 6)
-	if err != nil {
-		return false, fmt.Errorf("analyzer: incremental labelling: %w", err)
-	}
-	scores, err := model.Transform(inc.refined)
-	if err != nil {
-		return false, fmt.Errorf("analyzer: incremental projection: %w", err)
-	}
-	scales := make([]float64, scores.Cols())
-	for j := range scales {
-		scales[j] = 1
-	}
-	if !inc.opts.SkipWhiten {
-		scores, scales = whiten(scores)
-	}
+		labels, err := pca.LabelComponents(model, inc.an.RefinedNames, ds.Catalog, 6)
+		if err != nil {
+			return fmt.Errorf("analyzer: incremental labelling: %w", err)
+		}
+		scores, err := model.Transform(inc.refined)
+		if err != nil {
+			return fmt.Errorf("analyzer: incremental projection: %w", err)
+		}
+		scales := make([]float64, scores.Cols())
+		for j := range scales {
+			scales[j] = 1
+		}
+		if !inc.opts.SkipWhiten {
+			scores, scales = whiten(scores)
+		}
 
-	points := make([]mathx.Vector, scores.Rows())
-	for i := range points {
-		points[i] = scores.RowView(i)
-	}
-	clustering, err := kmeans.Fold(inc.an.Clustering, points, touched)
-	if err != nil {
-		return false, fmt.Errorf("analyzer: incremental clustering: %w", err)
-	}
+		points := make([]mathx.Vector, scores.Rows())
+		for i := range points {
+			points[i] = scores.RowView(i)
+		}
+		clustering, err := kmeans.Fold(inc.an.Clustering, points, touched)
+		if err != nil {
+			return fmt.Errorf("analyzer: incremental clustering: %w", err)
+		}
 
-	next := *inc.an
-	next.PCA = model
-	next.Labels = labels
-	next.Scores = scores
-	next.WhitenScales = scales
-	next.Clustering = clustering
-	next.Representatives = extractRepresentatives(scores, clustering)
-	inc.an = &next
-	inc.ticks++
-	span.SetAttr("clusters", clustering.K)
-	return false, nil
+		next := *inc.an
+		next.PCA = model
+		next.Labels = labels
+		next.Scores = scores
+		next.WhitenScales = scales
+		next.Clustering = clustering
+		next.Representatives = extractRepresentatives(scores, clustering)
+		inc.an = &next
+		inc.ticks++
+		span.SetAttr("clusters", clustering.K)
+		return nil
+	})
+	return rebuilt, err
 }
 
 // RebuildContext re-runs the full batch analysis over the current

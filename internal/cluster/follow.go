@@ -128,59 +128,59 @@ func (f *Follower) persistSeq() error {
 // the leader closes cleanly; callers that want automatic reconnection
 // use RunLoop.
 func (f *Follower) Run(ctx context.Context, conn io.ReadWriter) error {
-	_, sp := obs.StartSpan(ctx, "cluster.follow.stream")
-	defer sp.End()
-	defer func() {
-		if err := f.persistSeq(); err != nil {
-			sp.SetAttr("persist_error", err.Error())
-		}
-	}()
+	return obs.InSpan(ctx, "cluster.follow.stream", func(_ context.Context, sp *obs.Span) error {
+		defer func() {
+			if err := f.persistSeq(); err != nil {
+				sp.SetAttr("persist_error", err.Error())
+			}
+		}()
 
-	f.mu.Lock()
-	wantSeq := f.applied + 1
-	if f.applied == 0 {
-		wantSeq = 0 // no history: ask for a snapshot bootstrap
-	}
-	f.mu.Unlock()
-	if err := writeMsg(conn, msgHello, encodeHello(f.name, wantSeq)); err != nil {
-		return err
-	}
-
-	for {
-		kind, payload, err := readMsg(conn)
-		if err != nil {
-			return err // io.EOF for a clean leader close
+		f.mu.Lock()
+		wantSeq := f.applied + 1
+		if f.applied == 0 {
+			wantSeq = 0 // no history: ask for a snapshot bootstrap
 		}
-		// Fault site: the follower dies between receiving and applying —
-		// the worst case for cursor staleness, which idempotent apply
-		// absorbs on reconnect.
-		if err := f.opts.Injector.Err("cluster.follow.apply"); err != nil {
-			return fmt.Errorf("cluster: follow apply: %w", err)
-		}
-		switch kind {
-		case msgSnapshot:
-			baseSeq, files, err := decodeSnapshot(payload)
-			if err != nil {
-				return err
-			}
-			if err := f.importSnapshot(ctx, baseSeq, files); err != nil {
-				return err
-			}
-		case msgEvent:
-			seq, ev, err := decodeEvent(payload)
-			if err != nil {
-				return err
-			}
-			if err := f.applyOne(seq, ev); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("cluster: unexpected message kind %d", kind)
-		}
-		if err := writeMsg(conn, msgAck, encodeAck(f.Applied())); err != nil {
+		f.mu.Unlock()
+		if err := writeMsg(conn, msgHello, encodeHello(f.name, wantSeq)); err != nil {
 			return err
 		}
-	}
+
+		for {
+			kind, payload, err := readMsg(conn)
+			if err != nil {
+				return err // io.EOF for a clean leader close
+			}
+			// Fault site: the follower dies between receiving and applying —
+			// the worst case for cursor staleness, which idempotent apply
+			// absorbs on reconnect.
+			if err := f.opts.Injector.Err("cluster.follow.apply"); err != nil {
+				return fmt.Errorf("cluster: follow apply: %w", err)
+			}
+			switch kind {
+			case msgSnapshot:
+				baseSeq, files, err := decodeSnapshot(payload)
+				if err != nil {
+					return err
+				}
+				if err := f.importSnapshot(ctx, baseSeq, files); err != nil {
+					return err
+				}
+			case msgEvent:
+				seq, ev, err := decodeEvent(payload)
+				if err != nil {
+					return err
+				}
+				if err := f.applyOne(seq, ev); err != nil {
+					return err
+				}
+			default:
+				return fmt.Errorf("cluster: unexpected message kind %d", kind)
+			}
+			if err := writeMsg(conn, msgAck, encodeAck(f.Applied())); err != nil {
+				return err
+			}
+		}
+	})
 }
 
 // applyOne applies one streamed event and advances the cursor.
@@ -225,32 +225,32 @@ func (f *Follower) applyOne(seq uint64, ev store.ReplicationEvent) error {
 // importSnapshot replaces the replica with a leader snapshot positioned
 // at baseSeq in the event stream.
 func (f *Follower) importSnapshot(ctx context.Context, baseSeq uint64, files []store.SnapshotFile) error {
-	_, sp := obs.StartSpan(ctx, "cluster.follow.import")
-	defer sp.End()
-	sp.SetAttr("files", len(files))
+	return obs.InSpan(ctx, "cluster.follow.import", func(_ context.Context, sp *obs.Span) error {
+		sp.SetAttr("files", len(files))
 
-	f.mu.Lock()
-	st := f.st
-	f.mu.Unlock()
-	if err := st.Close(); err != nil {
-		return fmt.Errorf("cluster: closing replica for import: %w", err)
-	}
-	if err := store.ImportFiles(f.dir, files); err != nil {
-		return err
-	}
-	nst, err := store.OpenReplica(f.dir, f.opts.Store)
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	f.st = nst
-	f.applied = baseSeq
-	f.dirty = 0
-	f.mu.Unlock()
-	if err := f.persistSeq(); err != nil {
-		return fmt.Errorf("cluster: persisting cursor after import: %w", err)
-	}
-	return nil
+		f.mu.Lock()
+		st := f.st
+		f.mu.Unlock()
+		if err := st.Close(); err != nil {
+			return fmt.Errorf("cluster: closing replica for import: %w", err)
+		}
+		if err := store.ImportFiles(f.dir, files); err != nil {
+			return err
+		}
+		nst, err := store.OpenReplica(f.dir, f.opts.Store)
+		if err != nil {
+			return err
+		}
+		f.mu.Lock()
+		f.st = nst
+		f.applied = baseSeq
+		f.dirty = 0
+		f.mu.Unlock()
+		if err := f.persistSeq(); err != nil {
+			return fmt.Errorf("cluster: persisting cursor after import: %w", err)
+		}
+		return nil
+	})
 }
 
 // RunLoop keeps a follower connected until ctx ends: dial, run one

@@ -141,58 +141,58 @@ func (sh *Shipper) Close() {
 // context ends, or the shipper closes. Acks are consumed concurrently on
 // the same connection. The caller owns conn and closes it afterwards.
 func (sh *Shipper) ServeFollower(ctx context.Context, conn io.ReadWriter) error {
-	ctx, sp := obs.StartSpan(ctx, "cluster.ship.serve")
-	defer sp.End()
-	sh.met.shipSessions.Inc()
+	return obs.InSpan(ctx, "cluster.ship.serve", func(ctx context.Context, sp *obs.Span) error {
+		sh.met.shipSessions.Inc()
 
-	kind, payload, err := readMsg(conn)
-	if err != nil {
-		return err
-	}
-	if kind != msgHello {
-		return fmt.Errorf("cluster: expected hello, got message kind %d", kind)
-	}
-	name, wantSeq, err := decodeHello(payload)
-	if err != nil {
-		return err
-	}
-	sp.SetAttr("follower", name)
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// The cond does not observe contexts; a watcher converts
-	// cancellation (or an ack-reader failure) into a wake-up.
-	go func() {
-		<-ctx.Done()
-		sh.cond.Broadcast()
-	}()
-	go sh.readAcks(conn, name, cancel)
-
-	cur, err := sh.openStream(ctx, conn, name, wantSeq)
-	if err != nil {
-		return err
-	}
-	for {
-		ev, err := sh.nextEvent(ctx, cur)
+		kind, payload, err := readMsg(conn)
 		if err != nil {
 			return err
 		}
-		if ev == nil {
-			return nil // shipper closed: clean end of stream
+		if kind != msgHello {
+			return fmt.Errorf("cluster: expected hello, got message kind %d", kind)
 		}
-		// Fault site: the stream breaks mid-send, exactly like a peer
-		// vanishing; the follower reconnects and resumes or resyncs.
-		if err := sh.inj.Err("cluster.ship.send"); err != nil {
-			return fmt.Errorf("cluster: ship send: %w", err)
-		}
-		payload := encodeEvent(cur, *ev)
-		if err := writeMsg(conn, msgEvent, payload); err != nil {
+		name, wantSeq, err := decodeHello(payload)
+		if err != nil {
 			return err
 		}
-		sh.met.shipEvents.Inc()
-		sh.met.shipBytes.Add(uint64(len(payload)))
-		cur++
-	}
+		sp.SetAttr("follower", name)
+
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		// The cond does not observe contexts; a watcher converts
+		// cancellation (or an ack-reader failure) into a wake-up.
+		go func() {
+			<-ctx.Done()
+			sh.cond.Broadcast()
+		}()
+		go sh.readAcks(conn, name, cancel)
+
+		cur, err := sh.openStream(ctx, conn, name, wantSeq)
+		if err != nil {
+			return err
+		}
+		for {
+			ev, err := sh.nextEvent(ctx, cur)
+			if err != nil {
+				return err
+			}
+			if ev == nil {
+				return nil // shipper closed: clean end of stream
+			}
+			// Fault site: the stream breaks mid-send, exactly like a peer
+			// vanishing; the follower reconnects and resumes or resyncs.
+			if err := sh.inj.Err("cluster.ship.send"); err != nil {
+				return fmt.Errorf("cluster: ship send: %w", err)
+			}
+			payload := encodeEvent(cur, *ev)
+			if err := writeMsg(conn, msgEvent, payload); err != nil {
+				return err
+			}
+			sh.met.shipEvents.Inc()
+			sh.met.shipBytes.Add(uint64(len(payload)))
+			cur++
+		}
+	})
 }
 
 // openStream decides how the session starts — tail replay or snapshot
@@ -216,26 +216,29 @@ func (sh *Shipper) openStream(ctx context.Context, conn io.ReadWriter, name stri
 		return 0, errors.New("cluster: shipper has no bound store for snapshot")
 	}
 
-	_, sp := obs.StartSpan(ctx, "cluster.ship.snapshot")
-	defer sp.End()
-	// The mark runs while the store holds both its locks, so no event
-	// can be recorded concurrently: the snapshot corresponds exactly to
-	// the stream position it reports. Lock order is store, then shipper.
-	var snapSeq uint64
-	files, err := st.ExportFiles(func() {
-		sh.mu.Lock()
-		snapSeq = sh.nextSeq - 1
-		sh.mu.Unlock()
+	var next uint64
+	err := obs.InSpan(ctx, "cluster.ship.snapshot", func(_ context.Context, sp *obs.Span) error {
+		// The mark runs while the store holds both its locks, so no event
+		// can be recorded concurrently: the snapshot corresponds exactly to
+		// the stream position it reports. Lock order is store, then shipper.
+		var snapSeq uint64
+		files, err := st.ExportFiles(func() {
+			sh.mu.Lock()
+			snapSeq = sh.nextSeq - 1
+			sh.mu.Unlock()
+		})
+		if err != nil {
+			return err
+		}
+		sp.SetAttr("files", len(files))
+		if err := writeMsg(conn, msgSnapshot, encodeSnapshot(snapSeq, files)); err != nil {
+			return err
+		}
+		sh.met.snapshots.Inc()
+		next = snapSeq + 1
+		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	sp.SetAttr("files", len(files))
-	if err := writeMsg(conn, msgSnapshot, encodeSnapshot(snapSeq, files)); err != nil {
-		return 0, err
-	}
-	sh.met.snapshots.Inc()
-	return snapSeq + 1, nil
+	return next, err
 }
 
 // nextEvent blocks until event seq exists, returning nil on a clean

@@ -146,23 +146,23 @@ func (p *Pipeline) Profile(set *scenario.Set) error {
 func (p *Pipeline) ProfileContext(ctx context.Context, set *scenario.Set) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	ctx, span := obs.StartSpan(ctx, "pipeline.profile")
-	defer span.End()
-	if set != nil {
-		span.SetAttr("scenarios", set.Len())
-	}
-	c, err := profiler.NewCollector(p.cfg.Machine, set, p.cfg.Jobs, p.cfg.Metrics, p.cfg.Profile)
-	if err != nil {
-		return fmt.Errorf("core: profiling: %w", err)
-	}
-	ds, err := c.Collect(ctx)
-	if err != nil {
-		return fmt.Errorf("core: profiling: %w", err)
-	}
-	p.collector = c
-	p.inc, p.det = nil, nil
-	p.publish(ds, nil, perfscore.NewRelaxTable()) // invalidate any previous analysis
-	return nil
+	return obs.InSpan(ctx, "pipeline.profile", func(ctx context.Context, span *obs.Span) error {
+		if set != nil {
+			span.SetAttr("scenarios", set.Len())
+		}
+		c, err := profiler.NewCollector(p.cfg.Machine, set, p.cfg.Jobs, p.cfg.Metrics, p.cfg.Profile)
+		if err != nil {
+			return fmt.Errorf("core: profiling: %w", err)
+		}
+		ds, err := c.Collect(ctx)
+		if err != nil {
+			return fmt.Errorf("core: profiling: %w", err)
+		}
+		p.collector = c
+		p.inc, p.det = nil, nil
+		p.publish(ds, nil, perfscore.NewRelaxTable()) // invalidate any previous analysis
+		return nil
+	})
 }
 
 // Analyze runs FLARE steps 2-3: metric refinement, PCA, clustering, and
@@ -180,17 +180,17 @@ func (p *Pipeline) AnalyzeContext(ctx context.Context) error {
 	if ds == nil {
 		return errors.New("core: Analyze called before Profile")
 	}
-	ctx, span := obs.StartSpan(ctx, "pipeline.analyze")
-	defer span.End()
-	an, err := analyzer.AnalyzeContext(ctx, ds, p.cfg.Analyze)
-	if err != nil {
-		return fmt.Errorf("core: analysis: %w", err)
-	}
-	span.SetAttr("clusters", an.Clustering.K)
-	span.SetAttr("principal_components", an.PCA.NumPC)
-	p.inc, p.det = nil, nil // tick state re-derives lazily from the new baseline
-	p.publish(ds, an, p.snap.Load().relaxed)
-	return nil
+	return obs.InSpan(ctx, "pipeline.analyze", func(ctx context.Context, span *obs.Span) error {
+		an, err := analyzer.AnalyzeContext(ctx, ds, p.cfg.Analyze)
+		if err != nil {
+			return fmt.Errorf("core: analysis: %w", err)
+		}
+		span.SetAttr("clusters", an.Clustering.K)
+		span.SetAttr("principal_components", an.PCA.NumPC)
+		p.inc, p.det = nil, nil // tick state re-derives lazily from the new baseline
+		p.publish(ds, an, p.snap.Load().relaxed)
+		return nil
+	})
 }
 
 // Tick is TickContext with a background context and no incoming
@@ -225,65 +225,69 @@ func (p *Pipeline) TickContext(ctx context.Context, incoming []scenario.Scenario
 	if p.collector == nil {
 		return nil, 0, 0, errors.New("core: Tick called before Profile")
 	}
-	ctx, span := obs.StartSpan(ctx, "pipeline.tick")
-	defer span.End()
+	err = obs.InSpan(ctx, "pipeline.tick", func(ctx context.Context, span *obs.Span) error {
+		touched, n, m, err := p.collector.TickScenarios(ctx, incoming, changed)
+		if err != nil {
+			return fmt.Errorf("core: tick profiling: %w", err)
+		}
+		added, remeasured = n, m
+		span.SetAttr("changed", remeasured)
+		span.SetAttr("touched", len(touched))
+		ds := p.collector.Dataset()
+		an := p.snap.Load().Analysis
+		if an != nil && len(touched) > 0 {
+			if p.inc == nil {
+				if p.inc, err = analyzer.NewIncremental(an, p.cfg.Analyze); err != nil {
+					return fmt.Errorf("core: tick analysis: %w", err)
+				}
+			}
+			if p.det == nil {
+				if p.det, err = drift.NewDetector(an, drift.DefaultQuantile); err != nil {
+					return fmt.Errorf("core: tick drift detector: %w", err)
+				}
+			}
 
-	touched, added, remeasured, err := p.collector.TickScenarios(ctx, incoming, changed)
+			// Drift gate: score the touched rows against the frozen analysis. A
+			// drifted delta invalidates the incremental approximation, so rebuild.
+			delta := linalg.NewMatrix(len(touched), ds.Matrix.Cols())
+			for i, id := range touched {
+				copy(delta.RowView(i), ds.Matrix.RowView(id))
+			}
+			rep, err := p.det.Assess(delta)
+			if err != nil {
+				return fmt.Errorf("core: tick drift assessment: %w", err)
+			}
+			span.SetAttr("drifted", rep.Drifted)
+
+			rebuilt := rep.Drifted
+			if rebuilt {
+				err = p.inc.RebuildContext(ctx)
+			} else {
+				rebuilt, err = p.inc.TickContext(ctx, touched)
+			}
+			if err != nil {
+				return fmt.Errorf("core: tick: %w", err)
+			}
+			span.SetAttr("rebuilt", rebuilt)
+			if rebuilt {
+				p.det = nil // recalibrate the novelty threshold on the new baseline
+			}
+			an = p.inc.Analysis()
+		}
+		// The incremental analyzer reads only the rows and catalog, which all
+		// of a collector's Datasets share; the published set must be the tick's.
+		if an != nil && an.Dataset != ds {
+			next := *an
+			next.Dataset = ds
+			an = &next
+		}
+		snap = p.publish(ds, an, p.snap.Load().relaxed)
+		span.SetAttr("epoch", snap.Epoch)
+		return nil
+	})
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("core: tick profiling: %w", err)
+		return nil, 0, 0, err
 	}
-	span.SetAttr("changed", remeasured)
-	span.SetAttr("touched", len(touched))
-	ds := p.collector.Dataset()
-	an := p.snap.Load().Analysis
-	if an != nil && len(touched) > 0 {
-		if p.inc == nil {
-			if p.inc, err = analyzer.NewIncremental(an, p.cfg.Analyze); err != nil {
-				return nil, 0, 0, fmt.Errorf("core: tick analysis: %w", err)
-			}
-		}
-		if p.det == nil {
-			if p.det, err = drift.NewDetector(an, drift.DefaultQuantile); err != nil {
-				return nil, 0, 0, fmt.Errorf("core: tick drift detector: %w", err)
-			}
-		}
-
-		// Drift gate: score the touched rows against the frozen analysis. A
-		// drifted delta invalidates the incremental approximation, so rebuild.
-		delta := linalg.NewMatrix(len(touched), ds.Matrix.Cols())
-		for i, id := range touched {
-			copy(delta.RowView(i), ds.Matrix.RowView(id))
-		}
-		rep, err := p.det.Assess(delta)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("core: tick drift assessment: %w", err)
-		}
-		span.SetAttr("drifted", rep.Drifted)
-
-		rebuilt := rep.Drifted
-		if rebuilt {
-			err = p.inc.RebuildContext(ctx)
-		} else {
-			rebuilt, err = p.inc.TickContext(ctx, touched)
-		}
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("core: tick: %w", err)
-		}
-		span.SetAttr("rebuilt", rebuilt)
-		if rebuilt {
-			p.det = nil // recalibrate the novelty threshold on the new baseline
-		}
-		an = p.inc.Analysis()
-	}
-	// The incremental analyzer reads only the rows and catalog, which all
-	// of a collector's Datasets share; the published set must be the tick's.
-	if an != nil && an.Dataset != ds {
-		next := *an
-		next.Dataset = ds
-		an = &next
-	}
-	snap = p.publish(ds, an, p.snap.Load().relaxed)
-	span.SetAttr("epoch", snap.Epoch)
 	return snap, added, remeasured, nil
 }
 
@@ -300,15 +304,21 @@ func (s *Snapshot) EvaluateFeature(ctx context.Context, feat machine.Feature) (*
 	if s.Analysis == nil {
 		return nil, errors.New("core: EvaluateFeature called before Analyze")
 	}
-	ctx, span := obs.StartSpan(ctx, "pipeline.evaluate")
-	defer span.End()
-	span.SetAttr("feature", feat.Name)
-	span.SetAttr("epoch", s.Epoch)
-	est, err := replayer.EstimateAllJob(ctx, s.Analysis, s.p.cfg.Jobs, s.p.inherent, s.relaxed, s.p.cfg.Machine, feat, s.p.cfg.Replay)
+	var est *replayer.Estimate
+	err := obs.InSpan(ctx, "pipeline.evaluate", func(ctx context.Context, span *obs.Span) error {
+		span.SetAttr("feature", feat.Name)
+		span.SetAttr("epoch", s.Epoch)
+		var err error
+		est, err = replayer.EstimateAllJob(ctx, s.Analysis, s.p.cfg.Jobs, s.p.inherent, s.relaxed, s.p.cfg.Machine, feat, s.p.cfg.Replay)
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		span.SetAttr("scenarios_replayed", est.ScenariosReplayed)
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
-	span.SetAttr("scenarios_replayed", est.ScenariosReplayed)
 	return est, nil
 }
 
@@ -324,16 +334,22 @@ func (s *Snapshot) EvaluateFeatureForJob(ctx context.Context, feat machine.Featu
 	if s.Analysis == nil {
 		return nil, errors.New("core: EvaluateFeatureForJob called before Analyze")
 	}
-	ctx, span := obs.StartSpan(ctx, "pipeline.evaluate_job")
-	defer span.End()
-	span.SetAttr("feature", feat.Name)
-	span.SetAttr("job", job)
-	span.SetAttr("epoch", s.Epoch)
-	est, err := s.jobs.EstimatePerJob(ctx, s.Analysis, s.p.cfg.Jobs, s.p.inherent, s.relaxed, s.p.cfg.Machine, feat, job, s.p.cfg.Replay)
+	var est *replayer.JobEstimate
+	err := obs.InSpan(ctx, "pipeline.evaluate_job", func(ctx context.Context, span *obs.Span) error {
+		span.SetAttr("feature", feat.Name)
+		span.SetAttr("job", job)
+		span.SetAttr("epoch", s.Epoch)
+		var err error
+		est, err = s.jobs.EstimatePerJob(ctx, s.Analysis, s.p.cfg.Jobs, s.p.inherent, s.relaxed, s.p.cfg.Machine, feat, job, s.p.cfg.Replay)
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+		span.SetAttr("scenarios_replayed", est.ScenariosReplayed)
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
-	span.SetAttr("scenarios_replayed", est.ScenariosReplayed)
 	return est, nil
 }
 
@@ -355,12 +371,12 @@ func (p *Pipeline) PersistDatasetContext(ctx context.Context, db *metricdb.DB) e
 	if ds == nil {
 		return errors.New("core: PersistDataset called before Profile")
 	}
-	ctx, span := obs.StartSpan(ctx, "pipeline.persist")
-	defer span.End()
-	if err := ds.Store(ctx, db); err != nil {
-		return fmt.Errorf("core: persisting dataset: %w", err)
-	}
-	return nil
+	return obs.InSpan(ctx, "pipeline.persist", func(ctx context.Context, _ *obs.Span) error {
+		if err := ds.Store(ctx, db); err != nil {
+			return fmt.Errorf("core: persisting dataset: %w", err)
+		}
+		return nil
+	})
 }
 
 // Dataset returns the current snapshot's dataset (nil before Profile).

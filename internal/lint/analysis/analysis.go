@@ -12,8 +12,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
-	"unicode"
 )
 
 // Analyzer describes one invariant checker.
@@ -48,9 +46,6 @@ type Pass struct {
 
 	// Report delivers one diagnostic. Drivers install this.
 	Report func(Diagnostic)
-
-	// comments caches per-file comment maps for directive lookup.
-	comments map[*ast.File]ast.CommentMap
 }
 
 // Diagnostic is one finding at a source position. End, when valid,
@@ -82,58 +77,4 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 func (p *Pass) ReportRangef(n ast.Node, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: n.Pos(), End: n.End(),
 		Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
-}
-
-// ExemptDirective names the retired suppression directive
-//
-//	//lint:exempt <analyzer> <reason>
-//
-// No analyzer in lint.Suite consults it: flarelint gates on every
-// finding.
-const ExemptDirective = "exempt"
-
-// Exempted reports whether the line containing pos — or the line
-// immediately above it — carries a generic exempt directive naming this
-// pass's analyzer, with a reason.
-func (p *Pass) Exempted(pos token.Pos) bool {
-	posn := p.Fset.Position(pos)
-	for _, f := range p.Files {
-		if p.Fset.Position(f.Pos()).Filename != posn.Filename {
-			continue
-		}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				cl := p.Fset.Position(c.Pos()).Line
-				if cl != posn.Line && cl != posn.Line-1 {
-					continue
-				}
-				if name, reason, ok := ParseExempt(c.Text); ok && name == p.Analyzer.Name && reason != "" {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// ParseExempt parses `//lint:exempt <analyzer> <reason>` comment text,
-// returning the named analyzer and the (possibly empty) reason. ok is
-// true when the comment is an exempt directive at all — callers must
-// still require a non-empty reason before honouring it.
-func ParseExempt(text string) (analyzer, reason string, ok bool) {
-	text = strings.TrimSpace(strings.TrimPrefix(text, "//"))
-	rest, found := strings.CutPrefix(text, "lint:"+ExemptDirective)
-	if !found || rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return "", "", false // e.g. lint:exempted — a different word
-	}
-	rest = strings.TrimSpace(rest)
-	if i := strings.IndexFunc(rest, unicode.IsSpace); i >= 0 {
-		analyzer, reason = rest[:i], strings.TrimSpace(rest[i:])
-	} else {
-		analyzer = rest
-	}
-	if analyzer == "" {
-		return "", "", false // `//lint:exempt` names nothing
-	}
-	return analyzer, reason, true
 }

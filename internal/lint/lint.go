@@ -13,16 +13,15 @@ import (
 	"flare/internal/lint/ctxflow"
 	"flare/internal/lint/load"
 	"flare/internal/lint/metricname"
-	"flare/internal/lint/spanend"
 )
 
-// Suite returns the three FLARE analyzers in diagnostic order: the
-// intraprocedural telemetry checks first, then the summary-driven
-// context-propagation check.
+// Suite returns the two FLARE analyzers in diagnostic order: the
+// intraprocedural metric-naming check first, then the summary-driven
+// context-propagation check. Spans need no analyzer: obs.InSpan ends
+// every span it opens.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		metricname.Analyzer,
-		spanend.Analyzer,
 		ctxflow.Analyzer,
 	}
 }

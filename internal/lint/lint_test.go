@@ -9,8 +9,8 @@ import (
 
 func TestSuite(t *testing.T) {
 	suite := lint.Suite()
-	if len(suite) != 3 {
-		t.Fatalf("Suite has %d analyzers, want 3", len(suite))
+	if len(suite) != 2 {
+		t.Fatalf("Suite has %d analyzers, want 2", len(suite))
 	}
 	seen := map[string]bool{}
 	for _, a := range suite {
@@ -41,7 +41,7 @@ func TestFindingString(t *testing.T) {
 
 func TestFindingJSONShape(t *testing.T) {
 	buf, err := json.Marshal(lint.Finding{
-		Analyzer: "spanend",
+		Analyzer: "ctxflow",
 		Position: lint.Position{File: "x.go", Line: 1, Column: 2},
 		Message:  "m",
 	})
@@ -50,7 +50,7 @@ func TestFindingJSONShape(t *testing.T) {
 	}
 	// Optional fields (url, end, related) must stay absent when unset so
 	// downstream JSON consumers keep parsing pre-v2 output.
-	want := `{"analyzer":"spanend","position":{"file":"x.go","line":1,"column":2},"message":"m"}`
+	want := `{"analyzer":"ctxflow","position":{"file":"x.go","line":1,"column":2},"message":"m"}`
 	if string(buf) != want {
 		t.Errorf("JSON = %s, want %s", buf, want)
 	}

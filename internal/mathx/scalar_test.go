@@ -36,28 +36,6 @@ func TestClampInvertedBoundsPanics(t *testing.T) {
 	Clamp(0, 1, -1)
 }
 
-func TestRelativeError(t *testing.T) {
-	if got := RelativeError(110, 100); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("RelativeError(110,100) = %v, want 0.1", got)
-	}
-	// Near-zero want falls back to absolute difference.
-	if got := RelativeError(0.5, 0); got != 0.5 {
-		t.Errorf("RelativeError(0.5,0) = %v, want 0.5", got)
-	}
-}
-
-func TestLerp(t *testing.T) {
-	if got := Lerp(2, 10, 0); got != 2 {
-		t.Errorf("Lerp t=0 = %v, want 2", got)
-	}
-	if got := Lerp(2, 10, 1); got != 10 {
-		t.Errorf("Lerp t=1 = %v, want 10", got)
-	}
-	if got := Lerp(2, 10, 0.5); got != 6 {
-		t.Errorf("Lerp t=0.5 = %v, want 6", got)
-	}
-}
-
 func TestSafeDiv(t *testing.T) {
 	if got := SafeDiv(10, 2, -1); got != 5 {
 		t.Errorf("SafeDiv(10,2) = %v, want 5", got)

@@ -44,11 +44,6 @@ func (v Vector) Dot(w Vector) float64 {
 	return sum
 }
 
-// Norm returns the Euclidean (L2) norm of v.
-func (v Vector) Norm() float64 {
-	return math.Sqrt(v.Dot(v))
-}
-
 // DistanceSq returns the squared Euclidean distance between v and w.
 func (v Vector) DistanceSq(w Vector) float64 {
 	if len(v) != len(w) {
@@ -132,15 +127,4 @@ func (v Vector) Min() float64 {
 		}
 	}
 	return out
-}
-
-// IsFinite reports whether every element of v is finite (neither NaN nor
-// infinite).
-func (v Vector) IsFinite() bool {
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
-	}
-	return true
 }

@@ -16,8 +16,14 @@ const StageHistogram = "flare_stage_duration_seconds"
 // Span is one timed region of the pipeline. Spans form a tree: a span
 // started from a context that already carries a span becomes its child.
 // All methods are nil-safe, so instrumented code needs no tracer checks —
-// without a Tracer in the context, StartSpan returns a nil span and the
-// instrumentation costs two pointer lookups.
+// without a Tracer in the context, InSpan passes a nil span and the
+// instrumentation costs two pointer lookups. Code opens a span only
+// through InSpan, which ends it on every path out of fn:
+//
+//	err := obs.InSpan(ctx, "analyze.kmeans", func(ctx context.Context, sp *obs.Span) error {
+//		sp.SetAttr("k", k)
+//		return fit(ctx, k)
+//	})
 type Span struct {
 	tracer *Tracer
 	parent *Span
@@ -256,13 +262,22 @@ func TracerFrom(ctx context.Context) *Tracer {
 	return t
 }
 
-// StartSpan begins a span named name. If the context carries a span, the
-// new span becomes its child; otherwise it is a root span on the
-// context's tracer. Without a tracer the returned span is nil (and safe
-// to use). The returned context carries the new span for further nesting.
-//
-//	ctx, span := obs.StartSpan(ctx, "analyze.kmeans")
-//	defer span.End()
+// InSpan runs fn under a span named name and ends the span when fn
+// returns or panics, so no path out of the region leaves it open. If the
+// context carries a span, the new span becomes its child; otherwise it
+// is a root span on the context's tracer. Without a tracer fn gets a nil
+// span (safe to use). fn's context carries the new span for further
+// nesting, and its error is returned unchanged.
+func InSpan(ctx context.Context, name string, fn func(context.Context, *Span) error) error {
+	ctx, s := StartSpan(ctx, name)
+	defer s.End()
+	return fn(ctx, s)
+}
+
+// StartSpan begins a span named name that the caller must End; it is
+// InSpan without the scope. It stays exported because the flarebench
+// layer report times one StartSpan+End as obs.span_ns, and goes when that
+// benchmark times InSpan instead.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	parent, _ := ctx.Value(spanKey{}).(*Span)
 	var tracer *Tracer

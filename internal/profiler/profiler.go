@@ -172,17 +172,18 @@ func (c *Collector) Collect(ctx context.Context) (*Dataset, error) {
 	if set.Len() == 0 {
 		return nil, errors.New("profiler: empty scenario set")
 	}
-	ctx, span := obs.StartSpan(ctx, "profiler.collect")
-	defer span.End()
-	span.SetAttr("scenarios", set.Len())
-	span.SetAttr("workers", c.workers())
-	span.SetAttr("samples_per_scenario", c.opts.SamplesPerScenario)
+	err := obs.InSpan(ctx, "profiler.collect", func(ctx context.Context, span *obs.Span) error {
+		span.SetAttr("scenarios", set.Len())
+		span.SetAttr("workers", c.workers())
+		span.SetAttr("samples_per_scenario", c.opts.SamplesPerScenario)
 
-	ids := make([]int, set.Len())
-	for i := range ids {
-		ids[i] = i
-	}
-	if err := c.measure(ctx, ids); err != nil {
+		ids := make([]int, set.Len())
+		for i := range ids {
+			ids[i] = i
+		}
+		return c.measure(ctx, ids)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return c.ds, nil
@@ -204,45 +205,49 @@ func (c *Collector) Tick(ctx context.Context, changed []int) (touched []int, err
 // re-measured. A failed tick changes neither the collector's dataset
 // nor its matrix.
 func (c *Collector) TickScenarios(ctx context.Context, incoming []scenario.Scenario, changed []int) (touched []int, added, remeasured int, err error) {
-	ctx, span := obs.StartSpan(ctx, "profiler.tick")
-	defer span.End()
-
-	seen := make(map[int]bool, len(changed))
-	for _, id := range changed {
-		if id < 0 || id >= c.measured {
-			return nil, 0, 0, fmt.Errorf("profiler: changed scenario %d out of measured range [0,%d)", id, c.measured)
+	err = obs.InSpan(ctx, "profiler.tick", func(ctx context.Context, span *obs.Span) error {
+		seen := make(map[int]bool, len(changed))
+		for _, id := range changed {
+			if id < 0 || id >= c.measured {
+				return fmt.Errorf("profiler: changed scenario %d out of measured range [0,%d)", id, c.measured)
+			}
+			if !seen[id] {
+				seen[id] = true
+				touched = append(touched, id)
+			}
 		}
-		if !seen[id] {
-			seen[id] = true
+		prev := c.ds
+		if len(incoming) > 0 {
+			next := *prev
+			next.Scenarios = prev.Scenarios.Clone()
+			for _, sc := range incoming {
+				next.Scenarios.Add(sc)
+			}
+			added = next.Scenarios.Len() - prev.Scenarios.Len()
+			c.ds = &next
+		}
+		set := c.ds.Scenarios
+		for id := c.measured; id < set.Len(); id++ {
 			touched = append(touched, id)
 		}
-	}
-	prev := c.ds
-	if len(incoming) > 0 {
-		next := *prev
-		next.Scenarios = prev.Scenarios.Clone()
-		for _, sc := range incoming {
-			next.Scenarios.Add(sc)
+		sort.Ints(touched)
+		span.SetAttr("new", set.Len()-c.measured)
+		span.SetAttr("changed", len(seen))
+		span.SetAttr("touched", len(touched))
+		remeasured = len(seen)
+		if len(touched) == 0 {
+			return nil
 		}
-		added = next.Scenarios.Len() - prev.Scenarios.Len()
-		c.ds = &next
-	}
-	set := c.ds.Scenarios
-	for id := c.measured; id < set.Len(); id++ {
-		touched = append(touched, id)
-	}
-	sort.Ints(touched)
-	span.SetAttr("new", set.Len()-c.measured)
-	span.SetAttr("changed", len(seen))
-	span.SetAttr("touched", len(touched))
-	if len(touched) == 0 {
-		return nil, added, len(seen), nil
-	}
-	if err := c.measure(ctx, touched); err != nil {
-		c.ds = prev
+		if err := c.measure(ctx, touched); err != nil {
+			c.ds = prev
+			return err
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, 0, 0, err
 	}
-	return touched, added, len(seen), nil
+	return touched, added, remeasured, nil
 }
 
 // workers resolves the effective worker-pool size.
@@ -302,54 +307,54 @@ func (c *Collector) grow() {
 // worker evaluates the contention model and writes samples directly into
 // the columnar buffers.
 func (c *Collector) evaluatePhase(ctx context.Context, ids []int) error {
-	_, span := obs.StartSpan(ctx, "profiler.evaluate")
-	defer span.End()
-	span.SetAttr("scenarios", len(ids))
+	return obs.InSpan(ctx, "profiler.evaluate", func(_ context.Context, span *obs.Span) error {
+		span.SetAttr("scenarios", len(ids))
 
-	workers := c.workers()
-	// Workers never stop consuming, even after a failure — otherwise the
-	// unbuffered feed below would block the producer once every worker
-	// had exited on error. The first error wins; later work is skipped.
-	var (
-		feed     = make(chan int)
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		failed   atomic.Bool
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker scratch: the model evaluator, RNG, and row
-			// buffer are reused across every scenario this worker
-			// profiles, so the steady-state loop is allocation-free.
-			scr, err := c.newScratch()
-			if err != nil {
-				errOnce.Do(func() {
-					firstErr = err
-					failed.Store(true)
-				})
-			}
-			for id := range feed {
-				if failed.Load() {
-					continue // drain without working
-				}
-				if err := c.profileOne(id, scr); err != nil {
+		workers := c.workers()
+		// Workers never stop consuming, even after a failure — otherwise the
+		// unbuffered feed below would block the producer once every worker
+		// had exited on error. The first error wins; later work is skipped.
+		var (
+			feed     = make(chan int)
+			wg       sync.WaitGroup
+			errOnce  sync.Once
+			firstErr error
+			failed   atomic.Bool
+		)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Per-worker scratch: the model evaluator, RNG, and row
+				// buffer are reused across every scenario this worker
+				// profiles, so the steady-state loop is allocation-free.
+				scr, err := c.newScratch()
+				if err != nil {
 					errOnce.Do(func() {
 						firstErr = err
 						failed.Store(true)
 					})
 				}
-			}
-		}()
-	}
-	for _, id := range ids {
-		feed <- id
-	}
-	close(feed)
-	wg.Wait()
-	return firstErr
+				for id := range feed {
+					if failed.Load() {
+						continue // drain without working
+					}
+					if err := c.profileOne(id, scr); err != nil {
+						errOnce.Do(func() {
+							firstErr = err
+							failed.Store(true)
+						})
+					}
+				}
+			}()
+		}
+		for _, id := range ids {
+			feed <- id
+		}
+		close(feed)
+		wg.Wait()
+		return firstErr
+	})
 }
 
 // reducePhase folds each touched scenario's sample columns into its
@@ -357,27 +362,28 @@ func (c *Collector) evaluatePhase(ctx context.Context, ids []int) error {
 // variability twins. Sequential, so reduction order never depends on the
 // worker count.
 func (c *Collector) reducePhase(ctx context.Context, ids []int) {
-	_, span := obs.StartSpan(ctx, "profiler.reduce")
-	defer span.End()
-	span.SetAttr("scenarios", len(ids))
+	_ = obs.InSpan(ctx, "profiler.reduce", func(_ context.Context, span *obs.Span) error {
+		span.SetAttr("scenarios", len(ids))
 
-	s := c.opts.SamplesPerScenario
-	n := float64(s)
-	for _, id := range ids {
-		base := id * s
-		row := c.ds.Matrix.RowView(id)
-		for j := range c.cols {
-			if b := c.stdBase[j]; b >= 0 {
-				row[j] = stats.StdDev(c.cols[b][base : base+s])
-				continue
+		s := c.opts.SamplesPerScenario
+		n := float64(s)
+		for _, id := range ids {
+			base := id * s
+			row := c.ds.Matrix.RowView(id)
+			for j := range c.cols {
+				if b := c.stdBase[j]; b >= 0 {
+					row[j] = stats.StdDev(c.cols[b][base : base+s])
+					continue
+				}
+				var sum float64
+				for _, x := range c.cols[j][base : base+s] {
+					sum += x
+				}
+				row[j] = sum / n
 			}
-			var sum float64
-			for _, x := range c.cols[j][base : base+s] {
-				sum += x
-			}
-			row[j] = sum / n
 		}
-	}
+		return nil
+	})
 }
 
 // scratch holds one worker's reusable profiling state.

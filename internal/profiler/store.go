@@ -24,69 +24,68 @@ const (
 // the history does not depend on an end-of-run dump. A "profiler.store"
 // span records how many rows were recorded.
 func (ds *Dataset) Store(ctx context.Context, db *metricdb.DB) error {
-	_, span := obs.StartSpan(ctx, "profiler.store")
-	defer span.End()
-
-	samples, err := db.CreateTable(samplesTable, []metricdb.Column{
-		{Name: "scenario", Type: metricdb.TypeInt},
-		{Name: "metric", Type: metricdb.TypeString},
-		{Name: "value", Type: metricdb.TypeFloat},
-	})
-	if err != nil {
-		return fmt.Errorf("profiler: %w", err)
-	}
-	jobPerf, err := db.CreateTable(jobPerfTable, []metricdb.Column{
-		{Name: "scenario", Type: metricdb.TypeInt},
-		{Name: "job", Type: metricdb.TypeString},
-		{Name: "mips", Type: metricdb.TypeFloat},
-	})
-	if err != nil {
-		return fmt.Errorf("profiler: %w", err)
-	}
-
-	// One reused slice holds a scenario's rows; InsertMany copies them.
-	rows := 0
-	names := ds.Catalog.Names()
-	batch := make([]metricdb.Row, 0, len(names))
-	insert := func(t *metricdb.Table) error {
-		if err := t.InsertMany(batch); err != nil {
+	return obs.InSpan(ctx, "profiler.store", func(_ context.Context, span *obs.Span) error {
+		samples, err := db.CreateTable(samplesTable, []metricdb.Column{
+			{Name: "scenario", Type: metricdb.TypeInt},
+			{Name: "metric", Type: metricdb.TypeString},
+			{Name: "value", Type: metricdb.TypeFloat},
+		})
+		if err != nil {
 			return fmt.Errorf("profiler: %w", err)
 		}
-		rows += len(batch)
-		batch = batch[:0]
+		jobPerf, err := db.CreateTable(jobPerfTable, []metricdb.Column{
+			{Name: "scenario", Type: metricdb.TypeInt},
+			{Name: "job", Type: metricdb.TypeString},
+			{Name: "mips", Type: metricdb.TypeFloat},
+		})
+		if err != nil {
+			return fmt.Errorf("profiler: %w", err)
+		}
+
+		// One reused slice holds a scenario's rows; InsertMany copies them.
+		rows := 0
+		names := ds.Catalog.Names()
+		batch := make([]metricdb.Row, 0, len(names))
+		insert := func(t *metricdb.Table) error {
+			if err := t.InsertMany(batch); err != nil {
+				return fmt.Errorf("profiler: %w", err)
+			}
+			rows += len(batch)
+			batch = batch[:0]
+			return nil
+		}
+		for id := 0; id < ds.Scenarios.Len(); id++ {
+			for col, name := range names {
+				batch = append(batch, metricdb.Row{
+					metricdb.Int(int64(id)),
+					metricdb.String(name),
+					metricdb.Float(ds.Matrix.At(id, col)),
+				})
+			}
+			if err := insert(samples); err != nil {
+				return err
+			}
+			// Sorted jobs, not map order: the stored row sequence (and so the
+			// journaled byte stream) must be identical run to run.
+			jobs := make([]string, 0, len(ds.JobMIPS[id]))
+			for job := range ds.JobMIPS[id] {
+				jobs = append(jobs, job)
+			}
+			sort.Strings(jobs)
+			for _, job := range jobs {
+				batch = append(batch, metricdb.Row{
+					metricdb.Int(int64(id)),
+					metricdb.String(job),
+					metricdb.Float(ds.JobMIPS[id][job]),
+				})
+			}
+			if err := insert(jobPerf); err != nil {
+				return err
+			}
+		}
+		span.SetAttr("rows", rows)
 		return nil
-	}
-	for id := 0; id < ds.Scenarios.Len(); id++ {
-		for col, name := range names {
-			batch = append(batch, metricdb.Row{
-				metricdb.Int(int64(id)),
-				metricdb.String(name),
-				metricdb.Float(ds.Matrix.At(id, col)),
-			})
-		}
-		if err := insert(samples); err != nil {
-			return err
-		}
-		// Sorted jobs, not map order: the stored row sequence (and so the
-		// journaled byte stream) must be identical run to run.
-		jobs := make([]string, 0, len(ds.JobMIPS[id]))
-		for job := range ds.JobMIPS[id] {
-			jobs = append(jobs, job)
-		}
-		sort.Strings(jobs)
-		for _, job := range jobs {
-			batch = append(batch, metricdb.Row{
-				metricdb.Int(int64(id)),
-				metricdb.String(job),
-				metricdb.Float(ds.JobMIPS[id][job]),
-			})
-		}
-		if err := insert(jobPerf); err != nil {
-			return err
-		}
-	}
-	span.SetAttr("rows", rows)
-	return nil
+	})
 }
 
 // Stored reports whether db already holds ds — e.g. a server restarted

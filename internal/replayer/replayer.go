@@ -301,77 +301,82 @@ func (tb testbed) estimate(ctx context.Context, strata []stratum, job string) (*
 	if job != "" {
 		name, mode = "replay.estimate_per_job", "per-job"
 	}
-	ctx, span := obs.StartSpan(ctx, name)
-	defer span.End()
-	span.SetAttr("feature", tb.feat.Name)
-	span.SetAttr("representatives", len(strata))
-	if job != "" {
-		span.SetAttr("job", job)
-	}
-
-	scorer, err := perfscore.NewScorer(tb.base, tb.feat, tb.inh, tb.relaxed)
-	if err != nil {
-		return nil, 0, fmt.Errorf("replayer: %w", err)
-	}
-	var policy retry.Bound
-	bound := false
-	est := &Estimate{Feature: tb.feat.Name}
-	sopts := perfscore.Options{NoiseStd: tb.opts.ReconstructionNoiseStd, Samples: tb.opts.Samples,
-		Tape: perfmodel.NewNoiseCursor(tb.opts.Seed, tb.opts.ReconstructionNoiseStd)}
-	var weightSum, variance float64
-	for _, st := range strata {
-		replays := st.candidates
+	var est *Estimate
+	var se float64
+	err := obs.InSpan(ctx, name, func(ctx context.Context, span *obs.Span) error {
+		span.SetAttr("feature", tb.feat.Name)
+		span.SetAttr("representatives", len(strata))
 		if job != "" {
-			replays = nil
-			for i, sc := range st.candidates {
-				if sc.HasJob(job) && st.weight > 0 {
-					replays = st.candidates[i : i+1]
-					break
+			span.SetAttr("job", job)
+		}
+
+		scorer, err := perfscore.NewScorer(tb.base, tb.feat, tb.inh, tb.relaxed)
+		if err != nil {
+			return fmt.Errorf("replayer: %w", err)
+		}
+		var policy retry.Bound
+		bound := false
+		est = &Estimate{Feature: tb.feat.Name}
+		sopts := perfscore.Options{NoiseStd: tb.opts.ReconstructionNoiseStd, Samples: tb.opts.Samples,
+			Tape: perfmodel.NewNoiseCursor(tb.opts.Seed, tb.opts.ReconstructionNoiseStd)}
+		var weightSum, variance float64
+		for _, st := range strata {
+			replays := st.candidates
+			if job != "" {
+				replays = nil
+				for i, sc := range st.candidates {
+					if sc.HasJob(job) && st.weight > 0 {
+						replays = st.candidates[i : i+1]
+						break
+					}
 				}
 			}
-		}
-		if len(replays) == 0 {
-			continue // e.g. the cluster has no instance of the job
-		}
-		impacts := make([]float64, len(replays))
-		if !bound {
-			policy, bound = tb.opts.retryPolicy(ctx).Bind(), true
-		}
-		for i, sc := range replays {
-			imp, err := tb.replay(ctx, &policy, scorer, st.cluster, sc, sopts)
-			if err != nil {
-				return nil, 0, fmt.Errorf("replayer: %w", err)
+			if len(replays) == 0 {
+				continue // e.g. the cluster has no instance of the job
 			}
-			impacts[i] = imp.ReductionPct
-			if job != "" {
-				impacts[i] = scorer.JobReductionPct(job)
+			impacts := make([]float64, len(replays))
+			if !bound {
+				policy, bound = tb.opts.retryPolicy(ctx).Bind(), true
 			}
-			est.ScenariosReplayed++
+			for i, sc := range replays {
+				imp, err := tb.replay(ctx, &policy, scorer, st.cluster, sc, sopts)
+				if err != nil {
+					return fmt.Errorf("replayer: %w", err)
+				}
+				impacts[i] = imp.ReductionPct
+				if job != "" {
+					impacts[i] = scorer.JobReductionPct(job)
+				}
+				est.ScenariosReplayed++
+			}
+			mean := stats.Mean(impacts)
+			est.PerCluster = append(est.PerCluster, ClusterImpact{
+				Cluster:      st.cluster,
+				ScenarioID:   replays[0].ID,
+				Weight:       st.weight,
+				ReductionPct: mean,
+			})
+			est.ReductionPct += st.weight * mean
+			weightSum += st.weight
+			if len(impacts) > 1 {
+				variance += st.weight * st.weight * stats.SampleVariance(impacts) / float64(len(impacts))
+			}
 		}
-		mean := stats.Mean(impacts)
-		est.PerCluster = append(est.PerCluster, ClusterImpact{
-			Cluster:      st.cluster,
-			ScenarioID:   replays[0].ID,
-			Weight:       st.weight,
-			ReductionPct: mean,
-		})
-		est.ReductionPct += st.weight * mean
-		weightSum += st.weight
-		if len(impacts) > 1 {
-			variance += st.weight * st.weight * stats.SampleVariance(impacts) / float64(len(impacts))
+		if weightSum == 0 && job != "" {
+			return fmt.Errorf("replayer: no cluster contains job %s", job)
 		}
+		if weightSum > 0 {
+			est.ReductionPct /= weightSum
+			se = math.Sqrt(variance) / weightSum
+		}
+		obs.TracerFrom(ctx).Registry().Counter("flare_replays_total",
+			"representative scenario replays", "mode", mode).
+			Add(uint64(est.ScenariosReplayed))
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	if weightSum == 0 && job != "" {
-		return nil, 0, fmt.Errorf("replayer: no cluster contains job %s", job)
-	}
-	var se float64
-	if weightSum > 0 {
-		est.ReductionPct /= weightSum
-		se = math.Sqrt(variance) / weightSum
-	}
-	obs.TracerFrom(ctx).Registry().Counter("flare_replays_total",
-		"representative scenario replays", "mode", mode).
-		Add(uint64(est.ScenariosReplayed))
 	return est, se, nil
 }
 
@@ -381,18 +386,18 @@ func (tb testbed) estimate(ctx context.Context, strata []stratum, job string) (*
 // cursor.
 func (tb testbed) replay(ctx context.Context, policy *retry.Bound, scorer *perfscore.Scorer,
 	cluster int, sc scenario.Scenario, sopts perfscore.Options) (perfscore.Impact, error) {
-	ctx, span := obs.StartSpan(ctx, "replay.scenario")
-	defer span.End()
-	span.SetAttr("cluster", cluster)
-	span.SetAttr("scenario_id", sc.ID)
 	var imp perfscore.Impact
-	err := policy.Do(ctx, func() error {
-		if err := tb.opts.Injector.Err("replay.scenario"); err != nil {
-			return err
-		}
-		var err error
-		imp, err = scorer.Scenario(sc, tb.cat, sopts)
-		return retry.Permanent(err)
+	err := obs.InSpan(ctx, "replay.scenario", func(ctx context.Context, span *obs.Span) error {
+		span.SetAttr("cluster", cluster)
+		span.SetAttr("scenario_id", sc.ID)
+		return policy.Do(ctx, func() error {
+			if err := tb.opts.Injector.Err("replay.scenario"); err != nil {
+				return err
+			}
+			var err error
+			imp, err = scorer.Scenario(sc, tb.cat, sopts)
+			return retry.Permanent(err)
+		})
 	})
 	return imp, err
 }

@@ -194,17 +194,19 @@ func (c *coordinator) fetch(ctx context.Context, tracer *obs.Tracer,
 	if err := br.Allow(); err != nil {
 		return nil, fmt.Errorf("peer %s: %w", owner, err)
 	}
-	ctx = obs.WithTracer(ctx, tracer)
-	ctx, span := obs.StartSpan(ctx, "cluster.route")
-	defer span.End()
-	span.SetAttr("peer", owner)
-	span.SetAttr("feature", feat)
+	var body []byte
+	err := obs.InSpan(obs.WithTracer(ctx, tracer), "cluster.route", func(ctx context.Context, span *obs.Span) error {
+		span.SetAttr("peer", owner)
+		span.SetAttr("feature", feat)
 
-	body, err := c.roundTrip(ctx, owner, feat, job)
-	br.Record(err)
-	if err != nil {
-		span.SetAttr("error", err.Error())
-	}
+		var err error
+		body, err = c.roundTrip(ctx, owner, feat, job)
+		br.Record(err)
+		if err != nil {
+			span.SetAttr("error", err.Error())
+		}
+		return err
+	})
 	return body, err
 }
 
@@ -275,49 +277,51 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	job := r.URL.Query().Get("job")
 
-	_, span := obs.StartSpan(obs.WithTracer(r.Context(), s.tracer), "cluster.batch")
-	defer span.End()
-	span.SetAttr("features", len(feats))
-	if s.cluster != nil {
-		s.reg.Counter("flare_cluster_batch_requests_total",
-			"batch estimate requests fanned out by the coordinator").Inc()
-	}
-
-	deadline := time.Now().Add(s.opts.RequestTimeout)
-	elems := make([]*estimateEntry, len(feats))
-	var wg sync.WaitGroup
-	for i := range feats {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			elems[i] = s.resolveEstimate(r, deadline, feats[i], job)
-		}(i)
-	}
-	wg.Wait()
-
-	// The response is decided only after every element resolves, so the
-	// serve-time counters see exactly what the client observes: the
-	// lowest-index failure (one timeout per timed-out batch, not one per
-	// element that shared the deadline), and no degraded elements from
-	// batches that failed overall.
-	const route = "/api/estimate/batch"
-	out := make([]json.RawMessage, len(feats))
-	for i, e := range elems {
-		switch {
-		case e == nil:
-			w.WriteHeader(statusClientClosed)
-			return
-		case e.errMsg != "":
-			s.countServed(w, route, e)
-			writeError(w, e.status, "feature %q: %s", feats[i].Name, e.errMsg)
-			return
+	// fn returns nil: every outcome is written to w.
+	_ = obs.InSpan(obs.WithTracer(r.Context(), s.tracer), "cluster.batch", func(_ context.Context, span *obs.Span) error {
+		span.SetAttr("features", len(feats))
+		if s.cluster != nil {
+			s.reg.Counter("flare_cluster_batch_requests_total",
+				"batch estimate requests fanned out by the coordinator").Inc()
 		}
-		out[i] = e.body
-	}
-	for _, e := range elems {
-		s.countServed(w, route, e)
-	}
-	writeJSON(w, http.StatusOK, batchEstimateResponse{Job: job, Estimates: out})
+
+		deadline := time.Now().Add(s.opts.RequestTimeout)
+		elems := make([]*estimateEntry, len(feats))
+		var wg sync.WaitGroup
+		for i := range feats {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				elems[i] = s.resolveEstimate(r, deadline, feats[i], job)
+			}(i)
+		}
+		wg.Wait()
+
+		// The response is decided only after every element resolves, so the
+		// serve-time counters see exactly what the client observes: the
+		// lowest-index failure (one timeout per timed-out batch, not one per
+		// element that shared the deadline), and no degraded elements from
+		// batches that failed overall.
+		const route = "/api/estimate/batch"
+		out := make([]json.RawMessage, len(feats))
+		for i, e := range elems {
+			switch {
+			case e == nil:
+				w.WriteHeader(statusClientClosed)
+				return nil
+			case e.errMsg != "":
+				s.countServed(w, route, e)
+				writeError(w, e.status, "feature %q: %s", feats[i].Name, e.errMsg)
+				return nil
+			}
+			out[i] = e.body
+		}
+		for _, e := range elems {
+			s.countServed(w, route, e)
+		}
+		writeJSON(w, http.StatusOK, batchEstimateResponse{Job: job, Estimates: out})
+		return nil
+	})
 }
 
 // clusterHealth is the /api/health "cluster" section.

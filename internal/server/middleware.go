@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -77,35 +78,24 @@ func (m *routeMetrics) observe(status int, elapsed time.Duration) {
 // stays bounded by the route table regardless of what paths clients
 // request.
 func (s *Server) instrument(route string, next http.Handler) http.Handler {
-	traced := tracedRoute(route)
+	traced, spanName := tracedRoute(route), "http."+route
 	metrics := &routeMetrics{reg: s.reg, route: route}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-
-		var span *obs.Span
-		var reqID string
-		req := r
-		if traced {
-			reqID = s.nextRequestID()
-			ctx := obs.WithTracer(r.Context(), s.tracer)
-			ctx, span = obs.StartSpan(ctx, "http."+route)
-			span.SetAttr("request_id", reqID)
-			span.SetAttr("method", r.Method)
-			sw.Header().Set("X-Request-Id", reqID)
-			req = r.WithContext(ctx)
+		if !traced {
+			defer func() { metrics.observe(sw.status, time.Since(start)) }()
+			next.ServeHTTP(sw, r)
+			return
 		}
-
+		reqID := s.nextRequestID()
+		var span *obs.Span
+		var elapsed time.Duration
+		// Runs once the span has ended, so the exported trace is complete.
 		defer func() {
-			elapsed := time.Since(start)
-			metrics.observe(sw.status, elapsed)
-			if span != nil {
-				span.SetAttr("status", sw.status)
-				span.End()
-			}
 			// The wide event is built only for a set logger: its boxed
 			// attrs would cost allocations a nil logger then discards.
-			if traced && s.logger != nil {
+			if s.logger != nil {
 				s.logger.Info("request",
 					obs.KV("request_id", reqID),
 					obs.KV("method", r.Method),
@@ -130,6 +120,19 @@ func (s *Server) instrument(route string, next http.Handler) http.Handler {
 				})
 			}
 		}()
-		next.ServeHTTP(sw, req)
+		// fn returns nil: the handler writes every outcome to sw.
+		_ = obs.InSpan(obs.WithTracer(r.Context(), s.tracer), spanName, func(ctx context.Context, sp *obs.Span) error {
+			span = sp
+			sp.SetAttr("request_id", reqID)
+			sp.SetAttr("method", r.Method)
+			sw.Header().Set("X-Request-Id", reqID)
+			defer func() {
+				elapsed = time.Since(start)
+				metrics.observe(sw.status, elapsed)
+				sp.SetAttr("status", sw.status)
+			}()
+			next.ServeHTTP(sw, r.WithContext(ctx))
+			return nil
+		})
 	})
 }

@@ -542,60 +542,61 @@ func (e *estimateEntry) compute(s *Server, snap *core.Snapshot, feat machine.Fea
 			s.mu.Unlock()
 		}
 	}()
-	ctx := obs.WithTracer(context.Background(), s.tracer)
-	ctx, span := obs.StartSpan(ctx, "server.estimate")
-	defer span.End()
-	span.SetAttr("feature", feat.Name)
-	if job != "" {
-		span.SetAttr("job", job)
-	}
-	span.SetAttr("epoch", snap.Epoch)
-
-	// The store's health gates fresh estimates: while the breaker is open
-	// the journal is known-bad, so skip straight to degraded service.
-	if err := s.opts.Breaker.Allow(); err != nil {
-		s.degrade(e, key, "store circuit open")
-		return
-	}
-	// Injected faults on the estimate path itself (latency faults here
-	// exercise RequestTimeout). A failed all-job estimate is a server
-	// error; a failed per-job one names a job the analysis cannot
-	// estimate, such as an LP job.
-	status := http.StatusInternalServerError
-	var est *replayer.Estimate
-	err := s.opts.Injector.Err("server.estimate")
-	switch {
-	case err != nil:
-	case job == "":
-		est, err = snap.EvaluateFeature(ctx, feat)
-	default:
-		status = http.StatusBadRequest
-		var je *replayer.JobEstimate
-		if je, err = snap.EvaluateFeatureForJob(ctx, feat, job); err == nil {
-			est = &je.Estimate
+	// fn returns nil: every outcome resolves e.
+	_ = obs.InSpan(obs.WithTracer(context.Background(), s.tracer), "server.estimate", func(ctx context.Context, span *obs.Span) error {
+		span.SetAttr("feature", feat.Name)
+		if job != "" {
+			span.SetAttr("job", job)
 		}
-	}
-	if err != nil {
-		e.fail(status, fmt.Sprintf("estimation failed: %v", err))
-		return
-	}
-	resp := estimateResponse{Feature: feat.Name, Description: feat.Description, Job: job,
-		ReductionPct: est.ReductionPct, ScenariosReplayed: est.ScenariosReplayed}
+		span.SetAttr("epoch", snap.Epoch)
 
-	// Journal the estimate; persistence failures feed the breaker and
-	// degrade the response rather than erroring — an estimate the server
-	// cannot audit is served from last-known-good instead.
-	perr := s.persistEstimate(resp)
-	s.opts.Breaker.Record(perr)
-	if perr != nil {
-		s.degrade(e, key, "journaling estimate failed")
-		return
-	}
-	e.computedAt = time.Now()
-	s.mu.Lock()
-	s.lastGood[key] = resp
-	s.mu.Unlock()
-	e.succeed(resp)
+		// The store's health gates fresh estimates: while the breaker is open
+		// the journal is known-bad, so skip straight to degraded service.
+		if err := s.opts.Breaker.Allow(); err != nil {
+			s.degrade(e, key, "store circuit open")
+			return nil
+		}
+		// Injected faults on the estimate path itself (latency faults here
+		// exercise RequestTimeout). A failed all-job estimate is a server
+		// error; a failed per-job one names a job the analysis cannot
+		// estimate, such as an LP job.
+		status := http.StatusInternalServerError
+		var est *replayer.Estimate
+		err := s.opts.Injector.Err("server.estimate")
+		switch {
+		case err != nil:
+		case job == "":
+			est, err = snap.EvaluateFeature(ctx, feat)
+		default:
+			status = http.StatusBadRequest
+			var je *replayer.JobEstimate
+			if je, err = snap.EvaluateFeatureForJob(ctx, feat, job); err == nil {
+				est = &je.Estimate
+			}
+		}
+		if err != nil {
+			e.fail(status, fmt.Sprintf("estimation failed: %v", err))
+			return nil
+		}
+		resp := estimateResponse{Feature: feat.Name, Description: feat.Description, Job: job,
+			ReductionPct: est.ReductionPct, ScenariosReplayed: est.ScenariosReplayed}
+
+		// Journal the estimate; persistence failures feed the breaker and
+		// degrade the response rather than erroring — an estimate the server
+		// cannot audit is served from last-known-good instead.
+		perr := s.persistEstimate(resp)
+		s.opts.Breaker.Record(perr)
+		if perr != nil {
+			s.degrade(e, key, "journaling estimate failed")
+			return nil
+		}
+		e.computedAt = time.Now()
+		s.mu.Lock()
+		s.lastGood[key] = resp
+		s.mu.Unlock()
+		e.succeed(resp)
+		return nil
+	})
 }
 
 // lookupEstimate resolves the singleflight cache slot for (feat, job),

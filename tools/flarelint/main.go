@@ -1,7 +1,7 @@
 // Command flarelint machine-checks FLARE's observability and context
 // propagation invariants (see DESIGN.md "Static analysis & enforced
-// invariants") with three analyzers: metricname, spanend, and the
-// summary-driven ctxflow.
+// invariants") with two analyzers: metricname and the summary-driven
+// ctxflow.
 //
 //	flarelint [-dir moduleroot] [-json] [-sarif file] [packages...]
 //
