@@ -44,8 +44,8 @@ lint-tools:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 
-# FLARE's own invariant analyzers (internal/lint, stdlib-only):
-# metricname and the summary-driven ctxflow. Builds from
+# FLARE's own invariant analyzer (internal/lint, stdlib-only): the
+# summary-driven ctxflow. Builds from
 # tools/flarelint's module so the main module keeps an empty require
 # block. Every finding fails: there is no baseline and no suppression
 # directive (see DESIGN.md "Static analysis & enforced invariants").

@@ -15,6 +15,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"flare/internal/obs"
 )
 
 // peerSpec is one -peers entry.
@@ -156,8 +158,8 @@ func buildClusterReport(peers []peerSpec, prev, cur []*sample, errs []error) clu
 			}
 			if prev[i] != nil {
 				if dt := s.at.Sub(prev[i].at).Seconds(); dt > 0 {
-					d := s.metrics.Sum("flare_http_requests_total") -
-						prev[i].metrics.Sum("flare_http_requests_total")
+					d := s.metrics.Sum(obs.HTTPRequests.Name) -
+						prev[i].metrics.Sum(obs.HTTPRequests.Name)
 					if d > 0 {
 						row.QPS = d / dt
 					}

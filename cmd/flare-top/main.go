@@ -287,20 +287,20 @@ func buildReport(addr string, prev, cur *sample, topN int) report {
 		Addr:      addr,
 		Health:    cur.health,
 		HTTPCode:  cur.code,
-		Requests:  cur.metrics.Sum("flare_http_requests_total"),
-		Shed:      cur.metrics.Sum("flare_shed_total"),
-		Degraded:  cur.metrics.Sum("flare_degraded_responses_total"),
-		Timeouts:  cur.metrics.Sum("flare_request_timeouts_total"),
-		TraceDrop: cur.metrics.Sum("flare_trace_dropped_total"),
-		Exported:  cur.metrics.Sum("flare_trace_exported_total"),
+		Requests:  cur.metrics.Sum(obs.HTTPRequests.Name),
+		Shed:      cur.metrics.Sum(obs.Shed.Name),
+		Degraded:  cur.metrics.Sum(obs.DegradedResponses.Name),
+		Timeouts:  cur.metrics.Sum(obs.RequestTimeouts.Name),
+		TraceDrop: cur.metrics.Sum(obs.TraceDropped.Name),
+		Exported:  cur.metrics.Sum(obs.TraceExported.Name),
 	}
-	hits := cur.metrics.SumLabel("flare_estimate_cache_total", "result", "hit")
-	if lookups := cur.metrics.Sum("flare_estimate_cache_total"); lookups > 0 {
+	hits := cur.metrics.SumLabel(obs.EstimateCache.Name, "result", "hit")
+	if lookups := cur.metrics.Sum(obs.EstimateCache.Name); lookups > 0 {
 		r.CacheHit = hits / lookups
 	}
 	if prev != nil {
 		if dt := cur.at.Sub(prev.at).Seconds(); dt > 0 {
-			if d := r.Requests - prev.metrics.Sum("flare_http_requests_total"); d > 0 {
+			if d := r.Requests - prev.metrics.Sum(obs.HTTPRequests.Name); d > 0 {
 				r.QPS = d / dt
 			}
 		}

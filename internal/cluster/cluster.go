@@ -47,26 +47,18 @@ type Metrics struct {
 // records nothing).
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		reg: reg,
-		shipEvents: reg.Counter("flare_cluster_ship_events_total",
-			"Replication events streamed to followers."),
-		shipBytes: reg.Counter("flare_cluster_ship_bytes_total",
-			"Replication payload bytes streamed to followers."),
-		shipSessions: reg.Counter("flare_cluster_ship_sessions_total",
-			"Replication sessions served to followers."),
-		snapshots: reg.Counter("flare_cluster_snapshots_total",
-			"Snapshot catch-ups sent to lagging followers."),
-		applyEvents: reg.Counter("flare_cluster_apply_events_total",
-			"Replication events applied by this follower."),
-		resyncs: reg.Counter("flare_cluster_follower_resyncs_total",
-			"Times this follower discarded local state to resync from a snapshot."),
+		reg:          reg,
+		shipEvents:   obs.ClusterShipEvents.In(reg),
+		shipBytes:    obs.ClusterShipBytes.In(reg),
+		shipSessions: obs.ClusterShipSessions.In(reg),
+		snapshots:    obs.ClusterSnapshots.In(reg),
+		applyEvents:  obs.ClusterApplyEvents.In(reg),
+		resyncs:      obs.ClusterFollowerResyncs.In(reg),
 	}
 }
 
 // lagGauge returns the per-follower replication lag gauge: events
 // committed on the leader but not yet acknowledged by the follower.
 func (m *Metrics) lagGauge(follower string) *obs.Gauge {
-	return m.reg.Gauge("flare_cluster_repl_lag_events",
-		"Events committed on the leader and not yet acknowledged by the follower.",
-		"follower", follower)
+	return obs.ClusterReplLag.In(m.reg, follower)
 }

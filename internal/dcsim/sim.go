@@ -193,19 +193,17 @@ func (st Stats) Record(reg *obs.Registry, policy Policy, scenarios int) {
 	if policy == 0 {
 		policy = PolicyLeastUtilised
 	}
-	add := func(c *obs.Counter, v int) { c.Add(uint64(v)) }
 	lbl := policy.String()
-	add(reg.Counter("flare_dcsim_resizes_total", "deployment resize events processed", "policy", lbl), st.Resizes)
-	add(reg.Counter("flare_dcsim_placements_total", "instances placed on machines", "policy", lbl), st.Scheduled)
-	add(reg.Counter("flare_dcsim_evictions_total", "instances removed by scale-downs", "policy", lbl), st.Evicted)
-	add(reg.Counter("flare_dcsim_rejections_total", "placements denied for lack of capacity", "policy", lbl), st.Rejected)
-	add(reg.Counter("flare_dcsim_transitions_total", "machine-state changes observed", "policy", lbl), st.Transitions)
-	add(reg.Counter("flare_dcsim_machine_failures_total", "injected machine failures", "policy", lbl), st.MachineFailures)
-	add(reg.Counter("flare_dcsim_failed_instances_total", "instances displaced by machine failures", "policy", lbl), st.FailedInstances)
-	add(reg.Counter("flare_dcsim_reschedules_total", "displaced instances placed on surviving machines", "policy", lbl), st.Rescheduled)
-	reg.Gauge("flare_dcsim_scenarios",
-		"distinct colocation scenarios produced by the last simulation run",
-		"policy", lbl).Set(float64(scenarios))
+	add := func(f obs.CounterFamily, v int) { f.In(reg, lbl).Add(uint64(v)) }
+	add(obs.DCSimResizes, st.Resizes)
+	add(obs.DCSimPlacements, st.Scheduled)
+	add(obs.DCSimEvictions, st.Evicted)
+	add(obs.DCSimRejections, st.Rejected)
+	add(obs.DCSimTransitions, st.Transitions)
+	add(obs.DCSimMachineFailures, st.MachineFailures)
+	add(obs.DCSimFailedInstances, st.FailedInstances)
+	add(obs.DCSimReschedules, st.Rescheduled)
+	obs.DCSimScenarios.In(reg, lbl).Set(float64(scenarios))
 }
 
 // event is one deployment resize occurrence.

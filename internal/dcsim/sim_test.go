@@ -316,9 +316,9 @@ func TestEventsOffByDefault(t *testing.T) {
 }
 
 func TestStatsRecordExposesMetricFamilies(t *testing.T) {
-	// Regression for the metricname rewrite of Stats.Record: every family
-	// must be registered under its literal flare_dcsim_* name so the
-	// exposition surface stays machine-checkable.
+	// Stats.Record must expose every dcsim family under its declared
+	// flare_dcsim_* name, so the exposition surface stays
+	// machine-checkable.
 	cfg := shortConfig()
 	trace, err := Run(cfg)
 	if err != nil {

@@ -213,9 +213,7 @@ func (in *Injector) Hit(site string) Fault {
 	in.sched = append(in.sched, Event{Site: site, Call: call, Kind: fired.Kind.String()})
 	in.mu.Unlock()
 
-	in.reg.Counter("flare_fault_injected_total",
-		"faults injected by site and kind",
-		"site", site, "kind", f.Kind.String()).Inc()
+	obs.FaultInjected.In(in.reg, site, f.Kind.String()).Inc()
 	return f
 }
 

@@ -28,9 +28,8 @@ type Analyzer struct {
 	// annotations link back to the rationale.
 	URL string
 
-	// Run applies the analyzer to one package. It may return a
-	// result value for driver-level cross-package checks (see
-	// metricname's duplicate-registration pass).
+	// Run applies the analyzer to one package. The result value
+	// mirrors x/tools' signature; FLARE's driver ignores it.
 	Run func(*Pass) (interface{}, error)
 }
 

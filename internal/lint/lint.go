@@ -1,4 +1,4 @@
-// Package lint assembles FLARE's invariant analyzers into a runnable
+// Package lint assembles FLARE's invariant analyzer into a runnable
 // suite. The tools/flarelint command (its own module, so this one stays
 // dependency-free) is a thin wrapper over Run; tests drive the same
 // code against the repository itself.
@@ -12,18 +12,14 @@ import (
 	"flare/internal/lint/analysis"
 	"flare/internal/lint/ctxflow"
 	"flare/internal/lint/load"
-	"flare/internal/lint/metricname"
 )
 
-// Suite returns the two FLARE analyzers in diagnostic order: the
-// intraprocedural metric-naming check first, then the summary-driven
-// context-propagation check. Spans need no analyzer: obs.InSpan ends
-// every span it opens.
+// Suite returns FLARE's analyzers: the summary-driven
+// context-propagation check alone. Spans need no analyzer, because
+// obs.InSpan ends every span it opens; metric names need none, because
+// every family is declared once in obs.
 func Suite() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		metricname.Analyzer,
-		ctxflow.Analyzer,
-	}
+	return []*analysis.Analyzer{ctxflow.Analyzer}
 }
 
 // Finding is one diagnostic with resolved source positions, the
@@ -63,42 +59,28 @@ func (f Finding) String() string {
 }
 
 // Run loads the packages matching patterns in the module rooted at dir
-// and applies the analyzers, returning findings sorted by position.
-// Cross-package checks (metricname duplicate registrations) run over
-// the whole load at once.
+// and applies the analyzers to each, returning findings sorted by
+// position.
 func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Finding, error) {
 	pkgs, err := load.Load(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
 	var findings []Finding
-	regsByPkg := make(map[string][]metricname.Registration)
 	for _, pkg := range pkgs {
-		res, fs, err := runPackage(pkg, analyzers)
+		fs, err := runPackage(pkg, analyzers)
 		if err != nil {
 			return nil, err
 		}
 		findings = append(findings, fs...)
-		if regs, ok := res[metricname.Analyzer.Name].([]metricname.Registration); ok {
-			regsByPkg[pkg.PkgPath] = regs
-		}
-	}
-	for _, c := range metricname.Conflicts(regsByPkg) {
-		findings = append(findings, Finding{
-			Analyzer: metricname.Analyzer.Name,
-			URL:      metricname.Analyzer.URL,
-			Position: Position{File: c.Pos.Filename, Line: c.Pos.Line, Column: c.Pos.Column},
-			Message:  c.Message,
-		})
 	}
 	sortFindings(findings)
 	return findings, nil
 }
 
 // runPackage applies the analyzers to one loaded package, returning
-// per-analyzer results and position-resolved findings.
-func runPackage(pkg *load.Package, analyzers []*analysis.Analyzer) (map[string]interface{}, []Finding, error) {
-	results := make(map[string]interface{}, len(analyzers))
+// position-resolved findings.
+func runPackage(pkg *load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
 	var findings []Finding
 	for _, a := range analyzers {
 		pass := &analysis.Pass{
@@ -112,13 +94,11 @@ func runPackage(pkg *load.Package, analyzers []*analysis.Analyzer) (map[string]i
 		pass.Report = func(d analysis.Diagnostic) {
 			findings = append(findings, toFinding(pkg.Fset, ana, d))
 		}
-		res, err := a.Run(pass)
-		if err != nil {
-			return nil, nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)
+		if _, err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)
 		}
-		results[a.Name] = res
 	}
-	return results, findings, nil
+	return findings, nil
 }
 
 func toFinding(fset *token.FileSet, a *analysis.Analyzer, d analysis.Diagnostic) Finding {

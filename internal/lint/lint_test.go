@@ -9,8 +9,8 @@ import (
 
 func TestSuite(t *testing.T) {
 	suite := lint.Suite()
-	if len(suite) != 2 {
-		t.Fatalf("Suite has %d analyzers, want 2", len(suite))
+	if len(suite) != 1 {
+		t.Fatalf("Suite has %d analyzers, want 1", len(suite))
 	}
 	seen := map[string]bool{}
 	for _, a := range suite {
@@ -33,8 +33,8 @@ func TestFindingString(t *testing.T) {
 	if got, want := f.String(), "a/b.go:7:3: [ctxflow] msg"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
-	noPos := lint.Finding{Analyzer: "metricname", Message: "cross-package"}
-	if got, want := noPos.String(), "[metricname] cross-package"; got != want {
+	noPos := lint.Finding{Analyzer: "ctxflow", Message: "cross-package"}
+	if got, want := noPos.String(), "[ctxflow] cross-package"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 }

@@ -28,7 +28,7 @@ func TestConvert(t *testing.T) {
 			}},
 		},
 		// Unknown analyzer (not in the rule table) must still convert.
-		{Analyzer: "metricname", Message: "duplicate metric registered"},
+		{Analyzer: "retired", Message: "duplicate metric registered"},
 	}
 
 	log := sarif.Convert(analyzers, findings, root)

@@ -462,8 +462,8 @@ type CheckRow struct {
 // client's books. Every comparison is exact: the generator was the only
 // client, so any slack means double counting or lost requests.
 func crossCheck(res *Result, pre, post obs.MetricSet) *CrossCheck {
-	delta := func(family string) uint64 {
-		return uint64(post.Sum(family) - pre.Sum(family))
+	delta := func(f obs.CounterFamily) uint64 {
+		return uint64(post.Sum(f.Name) - pre.Sum(f.Name))
 	}
 	cc := &CrossCheck{Pass: true}
 	addCheck := func(name string, client, server uint64) {
@@ -473,21 +473,21 @@ func crossCheck(res *Result, pre, post obs.MetricSet) *CrossCheck {
 		}
 		cc.Checks = append(cc.Checks, row)
 	}
-	addCheck("shed (429 vs flare_shed_total)",
-		res.Totals.Shed, delta("flare_shed_total"))
-	addCheck("timeouts (503 vs flare_request_timeouts_total)",
-		res.Totals.Timeouts, delta("flare_request_timeouts_total"))
-	addCheck("degraded (bodies vs flare_degraded_responses_total)",
-		res.Totals.Degraded, delta("flare_degraded_responses_total"))
+	addCheck("shed (429 vs "+obs.Shed.Name+")",
+		res.Totals.Shed, delta(obs.Shed))
+	addCheck("timeouts (503 vs "+obs.RequestTimeouts.Name+")",
+		res.Totals.Timeouts, delta(obs.RequestTimeouts))
+	addCheck("degraded (bodies vs "+obs.DegradedResponses.Name+")",
+		res.Totals.Degraded, delta(obs.DegradedResponses))
 	for _, op := range Ops() {
 		stats := res.PerOp[op]
 		if stats.Issued == 0 {
 			continue
 		}
 		route := op.Route()
-		server := uint64(post.SumLabel("flare_http_requests_total", "route", route) -
-			pre.SumLabel("flare_http_requests_total", "route", route))
-		addCheck(fmt.Sprintf("requests[%s] (responses vs flare_http_requests_total{route=%q})", op, route),
+		requests := obs.HTTPRequests.Name
+		server := uint64(post.SumLabel(requests, "route", route) - pre.SumLabel(requests, "route", route))
+		addCheck(fmt.Sprintf("requests[%s] (responses vs %s{route=%q})", op, requests, route),
 			stats.Done, server)
 	}
 	return cc

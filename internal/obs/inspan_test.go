@@ -52,7 +52,7 @@ func TestInSpanEndsOnEveryPath(t *testing.T) {
 			if a := roots[0].Attrs; len(a) != 1 || a[0].Key != "k" {
 				t.Errorf("attrs = %+v", a)
 			}
-			if n := reg.Histogram(StageHistogram, "", nil, "stage", "stage").Count(); n != 1 {
+			if n := StageDuration.In(reg, "stage").Count(); n != 1 {
 				t.Errorf("stage histogram count = %d, want 1", n)
 			}
 		})
@@ -114,29 +114,22 @@ func TestInSpanAllocs(t *testing.T) {
 	}
 }
 
-// TestNoStartSpanOutsideObs keeps every span in the main module scoped:
-// a non-test file outside this package that names StartSpan could leave
-// a span open on some path. Nested modules (their own go.mod, such as
-// the benchmark harness) and testdata fixtures are not part of the main
-// module's build.
-func TestNoStartSpanOutsideObs(t *testing.T) {
+// walkMainModule parses every non-test Go file of the main module and
+// passes each to visit. Nested modules (their own go.mod, such as the
+// benchmark harness) and testdata fixtures are not part of the main
+// module's build, so they are skipped.
+func walkMainModule(t *testing.T, visit func(path string, fset *token.FileSet, f *ast.File)) {
+	t.Helper()
 	root := filepath.Join("..", "..")
-	self, err := filepath.Abs(".")
-	if err != nil {
-		t.Fatal(err)
-	}
 	fset := token.NewFileSet()
 	checked := 0
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
 			if path == root {
 				return nil
-			}
-			if abs, _ := filepath.Abs(path); abs == self {
-				return filepath.SkipDir
 			}
 			name := d.Name()
 			if name == "testdata" || strings.HasPrefix(name, ".") {
@@ -155,12 +148,7 @@ func TestNoStartSpanOutsideObs(t *testing.T) {
 			return err
 		}
 		checked++
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && id.Name == "StartSpan" {
-				t.Errorf("%s: references StartSpan; open spans with obs.InSpan", fset.Position(id.Pos()))
-			}
-			return true
-		})
+		visit(path, fset, f)
 		return nil
 	})
 	if err != nil {
@@ -169,4 +157,52 @@ func TestNoStartSpanOutsideObs(t *testing.T) {
 	if checked < 100 {
 		t.Fatalf("checked only %d files under %s; is the module root right?", checked, root)
 	}
+}
+
+// TestNoStartSpanOutsideObs keeps every span in the main module scoped:
+// a non-test file outside this package that names StartSpan could leave
+// a span open on some path.
+func TestNoStartSpanOutsideObs(t *testing.T) {
+	self, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	walkMainModule(t, func(path string, fset *token.FileSet, f *ast.File) {
+		if dir, _ := filepath.Abs(filepath.Dir(path)); dir == self {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == "StartSpan" {
+				t.Errorf("%s: references StartSpan; open spans with obs.InSpan", fset.Position(id.Pos()))
+			}
+			return true
+		})
+	})
+}
+
+// TestMetricFamiliesOnlyDeclaredInObs keeps families.go the one place a
+// flare_* family is spelled: no non-test file registers a series by
+// name, and none outside families.go holds a flare_ string literal —
+// readers of a scrape name a family by its declaration's Name.
+func TestMetricFamiliesOnlyDeclaredInObs(t *testing.T) {
+	decls, err := filepath.Abs("families.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	walkMainModule(t, func(path string, fset *token.FileSet, f *ast.File) {
+		abs, _ := filepath.Abs(path)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Counter" || sel.Sel.Name == "Histogram") {
+					t.Errorf("%s: registers a series by name; resolve it through a family declared in obs", fset.Position(n.Pos()))
+				}
+			case *ast.BasicLit:
+				if n.Kind == token.STRING && abs != decls && strings.Contains(n.Value, "flare_") {
+					t.Errorf("%s: spells a metric name %s; use the obs family's Name", fset.Position(n.Pos()), n.Value)
+				}
+			}
+			return true
+		})
+	})
 }

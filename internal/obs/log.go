@@ -127,8 +127,7 @@ func NewLogger(w io.Writer, opts LoggerOptions) *Logger {
 	}
 	l.counts = make(map[Level]*Counter, 4)
 	for _, lv := range []Level{LevelDebug, LevelInfo, LevelWarn, LevelError} {
-		l.counts[lv] = opts.Registry.Counter("flare_log_events_total",
-			"log events emitted by level", "level", lv.String())
+		l.counts[lv] = LogEvents.In(opts.Registry, lv.String())
 	}
 	return l
 }

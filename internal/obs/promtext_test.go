@@ -76,7 +76,7 @@ func TestParseMetricsRoundTrip(t *testing.T) {
 	for i, v := range odd {
 		reg.Counter("rt_labelled_total", "labelled counter", "msg", v, "code", "200").Add(uint64(10 * (i + 1)))
 	}
-	reg.Gauge("rt_gauge", "gauge", "node", "node 0").Set(-2.5)
+	ClusterReplLag.In(reg, "node 0").Set(-2.5)
 	h := reg.Histogram("rt_seconds", "histogram", []float64{0.1, 1}, "route", `/api/"x"`)
 	for _, v := range []float64{0.05, 0.5, 0.5, 3} {
 		h.Observe(v)
@@ -103,7 +103,7 @@ func TestParseMetricsRoundTrip(t *testing.T) {
 		check("rt_labelled_total{msg="+v+"}", set.SumLabel("rt_labelled_total", "msg", v), float64(10*(i+1)))
 	}
 	check("rt_labelled_total{code=200}", set.SumLabel("rt_labelled_total", "code", "200"), 100)
-	check("rt_gauge{node=node 0}", set.SumLabel("rt_gauge", "node", "node 0"), -2.5)
+	check("lag{follower=node 0}", set.SumLabel(ClusterReplLag.Name, "follower", "node 0"), -2.5)
 
 	route := `/api/"x"`
 	check("rt_seconds_count", set.SumLabel("rt_seconds_count", "route", route), 4)

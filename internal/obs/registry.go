@@ -8,13 +8,18 @@
 // span (surfaced at /api/trace and via flare -trace-out) and observes its
 // duration into the stage-timing histogram (surfaced at /metrics).
 //
-// The registry is safe for concurrent use. Metric identity is the metric
-// name plus an optional set of label pairs; repeated registrations of the
-// same identity return the same instrument. A lookup renders the label
-// set and takes the registry and family mutexes, so per-request paths
-// resolve their instruments once and keep the handle (the Tracer caches
-// each stage's histogram by span name; the server's middleware caches
-// per-route series on first use). Instruments themselves are lock-free:
+// Every flare_* family is declared once, in families.go, with its name,
+// help, type and label keys; code resolves a series through its
+// declaration (EstimateCache.In(reg, "hit")). The registry is safe for
+// concurrent use. Metric identity is the family name plus the label
+// values; resolving the same identity again returns the same
+// instrument. A resolution renders the label set and takes the registry
+// and family mutexes, so components resolve series with fixed label
+// values once, when they are built (the server's cache-result and
+// timeout counters, a retry policy's counters at Bind), and cache
+// runtime-keyed ones by key (the Tracer's stage histogram per span name,
+// the middleware's per-route and per-status series, each resolved when
+// its first request reports it). Instruments themselves are lock-free:
 // counters and gauges are atomics, histograms atomic buckets.
 //
 // There is no process-wide registry: every process root creates one with
@@ -195,27 +200,38 @@ func (r *Registry) family(name, help string, typ metricType) *family {
 // renderLabels builds the canonical {k="v",...} suffix from variadic
 // key/value pairs, sorting by key for a stable identity.
 func renderLabels(kv []string) string {
-	if len(kv) == 0 {
-		return ""
-	}
 	if len(kv)%2 != 0 {
 		panic(fmt.Sprintf("obs: odd label list %q", kv))
 	}
-	type pair struct{ k, v string }
-	pairs := make([]pair, 0, len(kv)/2)
-	for i := 0; i < len(kv); i += 2 {
-		pairs = append(pairs, pair{kv[i], kv[i+1]})
+	n := len(kv) / 2
+	split := make([]string, len(kv))
+	keys, values := split[:n], split[n:]
+	for i := range keys {
+		keys[i], values[i] = kv[2*i], kv[2*i+1]
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
+	return writeLabels(keys, values, sortedOrder(keys))
+}
+
+// writeLabels renders keys[i]=values[i] pairs as a {k="v",...} suffix,
+// visiting i in order; "" when there are no keys.
+func writeLabels(keys, values []string, order []int) string {
+	if len(keys) == 0 {
+		return ""
+	}
+	size := 1 // exact unless values need escaping: braces, k="v" pairs, separators
+	for i := range keys {
+		size += len(keys[i]) + len(values[i]) + 4
+	}
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteByte('{')
-	for i, p := range pairs {
-		if i > 0 {
+	for n, i := range order {
+		if n > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(p.k)
+		b.WriteString(keys[i])
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(p.v))
+		b.WriteString(escapeLabel(values[i]))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
@@ -230,9 +246,9 @@ func escapeLabel(v string) string {
 	return v
 }
 
-// get returns (creating via mk if needed) the series for the label set.
-func (f *family) get(kv []string, mk func() interface{}) interface{} {
-	key := renderLabels(kv)
+// get returns (creating via mk if needed) the series for a rendered
+// label set.
+func (f *family) get(key string, mk func() interface{}) interface{} {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	s, ok := f.series[key]
@@ -246,35 +262,28 @@ func (f *family) get(kv []string, mk func() interface{}) interface{} {
 
 // Counter returns the counter for name and label pairs, registering it on
 // first use. labels are alternating key, value strings. On a nil registry
-// it returns a detached counter.
+// it returns a detached counter. Components resolve series through the
+// family declarations in families.go instead; this by-name form remains
+// because the benchmark harness times it.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	if r == nil {
 		return &Counter{}
 	}
 	f := r.family(name, help, typeCounter)
-	return f.get(labels, func() interface{} { return &Counter{} }).(*Counter)
-}
-
-// Gauge returns the gauge for name and label pairs; on a nil registry, a
-// detached gauge.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	if r == nil {
-		return &Gauge{}
-	}
-	f := r.family(name, help, typeGauge)
-	return f.get(labels, func() interface{} { return &Gauge{} }).(*Gauge)
+	return f.get(renderLabels(labels), func() interface{} { return &Counter{} }).(*Counter)
 }
 
 // Histogram returns the histogram for name and label pairs. buckets are
 // ascending upper bounds; nil means DefaultLatencyBuckets. Buckets are
 // fixed by the first registration of the family's first series. On a nil
-// registry it returns a detached histogram.
+// registry it returns a detached histogram. Like Counter, it remains
+// only because the benchmark harness times it.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
 	if r == nil {
 		return NewHistogram(buckets)
 	}
 	f := r.family(name, help, typeHistogram)
-	return f.get(labels, func() interface{} { return NewHistogram(buckets) }).(*Histogram)
+	return f.get(renderLabels(labels), func() interface{} { return NewHistogram(buckets) }).(*Histogram)
 }
 
 // sortedFamilies returns families sorted by name for deterministic

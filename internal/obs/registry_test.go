@@ -21,7 +21,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Error("re-registration returned a different counter")
 	}
 
-	g := r.Gauge("flare_test_gauge", "a gauge")
+	g := SLOP50.In(r)
 	g.Set(2.5)
 	g.Add(-1)
 	if got := g.Value(); got != 1.5 {
@@ -73,7 +73,7 @@ func TestHistogramObserve(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("flare_reqs_total", "requests", "path", "/healthz", "code", "200").Add(3)
-	r.Gauge("flare_scenarios", "population size").Set(448)
+	StoreSegmentsLive.In(r).Set(448)
 	r.Histogram("flare_lat_seconds", "latency", []float64{0.5, 1}).Observe(0.25)
 
 	var b strings.Builder
@@ -85,8 +85,8 @@ func TestPrometheusExposition(t *testing.T) {
 		"# HELP flare_reqs_total requests",
 		"# TYPE flare_reqs_total counter",
 		`flare_reqs_total{code="200",path="/healthz"} 3`,
-		"# TYPE flare_scenarios gauge",
-		"flare_scenarios 448",
+		"# TYPE flare_store_segments_live gauge",
+		"flare_store_segments_live 448",
 		"# TYPE flare_lat_seconds histogram",
 		`flare_lat_seconds_bucket{le="0.5"} 1`,
 		`flare_lat_seconds_bucket{le="1"} 1`,
@@ -183,8 +183,8 @@ func TestTypeMismatchPanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("flare_x", "")
-	r.Gauge("flare_x", "")
+	r.Counter(SLOP50.Name, "")
+	SLOP50.In(r)
 }
 
 // TestConcurrentRegistryAccess exercises every instrument from many
@@ -200,7 +200,7 @@ func TestConcurrentRegistryAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				r.Counter("flare_conc_total", "c", "w", string(rune('a'+w%4))).Inc()
-				r.Gauge("flare_conc_gauge", "g").Add(1)
+				SLOP50.In(r).Add(1)
 				r.Histogram("flare_conc_seconds", "h", nil).Observe(float64(i) / 100)
 				if i%50 == 0 {
 					var b strings.Builder
@@ -227,7 +227,7 @@ func TestConcurrentRegistryAccess(t *testing.T) {
 	if got := r.Histogram("flare_conc_seconds", "h", nil).Sum(); math.Abs(got-wantSum) > 1e-6 {
 		t.Errorf("histogram sum = %v, want %v", got, wantSum)
 	}
-	if got := r.Gauge("flare_conc_gauge", "g").Value(); got != workers*iters {
+	if got := SLOP50.In(r).Value(); got != workers*iters {
 		t.Errorf("gauge = %v, want %d", got, workers*iters)
 	}
 }
@@ -242,9 +242,9 @@ func TestNilRegistryRecordsNothing(t *testing.T) {
 	if got := r.Counter("flare_test_total", "a counter", "k", "v").Value(); got != 0 {
 		t.Errorf("second lookup = %d, want 0: a nil registry must not accumulate", got)
 	}
-	g := r.Gauge("flare_test_gauge", "a gauge")
+	g := SLOP50.In(r)
 	g.Set(2)
-	if g.Value() != 2 || r.Gauge("flare_test_gauge", "a gauge").Value() != 0 {
+	if g.Value() != 2 || SLOP50.In(r).Value() != 0 {
 		t.Error("nil-registry gauge works only on its own handle")
 	}
 	h := r.Histogram("flare_test_seconds", "a histogram", []float64{1, 0.1})

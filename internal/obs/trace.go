@@ -8,11 +8,6 @@ import (
 	"time"
 )
 
-// StageHistogram is the registry family every finished span observes its
-// duration into, labelled by stage (= span name). This is what makes
-// "pipeline stage timings" appear at /metrics without extra plumbing.
-const StageHistogram = "flare_stage_duration_seconds"
-
 // Span is one timed region of the pipeline. Spans form a tree: a span
 // started from a context that already carries a span becomes its child.
 // All methods are nil-safe, so instrumented code needs no tracer checks —
@@ -178,8 +173,7 @@ type Tracer struct {
 // the DefaultTraceCapacity most recent root spans.
 func NewTracer(reg *Registry) *Tracer {
 	return &Tracer{reg: reg, ring: make([]*Span, DefaultTraceCapacity),
-		dropped: reg.Counter("flare_trace_dropped_total",
-			"completed root spans evicted from the tracer's bounded ring")}
+		dropped: TraceDropped.In(reg)}
 }
 
 // Registry returns the registry stage durations are observed into; nil
@@ -191,16 +185,14 @@ func (t *Tracer) Registry() *Registry {
 	return t.reg
 }
 
-// stageHistogram returns the StageHistogram series for a span name,
+// stageHistogram returns the StageDuration series for a span name,
 // resolving it through the registry only the first time the name ends
 // (on a nil registry, one detached histogram per name).
 func (t *Tracer) stageHistogram(name string) *Histogram {
 	if h, ok := t.stages.Load(name); ok {
 		return h.(*Histogram)
 	}
-	h := t.reg.Histogram(StageHistogram,
-		"duration of FLARE pipeline stages and server operations by span name",
-		nil, "stage", name)
+	h := StageDuration.In(t.reg, name)
 	t.stages.Store(name, h)
 	return h
 }

@@ -58,7 +58,7 @@ func TestSpanEndObservesStageHistogram(t *testing.T) {
 	s.End()
 	s.End() // idempotent: must not double-observe
 
-	h := reg.Histogram(StageHistogram, "", nil, "stage", "profile")
+	h := StageDuration.In(reg, "profile")
 	if h.Count() != 1 {
 		t.Errorf("stage histogram count = %d, want 1", h.Count())
 	}
@@ -218,7 +218,7 @@ func TestConcurrentSpans(t *testing.T) {
 		t.Fatalf("root children = %d, want 400", len(snap[0].Children))
 	}
 	// Workers resolving the stage histogram concurrently share one series.
-	if got := reg.Histogram(StageHistogram, "", nil, "stage", "worker").Count(); got != 8*50 {
+	if got := StageDuration.In(reg, "worker").Count(); got != 8*50 {
 		t.Errorf("worker stage count = %d, want 400", got)
 	}
 }

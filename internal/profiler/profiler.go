@@ -276,11 +276,8 @@ func (c *Collector) measure(ctx context.Context, ids []int) error {
 	c.reducePhase(ctx, ids)
 	c.measured = n
 	reg := obs.TracerFrom(ctx).Registry()
-	reg.Counter("flare_profiler_scenarios_total",
-		"scenarios measured by the profiler").Add(uint64(len(ids)))
-	reg.Counter("flare_profiler_samples_total",
-		"noisy per-scenario measurements taken by the profiler").
-		Add(uint64(len(ids)) * uint64(c.opts.SamplesPerScenario))
+	obs.ProfilerScenarios.In(reg).Add(uint64(len(ids)))
+	obs.ProfilerSamples.In(reg).Add(uint64(len(ids)) * uint64(c.opts.SamplesPerScenario))
 	return nil
 }
 

@@ -369,9 +369,7 @@ func (tb testbed) estimate(ctx context.Context, strata []stratum, job string) (*
 			est.ReductionPct /= weightSum
 			se = math.Sqrt(variance) / weightSum
 		}
-		obs.TracerFrom(ctx).Registry().Counter("flare_replays_total",
-			"representative scenario replays", "mode", mode).
-			Add(uint64(est.ScenariosReplayed))
+		obs.Replays.In(obs.TracerFrom(ctx).Registry(), mode).Add(uint64(est.ScenariosReplayed))
 		return nil
 	})
 	if err != nil {

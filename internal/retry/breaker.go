@@ -86,10 +86,8 @@ func NewBreaker(name string, opts BreakerOptions) *Breaker {
 		threshold: opts.Threshold,
 		cooldown:  opts.Cooldown,
 		now:       opts.Now,
-		state: opts.Registry.Gauge("flare_breaker_state",
-			"circuit state (0 closed, 1 half-open, 2 open)", "breaker", name),
-		trips: opts.Registry.Counter("flare_breaker_trips_total",
-			"closed/half-open -> open transitions", "breaker", name),
+		state:     obs.BreakerState.In(opts.Registry, name),
+		trips:     obs.BreakerTrips.In(opts.Registry, name),
 	}
 	b.state.Set(float64(Closed))
 	return b

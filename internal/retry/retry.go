@@ -100,13 +100,10 @@ type Bound struct {
 func (p Policy) Bind() Bound {
 	p = p.withDefaults()
 	return Bound{
-		p: p,
-		attempts: p.Registry.Counter("flare_retry_attempts_total",
-			"operation attempts through the retry layer", "op", p.Name),
-		retries: p.Registry.Counter("flare_retry_retries_total",
-			"failed attempts that were retried", "op", p.Name),
-		giveups: p.Registry.Counter("flare_retry_giveups_total",
-			"operations that exhausted retries or hit a permanent error", "op", p.Name),
+		p:        p,
+		attempts: obs.RetryAttempts.In(p.Registry, p.Name),
+		retries:  obs.RetryRetries.In(p.Registry, p.Name),
+		giveups:  obs.RetryGiveups.In(p.Registry, p.Name),
 	}
 }
 

@@ -319,7 +319,7 @@ func TestBreakerTripMetric(t *testing.T) {
 	if got := reg.Counter("flare_breaker_trips_total", "", "breaker", "m").Value(); got != 1 {
 		t.Errorf("trips = %d, want 1", got)
 	}
-	if got := reg.Gauge("flare_breaker_state", "", "breaker", "m").Value(); got != float64(Open) {
+	if got := obs.BreakerState.In(reg, "m").Value(); got != float64(Open) {
 		t.Errorf("state gauge = %v, want %v", got, float64(Open))
 	}
 }

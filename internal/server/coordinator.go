@@ -92,6 +92,9 @@ type coordinator struct {
 	peers    map[string]ClusterPeer
 	client   Doer
 	breakers map[string]*retry.Breaker // per non-self peer
+
+	// Routing decisions by result, and fanned-out batches.
+	forwarded, localOwner, loopGuard, fallback, batches *obs.Counter
 }
 
 // EnableCluster turns this server into a cluster node. Call before
@@ -139,15 +142,14 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 		peers:    peers,
 		client:   cfg.Client,
 		breakers: breakers,
+
+		forwarded:  obs.ClusterForward.In(s.reg, "forwarded"),
+		localOwner: obs.ClusterForward.In(s.reg, "local_owner"),
+		loopGuard:  obs.ClusterForward.In(s.reg, "loop_guard"),
+		fallback:   obs.ClusterForward.In(s.reg, "fallback"),
+		batches:    obs.ClusterBatchRequests.In(s.reg),
 	}
 	return nil
-}
-
-// forwardCount records one routing decision.
-func (s *Server) forwardCount(result string) {
-	s.reg.Counter("flare_cluster_forward_total",
-		"estimate routing decisions by the cluster coordinator",
-		"result", result).Inc()
 }
 
 // forwardEstimate routes one estimate through the ring. It returns the
@@ -161,17 +163,17 @@ func (s *Server) forwardEstimate(r *http.Request, feat, job string) ([]byte, boo
 		return nil, false
 	}
 	if r.Header.Get(clusterForwardHeader) != "" {
-		s.forwardCount("loop_guard")
+		c.loopGuard.Inc()
 		return nil, false
 	}
 	owner := c.ring.Owner(feat)
 	if owner == c.cfg.NodeID {
-		s.forwardCount("local_owner")
+		c.localOwner.Inc()
 		return nil, false
 	}
 	body, err := c.fetch(r.Context(), s.tracer, owner, feat, job)
 	if err != nil {
-		s.forwardCount("fallback")
+		c.fallback.Inc()
 		if s.logger != nil {
 			s.logger.Warn("cluster.forward.fallback",
 				obs.KV("peer", owner),
@@ -180,7 +182,7 @@ func (s *Server) forwardEstimate(r *http.Request, feat, job string) ([]byte, boo
 		}
 		return nil, false
 	}
-	s.forwardCount("forwarded")
+	c.forwarded.Inc()
 	return body, true
 }
 
@@ -281,8 +283,7 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	_ = obs.InSpan(obs.WithTracer(r.Context(), s.tracer), "cluster.batch", func(_ context.Context, span *obs.Span) error {
 		span.SetAttr("features", len(feats))
 		if s.cluster != nil {
-			s.reg.Counter("flare_cluster_batch_requests_total",
-				"batch estimate requests fanned out by the coordinator").Inc()
+			s.cluster.batches.Inc()
 		}
 
 		deadline := time.Now().Add(s.opts.RequestTimeout)
@@ -302,7 +303,6 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		// lowest-index failure (one timeout per timed-out batch, not one per
 		// element that shared the deadline), and no degraded elements from
 		// batches that failed overall.
-		const route = "/api/estimate/batch"
 		out := make([]json.RawMessage, len(feats))
 		for i, e := range elems {
 			switch {
@@ -310,14 +310,14 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 				w.WriteHeader(statusClientClosed)
 				return nil
 			case e.errMsg != "":
-				s.countServed(w, route, e)
+				s.countServed(w, s.batchTimeouts, e)
 				writeError(w, e.status, "feature %q: %s", feats[i].Name, e.errMsg)
 				return nil
 			}
 			out[i] = e.body
 		}
 		for _, e := range elems {
-			s.countServed(w, route, e)
+			s.countServed(w, s.batchTimeouts, e)
 		}
 		writeJSON(w, http.StatusOK, batchEstimateResponse{Job: job, Estimates: out})
 		return nil

@@ -110,19 +110,15 @@ func newTraceExporter(db *metricdb.DB, reg *obs.Registry, opts ExportOptions) (*
 		opts.Retain = DefaultExportRetain
 	}
 	e := &traceExporter{
-		traces: traces,
-		events: events,
-		retain: opts.Retain,
-		ch:     make(chan exportRecord, exportQueueDepth),
-		done:   make(chan struct{}),
-		exportedTraces: reg.Counter("flare_trace_exported_total",
-			"request traces and events journaled to the export tables", "table", tracesTable),
-		exportedEvents: reg.Counter("flare_trace_exported_total",
-			"request traces and events journaled to the export tables", "table", eventsTable),
-		failures: reg.Counter("flare_trace_export_failures_total",
-			"export inserts that failed after retries"),
-		dropped: reg.Counter("flare_trace_export_dropped_total",
-			"export records dropped because the queue was full"),
+		traces:         traces,
+		events:         events,
+		retain:         opts.Retain,
+		ch:             make(chan exportRecord, exportQueueDepth),
+		done:           make(chan struct{}),
+		exportedTraces: obs.TraceExported.In(reg, tracesTable),
+		exportedEvents: obs.TraceExported.In(reg, eventsTable),
+		failures:       obs.TraceExportFailures.In(reg),
+		dropped:        obs.TraceExportDropped.In(reg),
 	}
 	go e.run()
 	return e, nil

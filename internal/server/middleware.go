@@ -56,15 +56,12 @@ type routeMetrics struct {
 func (m *routeMetrics) observe(status int, elapsed time.Duration) {
 	c, ok := m.requests.Load(status)
 	if !ok {
-		c, _ = m.requests.LoadOrStore(status, m.reg.Counter("flare_http_requests_total",
-			"HTTP requests served by route and status code",
-			"route", m.route, "code", strconv.Itoa(status)))
+		c, _ = m.requests.LoadOrStore(status, obs.HTTPRequests.In(m.reg, m.route, strconv.Itoa(status)))
 	}
 	c.(*obs.Counter).Inc()
 	h := m.duration.Load()
 	if h == nil {
-		h = m.reg.Histogram("flare_http_request_duration_seconds",
-			"HTTP request latency by route", nil, "route", m.route)
+		h = obs.HTTPDuration.In(m.reg, m.route)
 		m.duration.Store(h)
 	}
 	h.Observe(elapsed.Seconds())

@@ -17,6 +17,7 @@ import (
 
 	"flare/internal/fault"
 	"flare/internal/metricdb"
+	"flare/internal/obs"
 	"flare/internal/retry"
 )
 
@@ -82,8 +83,7 @@ func (s *Server) limit(route string, next http.Handler) http.Handler {
 			defer func() { <-sem }()
 			next.ServeHTTP(w, r)
 		default:
-			s.reg.Counter("flare_shed_total",
-				"requests shed by the concurrency limiter", "route", route).Inc()
+			obs.Shed.In(s.reg, route).Inc()
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusTooManyRequests,
 				"server at concurrency limit (%d in flight)", cap(sem))

@@ -53,6 +53,11 @@ type Server struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
 
+	// Series with fixed label values, resolved once at construction.
+	cacheHit, cacheMiss, cacheStale *obs.Counter
+	timeouts, batchTimeouts         *obs.Counter // by estimate route
+	degraded, ticks                 *obs.Counter
+
 	logger   *obs.Logger    // structured wide events; nil is safe
 	slo      *sloTracker    // windowed SLO state behind /api/health
 	exporter *traceExporter // durable trace/event export; nil = disabled
@@ -94,6 +99,14 @@ func NewWithTelemetry(p *core.Pipeline, features []machine.Feature,
 		reqBase:  strconv.FormatInt(time.Now().UnixMilli(), 36),
 		cache:    make(map[string]*estimateEntry),
 		lastGood: make(map[string]estimateResponse),
+
+		cacheHit:      obs.EstimateCache.In(reg, "hit"),
+		cacheMiss:     obs.EstimateCache.In(reg, "miss"),
+		cacheStale:    obs.EstimateCache.In(reg, "stale"),
+		timeouts:      obs.RequestTimeouts.In(reg, "/api/estimate"),
+		batchTimeouts: obs.RequestTimeouts.In(reg, "/api/estimate/batch"),
+		degraded:      obs.DegradedResponses.In(reg),
+		ticks:         obs.Ticks.In(reg),
 	}
 	s.slo = newSLOTracker(reg)
 	for _, f := range features {
@@ -610,16 +623,16 @@ func (s *Server) lookupEstimate(feat machine.Feature, job string) *estimateEntry
 	snap := s.pipeline.Snapshot()
 	entry, hit := s.cache[key]
 	hit = hit && entry.epoch == snap.Epoch // an older snapshot's entry is a miss
-	result := "miss"
+	result := s.cacheMiss
 	switch {
 	case hit && s.opts.EstimateRefresh > 0 && entry.finished() &&
 		time.Since(entry.computedAt) > s.opts.EstimateRefresh:
 		// Stale: recompute. Unfinished entries are never stale — joining
 		// the in-flight computation is always right.
 		hit = false
-		result = "stale"
+		result = s.cacheStale
 	case hit:
-		result = "hit"
+		result = s.cacheHit
 	}
 	if !hit {
 		entry = &estimateEntry{epoch: snap.Epoch, done: make(chan struct{})}
@@ -627,9 +640,7 @@ func (s *Server) lookupEstimate(feat machine.Feature, job string) *estimateEntry
 		go entry.compute(s, snap, feat, job, key)
 	}
 	s.mu.Unlock()
-	s.reg.Counter("flare_estimate_cache_total",
-		"estimate cache lookups (a hit may still wait on an in-flight computation)",
-		"result", result).Inc()
+	result.Inc()
 	return entry
 }
 
@@ -682,20 +693,17 @@ func (s *Server) resolveEstimate(r *http.Request, deadline time.Time,
 }
 
 // countServed records at serve time what a response reports for one
-// element: a deadline timeout, a degraded estimate, and the Retry-After
-// to stamp. Counting served responses, not computations, keeps the
+// element: a deadline timeout (into the route's timeouts series), a
+// degraded estimate, and the Retry-After to stamp. Counting served responses, not computations, keeps the
 // counters equal to what clients observe — one singleflight entry can
 // answer many waiters. A forwarded element counts nothing here: its
 // owner counted it.
-func (s *Server) countServed(w http.ResponseWriter, route string, e *estimateEntry) {
+func (s *Server) countServed(w http.ResponseWriter, timeouts *obs.Counter, e *estimateEntry) {
 	if e.timedOut {
-		s.reg.Counter("flare_request_timeouts_total",
-			"estimate requests that hit RequestTimeout while waiting",
-			"route", route).Inc()
+		timeouts.Inc()
 	}
 	if e.degraded {
-		s.reg.Counter("flare_degraded_responses_total",
-			"estimates served from last-known-good while the store is unhealthy").Inc()
+		s.degraded.Inc()
 	}
 	if e.retryAfter > 0 {
 		retryAfterHeader(w, e.retryAfter)
@@ -722,6 +730,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(statusClientClosed)
 		return
 	}
-	s.countServed(w, "/api/estimate", e)
+	s.countServed(w, s.timeouts, e)
 	writeBody(w, e.status, e.body)
 }

@@ -20,10 +20,6 @@ import (
 	"flare/internal/retry"
 )
 
-// httpLatencyFamily is the middleware's request latency histogram, the
-// SLO layer's data source.
-const httpLatencyFamily = "flare_http_request_duration_seconds"
-
 // The health verdict's fixed objectives.
 const (
 	// sloWindow is how far back quantiles and burn rate look.
@@ -66,37 +62,31 @@ type sloTracker struct {
 
 func newSLOTracker(reg *obs.Registry) *sloTracker {
 	return &sloTracker{
-		reg: reg,
-		p50: reg.Gauge("flare_slo_p50_seconds",
-			"request latency p50 over the SLO window"),
-		p99: reg.Gauge("flare_slo_p99_seconds",
-			"request latency p99 over the SLO window"),
-		p999: reg.Gauge("flare_slo_p999_seconds",
-			"request latency p99.9 over the SLO window"),
-		burn: reg.Gauge("flare_slo_error_budget_burn",
-			"error-budget burn rate over the SLO window (1 = on schedule)"),
-		errRate: reg.Gauge("flare_slo_error_rate",
-			"5xx fraction of requests over the SLO window"),
-		windowReqs: reg.Gauge("flare_slo_window_requests",
-			"requests observed inside the SLO window"),
+		reg:        reg,
+		p50:        obs.SLOP50.In(reg),
+		p99:        obs.SLOP99.In(reg),
+		p999:       obs.SLOP999.In(reg),
+		burn:       obs.SLOBurn.In(reg),
+		errRate:    obs.SLOErrorRate.In(reg),
+		windowReqs: obs.SLOWindowRequests.In(reg),
 	}
 }
 
 // capture reads the cumulative telemetry the middleware maintains.
 func (s *sloTracker) capture(now time.Time) sloSample {
 	sm := sloSample{t: now}
-	if st, ok := s.reg.HistogramState(httpLatencyFamily); ok {
+	if st, ok := s.reg.HistogramState(obs.HTTPDuration.Name); ok {
 		sm.hist = st
 	}
-	if n, ok := s.reg.CounterFamilyTotal("flare_http_requests_total", nil); ok {
+	if n, ok := s.reg.CounterFamilyTotal(obs.HTTPRequests.Name, nil); ok {
 		sm.requests = n
 	}
-	if n, ok := s.reg.CounterFamilyTotal("flare_http_requests_total", func(labels string) bool {
+	if n, ok := s.reg.CounterFamilyTotal(obs.HTTPRequests.Name, func(labels string) bool {
 		return strings.Contains(labels, `code="5`)
 	}); ok {
 		sm.errors = n
 	}
-	if n, ok := s.reg.CounterFamilyTotal("flare_shed_total", nil); ok {
+	if n, ok := s.reg.CounterFamilyTotal(obs.Shed.Name, nil); ok {
 		sm.shed = n
 	}
 	return sm

@@ -89,7 +89,7 @@ func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "tick failed: %v", err)
 		return
 	}
-	s.reg.Counter("flare_ticks_total", "datacenter ticks folded into the pipeline").Inc()
+	s.ticks.Inc()
 
 	writeJSON(w, http.StatusOK, tickResponse{
 		Added:           added,

@@ -19,23 +19,14 @@ type storeMetrics struct {
 
 func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	return &storeMetrics{
-		walAppends: reg.Counter("flare_store_wal_appends_total",
-			"records appended to the store's write-ahead log"),
-		walBatches: reg.Counter("flare_store_wal_commit_batches_total",
-			"group-commit batches written to the WAL (one write+fsync each)"),
-		walBytes: reg.Counter("flare_store_wal_bytes_total",
-			"bytes written to the WAL"),
-		walFsync: reg.Histogram("flare_store_wal_fsync_seconds",
-			"WAL fsync latency", nil),
-		flushes: reg.Counter("flare_store_flushes_total",
-			"memtable flushes to segment files"),
-		compactions: reg.Counter("flare_store_compactions_total",
-			"segment compactions (merges)"),
-		tornTails: reg.Counter("flare_store_torn_tails_total",
-			"torn WAL tails truncated during recovery"),
-		recovered: reg.Counter("flare_store_recovered_records_total",
-			"records replayed from the WAL during recovery"),
-		segsLive: reg.Gauge("flare_store_segments_live",
-			"live segment files in the manifest"),
+		walAppends:  obs.StoreWALAppends.In(reg),
+		walBatches:  obs.StoreWALCommitBatches.In(reg),
+		walBytes:    obs.StoreWALBytes.In(reg),
+		walFsync:    obs.StoreWALFsync.In(reg),
+		flushes:     obs.StoreFlushes.In(reg),
+		compactions: obs.StoreCompactions.In(reg),
+		tornTails:   obs.StoreTornTails.In(reg),
+		recovered:   obs.StoreRecoveredRecords.In(reg),
+		segsLive:    obs.StoreSegmentsLive.In(reg),
 	}
 }

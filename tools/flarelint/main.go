@@ -1,7 +1,6 @@
-// Command flarelint machine-checks FLARE's observability and context
-// propagation invariants (see DESIGN.md "Static analysis & enforced
-// invariants") with two analyzers: metricname and the summary-driven
-// ctxflow.
+// Command flarelint machine-checks FLARE's context-propagation
+// invariant (see DESIGN.md "Static analysis & enforced invariants")
+// with one analyzer, the summary-driven ctxflow.
 //
 //	flarelint [-dir moduleroot] [-json] [-sarif file] [packages...]
 //
@@ -10,8 +9,7 @@
 // is found: every finding gates. -json writes machine-readable
 // diagnostics to stdout (one JSON array) while the human-readable lines
 // go to stderr. -sarif writes a SARIF 2.1.0 log ("-" for stdout) for
-// GitHub code scanning. metricname's cross-package
-// duplicate-registration check runs over the whole load at once.
+// GitHub code scanning.
 package main
 
 import (
